@@ -30,7 +30,6 @@ from .transport import (
     TransportSolution,
     conserved_functional,
     counterexample_profile,
-    evaluate_density,
     identity_map,
     ks_vlasov_check,
     mixed_map,
@@ -40,7 +39,7 @@ from .transport import (
     transport_decay_experiment,
     velocity_average,
 )
-from .propagators import airy, even_order, plan_grid, propagate, schrodinger
+from .propagators import Evolution, airy, even_order, schrodinger
 from .operators import (
     CommutingOperator,
     apply_operator,

@@ -1,7 +1,15 @@
 """Command-line entry point.
 
-Exit codes: 0 all checks passed, 1 an inequality or fit target failed,
-2 configuration error, 3 numerical contamination left too few samples.
+Exit codes:
+
+0  ``list`` or ``validate`` succeeded, or ``run`` finished and every check passed.
+1  ``run`` finished and an inequality, fit target or oracle check failed; the
+   report is written. An unexpected exception also exits 1, with a traceback.
+2  bad input: a bad command line, or a config that cannot be read or parsed,
+   names an unknown section or key, or holds an out-of-range value (found at
+   load time or by the runner); no report is written.
+3  numerical contamination: wrap-around excluded every sample of a check, or
+   left a decay fit fewer than 5 samples; no report is written.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from .experiments import (
     load_config,
     run,
 )
+from .harness import ContaminationError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,10 +61,7 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
@@ -65,11 +71,12 @@ def main(argv=None) -> int:
 
     try:
         report = run(config, out_dir=args.out, threads=args.threads)
-    except ValueError as err:
-        if "insufficient" in str(err):
-            print(f"numerical contamination: {err}", file=sys.stderr)
-            return 3
-        raise
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except ContaminationError as err:
+        print(f"numerical contamination: {err}", file=sys.stderr)
+        return 3
     status = "PASS" if report.passed else "FAIL"
     print(f"{report.experiment}: {status} ({report.wall_clock_s:.2f} s, {len(report.rows)} sample rows)")
     for note in report.notes:

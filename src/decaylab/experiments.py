@@ -1,11 +1,12 @@
 """Experiment catalog, configuration parsing, and bit-stable report emission.
 
 Configs are flat INI text with sections per concern (experiment, grid,
-datum, times, tolerances, output); unknown keys are rejected with their
-path. Reports are JSON trees plus flat tab-separated sample tables whose
-floats are written with ``repr``, so re-running a config reproduces the
-samples table byte-identically at any thread count (threads only spread
-independent samples; reductions happen in fixed time order).
+datum, times, tolerances, output); unknown keys and out-of-range values
+are rejected with their path. Reports are JSON trees plus flat
+tab-separated sample tables whose floats are written with ``repr``, so
+re-running a config reproduces the samples table byte-identically at any
+thread count (threads only spread independent samples; reductions happen
+in fixed time order).
 """
 
 from __future__ import annotations
@@ -17,16 +18,19 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import transport as tr
-from .fields import BUMP_PROFILE_ID, CubeIndicator, Gaussian, GridSpec, product_gaussian_phase, sample
+from .fields import BUMP_PROFILE_ID, BumpLambda, CubeIndicator, Gaussian, GridSpec, product_gaussian_phase
+from .fields import l2_norm, linf_norm, sample
 from .harness import (
+    ContaminationError,
     DecayFit,
     InequalityReport,
+    _propagation_series,
     check_airy_local_energy,
     check_airy_pointwise,
     check_dispersive_schrodinger,
@@ -37,7 +41,7 @@ from .harness import (
     airy_decay_experiment,
     fit_decay,
 )
-from .norms import PARTITION_PROFILE_ID, build_dyadic_partition, lp_norm, translated_xnorm_inf, x_norm
+from .norms import PARTITION_PROFILE_ID, build_dyadic_partition, hs_norm, translated_xnorm_inf, x_norm
 from .operators import (
     commutation_residual,
     commutator_norm,
@@ -47,7 +51,7 @@ from .operators import (
     random_wave_packets,
     schrodinger_boost,
 )
-from .propagators import airy, even_order, propagate, schrodinger
+from .propagators import Evolution, airy, even_order, schrodinger
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -97,10 +101,6 @@ def _freeze_sections(raw: dict) -> tuple:
     return tuple(
         (name, tuple(sorted(items.items()))) for name, items in sorted(raw.items())
     )
-
-
-def _make_config(experiment: str, raw_sections: dict) -> ExperimentConfig:
-    return ExperimentConfig(experiment, _freeze_sections(raw_sections))
 
 
 def _format_value(value) -> str:
@@ -169,7 +169,25 @@ def parse_config(text: str) -> ExperimentConfig:
             resolved[section][key] = _parse_value(value, resolved[section][key])
     if resolved["experiment"]["id"] != exp_id:
         raise ConfigError("experiment.id mismatch")
-    return _make_config(exp_id, resolved)
+    _check_ranges(resolved)
+    return ExperimentConfig(exp_id, _freeze_sections(resolved))
+
+
+def _check_ranges(sections: dict) -> None:
+    """Reject, with the key path, values that no runner can use."""
+    for name, items in sections.items():
+        for key, value in items.items():
+            if key.startswith(("width", "half_width")) and not value > 0.0:
+                raise ConfigError(f"{name}.{key} must be positive, got {value!r}")
+            if key.startswith("points") and value < 8:
+                raise ConfigError(f"{name}.{key} must be at least 8, got {value!r}")
+        for prefix in ("", "fit_"):
+            if f"{prefix}t_min" in items and f"{prefix}t_max" in items:
+                try:
+                    geometric_times(items[f"{prefix}t_min"], items[f"{prefix}t_max"], items["ratio"])
+                except ConfigError as err:
+                    keys = f"{name}.{prefix}t_min, {name}.{prefix}t_max, {name}.ratio"
+                    raise ConfigError(f"{keys}: {err}") from None
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -181,7 +199,7 @@ def default_config(exp_id: str) -> ExperimentConfig:
     entries = catalog()
     if exp_id not in entries:
         raise ConfigError(f"experiment.id {exp_id!r} is not in the catalog")
-    return _make_config(exp_id, entries[exp_id].defaults)
+    return ExperimentConfig(exp_id, _freeze_sections(entries[exp_id].defaults))
 
 
 # ---------------------------------------------------------------------------
@@ -242,33 +260,21 @@ class Report:
         return json_path, tsv_path
 
 
-def _fit_dict(name: str, fit: DecayFit, target=None, tol=None) -> dict:
-    out = {
-        "name": name,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "max_abs_residual": fit.max_abs_residual,
-        "window": list(fit.window),
-        "n_samples": fit.n_samples,
-        "excluded": [list(e) for e in fit.excluded],
-    }
-    if target is not None:
-        out["target_slope"] = target
-        out["slope_tolerance"] = tol
-    return out
+def _fit_dict(name: str, fit: DecayFit, target: float, tol: float) -> dict:
+    out = {"name": name, **asdict(fit), "window": list(fit.window)}  # the CLI prints it as [t0, t1]
+    return {**out, "target_slope": target, "slope_tolerance": tol}
 
 
-def _ineq_dict(rep: InequalityReport) -> dict:
-    return {
-        "name": rep.name,
-        "samples": [list(s) for s in rep.samples],
-        "max_ratio": rep.max_ratio,
-        "bound": rep.bound,
-        "tolerance": rep.tolerance,
-        "passed": rep.passed,
-        "detail": [list(d) for d in rep.detail],
-        "excluded": [list(e) for e in rep.excluded],
-    }
+@dataclass(frozen=True)
+class _Outcome:
+    """What a runner hands back to ``run``."""
+
+    columns: tuple
+    rows: tuple
+    passed: bool
+    fits: tuple = ()
+    inequalities: tuple = ()
+    notes: tuple = ()
 
 
 def _ordered_map(fn: Callable, items, threads: int = 1) -> list:
@@ -287,6 +293,18 @@ def geometric_times(t_min: float, t_max: float, ratio: float = ROOT2) -> list:
     return out
 
 
+def _times(cfg: ExperimentConfig, prefix: str = "") -> list:
+    """Geometric times from ``times.{prefix}t_min``, ``times.{prefix}t_max`` and ``times.ratio``."""
+    return geometric_times(
+        cfg.get("times", f"{prefix}t_min"), cfg.get("times", f"{prefix}t_max"), cfg.get("times", "ratio")
+    )
+
+
+def _ratio_rows(rep: InequalityReport, *label) -> tuple:
+    """One (label..., t, lhs, rhs, lhs/rhs) row per sample of an inequality report."""
+    return tuple((*label, t, l, r, l / r) for (t, l, r) in rep.samples)
+
+
 def _complexify(f):
     return f.with_values(f.values.astype(np.complex128), "complex")
 
@@ -298,7 +316,7 @@ def _complexify(f):
 def _run_vlasov_decay(cfg: ExperimentConfig, threads: int):
     d = cfg.get("datum", "dimension")
     width = cfg.get("datum", "width")
-    times = geometric_times(cfg.get("times", "t_min"), cfg.get("times", "t_max"), cfg.get("times", "ratio"))
+    times = _times(cfg)
     datum = Gaussian((0.0,) * 2 * d, (width,) * 2 * d)
     sol = tr.TransportSolution(datum, tr.identity_map(d))
     values = _ordered_map(lambda t: tr.sup_velocity_average(sol, t), times, threads)
@@ -306,13 +324,14 @@ def _run_vlasov_decay(cfg: ExperimentConfig, threads: int):
     tol = cfg.get("tolerances", "slope")
     passed = abs(fit.slope - (-float(d))) <= tol
     rows = tuple((t, v) for t, v in zip(times, values))
-    return ("t", "sup_velocity_average"), rows, (_fit_dict("sup-decay", fit, -float(d), tol),), (), (), passed
+    fits = (_fit_dict("sup-decay", fit, -float(d), tol),)
+    return _Outcome(("t", "sup_velocity_average"), rows, passed, fits=fits)
 
 
 def _run_transport_degenerate(cfg: ExperimentConfig, threads: int):
     tag = cfg.get("datum", "map")
     width = cfg.get("datum", "width")
-    times = geometric_times(cfg.get("times", "t_min"), cfg.get("times", "t_max"), cfg.get("times", "ratio"))
+    times = _times(cfg)
     if tag == "relativistic":
         dispersion = tr.relativistic_map(1)
         datum = Gaussian((0.0, 0.0), (width, width))
@@ -329,7 +348,8 @@ def _run_transport_degenerate(cfg: ExperimentConfig, threads: int):
     passed = fit.slope <= target + tol if one_sided else abs(fit.slope - target) <= tol
     rows = tuple((t, v) for t, v in zip(times, values))
     notes = (f"map={tag}", "one-sided bound" if one_sided else "two-sided fit")
-    return ("t", "sup_velocity_average"), rows, (_fit_dict("sup-decay", fit, target, tol),), (), notes, passed
+    fits = (_fit_dict("sup-decay", fit, target, tol),)
+    return _Outcome(("t", "sup_velocity_average"), rows, passed, fits=fits, notes=notes)
 
 
 def _run_counterexample(cfg: ExperimentConfig, threads: int):
@@ -352,33 +372,20 @@ def _run_counterexample(cfg: ExperimentConfig, threads: int):
     notes.append(f"w11 spread across lams: {spread:.3e}")
     notes.append("growth column nu * <lam>^0.1 must increase")
     cols = ("lam", "nu_bar_at_origin", "lower_bound", "w11_norm_bound", "l1_norm", "growth")
-    return cols, tuple(rows), (), (), tuple(notes), passed
+    return _Outcome(cols, tuple(rows), passed, notes=tuple(notes))
 
 
-_CONSERVATION_CASES = (
-    ("identity-d1-gaussian", 1),
-    ("relativistic-d1-gaussian", 1),
-    ("square-d1-bump", 1),
-    ("identity-d2-product", 2),
-    ("mixed-d2-product", 2),
-)
+_CONSERVATION_CASES = {  # name -> (datum, dispersion map) for a width and a bump scale
+    "identity-d1-gaussian": lambda w, lam: (Gaussian((0.0, 0.0), (w, w)), tr.identity_map(1)),
+    "relativistic-d1-gaussian": lambda w, lam: (Gaussian((0.0, 0.0), (w, w)), tr.relativistic_map(1)),
+    "square-d1-bump": lambda w, lam: (BumpLambda(lam), tr.square_map()),
+    "identity-d2-product": lambda w, lam: (product_gaussian_phase(w, w, 2), tr.identity_map(2)),
+    "mixed-d2-product": lambda w, lam: (product_gaussian_phase(w, w, 2), tr.mixed_map()),
+}
 
 
 def _conservation_case(name: str, width: float, lam: float):
-    from .fields import BumpLambda
-
-    if name == "identity-d1-gaussian":
-        sol = tr.TransportSolution(Gaussian((0.0, 0.0), (width, width)), tr.identity_map(1))
-    elif name == "relativistic-d1-gaussian":
-        sol = tr.TransportSolution(Gaussian((0.0, 0.0), (width, width)), tr.relativistic_map(1))
-    elif name == "square-d1-bump":
-        sol = tr.TransportSolution(BumpLambda(lam), tr.square_map())
-    elif name == "identity-d2-product":
-        sol = tr.TransportSolution(product_gaussian_phase(width, width, 2), tr.identity_map(2))
-    elif name == "mixed-d2-product":
-        sol = tr.TransportSolution(product_gaussian_phase(width, width, 2), tr.mixed_map())
-    else:
-        raise ConfigError(f"unknown conservation case {name!r}")
+    sol = tr.TransportSolution(*_CONSERVATION_CASES[name](width, lam))
     d = sol.dim
     lo, hi = sol.datum.support_bounds(1e-14)
     pbox = float(max(abs(lo[d:]).max(), abs(hi[d:]).max())) * 1.05
@@ -403,7 +410,7 @@ def _run_conservation(cfg: ExperimentConfig, threads: int):
     lam = cfg.get("datum", "lam")
     tol = cfg.get("tolerances", "drift")
     tasks = []
-    for name, _ in _CONSERVATION_CASES:
+    for name in _CONSERVATION_CASES:
         sol, pgrid = _conservation_case(name, width, lam)
         for fname, F in _FUNCTIONALS.items():
             tasks.append((name, sol, pgrid, fname, F))
@@ -421,7 +428,7 @@ def _run_conservation(cfg: ExperimentConfig, threads: int):
         for t, v in zip(times, vals):
             rows.append((name, fname, t, v, drift))
     cols = ("case", "functional", "t", "value", "relative_drift")
-    return cols, tuple(rows), (), (), (f"drift tolerance {tol:g}",), passed
+    return _Outcome(cols, tuple(rows), passed, notes=(f"drift tolerance {tol:g}",))
 
 
 def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
@@ -431,43 +438,44 @@ def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
     grid = GridSpec.centered(half, points, dim=1)
     u0 = _complexify(sample(Gaussian(0.0, width), grid))
     x0 = int(np.argmin(np.abs(grid.axis(0))))
-    rows, passed = [], True
-    for t in cfg.get("times", "checkpoints"):
-        ut = propagate(u0, schrodinger(), t)
+    checkpoints, times = cfg.get("times", "checkpoints"), _times(cfg)
+    # one guarded series serves the oracle rows, the conservation drift and the fit
+    series_times = sorted(set(checkpoints) | set(times))
+    clean, excluded = _propagation_series(Evolution(u0, schrodinger()), series_times)
+    at = dict(clean)
+    base = {s: hs_norm(u0, s).value for s in (0.25, 0.5, 1.0)}
+    mass0 = l2_norm(u0)
+    rows, passed, worst = [], True, 0.0
+    for t in (t for t in checkpoints if t in at):
+        ut = at[t]
         value = abs(ut.values[x0])
         oracle = (1.0 + 4.0 * t * t) ** -0.25
         err = abs(value / oracle - 1.0)
         passed = passed and err <= cfg.get("tolerances", "oracle")
         rows.append((t, value, oracle, err))
-    from .norms import hs_norm
-    from .fields import l2_norm as _l2
-
-    cons_notes = []
-    base = {s: hs_norm(u0, s).value for s in (0.25, 0.5, 1.0)}
-    mass0 = _l2(u0)
-    worst = 0.0
-    for t in cfg.get("times", "checkpoints"):
-        ut = propagate(u0, schrodinger(), t)
-        worst = max(worst, abs(_l2(ut) / mass0 - 1.0))
+        worst = max(worst, abs(l2_norm(ut) / mass0 - 1.0))
         for s, ref in base.items():
             worst = max(worst, abs(hs_norm(ut, s).value / ref - 1.0))
+    if not rows:
+        raise ContaminationError("schrodinger-decay: every checkpoint was excluded")
     passed = passed and worst <= cfg.get("tolerances", "conservation")
-    cons_notes.append(f"max unitarity/Sobolev drift {worst:.3e}")
-    times = geometric_times(cfg.get("times", "t_min"), cfg.get("times", "t_max"), cfg.get("times", "ratio"))
-    sup = _ordered_map(lambda t: float(np.max(np.abs(propagate(u0, schrodinger(), t).values))), times, threads)
-    fit = fit_decay(times, sup)
+    notes = (f"max unitarity/Sobolev drift {worst:.3e}",) + tuple(
+        f"checkpoint t={t:g} excluded: {why}" for t, why in excluded if t in checkpoints
+    )
+    sup = [(t, linf_norm(at[t])) for t in times if t in at]
+    fit_excluded = tuple((t, why) for t, why in excluded if t in times)
+    fit = fit_decay([t for t, _ in sup], [v for _, v in sup], excluded=fit_excluded)
     tol = cfg.get("tolerances", "slope")
     passed = passed and abs(fit.slope + 0.5) <= tol
     cols = ("t", "amplitude_at_origin", "oracle", "relative_error")
-    return cols, tuple(rows), (_fit_dict("sup-decay", fit, -0.5, tol),), (), tuple(cons_notes), passed
+    fits = (_fit_dict("sup-decay", fit, -0.5, tol),)
+    return _Outcome(cols, tuple(rows), passed, fits=fits, notes=notes)
 
 
 def _run_schrodinger_ks(cfg: ExperimentConfig, threads: int):
     grid1 = GridSpec.centered(cfg.get("grid", "half_width_1d"), cfg.get("grid", "points_1d"), dim=1)
     u1 = _complexify(sample(Gaussian(0.0, cfg.get("datum", "width_1d")), grid1))
-    rep1 = check_ks_schrodinger(
-        u1, geometric_times(cfg.get("times", "t_min"), cfg.get("times", "t_max"), cfg.get("times", "ratio"))
-    )
+    rep1 = check_ks_schrodinger(u1, _times(cfg))
     grid2 = GridSpec.centered(cfg.get("grid", "half_width_2d"), cfg.get("grid", "points_2d"), dim=2)
     w2 = cfg.get("datum", "width_2d")
     u2 = _complexify(sample(Gaussian((0.0, 0.0), (w2, w2)), grid2))
@@ -483,12 +491,10 @@ def _run_schrodinger_ks(cfg: ExperimentConfig, threads: int):
         series = conserved_operator_norm(u2, spec, schrodinger(), (1.0, 4.0, 16.0))
         drift = max(drift, float((series.max() - series.min()) / series[0]))
     passed = rep1.passed and rep2.passed and drift <= tol
-    rows = tuple(("d1", t, l, r, l / r) for (t, l, r) in rep1.samples) + tuple(
-        ("d2", t, l, r, l / r) for (t, l, r) in rep2.samples
-    )
+    rows = _ratio_rows(rep1, "d1") + _ratio_rows(rep2, "d2")
     notes = (f"max conserved boost-norm drift {drift:.3e} (tolerance {tol:g})",)
     cols = ("suite", "t", "lhs", "rhs", "ratio")
-    return cols, rows, (), (_ineq_dict(rep1), _ineq_dict(rep2)), notes, passed
+    return _Outcome(cols, rows, passed, inequalities=(asdict(rep1), asdict(rep2)), notes=notes)
 
 
 def _shell_setup(cfg: ExperimentConfig):
@@ -500,47 +506,43 @@ def _shell_setup(cfg: ExperimentConfig):
 
 def _run_schrodinger_xnorm(cfg: ExperimentConfig, threads: int):
     grid, part, u0 = _shell_setup(cfg)
-    times = geometric_times(cfg.get("times", "t_min"), cfg.get("times", "t_max"), cfg.get("times", "ratio"))
+    times = _times(cfg)
     rep = check_dispersive_schrodinger(u0, times, part)
     # closed-form amplitude cross-check at one interior time
     w, c = cfg.get("datum", "width"), cfg.get("datum", "center")
     t_star = cfg.get("times", "cross_check_t")
-    ut = propagate(u0, schrodinger(), t_star)
-    sup = float(np.max(np.abs(ut.values)))
+    sup = linf_norm(Evolution(u0, schrodinger()).at(t_star))
     oracle = w * (w**4 + 4.0 * t_star**2) ** -0.25
     err = abs(sup / oracle - 1.0)
     passed = rep.passed and err <= cfg.get("tolerances", "oracle")
-    rows = tuple((t, l, r, l / r) for (t, l, r) in rep.samples)
+    rows = _ratio_rows(rep)
     notes = (f"amplitude cross-check at t={t_star:g}: rel err {err:.3e}",)
-    return ("t", "lhs", "rhs", "ratio"), rows, (), (_ineq_dict(rep),), notes, passed
+    return _Outcome(("t", "lhs", "rhs", "ratio"), rows, passed, inequalities=(asdict(rep),), notes=notes)
 
 
 def _run_lp_decay(cfg: ExperimentConfig, threads: int):
     grid, part, u0 = _shell_setup(cfg)
-    times = geometric_times(cfg.get("times", "t_min"), cfg.get("times", "t_max"), cfg.get("times", "ratio"))
+    times = _times(cfg)
     rep_half = check_lp_decay(u0, 0.5, times, part)
     rep_zero = check_lp_decay(u0, 0.0, times)
     l4 = [l / t**0.25 for (t, l, _) in rep_half.samples]
     fit = fit_decay([s[0] for s in rep_half.samples], l4)
     tol = cfg.get("tolerances", "slope")
     passed = rep_half.passed and rep_zero.passed and abs(fit.slope + 0.25) <= tol
-    rows = tuple(("theta=1/2", t, l, r, l / r) for (t, l, r) in rep_half.samples) + tuple(
-        ("theta=0", t, l, r, l / r) for (t, l, r) in rep_zero.samples
-    )
+    rows = _ratio_rows(rep_half, "theta=1/2") + _ratio_rows(rep_zero, "theta=0")
     cols = ("series", "t", "lhs", "rhs", "ratio")
-    return cols, rows, (_fit_dict("L4-decay", fit, -0.25, tol),), (_ineq_dict(rep_half), _ineq_dict(rep_zero)), (), passed
+    fits = (_fit_dict("L4-decay", fit, -0.25, tol),)
+    return _Outcome(cols, rows, passed, fits=fits, inequalities=(asdict(rep_half), asdict(rep_zero)))
 
 
 def _run_local_mass(cfg: ExperimentConfig, threads: int):
     grid, part, u0 = _shell_setup(cfg)
-    times = geometric_times(cfg.get("times", "t_min"), cfg.get("times", "t_max"), cfg.get("times", "ratio"))
+    times = _times(cfg)
     reports = [check_local_mass(u0, sigma, times, part) for sigma in cfg.get("datum", "sigmas")]
     passed = all(r.passed for r in reports)
-    rows = tuple(
-        (rep.name, t, l, r, l / r) for rep in reports for (t, l, r) in rep.samples
-    )
+    rows = sum((_ratio_rows(rep, rep.name) for rep in reports), ())
     cols = ("series", "t", "lhs", "rhs", "ratio")
-    return cols, rows, (), tuple(_ineq_dict(r) for r in reports), (), passed
+    return _Outcome(cols, rows, passed, inequalities=tuple(asdict(r) for r in reports))
 
 
 def _run_cube_translation(cfg: ExperimentConfig, threads: int):
@@ -554,7 +556,7 @@ def _run_cube_translation(cfg: ExperimentConfig, threads: int):
         cube = CubeIndicator(c, side)
         opt = translated_xnorm_inf(cube, 0.5, 1, part)
         plain = x_norm(sample(cube, grid, allow_overflow=True), 0.5, 1, part).value
-        l1 = cube.l1()
+        l1 = cube.mass()
         ratios.append(opt.value / l1)
         rows.append((c, opt.value, plain, l1, opt.value / l1))
         if c == max(centers):
@@ -568,7 +570,7 @@ def _run_cube_translation(cfg: ExperimentConfig, threads: int):
         f"untranslated/translated at c={max(centers):g}: x{untranslated_ratio:.3f}",
     )
     cols = ("center", "translated_xnorm", "untranslated_xnorm", "l1", "ratio_to_l1")
-    return cols, tuple(rows), (), (), notes, passed
+    return _Outcome(cols, tuple(rows), passed, notes=notes)
 
 
 def _airy_field(cfg: ExperimentConfig):
@@ -586,43 +588,38 @@ def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
     rep = check_airy_pointwise(u0, cfg.get("times", "checkpoints"), probes)
     du_fit = airy_decay_experiment(
         u0,
-        geometric_times(cfg.get("times", "fit_t_min"), cfg.get("times", "fit_t_max"), cfg.get("times", "ratio")),
+        _times(cfg, "fit_"),
         derivative=True,
         half_line_from=0.0,
     )
     tol = cfg.get("tolerances", "slope")
     passed = rep.passed and abs(du_fit.slope + 0.5) <= tol
-    rows = tuple((t, l, r, l / r) for (t, l, r) in rep.samples)
+    rows = _ratio_rows(rep)
     fits = (_fit_dict("dx-half-line-decay", du_fit, -0.5, tol),)
-    return ("t", "lhs", "rhs", "ratio"), rows, fits, (_ineq_dict(rep),), (), passed
+    return _Outcome(("t", "lhs", "rhs", "ratio"), rows, passed, fits=fits, inequalities=(asdict(rep),))
 
 
 def _run_airy_local_energy(cfg: ExperimentConfig, threads: int):
     u0 = _airy_field(cfg)
-    times = geometric_times(cfg.get("times", "t_min"), cfg.get("times", "t_max"), cfg.get("times", "ratio"))
+    times = _times(cfg)
     rep = check_airy_local_energy(u0, cfg.get("datum", "eps"), times)
     energies = [(t, l / t) for (t, l, _) in rep.samples if t >= cfg.get("times", "fit_t_min")]
     fit = fit_decay([t for t, _ in energies], [v for _, v in energies])
     passed = rep.passed and fit.slope <= cfg.get("tolerances", "energy_slope")
-    rows = tuple((t, l, r, l / r) for (t, l, r) in rep.samples)
+    rows = _ratio_rows(rep)
     fits = (_fit_dict("weighted-energy-decay", fit, -1.0, 0.1),)
-    return ("t", "lhs", "rhs", "ratio"), rows, fits, (_ineq_dict(rep),), (), passed
+    return _Outcome(("t", "lhs", "rhs", "ratio"), rows, passed, fits=fits, inequalities=(asdict(rep),))
 
 
 def _run_airy_decay(cfg: ExperimentConfig, threads: int):
     u0 = _airy_field(cfg)
-    times = geometric_times(cfg.get("times", "t_min"), cfg.get("times", "t_max"), cfg.get("times", "ratio"))
-    sup_fit = airy_decay_experiment(u0, times)
+    clean, excluded = _propagation_series(Evolution(u0, airy()), _times(cfg))
+    rows = tuple((t, linf_norm(ut)) for t, ut in clean)
+    sup_fit = fit_decay([t for t, _ in rows], [v for _, v in rows], excluded=tuple(excluded))
     tol = cfg.get("tolerances", "slope")
     passed = abs(sup_fit.slope + 1.0 / 3.0) <= tol
-    from .fields import linf_norm
-
-    rows = []
-    for t in times:
-        ut = propagate(u0, airy(), t)
-        rows.append((t, linf_norm(ut)))
     fits = (_fit_dict("sup-decay", sup_fit, -1.0 / 3.0, tol),)
-    return ("t", "sup_amplitude"), tuple(rows), fits, (), (), passed
+    return _Outcome(("t", "sup_amplitude"), rows, passed, fits=fits)
 
 
 def _run_monomial_2k(cfg: ExperimentConfig, threads: int):
@@ -633,13 +630,13 @@ def _run_monomial_2k(cfg: ExperimentConfig, threads: int):
     ):
         grid = GridSpec.centered(half, points, dim=1)
         u0 = _complexify(sample(Gaussian(0.0, width), grid))
-        times = geometric_times(cfg.get("times", "t_min"), cfg.get("times", "t_max"), cfg.get("times", "ratio"))
+        times = _times(cfg)
         rep = check_monomial_estimate(k, u0, times)
         reports.append(rep)
-        rows.extend((f"k={k}", t, l, r, l / r) for (t, l, r) in rep.samples)
+        rows.extend(_ratio_rows(rep, f"k={k}"))
     passed = all(r.passed for r in reports)
     cols = ("series", "t", "lhs", "rhs", "ratio")
-    return cols, tuple(rows), (), tuple(_ineq_dict(r) for r in reports), (), passed
+    return _Outcome(cols, tuple(rows), passed, inequalities=tuple(asdict(r) for r in reports))
 
 
 def _run_commutation_suite(cfg: ExperimentConfig, threads: int):
@@ -681,13 +678,11 @@ def _run_commutation_suite(cfg: ExperimentConfig, threads: int):
     grid2 = GridSpec.centered(60.0, 256, dim=2)
     rng = np.random.default_rng(seed)
     u2 = random_wave_packets(grid2, rng)
-    from .fields import l2_norm as _l2
-
-    comm = commutator_norm(schrodinger_boost(0), schrodinger_boost(1), u2, 1.7) / _l2(u2)
+    comm = commutator_norm(schrodinger_boost(0), schrodinger_boost(1), u2, 1.7) / l2_norm(u2)
     passed = passed and comm <= 1e-12
     notes.append(f"2d boost commutator relative norm {comm:.3e}")
     cols = ("degree", "sample", "t", "residual")
-    return cols, tuple(rows), (), (), tuple(notes), passed
+    return _Outcome(cols, tuple(rows), passed, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -983,17 +978,17 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None, threads: int = 
     """Dispatch to the configured experiment, write report files, return the report."""
     entry = catalog()[config.experiment]
     start = time.perf_counter()
-    columns, rows, fits, inequalities, notes, passed = entry.runner(config, threads)
+    out = entry.runner(config, threads)
     elapsed = time.perf_counter() - start
     report = Report(
         experiment=config.experiment,
         config=config.as_dict(),
-        columns=tuple(columns),
-        rows=tuple(rows),
-        fits=tuple(fits),
-        inequalities=tuple(inequalities),
-        notes=tuple(notes) + (f"anchor: {entry.anchor}",),
-        passed=bool(passed),
+        columns=out.columns,
+        rows=out.rows,
+        fits=out.fits,
+        inequalities=out.inequalities,
+        notes=out.notes + (f"anchor: {entry.anchor}",),
+        passed=bool(out.passed),
         wall_clock_s=elapsed,
     )
     target = out_dir or config.get("output", "dir") or os.environ.get(OUTPUT_DIR_ENV)

@@ -252,9 +252,6 @@ class AnalyticField:
     def mass(self):
         raise OracleUnavailable(f"{type(self).__name__} has no mass oracle")
 
-    def l2_norm(self) -> float:
-        raise OracleUnavailable(f"{type(self).__name__} has no L2 oracle")
-
 
 @dataclass(frozen=True)
 class Gaussian(AnalyticField):
@@ -309,19 +306,6 @@ class Gaussian(AnalyticField):
             factor = factor + 1j * np.array(self.wavevector)
         return self.value(points)[..., np.newaxis] * factor
 
-    def mixed_partial(self, points, axes: Sequence[int]):
-        """Mixed first-order partial over distinct axes (product rule)."""
-        if len(set(axes)) != len(axes):
-            raise ValueError("axes must be distinct")
-        pts = self._points(points)
-        out = self.value(points)
-        for ax in axes:
-            fac = -(pts[..., ax] - self.center[ax]) / self.width[ax] ** 2
-            if self.wavevector is not None:
-                fac = fac + 1j * self.wavevector[ax]
-            out = out * fac
-        return out
-
     def support_bounds(self, tol: float = 1e-12):
         c = np.array(self.center)
         if self.amplitude == 0.0:
@@ -332,14 +316,6 @@ class Gaussian(AnalyticField):
     def feature_scale(self) -> float:
         return min(self.width)
 
-    def bandwidth(self, tol: float = 1e-12) -> float:
-        """Radius of the frequency band holding all but ~tol of the spectrum."""
-        if self.amplitude == 0.0:
-            return 0.0
-        spread = math.sqrt(2.0 * math.log(1.0 / tol))
-        k0 = self.wavevector or (0.0,) * self.ndim
-        return max(abs(k) + spread / w for k, w in zip(k0, self.width))
-
     def mass(self):
         out = self.amplitude * np.prod([w * math.sqrt(2 * math.pi) for w in self.width])
         if self.wavevector is not None:
@@ -349,10 +325,6 @@ class Gaussian(AnalyticField):
             out = out * np.exp(-0.5 * np.sum(k**2 * w**2)) * np.exp(1j * np.sum(k * c))
             return complex(out)
         return float(out)
-
-    def l2_norm(self) -> float:
-        sq = self.amplitude**2 * np.prod([w * math.sqrt(math.pi) for w in self.width])
-        return float(math.sqrt(sq))
 
     def subfield(self, axes: Sequence[int], amplitude: Optional[float] = None) -> "Gaussian":
         k = None
@@ -493,9 +465,3 @@ class CubeIndicator(AnalyticField):
 
     def mass(self) -> float:
         return self.side**self.ndim
-
-    def l1(self) -> float:
-        return self.side**self.ndim
-
-    def l2_norm(self) -> float:
-        return math.sqrt(self.side**self.ndim)

@@ -7,6 +7,10 @@ its local-energy corollary, mass conservation) declare that bound; the
 others only assert stability of the empirical constant, with the bound set
 to twice the smallest sampled ratio. Wrap-around contaminated samples are
 excluded from fits and recorded with a reason.
+
+A check never passes on no evidence: when every sample of a check was
+excluded, or a decay fit is left with fewer than five samples after
+exclusions, it raises ``ContaminationError`` instead of reporting.
 """
 
 from __future__ import annotations
@@ -21,16 +25,10 @@ import numpy as np
 from .fields import SampledField, l2_norm, linf_norm, spectral_derivative
 from .norms import DyadicPartition, NormValue, hs_norm, lp_norm, weighted_l2, x_norm
 from .operators import apply_operator, derive_commuting_operator, schrodinger_boost
-from .propagators import (
-    DispersionPolynomial,
-    airy,
-    edge_mass_fraction,
-    even_order,
-    propagate,
-    schrodinger,
-)
+from .propagators import Evolution, airy, edge_mass_fraction, even_order, schrodinger
 
 __all__ = [
+    "ContaminationError",
     "DecayFit",
     "InequalityReport",
     "fit_decay",
@@ -51,6 +49,10 @@ CONTAMINATION_THRESHOLD = 1e-6  # edge-mass fraction beyond which a sample is dr
 INEQUALITY_SLACK = 1e-6  # absolute slack on constant-free inequalities
 STABILITY_FACTOR = 2.0  # admissible wobble of empirical constants
 _PROBE_CHUNK = 32  # probes per phase block: 32 x 16k modes is 8.5 MB of phases
+
+
+class ContaminationError(ValueError):
+    """Wrap-around contamination left a check or a fit too few clean samples."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,11 @@ class InequalityReport:
 
 
 def fit_decay(times, values, window=None, excluded: tuple = ()) -> DecayFit:
-    """Fit log(value) = intercept + slope * log(t) over the time window."""
+    """Fit log(value) = intercept + slope * log(t) over the time window.
+
+    ``excluded`` lists the (t, reason) samples already dropped; if any were
+    and fewer than 5 samples remain, the error is a ``ContaminationError``.
+    """
     times = np.asarray(list(times), dtype=float)
     values = np.asarray(list(values), dtype=float)
     if times.shape != values.shape:
@@ -91,7 +97,10 @@ def fit_decay(times, values, window=None, excluded: tuple = ()) -> DecayFit:
         keep = (times >= window[0]) & (times <= window[1])
         times, values = times[keep], values[keep]
     if times.size < 5:
-        raise ValueError(f"need at least 5 samples in the fit window, got {times.size}")
+        msg = f"need at least 5 samples in the fit window, got {times.size}"
+        if excluded:
+            raise ContaminationError(f"insufficient uncontaminated window: {msg}, {len(excluded)} excluded")
+        raise ValueError(msg)
     if np.any(values <= 0.0):
         raise ValueError("all values in the fit window must be positive")
     lt, lv = np.log(times), np.log(values)
@@ -108,6 +117,11 @@ def fit_decay(times, values, window=None, excluded: tuple = ()) -> DecayFit:
 
 
 def _report(name, samples, bound=None, tolerance=INEQUALITY_SLACK, detail=(), excluded=()):
+    if excluded and not samples:
+        t, reason = excluded[0]
+        raise ContaminationError(
+            f"{name}: all {len(excluded)} samples excluded, the first at t = {t:g} ({reason})"
+        )
     ratios = [lhs / rhs for (_, lhs, rhs) in samples if rhs > 0.0]
     max_ratio = max(ratios) if ratios else 0.0
     if bound is None:  # stability-style bound: constant may wobble by x2
@@ -126,11 +140,11 @@ def _report(name, samples, bound=None, tolerance=INEQUALITY_SLACK, detail=(), ex
     )
 
 
-def _propagation_series(u0, disp, times):
-    """Propagate to each time, splitting clean samples from contaminated ones."""
+def _propagation_series(evolution: Evolution, times):
+    """Evolve to each time, splitting clean samples from contaminated ones."""
     clean, excluded = [], []
     for t in times:
-        ut = propagate(u0, disp, float(t))
+        ut = evolution.at(float(t))
         frac = edge_mass_fraction(ut)
         if frac > CONTAMINATION_THRESHOLD:
             excluded.append((float(t), f"wrap-around edge mass {frac:.2e}"))
@@ -145,7 +159,7 @@ def check_dispersive_schrodinger(
     """|t|^(d/2) sup |u(t)| against the dyadic X^{d/2,1} norm of the datum."""
     d = u0.grid.dim
     rhs = x_norm(u0, d / 2.0, 1, partition).value
-    clean, excluded = _propagation_series(u0, schrodinger(), times)
+    clean, excluded = _propagation_series(Evolution(u0, schrodinger()), times)
     samples = [(t, abs(t) ** (d / 2.0) * linf_norm(ut), rhs) for t, ut in clean]
     return _report("schrodinger-dispersive-sup", samples, excluded=excluded)
 
@@ -162,7 +176,7 @@ def check_ks_schrodinger(u0: SampledField, times: Sequence[float]) -> Inequality
     """
     d = u0.grid.dim
     boosts = [schrodinger_boost(axis) for axis in range(d)]
-    clean, excluded = _propagation_series(u0, schrodinger(), times)
+    clean, excluded = _propagation_series(Evolution(u0, schrodinger()), times)
     alphas = _multiindices(d, d)
     samples = []
     for t, ut in clean:
@@ -195,7 +209,7 @@ def check_lp_decay(
         raise ValueError("theta must lie in [0, 1)")
     d = u0.grid.dim
     p = 2.0 / (1.0 - theta)
-    clean, excluded = _propagation_series(u0, schrodinger(), times)
+    clean, excluded = _propagation_series(Evolution(u0, schrodinger()), times)
     if theta == 0.0:
         rhs = lp_norm(u0, 2).value
         samples = [(t, lp_norm(ut, 2).value, rhs) for t, ut in clean]
@@ -230,7 +244,7 @@ def check_local_mass(
     if not 0.0 <= sigma < d / 2.0:
         raise ValueError("sigma must lie in [0, d/2)")
     rhs = x_norm(u0, sigma, 2, partition).value
-    clean, excluded = _propagation_series(u0, schrodinger(), times)
+    clean, excluded = _propagation_series(Evolution(u0, schrodinger()), times)
     samples = []
     truncated = False
     for t, ut in clean:
@@ -303,13 +317,14 @@ def check_airy_pointwise(
     if np.any(probes < lo[0]) or np.any(probes > hi[0]):
         raise ValueError("probes must lie inside the grid")
     rhs = _airy_data_constant(u0)
-    clean, excluded = _propagation_series(u0, airy(), [t for t in times if t >= 0.0])
+    evolution = Evolution(u0, airy())
+    clean, excluded = _propagation_series(evolution, [t for t in times if t >= 0.0])
     if not clean:
         return _report("airy-pointwise-weighted", [], bound=1.0, excluded=excluded)
-    k = 2.0 * np.pi * np.fft.rfftfreq(u0.grid.points[0], d=u0.grid.spacing[0])
+    (k,) = evolution.wavenumbers
     spectra = []
-    for _, ut in clean:
-        s = np.fft.rfft(ut.values)
+    for t, _ in clean:
+        s = evolution.spectrum(t)
         spectra += [s, 1j * k * s]
     values = _interpolate_real(u0.grid, np.stack(spectra, axis=1), probes)
     samples = []
@@ -336,7 +351,7 @@ def check_airy_local_energy(
     weight = (1.0 + x**2) ** (-0.5 - eps)
     i_eps = float(weight.sum() * u0.grid.cell_volume)
     rhs = (i_eps * rhs0 + l2_norm(u0) ** 2) / 3.0
-    clean, excluded = _propagation_series(u0, airy(), times)
+    clean, excluded = _propagation_series(Evolution(u0, airy()), times)
     samples = []
     for t, ut in clean:
         du = spectral_derivative(ut, 1)
@@ -357,7 +372,7 @@ def check_monomial_estimate(k: int, u0: SampledField, times: Sequence[float]) ->
     x = u0.grid.axis(0)
     xu0 = SampledField(u0.grid, x * u0.as_complex(), "complex")
     xnorm0 = l2_norm(xu0)
-    clean, excluded = _propagation_series(u0, disp, times)
+    clean, excluded = _propagation_series(Evolution(u0, disp), times)
     samples = []
     for t, ut in clean:
         dm = spectral_derivative(ut, 2 * k - 2)
@@ -372,10 +387,9 @@ def airy_decay_experiment(
     times: Sequence[float],
     derivative: bool = False,
     half_line_from: Optional[float] = None,
-    window=None,
 ) -> DecayFit:
     """Decay fit of the Airy sup norm, or of |d_x u| on a half line x >= x0."""
-    clean, excluded = _propagation_series(u0, airy(), times)
+    clean, excluded = _propagation_series(Evolution(u0, airy()), times)
     if derivative:
         x = u0.grid.axis(0)
         mask = np.ones(x.shape, dtype=bool) if half_line_from is None else x >= half_line_from
@@ -387,7 +401,4 @@ def airy_decay_experiment(
         else:
             vals.append(linf_norm(ut))
         ts.append(t)
-    try:
-        return fit_decay(ts, vals, window=window, excluded=tuple(excluded))
-    except ValueError as err:
-        raise ValueError(f"insufficient uncontaminated window: {err}") from err
+    return fit_decay(ts, vals, excluded=tuple(excluded))

@@ -19,8 +19,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import SampledField, l2_norm, spectral_derivative
-from .propagators import DispersionPolynomial, propagate
+from .fields import Gaussian, SampledField, l2_norm, spectral_derivative
+from .propagators import DispersionPolynomial, Evolution
 
 __all__ = [
     "NoCommutingOperatorError",
@@ -48,11 +48,6 @@ class CommutingOperator:
     degree: int = 2
     a: complex = 0.0
     b: complex = 0.0
-
-    def describe(self) -> str:
-        if self.kind == "schrodinger_boost":
-            return f"t d_{self.axis} + (i/2) x_{self.axis}"
-        return f"({self.a}) t d^{self.degree - 1} + ({self.b}) x"
 
 
 def schrodinger_boost(axis: int = 0) -> CommutingOperator:
@@ -122,11 +117,12 @@ def commutation_residual(
     Returns (residual, relative). When the denominator vanishes the absolute
     residual is returned with relative=False.
     """
-    left = apply_operator(op, propagate(u0, disp, t), t)
-    right = propagate(apply_operator(op, u0, 0.0), disp, t)
+    a0 = apply_operator(op, u0, 0.0)
+    left = apply_operator(op, Evolution(u0, disp).at(t), t)
+    right = Evolution(a0, disp).at(t)
     diff = left.as_complex() - right.as_complex()
     num = math.sqrt(float(np.sum(np.abs(diff) ** 2)) * u0.grid.cell_volume)
-    denom = l2_norm(apply_operator(op, u0, 0.0))
+    denom = l2_norm(a0)
     if denom == 0.0:
         return num, False
     return num / denom, True
@@ -143,9 +139,10 @@ def conserved_operator_norm(
     ``ops`` pairs each operator with its multiplicity, realizing the
     multi-index power W^alpha = W_1^a1 ... W_d^ad applied at time t.
     """
+    evolution = Evolution(u0, disp)
     out = []
     for t in times:
-        u = propagate(u0, disp, float(t))
+        u = evolution.at(float(t))
         for op, power in ops:
             for _ in range(int(power)):
                 u = apply_operator(op, u, float(t))
@@ -171,8 +168,6 @@ def random_wave_packets(grid, rng, packets: int = 5) -> SampledField:
     tails below 1e-10) while staying far from the box boundary, so the
     coordinate-multiplication operators see no periodic sawtooth.
     """
-    from .fields import Gaussian
-
     nodes = grid.nodes()
     vals = np.zeros(grid.points, dtype=complex)
     for _ in range(packets):

@@ -19,17 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GridSpec, SampledField, l2_norm
+from .fields import SampledField, l2_norm
 
 __all__ = [
     "DispersionPolynomial",
     "schrodinger",
     "airy",
     "even_order",
-    "propagate",
+    "Evolution",
     "group_property_check",
     "edge_mass_fraction",
-    "plan_grid",
 ]
 
 
@@ -63,10 +62,6 @@ class DispersionPolynomial:
     def symbol_1d(self, xi: np.ndarray) -> np.ndarray:
         return self.monomial_coefficient * xi**self.degree
 
-    def group_speed(self, xi) -> np.ndarray:
-        """|d Im sigma / d xi| = degree * |xi|^(degree-1)."""
-        return self.degree * np.abs(xi) ** (self.degree - 1)
-
 
 def schrodinger() -> DispersionPolynomial:
     return DispersionPolynomial("schrodinger", 2)
@@ -80,31 +75,50 @@ def even_order(k: int) -> DispersionPolynomial:
     return DispersionPolynomial("even_order", 2 * int(k))
 
 
-def _evolution_multiplier(disp: DispersionPolynomial, grid: GridSpec, t: float) -> np.ndarray:
-    if grid.dim == 1:
-        xi = grid.wavenumbers(0)
-        return np.exp(t * disp.symbol_1d(xi))
-    if disp.normalization != "schrodinger":
-        raise ValueError(f"{disp.normalization} propagation is one-dimensional only")
-    k1 = grid.wavenumbers(0)[:, None]
-    k2 = grid.wavenumbers(1)[None, :]
-    return np.exp(1j * t * (k1**2 + k2**2))
+class Evolution:
+    """u(t) = U(t) u0 through the unit-modulus multiplier, from one transform of u0.
 
+    Real Airy data keep the half spectrum of ``rfft``: sigma(-xi) is the
+    conjugate of sigma(xi), so u(t) stays real. All other data keep the full
+    ``fftn`` spectrum. ``wavenumbers`` holds one array per axis, shaped to
+    broadcast against ``spectrum(t)``.
+    """
 
-def propagate(u0: SampledField, disp: DispersionPolynomial, t: float) -> SampledField:
-    """Evolve u0 by time t through the unit-modulus multiplier."""
-    mult = _evolution_multiplier(disp, u0.grid, t)
-    out = np.fft.ifftn(np.fft.fftn(u0.as_complex()) * mult)
-    if disp.normalization == "airy" and u0.kind == "real":
-        # sigma(-xi) = conj(sigma(xi)), so real data stay real
-        return SampledField(u0.grid, out.real, "real")
-    return SampledField(u0.grid, out, "complex")
+    def __init__(self, u0: SampledField, disp: DispersionPolynomial):
+        grid = self.grid = u0.grid
+        if grid.dim > 1 and disp.normalization != "schrodinger":
+            raise ValueError(f"{disp.normalization} propagation is one-dimensional only")
+        self.real = disp.normalization == "airy" and u0.kind == "real"
+        if self.real:
+            self.wavenumbers = (2.0 * np.pi * np.fft.rfftfreq(grid.points[0], d=grid.spacing[0]),)
+            self._hat = np.fft.rfft(u0.values)
+        else:
+            axes = (grid.wavenumbers(i) for i in range(grid.dim))
+            self.wavenumbers = np.meshgrid(*axes, indexing="ij", sparse=True)
+            self._hat = np.fft.fftn(u0.as_complex())
+        self._symbol = sum(disp.symbol_1d(k) for k in self.wavenumbers)  # separable symbol
+
+    def spectrum(self, t: float) -> np.ndarray:
+        """The transform of u(t), laid out as ``rfft`` or ``fftn`` lays it out."""
+        # np.multiply fixes the operand order: numpy may evaluate ``hat * tmp``
+        # as ``tmp * hat`` in place, and the two round differently
+        out = np.multiply(self._hat, np.exp(t * self._symbol))
+        if self.real and self.grid.points[0] % 2 == 0:
+            out[-1] = out[-1].real  # real data have a real Nyquist mode; irfft reads only that
+        return out
+
+    def at(self, t: float) -> SampledField:
+        spec = self.spectrum(t)
+        if self.real:
+            return SampledField(self.grid, np.fft.irfft(spec, n=self.grid.points[0]), "real")
+        return SampledField(self.grid, np.fft.ifftn(spec), "complex")
 
 
 def group_property_check(u0: SampledField, disp: DispersionPolynomial, s: float, t: float) -> float:
     """|| U(s+t) u0 - U(t) U(s) u0 ||_2 / || u0 ||_2."""
-    direct = propagate(u0, disp, s + t)
-    stepped = propagate(propagate(u0, disp, s), disp, t)
+    evolution = Evolution(u0, disp)
+    direct = evolution.at(s + t)
+    stepped = Evolution(evolution.at(s), disp).at(t)
     diff = direct.as_complex() - stepped.as_complex()
     denom = l2_norm(u0)
     if denom == 0.0:
@@ -134,26 +148,3 @@ def edge_mass_fraction(field: SampledField, band: float = 0.05) -> float:
         mask[tuple(idx)] = True
     return float(w[mask].sum()) / total
 
-
-def plan_grid(
-    datum,
-    disp: DispersionPolynomial,
-    t_max: float,
-    points: int = None,
-    band_tol: float = 1e-12,
-    safety: float = 1.15,
-) -> GridSpec:
-    """Domain sizing rule: half-width >= support + t_max * max band group speed.
-
-    The effective band is the wavenumber radius holding all but ``band_tol``
-    of the datum's spectral mass (closed form for Gaussian data). Points
-    default to the next power of two with Nyquist above the band.
-    """
-    lo, hi = datum.support_bounds(band_tol)
-    supp = float(max(abs(lo).max(), abs(hi).max()))
-    band = datum.bandwidth(band_tol)
-    half = safety * (supp + t_max * float(disp.group_speed(band)))
-    if points is None:
-        spacing_needed = math.pi / (1.25 * band)
-        points = 1 << max(3, math.ceil(math.log2(2.0 * half / spacing_needed)))
-    return GridSpec.centered(half, points, dim=datum.ndim)

@@ -32,7 +32,6 @@ __all__ = [
     "square_map",
     "mixed_map",
     "TransportSolution",
-    "evaluate_density",
     "velocity_average",
     "sup_velocity_average",
     "conserved_functional",
@@ -55,7 +54,7 @@ class ScalarDispersion:
 
 @dataclass(frozen=True)
 class DispersionMap:
-    """Velocity map w: R^d -> R^d with Jacobian oracle.
+    """Velocity map w: R^d -> R^d.
 
     ``axis_maps`` lists per-axis scalar components when the map acts
     separately on each momentum coordinate; it enables the fast adaptive
@@ -65,21 +64,19 @@ class DispersionMap:
     tag: str
     dim: int
     w: Callable
-    jacobian: Callable
     axis_maps: Optional[tuple] = None
 
 
+_IDENTITY = ScalarDispersion(
+    "identity", lambda p: np.asarray(p, float), lambda p: np.ones_like(np.asarray(p, float))
+)
+_SQUARE = ScalarDispersion(
+    "square", lambda p: np.asarray(p, float) ** 2, lambda p: 2.0 * np.asarray(p, float)
+)
+
+
 def identity_map(dim: int = 1) -> DispersionMap:
-    def w(p):
-        return np.asarray(p, dtype=float)
-
-    def jac(p):
-        p = np.asarray(p, dtype=float)
-        eye = np.eye(dim)
-        return np.broadcast_to(eye, p.shape[:-1] + (dim, dim)).copy()
-
-    axis = ScalarDispersion("identity", lambda p: np.asarray(p, float), lambda p: np.ones_like(np.asarray(p, float)))
-    return DispersionMap("identity", dim, w, jac, (axis,) * dim)
+    return DispersionMap("identity", dim, _IDENTITY.w, (_IDENTITY,) * dim)
 
 
 def relativistic_map(dim: int = 1) -> DispersionMap:
@@ -87,14 +84,6 @@ def relativistic_map(dim: int = 1) -> DispersionMap:
         p = np.asarray(p, dtype=float)
         gamma = np.sqrt(1.0 + np.sum(p**2, axis=-1, keepdims=True))
         return p / gamma
-
-    def jac(p):
-        p = np.asarray(p, dtype=float)
-        s = 1.0 + np.sum(p**2, axis=-1)
-        g = np.sqrt(s)
-        eye = np.eye(dim)
-        outer = p[..., :, np.newaxis] * p[..., np.newaxis, :]
-        return eye / g[..., np.newaxis, np.newaxis] - outer / (s * g)[..., np.newaxis, np.newaxis]
 
     axis_maps = None
     if dim == 1:
@@ -104,21 +93,11 @@ def relativistic_map(dim: int = 1) -> DispersionMap:
             lambda p: (1.0 + np.asarray(p, float) ** 2) ** -1.5,
         )
         axis_maps = (axis,)
-    return DispersionMap("relativistic", dim, w, jac, axis_maps)
+    return DispersionMap("relativistic", dim, w, axis_maps)
 
 
 def square_map() -> DispersionMap:
-    def w(p):
-        return np.asarray(p, dtype=float) ** 2
-
-    def jac(p):
-        p = np.asarray(p, dtype=float)
-        return (2.0 * p)[..., np.newaxis]
-
-    axis = ScalarDispersion(
-        "square", lambda p: np.asarray(p, float) ** 2, lambda p: 2.0 * np.asarray(p, float)
-    )
-    return DispersionMap("square", 1, w, jac, (axis,))
+    return DispersionMap("square", 1, _SQUARE.w, (_SQUARE,))
 
 
 def mixed_map() -> DispersionMap:
@@ -130,16 +109,7 @@ def mixed_map() -> DispersionMap:
         out[..., 1] = p[..., 1] ** 2
         return out
 
-    def jac(p):
-        p = np.asarray(p, dtype=float)
-        out = np.zeros(p.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = 2.0 * p[..., 1]
-        return out
-
-    ident = ScalarDispersion("identity", lambda p: np.asarray(p, float), lambda p: np.ones_like(np.asarray(p, float)))
-    square = ScalarDispersion("square", lambda p: np.asarray(p, float) ** 2, lambda p: 2.0 * np.asarray(p, float))
-    return DispersionMap("mixed", 2, w, jac, (ident, square))
+    return DispersionMap("mixed", 2, w, (_IDENTITY, _SQUARE))
 
 
 @dataclass(frozen=True)
@@ -166,28 +136,24 @@ class TransportSolution:
         d = self.dim
         return (lo[:d], hi[:d]), (lo[d:], hi[d:])
 
-    def evaluate(self, t: float, q, p) -> np.ndarray:
+    def _foot(self, t: float, q, p) -> np.ndarray:
+        """Phase-space points (q - t w(p), p) where the characteristics start."""
         q = np.asarray(q, dtype=float)
         p = np.asarray(p, dtype=float)
         if self.dim == 1 and q.shape[-1:] != (1,):
             q = q[..., np.newaxis]
         if self.dim == 1 and p.shape[-1:] != (1,):
             p = p[..., np.newaxis]
-        shifted = q - t * self.dispersion.w(p)
-        pts = np.concatenate(np.broadcast_arrays(shifted, p), axis=-1)
-        return self.datum.value(pts)
+        return np.concatenate(np.broadcast_arrays(q - t * self.dispersion.w(p), p), axis=-1)
+
+    def evaluate(self, t: float, q, p) -> np.ndarray:
+        """nu(t,q,p) = nu0(q - t w(p), p), exact up to round-off."""
+        return self.datum.value(self._foot(t, q, p))
 
 
-def evaluate_density(sol: TransportSolution, t: float, q, p) -> np.ndarray:
-    """nu(t,q,p) = nu0(q - t w(p), p), exact up to round-off."""
-    return sol.evaluate(t, q, p)
-
-
-def _check_p_coverage(sol: TransportSolution, pgrid: GridSpec, allow_overflow: bool):
+def _check_p_coverage(sol: TransportSolution, pgrid: GridSpec):
     if pgrid.dim != sol.dim:
         raise ValueError("momentum grid dimension mismatch")
-    if allow_overflow:
-        return
     (_, _), (plo, phi) = sol._qp_bounds(1e-10)
     if not pgrid.contains_box(plo, phi):
         raise SupportOverflowError(
@@ -195,28 +161,33 @@ def _check_p_coverage(sol: TransportSolution, pgrid: GridSpec, allow_overflow: b
         )
 
 
-def velocity_average(
-    sol: TransportSolution, t: float, q, pgrid: GridSpec, allow_overflow: bool = False
-) -> float:
-    """Quadrature of nu(t, q, .) over the momentum grid at a single q."""
-    _check_p_coverage(sol, pgrid, allow_overflow)
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    pmesh = pgrid.nodes()
-    vals = sol.evaluate(t, np.broadcast_to(q, pmesh.shape), pmesh)
-    return float(vals.sum() * pgrid.cell_volume)
+def _check_q_coverage(sol: TransportSolution, qgrid: GridSpec, t: float, qlo, qhi, momenta):
+    """The q-grid must hold the q-support carried to time t at every sampled momentum."""
+    travel = t * sol.dispersion.w(momenta)
+    lo_req, hi_req = qlo + travel.min(axis=0), qhi + travel.max(axis=0)
+    if not qgrid.contains_box(lo_req, hi_req):
+        raise SupportOverflowError(
+            f"q-grid {qgrid.bounds()} does not cover the transported support [{lo_req}, {hi_req}] at t={t}"
+        )
 
 
-def _velocity_average_many(sol, t, qpoints, pgrid, chunk: int = 1 << 22) -> np.ndarray:
-    """Velocity averages at many q nodes, chunked over q."""
-    qpoints = np.asarray(qpoints, dtype=float).reshape(-1, sol.dim)
+def velocity_average(sol: TransportSolution, t: float, q, pgrid: GridSpec):
+    """Quadrature of nu(t, q, .) over the momentum grid.
+
+    ``q`` is one point of R^d, giving a float, or an array of points with a
+    trailing axis of length d, giving an array of averages (chunked over q).
+    """
+    _check_p_coverage(sol, pgrid)
+    q = np.asarray(q, dtype=float)
+    qpoints = q.reshape(-1, sol.dim)
     pmesh = pgrid.nodes().reshape(-1, sol.dim)
     out = np.empty(qpoints.shape[0])
-    rows = max(1, chunk // max(1, pmesh.shape[0]))
+    rows = max(1, (1 << 22) // pmesh.shape[0])
     for start in range(0, qpoints.shape[0], rows):
         qc = qpoints[start : start + rows]
         vals = sol.evaluate(t, qc[:, None, :], pmesh[None, :, :])
         out[start : start + rows] = vals.sum(axis=1) * pgrid.cell_volume
-    return out
+    return float(out[0]) if q.ndim <= 1 else out.reshape(q.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +328,6 @@ def sup_velocity_average(
     t: float,
     qgrid: Optional[GridSpec] = None,
     pgrid: Optional[GridSpec] = None,
-    allow_overflow: bool = False,
 ) -> float:
     """Max over position of the velocity average at time t.
 
@@ -367,23 +337,13 @@ def sup_velocity_average(
     is accurate uniformly in t and places its own candidate q nodes.
     """
     if qgrid is not None and pgrid is not None:
-        _check_p_coverage(sol, pgrid, allow_overflow)
-        if not allow_overflow:
-            (qlo, qhi), (plo, phi) = sol._qp_bounds(1e-10)
-            psample = np.stack(
-                np.meshgrid(*[np.linspace(plo[i], phi[i], 65) for i in range(sol.dim)], indexing="ij"),
-                axis=-1,
-            ).reshape(-1, sol.dim)
-            travel = t * sol.dispersion.w(psample)
-            lo_req = qlo + travel.min(axis=0)
-            hi_req = qhi + travel.max(axis=0)
-            if not qgrid.contains_box(lo_req, hi_req):
-                raise SupportOverflowError(
-                    f"q-grid {qgrid.bounds()} does not cover the transported support "
-                    f"[{lo_req}, {hi_req}] at t={t}"
-                )
-        vals = _velocity_average_many(sol, t, qgrid.nodes().reshape(-1, sol.dim), pgrid)
-        return float(vals.max())
+        (qlo, qhi), (plo, phi) = sol._qp_bounds(1e-10)
+        psample = np.stack(
+            np.meshgrid(*[np.linspace(plo[i], phi[i], 65) for i in range(sol.dim)], indexing="ij"),
+            axis=-1,
+        ).reshape(-1, sol.dim)
+        _check_q_coverage(sol, qgrid, t, qlo, qhi, psample)
+        return float(velocity_average(sol, t, qgrid.nodes().reshape(-1, sol.dim), pgrid).max())
 
     parts = _separable_parts(sol)
     if parts is None:
@@ -407,7 +367,6 @@ def conserved_functional(
     t: float,
     pgrid: GridSpec,
     qgrid: Optional[GridSpec] = None,
-    allow_overflow: bool = False,
 ) -> float:
     """Phase-space quadrature of F(p, nu(t, q, p)).
 
@@ -417,20 +376,13 @@ def conserved_functional(
     t*w(p); this requires F(p, 0) = 0 so the empty region contributes
     nothing, and stays cheap however far the support has travelled.
     """
-    _check_p_coverage(sol, pgrid, allow_overflow)
+    _check_p_coverage(sol, pgrid)
     d = sol.dim
     (qlo, qhi), _ = sol._qp_bounds(1e-14)
     pmesh = pgrid.nodes().reshape(-1, d)
 
     if qgrid is not None:
-        if not allow_overflow:
-            travel = t * sol.dispersion.w(pmesh)
-            lo_req = qlo + travel.min(axis=0)
-            hi_req = qhi + travel.max(axis=0)
-            if not qgrid.contains_box(lo_req, hi_req):
-                raise SupportOverflowError(
-                    f"q-grid {qgrid.bounds()} does not cover the transported support at t={t}"
-                )
+        _check_q_coverage(sol, qgrid, t, qlo, qhi, pmesh)
         qmesh = qgrid.nodes().reshape(-1, d)
         total = 0.0
         rows = max(1, (1 << 22) // max(1, pmesh.shape[0]))
@@ -492,15 +444,7 @@ def apply_transport_boost(sol: TransportSolution, t: float, axis: int, q, p) -> 
     d = sol.dim
     if axis < 0 or axis >= d:
         raise ValueError("axis out of range")
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if d == 1 and q.shape[-1:] != (1,):
-        q = q[..., np.newaxis]
-    if d == 1 and p.shape[-1:] != (1,):
-        p = p[..., np.newaxis]
-    shifted = q - t * sol.dispersion.w(p)
-    pts = np.concatenate(np.broadcast_arrays(shifted, p), axis=-1)
-    return sol.datum.gradient(pts)[..., d + axis]
+    return sol.datum.gradient(sol._foot(t, q, p))[..., d + axis]
 
 
 def _pair_abs_p_derivative_integral(pair: AnalyticField, t: float) -> float:
@@ -590,7 +534,6 @@ def transport_decay_experiment(
     dispersion: DispersionMap,
     datum: AnalyticField,
     times: Sequence[float],
-    window=None,
 ):
     """Fit the decay exponent of sup_q velocity average over geometric times."""
     from .harness import fit_decay
@@ -600,4 +543,4 @@ def transport_decay_experiment(
     if np.any(times <= 0) or np.any(np.diff(times) <= 0):
         raise ValueError("times must be positive and strictly increasing")
     values = np.array([sup_velocity_average(sol, t) for t in times])
-    return fit_decay(times, values, window=window)
+    return fit_decay(times, values)

@@ -7,7 +7,7 @@ import pytest
 
 from decaylab.fields import Gaussian, GridSpec, sample, spectral_derivative
 from decaylab.norms import build_dyadic_partition, x_norm
-from decaylab.propagators import airy, propagate, schrodinger
+from decaylab.propagators import Evolution, airy, schrodinger
 from decaylab import harness as hz
 
 
@@ -41,6 +41,13 @@ class TestFitDecay:
     def test_rejects_unordered_times(self):
         with pytest.raises(ValueError):
             hz.fit_decay([1.0, 3.0, 2.0, 4.0, 5.0], [1.0] * 5)
+
+    def test_short_window_after_exclusions_is_contamination(self):
+        with pytest.raises(hz.ContaminationError, match="insufficient"):
+            hz.fit_decay([1.0, 2.0, 4.0], [1.0, 0.5, 0.25], excluded=((8.0, "wrap-around"),))
+        with pytest.raises(ValueError) as info:
+            hz.fit_decay([1.0, 2.0, 4.0], [1.0, 0.5, 0.25])
+        assert not isinstance(info.value, hz.ContaminationError)
 
 
 @pytest.fixture(scope="module")
@@ -141,9 +148,17 @@ class TestLpAndLocalMass:
         assert rep.passed
         assert dict(rep.detail)["window_truncated"]
         for t, lhs, rhs in rep.samples:
-            ut = propagate(u0, schrodinger(), t)
+            ut = Evolution(u0, schrodinger()).at(t)
             ofs = dict(x_norm(ut, 0.0, 2, part).detail)["off_shell_fraction"]
             assert 2**-0.5 * (1.0 - ofs) - 1e-9 <= lhs / rhs <= 2**0.5 + 1e-9
+
+    def test_check_with_every_sample_excluded_raises(self):
+        # a small box: by t = 100 every sample has wrapped, so nothing supports a verdict
+        grid = GridSpec.centered(40.0, 1024, dim=1)
+        part = build_dyadic_partition(grid, 0, 2)
+        u0 = complex_sample(Gaussian(2.2, 0.25), grid)
+        with pytest.raises(hz.ContaminationError, match="all 2 samples excluded"):
+            hz.check_local_mass(u0, 0.25, [100.0, 200.0], part)
 
     def test_local_mass_sigma_guard(self, shell_setup):
         _, part, u0 = shell_setup
@@ -178,7 +193,7 @@ class TestAiryChecks:
         times = [0.0, 1.0, 4.0, 20.0]
         rep = hz.check_airy_pointwise(airy_u0, times, x[idx])
         for t, (ts, lhs, _) in zip(times, rep.samples):
-            ut = propagate(airy_u0, airy(), t)
+            ut = Evolution(airy_u0, airy()).at(t)
             du = spectral_derivative(ut, 1)
             node = np.max(3.0 * t * du.values[idx] ** 2 + x[idx] * ut.values[idx] ** 2)
             assert ts == t

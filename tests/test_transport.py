@@ -21,12 +21,12 @@ class TestEvaluateDensity:
     def test_time_zero_is_datum(self, gaussian_solution):
         rng = np.random.default_rng(0)
         q, p = rng.normal(size=8), rng.normal(size=8)
-        got = tr.evaluate_density(gaussian_solution, 0.0, q, p)
+        got = gaussian_solution.evaluate(0.0, q, p)
         np.testing.assert_allclose(got, np.exp(-(q**2) - p**2), rtol=1e-14)
 
     def test_characteristics_value(self, gaussian_solution):
         # (t,q,p) = (1,0,1): exp(-(0-1)^2 - 1) = e^-2
-        got = tr.evaluate_density(gaussian_solution, 1.0, [0.0], [1.0])
+        got = gaussian_solution.evaluate(1.0, [0.0], [1.0])
         assert got == pytest.approx(math.exp(-2.0), rel=1e-14)
 
     def test_square_map_bump_plateau(self):
@@ -35,7 +35,7 @@ class TestEvaluateDensity:
         # pick (t,q,p) with (q - t p^2, p) inside the plateau disc of radius 1/lam
         t, p = 2.0, 0.1
         q = t * p**2 + 0.05
-        assert tr.evaluate_density(sol, t, [q], [p]) == pytest.approx(lam, abs=0)
+        assert sol.evaluate(t, [q], [p]) == pytest.approx(lam, abs=0)
 
     def test_exactness_against_independent_reevaluation(self, gaussian_solution):
         # round-off in the exponent grows with its magnitude, hence the scaled rel tol
@@ -43,7 +43,7 @@ class TestEvaluateDensity:
         for _ in range(16):
             t, q, p = rng.uniform(-5, 5, 3)
             expo = (q - t * p) ** 2 + p**2
-            assert tr.evaluate_density(gaussian_solution, t, [q], [p]) == pytest.approx(
+            assert gaussian_solution.evaluate(t, [q], [p]) == pytest.approx(
                 math.exp(-expo), rel=1e-14 * (10.0 + expo), abs=1e-300
             )
 
@@ -175,12 +175,12 @@ class TestTransportBoost:
             t = rng.uniform(0.2, 3.0)
             q, p = rng.uniform(-1.0, 1.0, 2)
             dnu_dp = (
-                tr.evaluate_density(sol, t, [q], [p + h]) - tr.evaluate_density(sol, t, [q], [p - h])
+                sol.evaluate(t, [q], [p + h]) - sol.evaluate(t, [q], [p - h])
             ) / (2 * h)
             dnu_dq = (
-                tr.evaluate_density(sol, t, [q + h], [p]) - tr.evaluate_density(sol, t, [q - h], [p])
+                sol.evaluate(t, [q + h], [p]) - sol.evaluate(t, [q - h], [p])
             ) / (2 * h)
-            dw = float(sol.dispersion.jacobian(np.array([p])).ravel()[0])
+            dw = float(sol.dispersion.axis_maps[0].dw(p))
             stencil = dnu_dp + t * dw * dnu_dq
             boost = tr.apply_transport_boost(sol, t, 0, [q], [p])
             assert boost == pytest.approx(float(stencil), rel=1e-5, abs=1e-8)
