@@ -30,6 +30,7 @@ from .harness import (
     ContaminationError,
     DecayFit,
     InequalityReport,
+    MIN_FIT_SAMPLES,
     _propagation_series,
     check_airy_local_energy,
     check_airy_pointwise,
@@ -300,6 +301,20 @@ def _times(cfg: ExperimentConfig, prefix: str = "") -> list:
     )
 
 
+def _fit_times(cfg: ExperimentConfig, prefix: str = "", after: Optional[str] = None) -> list:
+    """Decay-fit times: ``_times``, from ``times.{after}`` on; too few is an error of those keys."""
+    times = _times(cfg, prefix)
+    keys = [f"times.{prefix}t_min", f"times.{prefix}t_max", "times.ratio"]
+    if after is not None:
+        times = [t for t in times if t >= cfg.get("times", after)]
+        keys.append(f"times.{after}")
+    if len(times) < MIN_FIT_SAMPLES:
+        raise ConfigError(
+            f"{', '.join(keys)} give {len(times)} decay-fit times; a fit needs at least {MIN_FIT_SAMPLES}"
+        )
+    return times
+
+
 def _ratio_rows(rep: InequalityReport, *label) -> tuple:
     """One (label..., t, lhs, rhs, lhs/rhs) row per sample of an inequality report."""
     return tuple((*label, t, l, r, l / r) for (t, l, r) in rep.samples)
@@ -316,7 +331,7 @@ def _complexify(f):
 def _run_vlasov_decay(cfg: ExperimentConfig, threads: int):
     d = cfg.get("datum", "dimension")
     width = cfg.get("datum", "width")
-    times = _times(cfg)
+    times = _fit_times(cfg)
     datum = Gaussian((0.0,) * 2 * d, (width,) * 2 * d)
     sol = tr.TransportSolution(datum, tr.identity_map(d))
     values = _ordered_map(lambda t: tr.sup_velocity_average(sol, t), times, threads)
@@ -331,7 +346,7 @@ def _run_vlasov_decay(cfg: ExperimentConfig, threads: int):
 def _run_transport_degenerate(cfg: ExperimentConfig, threads: int):
     tag = cfg.get("datum", "map")
     width = cfg.get("datum", "width")
-    times = _times(cfg)
+    times = _fit_times(cfg)
     if tag == "relativistic":
         dispersion = tr.relativistic_map(1)
         datum = Gaussian((0.0, 0.0), (width, width))
@@ -438,7 +453,7 @@ def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
     grid = GridSpec.centered(half, points, dim=1)
     u0 = _complexify(sample(Gaussian(0.0, width), grid))
     x0 = int(np.argmin(np.abs(grid.axis(0))))
-    checkpoints, times = cfg.get("times", "checkpoints"), _times(cfg)
+    checkpoints, times = cfg.get("times", "checkpoints"), _fit_times(cfg)
     # one guarded series serves the oracle rows, the conservation drift and the fit
     series_times = sorted(set(checkpoints) | set(times))
     clean, excluded = _propagation_series(Evolution(u0, schrodinger()), series_times)
@@ -522,11 +537,11 @@ def _run_schrodinger_xnorm(cfg: ExperimentConfig, threads: int):
 
 def _run_lp_decay(cfg: ExperimentConfig, threads: int):
     grid, part, u0 = _shell_setup(cfg)
-    times = _times(cfg)
+    times = _fit_times(cfg)
     rep_half = check_lp_decay(u0, 0.5, times, part)
     rep_zero = check_lp_decay(u0, 0.0, times)
     l4 = [l / t**0.25 for (t, l, _) in rep_half.samples]
-    fit = fit_decay([s[0] for s in rep_half.samples], l4)
+    fit = fit_decay([s[0] for s in rep_half.samples], l4, excluded=rep_half.excluded)
     tol = cfg.get("tolerances", "slope")
     passed = rep_half.passed and rep_zero.passed and abs(fit.slope + 0.25) <= tol
     rows = _ratio_rows(rep_half, "theta=1/2") + _ratio_rows(rep_zero, "theta=0")
@@ -588,7 +603,7 @@ def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
     rep = check_airy_pointwise(u0, cfg.get("times", "checkpoints"), probes)
     du_fit = airy_decay_experiment(
         u0,
-        _times(cfg, "fit_"),
+        _fit_times(cfg, "fit_"),
         derivative=True,
         half_line_from=0.0,
     )
@@ -601,10 +616,11 @@ def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
 
 def _run_airy_local_energy(cfg: ExperimentConfig, threads: int):
     u0 = _airy_field(cfg)
-    times = _times(cfg)
-    rep = check_airy_local_energy(u0, cfg.get("datum", "eps"), times)
-    energies = [(t, l / t) for (t, l, _) in rep.samples if t >= cfg.get("times", "fit_t_min")]
-    fit = fit_decay([t for t, _ in energies], [v for _, v in energies])
+    fit_from = _fit_times(cfg, after="fit_t_min")[0]
+    rep = check_airy_local_energy(u0, cfg.get("datum", "eps"), _times(cfg))
+    energies = [(t, l / t) for (t, l, _) in rep.samples if t >= fit_from]
+    excluded = tuple((t, why) for t, why in rep.excluded if t >= fit_from)
+    fit = fit_decay([t for t, _ in energies], [v for _, v in energies], excluded=excluded)
     passed = rep.passed and fit.slope <= cfg.get("tolerances", "energy_slope")
     rows = _ratio_rows(rep)
     fits = (_fit_dict("weighted-energy-decay", fit, -1.0, 0.1),)
@@ -613,7 +629,7 @@ def _run_airy_local_energy(cfg: ExperimentConfig, threads: int):
 
 def _run_airy_decay(cfg: ExperimentConfig, threads: int):
     u0 = _airy_field(cfg)
-    clean, excluded = _propagation_series(Evolution(u0, airy()), _times(cfg))
+    clean, excluded = _propagation_series(Evolution(u0, airy()), _fit_times(cfg))
     rows = tuple((t, linf_norm(ut)) for t, ut in clean)
     sup_fit = fit_decay([t for t, _ in rows], [v for _, v in rows], excluded=tuple(excluded))
     tol = cfg.get("tolerances", "slope")
@@ -654,10 +670,9 @@ def _run_commutation_suite(cfg: ExperimentConfig, threads: int):
         perturbed_best = {"a": 0.0, "b": 0.0}
         for i in range(n_data):
             u0 = random_wave_packets(grid, rng)
-            for t in times:
-                r, _ = commutation_residual(op, disp, u0, t)
-                worst = max(worst, r)
-                rows.append((m, i, t, r))
+            residuals = commutation_residual(op, disp, u0, times)[0].tolist()
+            worst = max(worst, *residuals)
+            rows.extend((m, i, t, r) for t, r in zip(times, residuals))
             if i == 0:
                 for which in ("a", "b"):
                     bad = monomial_boost(
@@ -665,9 +680,7 @@ def _run_commutation_suite(cfg: ExperimentConfig, threads: int):
                         op.a * 1.1 if which == "a" else op.a,
                         op.b if which == "a" else op.b * 1.1,
                     )
-                    perturbed_best[which] = max(
-                        commutation_residual(bad, disp, u0, t)[0] for t in times
-                    )
+                    perturbed_best[which] = float(commutation_residual(bad, disp, u0, times)[0].max())
         ok = worst <= tol and all(v >= detect for v in perturbed_best.values())
         passed = passed and ok
         notes.append(

@@ -7,12 +7,19 @@ complex or real samples on such a grid, and ``AnalyticField`` subclasses
 are initial data that carry their own value/gradient/moment oracles so
 transported solutions never need interpolation.
 
+An analytic datum is evaluated one way: ``value(*x)`` and ``gradient(*x)``
+take one coordinate array per axis, and the arrays broadcast together, so a
+caller passes ``grid.meshgrid()``, or axes shaped to broadcast, and never
+stacks points. ``gradient`` returns one array per axis. Sums over axes run
+left to right, the order ``np.sum`` uses over a short last axis.
+
 All objects are immutable after construction and every operation is a pure
 function; fields may be shared freely across threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -169,8 +176,7 @@ def sample(datum: "AnalyticField", grid: GridSpec, allow_overflow: bool = False)
                 f"datum support {bounds} not inside grid box {grid.bounds()}; "
                 "pass allow_overflow=True to override"
             )
-    vals = datum.value(grid.nodes())
-    return SampledField(grid, vals, datum.kind)
+    return SampledField(grid, datum.value(*grid.meshgrid()), datum.kind)
 
 
 def integrate(field: SampledField):
@@ -216,25 +222,19 @@ def spectral_derivative(field: SampledField, order: int, axis: int = 0) -> Sampl
 class AnalyticField:
     """Closed-form datum with value/gradient oracles.
 
-    ``value``/``gradient`` accept arrays shaped (..., ndim); one-dimensional
-    fields also accept bare coordinate arrays.
+    ``value(*x)`` and ``gradient(*x)`` take ``ndim`` coordinate arrays, one
+    per axis, that broadcast together; the value has their broadcast shape
+    and ``gradient`` returns a tuple of ``ndim`` such arrays, the partial
+    derivatives in axis order.
     """
 
     ndim: int = 1
     kind: str = "real"
 
-    def _points(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if self.ndim == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            pts = pts[..., np.newaxis]
-        if pts.shape[-1] != self.ndim:
-            raise ValueError(f"points must have trailing dimension {self.ndim}")
-        return pts
-
-    def value(self, points) -> np.ndarray:
+    def value(self, *x) -> np.ndarray:
         raise NotImplementedError
 
-    def gradient(self, points) -> np.ndarray:
+    def gradient(self, *x) -> tuple:
         raise OracleUnavailable(f"{type(self).__name__} has no gradient oracle")
 
     def support_bounds(self, tol: float = 1e-12):
@@ -287,24 +287,22 @@ class Gaussian(AnalyticField):
     def kind(self) -> str:
         return "complex" if self.wavevector is not None else "real"
 
-    def value(self, points):
-        pts = self._points(points)
-        c = np.array(self.center)
-        w = np.array(self.width)
-        expo = -0.5 * np.sum(((pts - c) / w) ** 2, axis=-1)
-        out = self.amplitude * np.exp(expo)
+    def value(self, *x):
+        terms = zip(x, self.center, self.width, strict=True)
+        out = self.amplitude * np.exp(-0.5 * sum(((xi - c) / w) ** 2 for xi, c, w in terms))
         if self.wavevector is not None:
-            out = out * np.exp(1j * np.sum(np.array(self.wavevector) * pts, axis=-1))
+            out = out * np.exp(1j * sum(k * xi for k, xi in zip(self.wavevector, x)))
         return out
 
-    def gradient(self, points):
-        pts = self._points(points)
-        c = np.array(self.center)
-        w = np.array(self.width)
-        factor = -(pts - c) / w**2
-        if self.wavevector is not None:
-            factor = factor + 1j * np.array(self.wavevector)
-        return self.value(points)[..., np.newaxis] * factor
+    def gradient(self, *x):
+        v = self.value(*x)
+        out = []
+        for i, (xi, c, w) in enumerate(zip(x, self.center, self.width)):
+            factor = -(xi - c) / w**2
+            if self.wavevector is not None:
+                factor = factor + 1j * self.wavevector[i]
+            out.append(v * factor)
+        return tuple(out)
 
     def support_bounds(self, tol: float = 1e-12):
         c = np.array(self.center)
@@ -404,19 +402,15 @@ class BumpLambda(AnalyticField):
     def ndim(self) -> int:
         return 2
 
-    def value(self, points):
-        pts = self._points(points)
-        r = self.lam * np.sqrt(np.sum(pts**2, axis=-1))
+    def value(self, q, p):
+        r = self.lam * np.sqrt(q**2 + p**2)
         return self.lam * bump_profile(r)
 
-    def gradient(self, points):
-        pts = self._points(points)
-        rho = np.sqrt(np.sum(pts**2, axis=-1))
-        r = self.lam * rho
-        dprof = bump_profile_deriv(r)
+    def gradient(self, q, p):
+        rho = np.sqrt(q**2 + p**2)
+        radial = self.lam**2 * bump_profile_deriv(self.lam * rho)
         safe = np.where(rho > 0.0, rho, 1.0)
-        direction = pts / safe[..., np.newaxis]
-        return (self.lam**2 * dprof)[..., np.newaxis] * direction
+        return radial * (q / safe), radial * (p / safe)
 
     def support_bounds(self, tol: float = 1e-12):
         r = 2.0 / self.lam
@@ -449,11 +443,9 @@ class CubeIndicator(AnalyticField):
     def ndim(self) -> int:
         return len(self.center)
 
-    def value(self, points):
-        pts = self._points(points)
-        c = np.array(self.center)
-        inside = np.all(np.abs(pts - c) <= 0.5 * self.side, axis=-1)
-        return inside.astype(float)
+    def value(self, *x):
+        inside = [np.abs(xi - c) <= 0.5 * self.side for xi, c in zip(x, self.center, strict=True)]
+        return functools.reduce(np.logical_and, inside).astype(float)
 
     def support_bounds(self, tol: float = 1e-12):
         c = np.array(self.center)

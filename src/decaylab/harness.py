@@ -42,12 +42,14 @@ __all__ = [
     "airy_decay_experiment",
     "CONTAMINATION_THRESHOLD",
     "INEQUALITY_SLACK",
+    "MIN_FIT_SAMPLES",
     "STABILITY_FACTOR",
 ]
 
 CONTAMINATION_THRESHOLD = 1e-6  # edge-mass fraction beyond which a sample is dropped
 INEQUALITY_SLACK = 1e-6  # absolute slack on constant-free inequalities
 STABILITY_FACTOR = 2.0  # admissible wobble of empirical constants
+MIN_FIT_SAMPLES = 5  # fewest samples a decay fit accepts
 _PROBE_CHUNK = 32  # probes per phase block: 32 x 16k modes is 8.5 MB of phases
 
 
@@ -85,7 +87,8 @@ def fit_decay(times, values, window=None, excluded: tuple = ()) -> DecayFit:
     """Fit log(value) = intercept + slope * log(t) over the time window.
 
     ``excluded`` lists the (t, reason) samples already dropped; if any were
-    and fewer than 5 samples remain, the error is a ``ContaminationError``.
+    and fewer than ``MIN_FIT_SAMPLES`` remain, the error is a
+    ``ContaminationError``.
     """
     times = np.asarray(list(times), dtype=float)
     values = np.asarray(list(values), dtype=float)
@@ -96,8 +99,8 @@ def fit_decay(times, values, window=None, excluded: tuple = ()) -> DecayFit:
     if window is not None:
         keep = (times >= window[0]) & (times <= window[1])
         times, values = times[keep], values[keep]
-    if times.size < 5:
-        msg = f"need at least 5 samples in the fit window, got {times.size}"
+    if times.size < MIN_FIT_SAMPLES:
+        msg = f"need at least {MIN_FIT_SAMPLES} samples in the fit window, got {times.size}"
         if excluded:
             raise ContaminationError(f"insufficient uncontaminated window: {msg}, {len(excluded)} excluded")
         raise ValueError(msg)
@@ -220,7 +223,7 @@ def check_lp_decay(
     if partition is None:
         raise ValueError("theta > 0 needs a dyadic partition for the data norm")
     rhs_large_t = x_norm(u0, s, 2, partition).value
-    rhs_all_t = weighted_l2(u0, s, "abs").value + hs_norm(u0, s).value
+    rhs_all_t = weighted_l2(u0, s).value + hs_norm(u0, s).value
     samples, detail_rows = [], []
     for t, ut in clean:
         lpv = lp_norm(ut, p).value

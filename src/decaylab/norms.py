@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import AnalyticField, GridSpec, SampledField, sample
+from .fields import AnalyticField, GridSpec, SampledField
 
 __all__ = [
     "PARTITION_PROFILE_ID",
@@ -163,11 +163,11 @@ def hs_norm(f: SampledField, s: float) -> NormValue:
     return NormValue(f"H{s:g}", value)
 
 
-def weighted_l2(f: SampledField, power: float, weight: str = "abs") -> NormValue:
-    """|| w(x) f ||_L2 with w = |x|^power ('abs') or (1+|x|^2)^(power/2) ('bracket').
+def weighted_l2(f: SampledField, power: float) -> NormValue:
+    """|| |x|^power f ||_L2.
 
-    For power < 0 the 'abs' weight is singular at x = 0, and a grid node
-    there is treated by this rule:
+    For power < 0 the weight is singular at x = 0, and a grid node there is
+    treated by this rule:
 
     - nodes where f = 0 contribute 0;
     - for -d/2 < power < 0 the origin node carries the mean of |x|^(2 power)
@@ -176,13 +176,9 @@ def weighted_l2(f: SampledField, power: float, weight: str = "abs") -> NormValue
       the value is inf, with ("singular_weight", "non-integrable") in
       ``detail``.
     """
-    kind = f"w{weight}^{power:g}-L2"
+    kind = f"wabs^{power:g}-L2"
     rsq = sum(x**2 for x in f.grid.meshgrid())
-    if weight == "bracket":
-        w = (1.0 + rsq) ** (power / 2.0)
-    elif weight != "abs":
-        raise ValueError("weight must be 'abs' or 'bracket'")
-    elif power >= 0.0:
+    if power >= 0.0:
         w = rsq ** (power / 2.0)
     else:
         d = f.grid.dim
@@ -197,41 +193,35 @@ def weighted_l2(f: SampledField, power: float, weight: str = "abs") -> NormValue
     return NormValue(kind, _grid_l2(w * np.abs(f.values), f.grid))
 
 
-def translated_xnorm_inf(
-    datum: AnalyticField,
-    theta: float,
-    q,
-    partition: DyadicPartition,
-    search_halfwidth: Optional[float] = None,
-    levels: int = 3,
-    coarse: int = 17,
-) -> NormValue:
+def translated_xnorm_inf(datum: AnalyticField, theta: float, q, partition: DyadicPartition) -> NormValue:
     """Upper bound on inf over shifts y of the X norm of x -> datum(x + y).
 
-    Coarse-to-fine grid search (``levels`` refinements); each trial shift
-    resamples the analytic datum, so translation is exact. Shifts that push
-    the support outside the partition shell are skipped.
+    Coarse-to-fine grid search: 3 levels of 17 shifts per axis, each level
+    around the best shift so far, on a box of half-width |support centre| + 2
+    that shrinks by 8 per level. Each trial shift evaluates the analytic datum
+    at the shifted nodes, so translation is exact. Shifts that push the
+    support outside the partition grid are skipped.
     """
+    grid = partition.grid
+    if datum.ndim != grid.dim:
+        raise ValueError(f"datum dimension {datum.ndim} != grid dimension {grid.dim}")
     lo, hi = datum.support_bounds(1e-10)
-    center = 0.5 * (np.atleast_1d(lo) + np.atleast_1d(hi))
-    if search_halfwidth is None:
-        search_halfwidth = float(np.max(np.abs(center))) + 2.0
-    glo, ghi = partition.grid.bounds()
+    center = 0.5 * (lo + hi)
+    glo, ghi = grid.bounds()
+    nodes = grid.meshgrid()
 
     best_val, best_shift = math.inf, None
     centers = center.copy()
-    width = search_halfwidth
+    width = float(np.max(np.abs(center))) + 2.0
     dim = datum.ndim
-    for _ in range(levels):
+    coarse = 17
+    for _ in range(3):
         axes = [np.linspace(c - width, c + width, coarse) for c in centers]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
         for y in mesh:
-            slo = np.atleast_1d(lo) - y
-            shi = np.atleast_1d(hi) - y
-            if np.any(slo < glo) or np.any(shi > ghi):
+            if np.any(lo - y < glo) or np.any(hi - y > ghi):
                 continue
-            shifted = _ShiftedField(datum, y)
-            fy = sample(shifted, partition.grid, allow_overflow=True)
+            fy = SampledField(grid, datum.value(*(x + yi for x, yi in zip(nodes, y))), datum.kind)
             val = x_norm(fy, theta, q, partition).value
             if val < best_val:
                 best_val, best_shift = val, y.copy()
@@ -248,19 +238,3 @@ def translated_xnorm_inf(
         detail=(("best_shift", tuple(float(v) for v in best_shift)),),
     )
 
-
-class _ShiftedField(AnalyticField):
-    """tau_y datum: x -> datum(x + y)."""
-
-    def __init__(self, base: AnalyticField, y):
-        self.base = base
-        self.y = np.atleast_1d(np.asarray(y, dtype=float))
-        self.ndim = base.ndim
-        self.kind = base.kind
-
-    def value(self, points):
-        return self.base.value(self._points(points) + self.y)
-
-    def support_bounds(self, tol: float = 1e-12):
-        lo, hi = self.base.support_bounds(tol)
-        return np.atleast_1d(lo) - self.y, np.atleast_1d(hi) - self.y

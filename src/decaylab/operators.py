@@ -110,22 +110,22 @@ def apply_operator(op: CommutingOperator, u: SampledField, t: float) -> SampledF
 
 
 def commutation_residual(
-    op: CommutingOperator, disp: DispersionPolynomial, u0: SampledField, t: float
-) -> Tuple[float, bool]:
-    """|| A(t) U(t) u0 - U(t) A(0) u0 ||_2, relative to || A(0) u0 ||_2.
+    op: CommutingOperator, disp: DispersionPolynomial, u0: SampledField, times: Sequence[float]
+) -> Tuple[np.ndarray, bool]:
+    """|| A(t) U(t) u0 - U(t) A(0) u0 ||_2 at each time, relative to || A(0) u0 ||_2.
 
-    Returns (residual, relative). When the denominator vanishes the absolute
-    residual is returned with relative=False.
+    Returns (residuals, relative), one residual per time. When the
+    denominator vanishes the absolute residuals are returned with
+    relative=False.
     """
     a0 = apply_operator(op, u0, 0.0)
-    left = apply_operator(op, Evolution(u0, disp).at(t), t)
-    right = Evolution(a0, disp).at(t)
-    diff = left.as_complex() - right.as_complex()
-    num = math.sqrt(float(np.sum(np.abs(diff) ** 2)) * u0.grid.cell_volume)
+    evolution, boosted = Evolution(u0, disp), Evolution(a0, disp)
+    diffs = (apply_operator(op, evolution.at(t), t).as_complex() - boosted.at(t).as_complex() for t in times)
+    nums = np.array([math.sqrt(float(np.sum(np.abs(d) ** 2)) * u0.grid.cell_volume) for d in diffs])
     denom = l2_norm(a0)
     if denom == 0.0:
-        return num, False
-    return num / denom, True
+        return nums, False
+    return nums / denom, True
 
 
 def conserved_operator_norm(
@@ -160,21 +160,21 @@ def commutator_norm(
     return math.sqrt(float(np.sum(np.abs(diff) ** 2)) * u.grid.cell_volume)
 
 
-def random_wave_packets(grid, rng, packets: int = 5) -> SampledField:
+def random_wave_packets(grid, rng) -> SampledField:
     """Random localized band-limited data for the commutation suites.
 
-    A sum of complex Gaussian wave packets with widths in [3, 4], centers in
+    A sum of five complex Gaussian wave packets with widths in [3, 4], centers in
     [-5, 5] and modulations |k0| <= 0.5: effectively band-limited (spectral
     tails below 1e-10) while staying far from the box boundary, so the
     coordinate-multiplication operators see no periodic sawtooth.
     """
-    nodes = grid.nodes()
+    nodes = grid.meshgrid()
     vals = np.zeros(grid.points, dtype=complex)
-    for _ in range(packets):
+    for _ in range(5):
         g = Gaussian(
             tuple(rng.uniform(-5.0, 5.0, grid.dim)),
             tuple(rng.uniform(3.0, 4.0, grid.dim)),
             tuple(rng.uniform(-0.5, 0.5, grid.dim)),
         )
-        vals += (rng.normal() + 1j * rng.normal()) * g.value(nodes)
+        vals += (rng.normal() + 1j * rng.normal()) * g.value(*nodes)
     return SampledField(grid, vals, "complex")

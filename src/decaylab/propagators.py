@@ -127,8 +127,8 @@ def group_property_check(u0: SampledField, disp: DispersionPolynomial, s: float,
     return num / denom
 
 
-def edge_mass_fraction(field: SampledField, band: float = 0.05) -> float:
-    """Fraction of L2 mass within ``band`` of the periodic box boundary.
+def edge_mass_fraction(field: SampledField) -> float:
+    """Fraction of L2 mass within 2.5% of the box length of the periodic boundary.
 
     An experiment flags a propagated sample as wrap-around contaminated when
     this exceeds 1e-6 and excludes it from fits.
@@ -140,7 +140,7 @@ def edge_mass_fraction(field: SampledField, band: float = 0.05) -> float:
     mask = np.zeros(field.values.shape, dtype=bool)
     for ax in range(field.grid.dim):
         n = field.grid.points[ax]
-        edge = max(1, int(round(0.5 * band * n)))
+        edge = max(1, int(round(0.025 * n)))
         idx = [slice(None)] * field.grid.dim
         idx[ax] = slice(0, edge)
         mask[tuple(idx)] = True

@@ -7,6 +7,12 @@ Velocity averages at large times concentrate on p-scales ~ 1/t, so the sup
 and conservation routines integrate over preimage windows of the datum
 support (resolved by bisection on monotone pieces of the dispersion map)
 instead of a fixed p-grid.
+
+Positions q and momenta p stay points of R^d stacked on a trailing axis of
+length d, the form the dispersion maps w(p) and the functionals F(p, nu)
+read. ``TransportSolution._foot`` is the one place that splits them into
+the per-axis coordinate arrays the analytic data take; the pair quadratures
+pass their (q, p) axes to the datum directly.
 """
 
 from __future__ import annotations
@@ -136,19 +142,20 @@ class TransportSolution:
         d = self.dim
         return (lo[:d], hi[:d]), (lo[d:], hi[d:])
 
-    def _foot(self, t: float, q, p) -> np.ndarray:
-        """Phase-space points (q - t w(p), p) where the characteristics start."""
+    def _foot(self, t: float, q, p) -> tuple:
+        """Per-axis coordinates of (q - t w(p), p), where the characteristics start."""
         q = np.asarray(q, dtype=float)
         p = np.asarray(p, dtype=float)
         if self.dim == 1 and q.shape[-1:] != (1,):
             q = q[..., np.newaxis]
         if self.dim == 1 and p.shape[-1:] != (1,):
             p = p[..., np.newaxis]
-        return np.concatenate(np.broadcast_arrays(q - t * self.dispersion.w(p), p), axis=-1)
+        start = q - t * self.dispersion.w(p)
+        return (*np.moveaxis(start, -1, 0), *np.moveaxis(p, -1, 0))
 
     def evaluate(self, t: float, q, p) -> np.ndarray:
         """nu(t,q,p) = nu0(q - t w(p), p), exact up to round-off."""
-        return self.datum.value(self._foot(t, q, p))
+        return self.datum.value(*self._foot(t, q, p))
 
 
 def _check_p_coverage(sol: TransportSolution, pgrid: GridSpec):
@@ -194,11 +201,11 @@ def velocity_average(sol: TransportSolution, t: float, q, pgrid: GridSpec):
 # adaptive quadrature over preimage windows
 
 
-def _monotone_pieces(smap: ScalarDispersion, lo: float, hi: float, samples: int = 8193):
+def _monotone_pieces(smap: ScalarDispersion, lo: float, hi: float):
     """Split [lo, hi] into intervals where the scalar map is monotone."""
     if hi <= lo:
         return []
-    p = np.linspace(lo, hi, samples)
+    p = np.linspace(lo, hi, 8193)
     sign = np.sign(smap.dw(p))
     sign[sign == 0.0] = 1.0
     breaks = [lo]
@@ -233,13 +240,7 @@ def _invert_monotone(smap: ScalarDispersion, a: float, b: float, targets: np.nda
     return 0.5 * (lo + hi)
 
 
-def _pair_profile(
-    datum: AnalyticField,
-    smap: ScalarDispersion,
-    t: float,
-    qnodes: np.ndarray,
-    nloc: int = 513,
-) -> np.ndarray:
+def _pair_profile(datum: AnalyticField, smap: ScalarDispersion, t: float, qnodes: np.ndarray) -> np.ndarray:
     """Velocity average of a 2-dim (q, p) datum, axis by axis.
 
     For t != 0 the p-integral at each q runs over the preimage of the datum's
@@ -247,6 +248,7 @@ def _pair_profile(
     uniform grid. This keeps the quadrature resolved at any t (the integrand
     concentrates on p-scales ~ 1/t).
     """
+    nloc = 513  # uniform p-nodes per preimage window
     qnodes = np.atleast_1d(np.asarray(qnodes, dtype=float))
     lo, hi = datum.support_bounds(1e-14)
     qlo, qhi, plo, phi = lo[0], hi[0], lo[1], hi[1]
@@ -254,8 +256,7 @@ def _pair_profile(
         return np.zeros(qnodes.shape)
     if t == 0.0:
         p = np.linspace(plo, phi, 4097)
-        pts = np.stack(np.broadcast_arrays(qnodes[:, None], p[None, :]), axis=-1)
-        return datum.value(pts).sum(axis=1) * (p[1] - p[0])
+        return datum.value(qnodes[:, None], p[None, :]).sum(axis=1) * (p[1] - p[0])
 
     out = np.zeros(qnodes.shape)
     # targets: w(p) must lie in [(q - qhi)/t, (q - qlo)/t] (t > 0; swapped if t < 0)
@@ -279,16 +280,14 @@ def _pair_profile(
         pb = np.minimum(pb + margin, b)
         s = np.linspace(0.0, 1.0, nloc)
         pnodes = pa[:, None] + (pb - pa)[:, None] * s[None, :]
-        shifted = qnodes[active][:, None] - t * smap.w(pnodes)
-        pts = np.stack([shifted, pnodes], axis=-1)
-        vals = datum.value(pts)
+        vals = datum.value(qnodes[active][:, None] - t * smap.w(pnodes), pnodes)
         h = (pb - pa) / (nloc - 1)
         contrib = (vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1])) * h
         out[active] += contrib
     return out
 
 
-def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, t: float, refine: int = 2):
+def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, t: float):
     """Sup over q of the pair velocity average; candidate nodes plus refinement."""
     lo, hi = datum.support_bounds(1e-14)
     qlo, qhi, plo, phi = lo[0], hi[0], lo[1], hi[1]
@@ -304,7 +303,7 @@ def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, t: float, refine: in
         cand[min(best + 1, cand.size - 1)] - cand[max(best - 1, 0)],
         1e-9 * (1.0 + abs(qat)),
     )
-    for _ in range(refine):
+    for _ in range(2):
         local = np.linspace(qat - span, qat + span, 129)
         lv = _pair_profile(datum, smap, t, local)
         i = int(np.argmax(lv))
@@ -406,27 +405,14 @@ def conserved_functional(
     for start in range(0, pmesh.shape[0], rows):
         pc = pmesh[start : start + rows]
         cc = centers[start : start + rows]
-        # lattice-aligned window start per p node and axis
-        y_axes = []
+        # lattice-aligned window per p node (array axis 0) and q_i (array axis 1 + i)
+        y = []
         for i in range(d):
             base = np.ceil((cc[:, i] + qlo[i] - pad) / h) * h
-            y_axes.append(base[:, None] - cc[:, i][:, None] + offsets[i][None, :])
-        if d == 1:
-            y = y_axes[0][..., np.newaxis]
-            pexp = pc[:, None, :]
-            shape = (pc.shape[0], counts[0])
-        else:
-            y = np.stack(
-                [
-                    np.broadcast_to(y_axes[0][:, :, None], (pc.shape[0], counts[0], counts[1])),
-                    np.broadcast_to(y_axes[1][:, None, :], (pc.shape[0], counts[0], counts[1])),
-                ],
-                axis=-1,
-            )
-            pexp = pc[:, None, None, :]
-            shape = (pc.shape[0], counts[0], counts[1])
-        pts = np.concatenate([y, np.broadcast_to(pexp, shape + (d,))], axis=-1)
-        nu = sol.datum.value(pts)
+            window = base[:, None] - cc[:, i][:, None] + offsets[i][None, :]
+            y.append(window.reshape((len(pc),) + tuple(counts[i] if j == i else 1 for j in range(d))))
+        pexp = pc.reshape((len(pc),) + (1,) * d + (d,))
+        nu = sol.datum.value(*y, *np.moveaxis(pexp, -1, 0))
         total += float(np.asarray(F(pexp, nu)).sum())
     return total * (h**d) * pgrid.cell_volume
 
@@ -444,7 +430,7 @@ def apply_transport_boost(sol: TransportSolution, t: float, axis: int, q, p) -> 
     d = sol.dim
     if axis < 0 or axis >= d:
         raise ValueError("axis out of range")
-    return sol.datum.gradient(sol._foot(t, q, p))[..., d + axis]
+    return sol.datum.gradient(*sol._foot(t, q, p))[d + axis]
 
 
 def _pair_abs_p_derivative_integral(pair: AnalyticField, t: float) -> float:
@@ -463,8 +449,7 @@ def _pair_abs_p_derivative_integral(pair: AnalyticField, t: float) -> float:
     hp = p[1] - p[0]
     base = np.ceil((t * p + qlo - pad) / hq) * hq
     y = base[:, None] + np.arange(count)[None, :] * hq - (t * p)[:, None]
-    pts = np.stack(np.broadcast_arrays(y, p[:, None]), axis=-1)
-    grad = pair.gradient(pts)[..., 1]
+    _, grad = pair.gradient(y, p[:, None])
     return float(np.abs(grad).sum() * hq * hp)
 
 
@@ -522,11 +507,10 @@ def counterexample_profile(lam: float, t: float) -> CounterexampleProfile:
     h = 0.05 / lam
     edge = 2.0 / lam + 4 * h
     x = np.arange(-edge, edge + h, h)
-    q, p = np.meshgrid(x, x, indexing="ij")
-    pts = np.stack([q, p], axis=-1)
-    grad = datum.gradient(pts)
-    grad_l1 = float(np.sqrt((grad**2).sum(axis=-1)).sum() * h * h)
-    mass_l1 = float(np.abs(datum.value(pts)).sum() * h * h)
+    q, p = x[:, None], x[None, :]
+    gq, gp = datum.gradient(q, p)
+    grad_l1 = float(np.sqrt(gq**2 + gp**2).sum() * h * h)
+    mass_l1 = float(np.abs(datum.value(q, p)).sum() * h * h)
     return CounterexampleProfile(lam, t, nu0, lower, grad_l1, mass_l1)
 
 

@@ -88,6 +88,26 @@ class TestExitCodes:
         assert _run(tmp_path, "[experiment]\nid = transport-degenerate\n[datum]\nmap = cubic\n") == 2
         assert "datum.map" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, keys",
+        [
+            (  # times 5, 7.07, 10
+                "[experiment]\nid = schrodinger-decay\n[times]\nt_max = 10.0\n",
+                "times.t_min, times.t_max, times.ratio",
+            ),
+            (  # of the times 1 .. 45.25 only 45.25 reaches fit_t_min
+                "[experiment]\nid = airy-local-energy\n[times]\nfit_t_min = 40.0\n",
+                "times.t_min, times.t_max, times.ratio, times.fit_t_min",
+            ),
+        ],
+    )
+    def test_2_when_the_time_keys_leave_a_fit_too_few_times(self, tmp_path, capsys, text, keys):
+        assert cli.main(["validate", "--config", _write(tmp_path, text)]) == 0
+        assert _run(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and keys in err
+        assert not (tmp_path / "out").exists()
+
     def test_2_for_a_missing_file(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "absent.ini")]) == 2
 

@@ -145,19 +145,48 @@ def test_gradient_matches_finite_differences(datum):
     rng = np.random.default_rng(11)
     lo, hi = datum.support_bounds(1e-6)
     lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
-    pts = rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), size=(64, datum.ndim))
+    x = [rng.uniform(a + 0.1 * (b - a), b - 0.1 * (b - a), size=64) for a, b in zip(lo, hi)]
     try:
         scale = datum.feature_scale()
     except OracleUnavailable:
         scale = 1.0
     step = 1e-5 * scale
-    grad = datum.gradient(pts)
-    ref_scale = np.max(np.abs(grad))
+    grad = datum.gradient(*x)
+    assert len(grad) == datum.ndim and all(g.shape == (64,) for g in grad)
+    ref_scale = max(np.max(np.abs(g)) for g in grad)
     for ax in range(datum.ndim):
-        shift = np.zeros(datum.ndim)
-        shift[ax] = step
-        fd = (datum.value(pts + shift) - datum.value(pts - shift)) / (2 * step)
-        np.testing.assert_allclose(grad[..., ax], fd, atol=1e-6 * max(ref_scale, 1.0))
+        plus = [xi + step if i == ax else xi for i, xi in enumerate(x)]
+        minus = [xi - step if i == ax else xi for i, xi in enumerate(x)]
+        fd = (datum.value(*plus) - datum.value(*minus)) / (2 * step)
+        np.testing.assert_allclose(grad[ax], fd, atol=1e-6 * max(ref_scale, 1.0))
+
+
+@pytest.mark.parametrize(
+    "datum",
+    [
+        Gaussian((0.1, -0.3), (1.0, 0.7)),
+        Gaussian((0.1, -0.3), (1.0, 0.7), wavevector=(1.5, -0.4)),
+        BumpLambda(2.0),
+        CubeIndicator((0.2, -0.1), 1.3),
+    ],
+)
+def test_broadcast_axes_equal_dense_mesh(datum):
+    # axes shaped (n, 1) and (1, m) give, bit for bit, the values on the dense mesh
+    x, y = np.linspace(-1.5, 1.5, 37), np.linspace(-1.2, 1.4, 29)
+    q, p = np.meshgrid(x, y, indexing="ij")
+    dense = datum.value(q, p)
+    assert dense.shape == (37, 29)
+    assert np.array_equal(datum.value(x[:, None], y[None, :]), dense)
+    if not isinstance(datum, CubeIndicator):
+        for broadcast, full in zip(datum.gradient(x[:, None], y[None, :]), datum.gradient(q, p)):
+            assert np.array_equal(broadcast, full)
+
+
+def test_value_needs_one_array_per_axis():
+    with pytest.raises(ValueError):
+        Gaussian((0.0, 0.0), (1.0, 1.0)).value(np.zeros(3))
+    with pytest.raises(ValueError):
+        CubeIndicator(0.0, 1.0).value(np.zeros(3), np.zeros(3))
 
 
 def test_bump_is_scaled_profile():
@@ -165,19 +194,19 @@ def test_bump_is_scaled_profile():
     bump = BumpLambda(lam)
     unit = BumpLambda(1.0)
     rng = np.random.default_rng(5)
-    pts = rng.uniform(-2.5 / lam, 2.5 / lam, size=(128, 2))
-    np.testing.assert_allclose(bump.value(pts), lam * unit.value(lam * pts), atol=1e-14)
+    q, p = rng.uniform(-2.5 / lam, 2.5 / lam, size=(2, 128))
+    np.testing.assert_allclose(bump.value(q, p), lam * unit.value(lam * q, lam * p), atol=1e-14)
 
 
 def test_bump_plateau_and_support():
     bump = BumpLambda(2.0)
-    assert bump.value(np.array([[0.2, 0.3]]))[0] == 2.0  # inside radius 1/lam
-    assert bump.value(np.array([[1.1, 0.0]]))[0] == 0.0  # outside radius 2/lam
+    assert bump.value(0.2, 0.3) == 2.0  # inside radius 1/lam
+    assert bump.value(1.1, 0.0) == 0.0  # outside radius 2/lam
 
 
 def test_cube_has_no_gradient_oracle():
     with pytest.raises(OracleUnavailable):
-        CubeIndicator(0.0, 1.0).gradient(np.zeros((1, 1)))
+        CubeIndicator(0.0, 1.0).gradient(np.zeros(1))
 
 
 def test_product_gaussian_phase_factors():
@@ -185,9 +214,9 @@ def test_product_gaussian_phase_factors():
     assert datum.ndim == 4
     pairs = datum.phase_pair_factors(2)
     assert len(pairs) == 2 and all(p.ndim == 2 for p in pairs)
-    pt = np.array([0.3, -0.2, 0.7, 0.1])
-    split = pairs[0].value(pt[[0, 2]]) * pairs[1].value(pt[[1, 3]])
-    assert split == pytest.approx(float(datum.value(pt)), rel=1e-14)
+    q1, q2, p1, p2 = 0.3, -0.2, 0.7, 0.1
+    split = pairs[0].value(q1, p1) * pairs[1].value(q2, p2)
+    assert split == pytest.approx(float(datum.value(q1, q2, p1, p2)), rel=1e-14)
 
 
 def test_real_kind_rejects_complex_values():

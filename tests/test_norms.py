@@ -87,10 +87,10 @@ class TestXNorm:
         cube = sample(CubeIndicator(2.0, 1.0), grid)
         for f, theta in ((shell_bump, 0.5), (shell_bump, 1.0), (cube, -0.5)):
             xv = nm.x_norm(f, theta, 2, partition).value
-            wv = nm.weighted_l2(f, theta, "abs").value
+            wv = nm.weighted_l2(f, theta).value
             factor = 2.0 ** (abs(theta) + 0.5)
             assert wv / factor <= xv <= wv * factor
-        singular = nm.weighted_l2(shell_bump, -0.5, "abs")
+        singular = nm.weighted_l2(shell_bump, -0.5)
         assert singular.value == math.inf
         assert ("singular_weight", "non-integrable") in singular.detail
 
@@ -127,19 +127,19 @@ class TestClassicalNorms:
     def test_weighted_l2_oracle(self, grid):
         # || |x| exp(-x^2/2) ||_2 = (sqrt(pi)/2)^(1/2)
         f = sample(Gaussian(0.0, 1.0), grid)
-        assert nm.weighted_l2(f, 1.0, "abs").value == pytest.approx(
+        assert nm.weighted_l2(f, 1.0).value == pytest.approx(
             (math.sqrt(math.pi) / 2.0) ** 0.5, rel=1e-10
         )
 
     def test_weighted_l2_singular_node_rule(self, grid):
         zero = SampledField(grid, np.zeros(grid.points[0]), "real")
-        assert nm.weighted_l2(zero, -0.5, "abs").value == 0.0
+        assert nm.weighted_l2(zero, -0.5).value == 0.0
         # an integrable weight: the origin node carries the mean of |x|^(-1/2)
         # over the cell [-h/2, h/2], 2 (h/2)^(-1/2)
         h = grid.spacing[0]
         spike = np.zeros(grid.points[0])
         spike[np.argmin(np.abs(grid.axis(0)))] = 1.0
-        val = nm.weighted_l2(SampledField(grid, spike, "real"), -0.25, "abs").value
+        val = nm.weighted_l2(SampledField(grid, spike, "real"), -0.25).value
         assert val == pytest.approx(math.sqrt(2.0 * (h / 2.0) ** -0.5 * h), rel=1e-12)
 
     def test_l4_by_quadrature(self, grid):
