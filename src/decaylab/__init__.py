@@ -43,6 +43,7 @@ from .propagators import Evolution, airy, even_order, schrodinger
 from .operators import (
     CommutingOperator,
     apply_operator,
+    boost_norms,
     commutation_residual,
     conserved_operator_norm,
     derive_commuting_operator,

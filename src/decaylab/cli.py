@@ -8,8 +8,9 @@ Exit codes:
 2  bad input: a bad command line, or a config that cannot be read or parsed,
    names an unknown section or key, or holds an out-of-range value (found at
    load time or by the runner); no report is written.
-3  numerical contamination: wrap-around excluded every sample of a check, or
-   left a decay fit fewer than 5 samples; no report is written.
+3  numerical contamination: wrap-around excluded every sample of a check,
+   left a decay fit fewer than 5 samples, or left a boost-norm drift of
+   ``schrodinger-ks`` fewer than 2 clean times; no report is written.
 """
 
 from __future__ import annotations

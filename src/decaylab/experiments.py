@@ -31,11 +31,11 @@ from .harness import (
     DecayFit,
     InequalityReport,
     MIN_FIT_SAMPLES,
+    _ks_report,
     _propagation_series,
     check_airy_local_energy,
     check_airy_pointwise,
     check_dispersive_schrodinger,
-    check_ks_schrodinger,
     check_local_mass,
     check_lp_decay,
     check_monomial_estimate,
@@ -44,9 +44,9 @@ from .harness import (
 )
 from .norms import PARTITION_PROFILE_ID, build_dyadic_partition, hs_norm, translated_xnorm_inf, x_norm
 from .operators import (
+    boost_norms,
     commutation_residual,
     commutator_norm,
-    conserved_operator_norm,
     derive_commuting_operator,
     monomial_boost,
     random_wave_packets,
@@ -487,27 +487,52 @@ def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
     return _Outcome(cols, tuple(rows), passed, fits=fits, notes=notes)
 
 
+def _ks_dimension(u0, check_times, drift_times, drift_alphas, label):
+    """Weighted sup report, boost-norm drift and notes of one datum.
+
+    One guarded series over the check and drift times feeds both: the
+    boost-norm table is taken once at each clean time, to order d at check
+    times and to the drift's order at drift times. The drift is read at
+    clean drift times only, and fewer than two of them raise.
+    """
+    d = u0.grid.dim
+    drift_order = max(d, *(sum(alpha) for alpha in drift_alphas))
+    series_times = sorted(set(check_times) | set(drift_times))
+    clean, excluded = _propagation_series(Evolution(u0, schrodinger()), series_times)
+    table = {
+        t: (linf_norm(ut), boost_norms(ut, t, drift_order if t in drift_times else d)) for t, ut in clean
+    }
+    why = dict(excluded)
+    rows = [(float(t), *table[t]) for t in check_times if t in table]
+    report = _ks_report(d, rows, [(float(t), why[t]) for t in check_times if t in why])
+    notes = tuple(f"{label} drift time t={t:g} excluded: {why[t]}" for t in drift_times if t in why)
+    drift_rows = [table[t][1] for t in drift_times if t in table]
+    if len(drift_rows) < 2:
+        raise ContaminationError(
+            f"schrodinger-ks: {len(drift_rows)} clean boost-norm drift times in {label}; the drift needs 2"
+        )
+    drift = 0.0
+    for alpha in drift_alphas:
+        series = np.array([norms[alpha] for norms in drift_rows])
+        drift = max(drift, float((series.max() - series.min()) / series[0]))
+    return report, drift, notes
+
+
 def _run_schrodinger_ks(cfg: ExperimentConfig, threads: int):
     grid1 = GridSpec.centered(cfg.get("grid", "half_width_1d"), cfg.get("grid", "points_1d"), dim=1)
     u1 = _complexify(sample(Gaussian(0.0, cfg.get("datum", "width_1d")), grid1))
-    rep1 = check_ks_schrodinger(u1, _times(cfg))
+    rep1, drift1, notes1 = _ks_dimension(u1, _times(cfg), (1.0, 10.0, 100.0), ((0,), (1,), (2,)), "d1")
     grid2 = GridSpec.centered(cfg.get("grid", "half_width_2d"), cfg.get("grid", "points_2d"), dim=2)
     w2 = cfg.get("datum", "width_2d")
     u2 = _complexify(sample(Gaussian((0.0, 0.0), (w2, w2)), grid2))
-    rep2 = check_ks_schrodinger(u2, cfg.get("times", "checkpoints_2d"))
+    rep2, drift2, notes2 = _ks_dimension(
+        u2, cfg.get("times", "checkpoints_2d"), (1.0, 4.0, 16.0), ((1, 0), (1, 1), (0, 2)), "d2"
+    )
     tol = cfg.get("tolerances", "norm_drift")
-    drift = 0.0
-    for alpha in (0, 1, 2):
-        series = conserved_operator_norm(
-            u1, [(schrodinger_boost(0), alpha)], schrodinger(), (1.0, 10.0, 100.0)
-        )
-        drift = max(drift, float((series.max() - series.min()) / series[0]))
-    for spec in ([(schrodinger_boost(0), 1)], [(schrodinger_boost(0), 1), (schrodinger_boost(1), 1)], [(schrodinger_boost(1), 2)]):
-        series = conserved_operator_norm(u2, spec, schrodinger(), (1.0, 4.0, 16.0))
-        drift = max(drift, float((series.max() - series.min()) / series[0]))
+    drift = max(drift1, drift2)
     passed = rep1.passed and rep2.passed and drift <= tol
     rows = _ratio_rows(rep1, "d1") + _ratio_rows(rep2, "d2")
-    notes = (f"max conserved boost-norm drift {drift:.3e} (tolerance {tol:g})",)
+    notes = (f"max conserved boost-norm drift {drift:.3e} (tolerance {tol:g})",) + notes1 + notes2
     cols = ("suite", "t", "lhs", "rhs", "ratio")
     return _Outcome(cols, rows, passed, inequalities=(asdict(rep1), asdict(rep2)), notes=notes)
 

@@ -157,6 +157,10 @@ class SampledField:
         return SampledField(self.grid, values, self.kind if kind is None else kind)
 
     def as_complex(self) -> np.ndarray:
+        """The samples as complex128: the frozen ``values`` themselves for a
+        complex field, a fresh writable copy for a real one."""
+        if self.kind == "complex":
+            return self.values
         return self.values.astype(np.complex128)
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "monomial_boost",
     "derive_commuting_operator",
     "apply_operator",
+    "boost_norms",
     "commutation_residual",
     "conserved_operator_norm",
     "commutator_norm",
@@ -95,18 +96,45 @@ def _coordinate(u: SampledField, axis: int) -> np.ndarray:
 
 
 def apply_operator(op: CommutingOperator, u: SampledField, t: float) -> SampledField:
-    """Linear action via spectral derivatives and coordinate multiplication."""
+    """Linear action via spectral derivatives and coordinate multiplication.
+
+    A complex ``u`` is used as it is; a real one is first taken to complex.
+    """
+    v = u if u.kind == "complex" else SampledField(u.grid, u.as_complex(), "complex")
     if op.kind == "schrodinger_boost":
-        du = spectral_derivative(SampledField(u.grid, u.as_complex(), "complex"), 1, axis=op.axis)
-        vals = t * du.values + 0.5j * _coordinate(u, op.axis) * u.as_complex()
+        du = spectral_derivative(v, 1, axis=op.axis)
+        vals = t * du.values + 0.5j * _coordinate(u, op.axis) * v.values
         return SampledField(u.grid, vals, "complex")
     if op.kind == "monomial_boost":
         if u.grid.dim != 1:
             raise ValueError("monomial boosts act on one-dimensional fields")
-        du = spectral_derivative(SampledField(u.grid, u.as_complex(), "complex"), op.degree - 1)
-        vals = op.a * t * du.values + op.b * _coordinate(u, 0) * u.as_complex()
+        du = spectral_derivative(v, op.degree - 1)
+        vals = op.a * t * du.values + op.b * _coordinate(u, 0) * v.values
         return SampledField(u.grid, vals, "complex")
     raise ValueError(f"unknown operator kind {op.kind!r}")
+
+
+def boost_norms(u: SampledField, t: float, order: int) -> dict:
+    """|| W^alpha u ||_2 for every multi-index |alpha| <= order, keyed by alpha.
+
+    W_j is the Schrodinger boost along axis j at time t, and W^alpha applies
+    W_0 alpha_0 times first, then W_1, and so on. The multi-indices are
+    walked depth first: W^alpha u is one boost W_j of its parent
+    W^(alpha - e_j) u, with j the last axis where alpha_j > 0, so each
+    boosted field is made once and only the current path stays alive.
+    """
+    boosts = [schrodinger_boost(axis) for axis in range(u.grid.dim)]
+    norms = {}
+
+    def walk(alpha: tuple, v: SampledField, first_axis: int) -> None:
+        norms[alpha] = l2_norm(v)
+        if sum(alpha) < order:
+            for j in range(first_axis, len(alpha)):
+                child = alpha[:j] + (alpha[j] + 1,) + alpha[j + 1 :]
+                walk(child, apply_operator(boosts[j], v, t), j)
+
+    walk((0,) * u.grid.dim, u, 0)
+    return norms
 
 
 def commutation_residual(

@@ -117,6 +117,36 @@ class TestExitCodes:
         assert "numerical contamination" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_0_when_contamination_leaves_two_clean_drift_times(self, tmp_path, capsys):
+        # the 2-d packet wraps around this box by t = 8; the drift reads t = 1 and 4
+        text = "[experiment]\nid = schrodinger-ks\n[grid]\nhalf_width_2d = 40.0\npoints_2d = 256\n"
+        assert _run(tmp_path, text) == 0
+        assert "d2 drift time t=16 excluded: wrap-around" in capsys.readouterr().out
+        (_, rep2) = _report(tmp_path, "schrodinger-ks")["inequalities"]
+        assert [t for t, _ in rep2["excluded"]] == [8.0, 16.0]
+
+    def test_3_when_every_drift_time_is_contaminated(self, tmp_path, capsys):
+        # the checkpoints stay clean, every drift time 1, 4, 16 has wrapped around
+        text = (
+            "[experiment]\nid = schrodinger-ks\n[grid]\nhalf_width_2d = 4.0\npoints_2d = 64\n"
+            "[datum]\nwidth_2d = 0.5\n[times]\ncheckpoints_2d = 0.05, 0.1\n"
+        )
+        assert _run(tmp_path, text) == 3
+        assert "0 clean boost-norm drift times in d2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_schrodinger_ks_drift_does_not_need_the_checkpoints(tmp_path):
+    # the drift times 1, 4, 16 are evolved even when checkpoints_2d omits them
+    default, other = tmp_path / "default", tmp_path / "other"
+    default.mkdir()
+    other.mkdir()
+    assert _run(default, "[experiment]\nid = schrodinger-ks\n") == 0
+    assert _run(other, "[experiment]\nid = schrodinger-ks\n[times]\ncheckpoints_2d = 2.0, 8.0\n") == 0
+    note = _report(default, "schrodinger-ks")["notes"][0]
+    assert note.startswith("max conserved boost-norm drift")
+    assert _report(other, "schrodinger-ks")["notes"][0] == note
+
 
 def test_schrodinger_decay_fits_its_clean_window_only(tmp_path):
     # by t = 5000 the packet has wrapped around the box; those times leave the fit

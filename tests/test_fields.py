@@ -77,6 +77,21 @@ class TestIntegrate:
         assert integrate(f) == pytest.approx(7.0, rel=1e-15)
 
 
+class TestSampledField:
+    def test_as_complex_shares_complex_values_and_copies_real_ones(self):
+        g = GridSpec.centered(5.0, 16, dim=1)
+        z = SampledField(g, np.arange(16) + 1j, "complex")
+        shared = z.as_complex()
+        assert shared is z.values and not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = 0.0
+        r = SampledField(g, np.arange(16.0), "real")
+        fresh = r.as_complex()
+        assert fresh.dtype == np.complex128 and fresh.flags.writeable
+        fresh[0] = 5.0
+        assert r.values[0] == 0.0 and r.as_complex()[0] == 0.0
+
+
 class TestSpectralDerivative:
     def test_fourier_eigenfunction(self):
         g = GridSpec.centered(math.pi, 64, dim=1)

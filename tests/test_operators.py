@@ -115,6 +115,32 @@ class TestCommutationResidual:
             assert rel and res.shape == (3,) and res.max() <= 1e-9
 
 
+class TestBoostNorms:
+    @pytest.mark.parametrize("dim, points", [(1, 256), (2, 64)])
+    def test_walk_equals_plain_chain(self, dim, points, monkeypatch):
+        grid = GridSpec.centered(40.0, points, dim=dim)
+        u = ops.random_wave_packets(grid, np.random.default_rng(5))
+        t = 1.7
+        calls = []
+        apply = ops.apply_operator
+
+        def counted(op, v, t):
+            calls.append(op.axis)
+            return apply(op, v, t)
+
+        monkeypatch.setattr(ops, "apply_operator", counted)
+        norms = ops.boost_norms(u, t, 2)
+        alphas = [a for a in np.ndindex(*(3,) * dim) if sum(a) <= 2]
+        assert sorted(norms) == sorted(alphas)
+        assert len(calls) == len(alphas) - 1  # one boost per nonzero multi-index
+        for alpha in alphas:
+            v = u
+            for axis, power in enumerate(alpha):
+                for _ in range(power):
+                    v = apply(ops.schrodinger_boost(axis), v, t)
+            assert norms[alpha] == l2_norm(v)
+
+
 class TestConservedOperatorNorm:
     def test_order_zero_is_mass(self, fine_grid):
         u0 = complex_sample(Gaussian(0.0, 1.0), fine_grid)
