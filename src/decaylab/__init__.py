@@ -36,7 +36,6 @@ from .transport import (
     relativistic_map,
     square_map,
     sup_velocity_average,
-    transport_decay_experiment,
     velocity_average,
 )
 from .propagators import Evolution, airy, even_order, schrodinger

@@ -7,7 +7,8 @@ Exit codes:
    report is written. An unexpected exception also exits 1, with a traceback.
 2  bad input: a bad command line, or a config that cannot be read or parsed,
    names an unknown section or key, or holds an out-of-range value (found at
-   load time or by the runner); no report is written.
+   load time or by the runner), or whose grid box is too small for its datum
+   (``SupportOverflowError``, found by the runner); no report is written.
 3  numerical contamination: wrap-around excluded every sample of a check,
    left a decay fit fewer than 5 samples, or left a boost-norm drift of
    ``schrodinger-ks`` fewer than 2 clean times; no report is written.
@@ -26,6 +27,7 @@ from .experiments import (
     load_config,
     run,
 )
+from .fields import SupportOverflowError
 from .harness import ContaminationError
 
 
@@ -72,7 +74,7 @@ def main(argv=None) -> int:
 
     try:
         report = run(config, out_dir=args.out, threads=args.threads)
-    except ConfigError as err:
+    except (ConfigError, SupportOverflowError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except ContaminationError as err:

@@ -595,7 +595,7 @@ def _run_cube_translation(cfg: ExperimentConfig, threads: int):
     for c in centers:
         cube = CubeIndicator(c, side)
         opt = translated_xnorm_inf(cube, 0.5, 1, part)
-        plain = x_norm(sample(cube, grid, allow_overflow=True), 0.5, 1, part).value
+        plain = x_norm(sample(cube, grid), 0.5, 1, part).value
         l1 = cube.mass()
         ratios.append(opt.value / l1)
         rows.append((c, opt.value, plain, l1, opt.value / l1))

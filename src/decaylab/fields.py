@@ -164,22 +164,17 @@ class SampledField:
         return self.values.astype(np.complex128)
 
 
-def sample(datum: "AnalyticField", grid: GridSpec, allow_overflow: bool = False) -> SampledField:
+def sample(datum: "AnalyticField", grid: GridSpec) -> SampledField:
     """Evaluate an analytic datum at every grid node.
 
     Raises ``SupportOverflowError`` when the datum's essential support
-    (mass fraction below 1e-10 outside) pokes out of the box, unless
-    ``allow_overflow`` is set.
+    (mass fraction below 1e-10 outside) pokes out of the box.
     """
     if datum.ndim != grid.dim:
         raise ValueError(f"datum dimension {datum.ndim} != grid dimension {grid.dim}")
-    if not allow_overflow:
-        bounds = datum.support_bounds(1e-10)
-        if bounds is not None and not grid.contains_box(*bounds):
-            raise SupportOverflowError(
-                f"datum support {bounds} not inside grid box {grid.bounds()}; "
-                "pass allow_overflow=True to override"
-            )
+    bounds = datum.support_bounds(1e-10)
+    if bounds is not None and not grid.contains_box(*bounds):
+        raise SupportOverflowError(f"datum support {bounds} not inside grid box {grid.bounds()}")
     return SampledField(grid, datum.value(*grid.meshgrid()), datum.kind)
 
 
@@ -292,8 +287,14 @@ class Gaussian(AnalyticField):
         return "complex" if self.wavevector is not None else "real"
 
     def value(self, *x):
-        terms = zip(x, self.center, self.width, strict=True)
-        out = self.amplitude * np.exp(-0.5 * sum(((xi - c) / w) ** 2 for xi, c, w in terms))
+        # One array of the broadcast shape takes the axis terms in place, left
+        # to right, so the sum rounds as a chained sum would, without temporaries.
+        out = np.zeros(np.broadcast_shapes(*(np.shape(xi) for xi in x)))
+        for xi, c, w in zip(x, self.center, self.width, strict=True):
+            out += ((xi - c) / w) ** 2
+        out *= -0.5
+        np.exp(out, out=out)
+        out *= self.amplitude
         if self.wavevector is not None:
             out = out * np.exp(1j * sum(k * xi for k, xi in zip(self.wavevector, x)))
         return out

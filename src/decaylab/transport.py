@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "ks_vlasov_check",
     "CounterexampleProfile",
     "counterexample_profile",
-    "transport_decay_experiment",
 ]
 
 
@@ -288,28 +287,60 @@ def _pair_profile(datum: AnalyticField, smap: ScalarDispersion, t: float, qnodes
 
 
 def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, t: float):
-    """Sup over q of the pair velocity average; candidate nodes plus refinement."""
+    """Sup over q of the pair velocity average, and the q where it is taken.
+
+    Three steps, each scored by ``_pair_profile``:
+
+    - a coarse scan of 257 nodes over [min t w + q_lo, max t w + q_hi], the
+      q-range the transported support can reach;
+    - forced candidates t w(e) + 33 offsets across [q_lo, q_hi] for every
+      endpoint e of the monotone pieces of w. The inner endpoints are the
+      critical points of w; their images are the fold caustics, where the
+      pushforward of the p-marginal is singular and the average peaks on a
+      q-scale of the datum's q-width however large t is, so a coarse scan
+      alone misses the peak (1.65e-7 low at t = 640 on the square map);
+    - 4 rounds of bracketed refinement around the 3 best candidates: each
+      bracket is its best node plus or minus one spacing of the candidate
+      set (of the previous round's 33-node bracket afterwards), and one
+      ``_pair_profile`` call scores the 3 x 33 nodes of a round.
+
+    About 750 q-nodes in all. Against the dense search it replaced (513
+    images t w(p) x 9 offsets, then 2 rounds of 129-node refinement, about
+    4.7k nodes), the sups at the fit times t = 10 * 2^(k/2) moved by at most
+    2.3e-9 relative on the square map (t <= 3000, never lower), 2.7e-12 on
+    the relativistic map (t <= 1000) and 4.7e-16 on the identity map
+    (t <= 10^4).
+    """
     lo, hi = datum.support_bounds(1e-14)
     qlo, qhi, plo, phi = lo[0], hi[0], lo[1], hi[1]
-    pdense = np.linspace(plo, phi, 513)
-    images = t * smap.w(pdense)
-    offsets = np.linspace(qlo, qhi, 9)
-    cand = (images[:, None] + offsets[None, :]).ravel()
-    cand = np.unique(np.concatenate([cand, np.linspace(qlo, qhi, 65)]))
-    vals = _pair_profile(datum, smap, t, cand)
-    best = int(np.argmax(vals))
-    sup, qat = float(vals[best]), float(cand[best])
-    span = max(
-        cand[min(best + 1, cand.size - 1)] - cand[max(best - 1, 0)],
-        1e-9 * (1.0 + abs(qat)),
+    # w is monotone on each piece, so the piece ends carry its extremes as well as its critical points
+    ends = np.unique([e for piece in _monotone_pieces(smap, plo, phi) for e in piece])
+    images = t * smap.w(ends) if ends.size else np.zeros(1)
+    offsets = np.linspace(qlo, qhi, 33)
+    cand = np.unique(
+        np.concatenate(
+            [
+                np.linspace(images.min() + qlo, images.max() + qhi, 257),
+                (images[:, None] + offsets[None, :]).ravel(),
+            ]
+        )
     )
-    for _ in range(2):
-        local = np.linspace(qat - span, qat + span, 129)
-        lv = _pair_profile(datum, smap, t, local)
-        i = int(np.argmax(lv))
-        if lv[i] > sup:
-            sup, qat = float(lv[i]), float(local[i])
-        span /= 32.0
+    vals = _pair_profile(datum, smap, t, cand)
+    top = np.argsort(vals)[::-1][:3]
+    centers = cand[top]
+    sup, qat = float(vals[top[0]]), float(centers[0])
+    gaps = np.diff(cand, prepend=cand[0], append=cand[-1])  # gaps[i], gaps[i + 1]: both sides of cand[i]
+    spans = np.maximum(np.maximum(gaps[top], gaps[top + 1]), 1e-9 * (1.0 + np.abs(centers)))
+    s = np.linspace(-1.0, 1.0, 33)
+    for _ in range(4):
+        nodes = centers[:, None] + spans[:, None] * s[None, :]
+        lv = _pair_profile(datum, smap, t, nodes.ravel()).reshape(nodes.shape)
+        centers = np.take_along_axis(nodes, np.argmax(lv, axis=1)[:, None], axis=1)[:, 0]
+        peaks = lv.max(axis=1)
+        j = int(np.argmax(peaks))
+        if peaks[j] > sup:
+            sup, qat = float(peaks[j]), float(centers[j])
+        spans = spans / 16.0
     return sup, qat
 
 
@@ -332,8 +363,16 @@ def sup_velocity_average(
 
     With explicit grids this is a plain max over the q-grid nodes of
     p-grid quadratures (the q-grid must cover the transported support).
-    Without grids, an adaptive preimage-window quadrature is used: it
-    is accurate uniformly in t and places its own candidate q nodes.
+    Without grids, the (datum, map) pair must split into (q_i, p_i) pair
+    factors, and the sup is the product of the pair sups found by
+    ``_pair_sup``: a 257-node coarse scan of the reachable q-range, 33
+    candidates across the datum's q-width at the image of every critical
+    point of w (the fold caustics, where degenerate maps concentrate the
+    average), and 4 rounds of 33-node bracketed refinement around the 3
+    best, each node scored by the preimage-window quadrature, which is
+    accurate uniformly in t. Against a brute-force search (20001 nodes,
+    then 2001 around the best) the square-map sup agrees to 2.2e-12
+    relative at t = 640, 905 and 3000.
     """
     if qgrid is not None and pgrid is not None:
         (qlo, qhi), (plo, phi) = sol._qp_bounds(1e-10)
@@ -513,18 +552,3 @@ def counterexample_profile(lam: float, t: float) -> CounterexampleProfile:
     mass_l1 = float(np.abs(datum.value(q, p)).sum() * h * h)
     return CounterexampleProfile(lam, t, nu0, lower, grad_l1, mass_l1)
 
-
-def transport_decay_experiment(
-    dispersion: DispersionMap,
-    datum: AnalyticField,
-    times: Sequence[float],
-):
-    """Fit the decay exponent of sup_q velocity average over geometric times."""
-    from .harness import fit_decay
-
-    sol = TransportSolution(datum, dispersion)
-    times = np.asarray(list(times), dtype=float)
-    if np.any(times <= 0) or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be positive and strictly increasing")
-    values = np.array([sup_velocity_average(sol, t) for t in times])
-    return fit_decay(times, values)

@@ -108,6 +108,14 @@ class TestExitCodes:
         assert err.startswith("config error: ") and keys in err
         assert not (tmp_path / "out").exists()
 
+    def test_2_when_the_box_is_too_small_for_the_datum(self, tmp_path, capsys):
+        # the 2-d datum reaches |x| = 8.8 at the 1e-10 mass tail; the box stops at 6
+        text = "[experiment]\nid = schrodinger-ks\n[grid]\nhalf_width_2d = 6.0\npoints_2d = 64\n"
+        assert _run(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: datum support") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_2_for_a_missing_file(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "absent.ini")]) == 2
 

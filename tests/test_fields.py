@@ -52,7 +52,6 @@ class TestSample:
         g = GridSpec(1, 1.0, 2.0, 64)  # box [1, 3] misses [-1/2, 1/2]
         with pytest.raises(SupportOverflowError):
             sample(CubeIndicator(0.0, 1.0), g)
-        sample(CubeIndicator(0.0, 1.0), g, allow_overflow=True)
 
     def test_bump_max_is_lam_at_origin(self):
         g = GridSpec.centered(2.0, 128, dim=2)
@@ -195,6 +194,27 @@ def test_broadcast_axes_equal_dense_mesh(datum):
     if not isinstance(datum, CubeIndicator):
         for broadcast, full in zip(datum.gradient(x[:, None], y[None, :]), datum.gradient(q, p)):
             assert np.array_equal(broadcast, full)
+
+
+@pytest.mark.parametrize("wavevector", [None, (1.5, -0.4, 0.0, 2.0)])
+def test_gaussian_value_equals_chained_sum(wavevector):
+    # the in-place sum rounds as amplitude * exp(-0.5 * sum(...)) does; the first
+    # axis array does not carry the full broadcast shape, nor does any other
+    datum = Gaussian((0.1, -0.3, 0.0, 0.4), (1.0, 0.7, 0.3, 2.2), wavevector, amplitude=1.7)
+    rng = np.random.default_rng(11)
+    x = (
+        rng.uniform(-2, 2, (9, 1, 1)),
+        rng.uniform(-2, 2, (1, 7, 1)),
+        rng.uniform(-2, 2, (6,)),
+        rng.uniform(-2, 2, (9, 1, 6)),
+    )
+    terms = zip(x, datum.center, datum.width)
+    chained = datum.amplitude * np.exp(-0.5 * sum(((xi - c) / w) ** 2 for xi, c, w in terms))
+    if wavevector is not None:
+        chained = chained * np.exp(1j * sum(k * xi for k, xi in zip(wavevector, x)))
+    got = datum.value(*x)
+    assert got.shape == (9, 7, 6)
+    assert np.array_equal(got, chained)
 
 
 def test_value_needs_one_array_per_axis():

@@ -1,13 +1,19 @@
-"""Catalog experiments reproduce the recorded benchmark reference exactly.
+"""Catalog experiments reproduce the recorded benchmark reference.
 
 ``counterexample``, ``cube-translation`` and ``schrodinger-decay`` take well
 under a second at their default configs and between them go through the pair
 quadrature, the gradient oracles, the translated X norm and ``sample``.
 ``schrodinger-ks`` takes about 3 s; it is here because its boost norms come
 from the depth-first walk of ``boost_norms``, which claims the same bits as
-applying each W^alpha as a plain chain of boosts. Their fits, inequality
-ratios and sample rows must equal ``perfbench/reference.json`` bit for bit
-(the file is only read here).
+applying each W^alpha as a plain chain of boosts. The fits, inequality
+ratios and sample rows of these four must equal ``perfbench/reference.json``
+bit for bit.
+
+``vlasov-decay`` and ``transport-degenerate`` (under a second each) guard the
+adaptive sup search. Its refinement finds each sup to about 1e-12, so their
+numbers moved by up to 2e-9 relative from the recorded ones, which came
+from an older, coarser search; they are compared within the benchmark's own
+gate. The file is only read here.
 """
 
 import json
@@ -19,17 +25,43 @@ from decaylab.experiments import OUTPUT_DIR_ENV, default_config, run
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
+# The benchmark's correctness gate, |value - ref| <= 1e-6 * |ref| + 1e-12,
+# restated from perfbench/workloads.py (REFERENCE_REL_TOL, REFERENCE_ABS_TOL).
+GATE_REL, GATE_ABS = 1e-6, 1e-12
+
 
 @pytest.fixture(scope="module")
 def reference():
     return json.loads(REFERENCE.read_text())["experiments"]
 
 
+def _numbers(report):
+    fits = {f["name"]: {"slope": f["slope"], "intercept": f["intercept"]} for f in report["fits"]}
+    return report["samples"], fits, {q["name"]: q["max_ratio"] for q in report["inequalities"]}
+
+
+def _report(exp_id, monkeypatch):
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    return json.loads(run(default_config(exp_id)).to_json())
+
+
 @pytest.mark.parametrize("exp_id", ["counterexample", "cube-translation", "schrodinger-decay", "schrodinger-ks"])
 def test_rows_equal_reference(exp_id, reference, monkeypatch):
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
-    report = json.loads(run(default_config(exp_id)).to_json())
     ref = reference[exp_id]
-    assert report["samples"] == ref["samples"]
-    assert {f["name"]: {"slope": f["slope"], "intercept": f["intercept"]} for f in report["fits"]} == ref["fits"]
-    assert {q["name"]: q["max_ratio"] for q in report["inequalities"]} == ref["inequalities"]
+    assert _numbers(_report(exp_id, monkeypatch)) == (ref["samples"], ref["fits"], ref["inequalities"])
+
+
+def _within_gate(got, ref):
+    if isinstance(ref, dict):
+        return got.keys() == ref.keys() and all(_within_gate(got[k], ref[k]) for k in ref)
+    if isinstance(ref, (list, tuple)):
+        return len(got) == len(ref) and all(_within_gate(g, r) for g, r in zip(got, ref))
+    if isinstance(ref, float):
+        return abs(got - ref) <= GATE_REL * abs(ref) + GATE_ABS
+    return got == ref
+
+
+@pytest.mark.parametrize("exp_id", ["vlasov-decay", "transport-degenerate"])
+def test_transport_rows_within_gate(exp_id, reference, monkeypatch):
+    ref = reference[exp_id]
+    assert _within_gate(_numbers(_report(exp_id, monkeypatch)), (ref["samples"], ref["fits"], ref["inequalities"]))
