@@ -44,7 +44,6 @@ from .operators import (
     apply_operator,
     boost_norms,
     commutation_residual,
-    conserved_operator_norm,
     derive_commuting_operator,
     monomial_boost,
     schrodinger_boost,

@@ -8,7 +8,8 @@ Exit codes:
 2  bad input: a bad command line, or a config that cannot be read or parsed,
    names an unknown section or key, or holds an out-of-range value (found at
    load time or by the runner), or whose grid box is too small for its datum
-   (``SupportOverflowError``, found by the runner); no report is written.
+   (found at load time, so by ``validate`` too; a ``SupportOverflowError``
+   from a runner also maps here); no report is written.
 3  numerical contamination: wrap-around excluded every sample of a check,
    left a decay fit fewer than 5 samples, or left a boost-norm drift of
    ``schrodinger-ks`` fewer than 2 clean times; no report is written.

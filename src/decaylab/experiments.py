@@ -25,7 +25,7 @@ import numpy as np
 
 from . import transport as tr
 from .fields import BUMP_PROFILE_ID, BumpLambda, CubeIndicator, Gaussian, GridSpec, product_gaussian_phase
-from .fields import l2_norm, linf_norm, sample
+from .fields import SupportOverflowError, _check_support, l2_norm, linf_norm, sample
 from .harness import (
     ContaminationError,
     DecayFit,
@@ -171,7 +171,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if resolved["experiment"]["id"] != exp_id:
         raise ConfigError("experiment.id mismatch")
     _check_ranges(resolved)
-    return ExperimentConfig(exp_id, _freeze_sections(resolved))
+    config = ExperimentConfig(exp_id, _freeze_sections(resolved))
+    _check_boxes(config)
+    return config
 
 
 def _check_ranges(sections: dict) -> None:
@@ -189,6 +191,19 @@ def _check_ranges(sections: dict) -> None:
                 except ConfigError as err:
                     keys = f"{name}.{prefix}t_min, {name}.{prefix}t_max, {name}.ratio"
                     raise ConfigError(f"{keys}: {err}") from None
+
+
+def _check_boxes(config: ExperimentConfig) -> None:
+    """``sample``'s support check at parse time, so ``validate`` refuses a box ``run`` would."""
+    try:
+        data = catalog()[config.experiment].sampled(config)
+    except ValueError as err:
+        raise ConfigError(f"datum: {err}") from None
+    for suffix, datum in data:
+        try:
+            _check_support(datum, _grid(config, suffix, datum.ndim))
+        except SupportOverflowError as err:
+            raise ConfigError(f"{err}; widen grid.half_width{suffix}") from None
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -325,6 +340,36 @@ def _complexify(f):
 
 
 # ---------------------------------------------------------------------------
+# sampled data: each function lists (grid key suffix, datum) for every datum a
+# runner samples on a [grid] box; the runner and ``_check_boxes`` both read it
+
+
+def _grid(cfg: ExperimentConfig, suffix: str = "", dim: int = 1) -> GridSpec:
+    return GridSpec.centered(cfg.get("grid", "half_width" + suffix), cfg.get("grid", "points" + suffix), dim=dim)
+
+
+def _centered_gaussian(cfg: ExperimentConfig) -> tuple:
+    return (("", Gaussian(0.0, cfg.get("datum", "width"))),)
+
+
+def _shell_gaussian(cfg: ExperimentConfig) -> tuple:
+    return (("", Gaussian(cfg.get("datum", "center"), cfg.get("datum", "width"))),)
+
+
+def _ks_gaussians(cfg: ExperimentConfig) -> tuple:
+    w2 = cfg.get("datum", "width_2d")
+    return (("_1d", Gaussian(0.0, cfg.get("datum", "width_1d"))), ("_2d", Gaussian((0.0, 0.0), (w2, w2))))
+
+
+def _cubes(cfg: ExperimentConfig) -> tuple:
+    return tuple(("", CubeIndicator(c, cfg.get("datum", "side"))) for c in cfg.get("datum", "centers"))
+
+
+def _monomial_gaussians(cfg: ExperimentConfig) -> tuple:
+    return tuple((f"_k{k}", Gaussian(0.0, cfg.get("datum", f"width_k{k}"))) for k in (1, 2))
+
+
+# ---------------------------------------------------------------------------
 # runners
 
 
@@ -447,11 +492,9 @@ def _run_conservation(cfg: ExperimentConfig, threads: int):
 
 
 def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
-    half = cfg.get("grid", "half_width")
-    points = cfg.get("grid", "points")
-    width = cfg.get("datum", "width")
-    grid = GridSpec.centered(half, points, dim=1)
-    u0 = _complexify(sample(Gaussian(0.0, width), grid))
+    ((_, datum),) = _centered_gaussian(cfg)
+    grid = _grid(cfg)
+    u0 = _complexify(sample(datum, grid))
     x0 = int(np.argmin(np.abs(grid.axis(0))))
     checkpoints, times = cfg.get("times", "checkpoints"), _fit_times(cfg)
     # one guarded series serves the oracle rows, the conservation drift and the fit
@@ -519,12 +562,10 @@ def _ks_dimension(u0, check_times, drift_times, drift_alphas, label):
 
 
 def _run_schrodinger_ks(cfg: ExperimentConfig, threads: int):
-    grid1 = GridSpec.centered(cfg.get("grid", "half_width_1d"), cfg.get("grid", "points_1d"), dim=1)
-    u1 = _complexify(sample(Gaussian(0.0, cfg.get("datum", "width_1d")), grid1))
+    (_, g1), (_, g2) = _ks_gaussians(cfg)
+    u1 = _complexify(sample(g1, _grid(cfg, "_1d")))
     rep1, drift1, notes1 = _ks_dimension(u1, _times(cfg), (1.0, 10.0, 100.0), ((0,), (1,), (2,)), "d1")
-    grid2 = GridSpec.centered(cfg.get("grid", "half_width_2d"), cfg.get("grid", "points_2d"), dim=2)
-    w2 = cfg.get("datum", "width_2d")
-    u2 = _complexify(sample(Gaussian((0.0, 0.0), (w2, w2)), grid2))
+    u2 = _complexify(sample(g2, _grid(cfg, "_2d", 2)))
     rep2, drift2, notes2 = _ks_dimension(
         u2, cfg.get("times", "checkpoints_2d"), (1.0, 4.0, 16.0), ((1, 0), (1, 1), (0, 2)), "d2"
     )
@@ -538,10 +579,10 @@ def _run_schrodinger_ks(cfg: ExperimentConfig, threads: int):
 
 
 def _shell_setup(cfg: ExperimentConfig):
-    grid = GridSpec.centered(cfg.get("grid", "half_width"), cfg.get("grid", "points"), dim=1)
+    ((_, datum),) = _shell_gaussian(cfg)
+    grid = _grid(cfg)
     part = build_dyadic_partition(grid, cfg.get("grid", "k_min"), cfg.get("grid", "k_max"))
-    u0 = _complexify(sample(Gaussian(cfg.get("datum", "center"), cfg.get("datum", "width")), grid))
-    return grid, part, u0
+    return grid, part, _complexify(sample(datum, grid))
 
 
 def _run_schrodinger_xnorm(cfg: ExperimentConfig, threads: int):
@@ -586,14 +627,12 @@ def _run_local_mass(cfg: ExperimentConfig, threads: int):
 
 
 def _run_cube_translation(cfg: ExperimentConfig, threads: int):
-    grid = GridSpec.centered(cfg.get("grid", "half_width"), cfg.get("grid", "points"), dim=1)
+    grid = _grid(cfg)
     part = build_dyadic_partition(grid, cfg.get("grid", "k_min"), cfg.get("grid", "k_max"))
     centers = cfg.get("datum", "centers")
-    side = cfg.get("datum", "side")
     rows, ratios = [], []
     untranslated_ratio = None
-    for c in centers:
-        cube = CubeIndicator(c, side)
+    for c, (_, cube) in zip(centers, _cubes(cfg)):
         opt = translated_xnorm_inf(cube, 0.5, 1, part)
         plain = x_norm(sample(cube, grid), 0.5, 1, part).value
         l1 = cube.mass()
@@ -614,8 +653,8 @@ def _run_cube_translation(cfg: ExperimentConfig, threads: int):
 
 
 def _airy_field(cfg: ExperimentConfig):
-    grid = GridSpec.centered(cfg.get("grid", "half_width"), cfg.get("grid", "points"), dim=1)
-    return sample(Gaussian(0.0, cfg.get("datum", "width")), grid)
+    ((_, datum),) = _centered_gaussian(cfg)
+    return sample(datum, _grid(cfg))
 
 
 def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
@@ -665,12 +704,8 @@ def _run_airy_decay(cfg: ExperimentConfig, threads: int):
 
 def _run_monomial_2k(cfg: ExperimentConfig, threads: int):
     reports, rows = [], []
-    for k, half, points, width in (
-        (1, cfg.get("grid", "half_width_k1"), cfg.get("grid", "points_k1"), cfg.get("datum", "width_k1")),
-        (2, cfg.get("grid", "half_width_k2"), cfg.get("grid", "points_k2"), cfg.get("datum", "width_k2")),
-    ):
-        grid = GridSpec.centered(half, points, dim=1)
-        u0 = _complexify(sample(Gaussian(0.0, width), grid))
+    for k, (suffix, datum) in enumerate(_monomial_gaussians(cfg), start=1):
+        u0 = _complexify(sample(datum, _grid(cfg, suffix)))
         times = _times(cfg)
         rep = check_monomial_estimate(k, u0, times)
         reports.append(rep)
@@ -682,7 +717,7 @@ def _run_monomial_2k(cfg: ExperimentConfig, threads: int):
 
 def _run_commutation_suite(cfg: ExperimentConfig, threads: int):
     seed = cfg.get("experiment", "seed")
-    grid = GridSpec.centered(cfg.get("grid", "half_width"), cfg.get("grid", "points"), dim=1)
+    grid = _grid(cfg)
     n_data = cfg.get("datum", "n_data")
     times = cfg.get("times", "checkpoints")
     tol = cfg.get("tolerances", "residual")
@@ -734,6 +769,7 @@ class CatalogEntry:
     description: str
     defaults: dict
     runner: Callable
+    sampled: Callable = lambda cfg: ()  # (grid key suffix, datum) pairs; see _check_boxes
 
 
 def _base_sections(exp_id: str, extra: dict) -> dict:
@@ -827,6 +863,7 @@ def catalog() -> dict:
                 },
             ),
             _run_schrodinger_decay,
+            _centered_gaussian,
         ),
         CatalogEntry(
             "schrodinger-ks",
@@ -852,6 +889,7 @@ def catalog() -> dict:
                 },
             ),
             _run_schrodinger_ks,
+            _ks_gaussians,
         ),
         CatalogEntry(
             "schrodinger-xnorm",
@@ -867,6 +905,7 @@ def catalog() -> dict:
                 },
             ),
             _run_schrodinger_xnorm,
+            _shell_gaussian,
         ),
         CatalogEntry(
             "lp-decay",
@@ -882,6 +921,7 @@ def catalog() -> dict:
                 },
             ),
             _run_lp_decay,
+            _shell_gaussian,
         ),
         CatalogEntry(
             "local-mass",
@@ -897,6 +937,7 @@ def catalog() -> dict:
                 },
             ),
             _run_local_mass,
+            _shell_gaussian,
         ),
         CatalogEntry(
             "cube-translation",
@@ -911,6 +952,7 @@ def catalog() -> dict:
                 },
             ),
             _run_cube_translation,
+            _cubes,
         ),
         CatalogEntry(
             "airy-pointwise",
@@ -931,6 +973,7 @@ def catalog() -> dict:
                 },
             ),
             _run_airy_pointwise,
+            _centered_gaussian,
         ),
         CatalogEntry(
             "airy-local-energy",
@@ -946,6 +989,7 @@ def catalog() -> dict:
                 },
             ),
             _run_airy_local_energy,
+            _centered_gaussian,
         ),
         CatalogEntry(
             "airy-decay",
@@ -961,6 +1005,7 @@ def catalog() -> dict:
                 },
             ),
             _run_airy_decay,
+            _centered_gaussian,
         ),
         CatalogEntry(
             "monomial-2k",
@@ -981,6 +1026,7 @@ def catalog() -> dict:
                 },
             ),
             _run_monomial_2k,
+            _monomial_gaussians,
         ),
         CatalogEntry(
             "commutation-suite",

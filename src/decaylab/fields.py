@@ -164,17 +164,19 @@ class SampledField:
         return self.values.astype(np.complex128)
 
 
-def sample(datum: "AnalyticField", grid: GridSpec) -> SampledField:
-    """Evaluate an analytic datum at every grid node.
-
-    Raises ``SupportOverflowError`` when the datum's essential support
-    (mass fraction below 1e-10 outside) pokes out of the box.
-    """
-    if datum.ndim != grid.dim:
-        raise ValueError(f"datum dimension {datum.ndim} != grid dimension {grid.dim}")
+def _check_support(datum: "AnalyticField", grid: GridSpec) -> None:
+    """Raise ``SupportOverflowError`` when the datum's essential support
+    (mass fraction below 1e-10 outside) pokes out of the grid box."""
     bounds = datum.support_bounds(1e-10)
     if bounds is not None and not grid.contains_box(*bounds):
         raise SupportOverflowError(f"datum support {bounds} not inside grid box {grid.bounds()}")
+
+
+def sample(datum: "AnalyticField", grid: GridSpec) -> SampledField:
+    """Evaluate an analytic datum at every grid node; ``_check_support`` guards the box."""
+    if datum.ndim != grid.dim:
+        raise ValueError(f"datum dimension {datum.ndim} != grid dimension {grid.dim}")
+    _check_support(datum, grid)
     return SampledField(grid, datum.value(*grid.meshgrid()), datum.kind)
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "apply_operator",
     "boost_norms",
     "commutation_residual",
-    "conserved_operator_norm",
     "commutator_norm",
 ]
 
@@ -154,28 +153,6 @@ def commutation_residual(
     if denom == 0.0:
         return nums, False
     return nums / denom, True
-
-
-def conserved_operator_norm(
-    u0: SampledField,
-    ops: Sequence[Tuple[CommutingOperator, int]],
-    disp: DispersionPolynomial,
-    times: Sequence[float],
-) -> np.ndarray:
-    """|| W^alpha u(t) ||_2 over times; constant for commuting operators.
-
-    ``ops`` pairs each operator with its multiplicity, realizing the
-    multi-index power W^alpha = W_1^a1 ... W_d^ad applied at time t.
-    """
-    evolution = Evolution(u0, disp)
-    out = []
-    for t in times:
-        u = evolution.at(float(t))
-        for op, power in ops:
-            for _ in range(int(power)):
-                u = apply_operator(op, u, float(t))
-        out.append(l2_norm(u))
-    return np.array(out)
 
 
 def commutator_norm(

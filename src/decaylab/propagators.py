@@ -14,12 +14,11 @@ the operators module pin these conventions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SampledField, l2_norm
+from .fields import SampledField
 
 __all__ = [
     "DispersionPolynomial",
@@ -27,7 +26,6 @@ __all__ = [
     "airy",
     "even_order",
     "Evolution",
-    "group_property_check",
     "edge_mass_fraction",
 ]
 
@@ -112,19 +110,6 @@ class Evolution:
         if self.real:
             return SampledField(self.grid, np.fft.irfft(spec, n=self.grid.points[0]), "real")
         return SampledField(self.grid, np.fft.ifftn(spec), "complex")
-
-
-def group_property_check(u0: SampledField, disp: DispersionPolynomial, s: float, t: float) -> float:
-    """|| U(s+t) u0 - U(t) U(s) u0 ||_2 / || u0 ||_2."""
-    evolution = Evolution(u0, disp)
-    direct = evolution.at(s + t)
-    stepped = Evolution(evolution.at(s), disp).at(t)
-    diff = direct.as_complex() - stepped.as_complex()
-    denom = l2_norm(u0)
-    if denom == 0.0:
-        return 0.0
-    num = math.sqrt(float(np.sum(np.abs(diff) ** 2)) * u0.grid.cell_volume)
-    return num / denom
 
 
 def edge_mass_fraction(field: SampledField) -> float:

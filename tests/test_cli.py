@@ -116,6 +116,33 @@ class TestExitCodes:
         assert err.startswith("config error: datum support") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, wanted",
+        [
+            (  # the test above: the 2-d datum reaches |x| = 8.8, the box stops at 6
+                "[experiment]\nid = schrodinger-ks\n[grid]\nhalf_width_2d = 6.0\npoints_2d = 64\n",
+                "datum support",
+            ),
+            (  # the second cube covers [69.5, 70.5]; the box stops at 64
+                "[experiment]\nid = cube-translation\n[datum]\ncenters = 0.0, 70.0\n",
+                "; widen grid.half_width",
+            ),
+            (  # the k = 2 datum of width 2 reaches |x| = 13.6
+                "[experiment]\nid = monomial-2k\n[grid]\nhalf_width_k2 = 10.0\n",
+                "; widen grid.half_width_k2",
+            ),
+            (  # the datum is built at parse time, so its own checks give exit 2 too
+                "[experiment]\nid = cube-translation\n[datum]\nside = -1.0\n",
+                "datum: cube side must be positive",
+            ),
+        ],
+    )
+    def test_2_from_validate_when_the_box_cannot_hold_the_datum(self, tmp_path, capsys, text, wanted):
+        assert cli.main(["validate", "--config", _write(tmp_path, text)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("config error: ") and wanted in err and "Traceback" not in err
+        assert out == ""  # no resolved config is echoed
+
     def test_2_for_a_missing_file(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "absent.ini")]) == 2
 

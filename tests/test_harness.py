@@ -104,13 +104,11 @@ class TestKsCheck:
         u1 = complex_sample(Gaussian(0.0, 1.3), grid1)
         rep1 = hz.check_ks_schrodinger(u1, [2.0])
         _, lhs1, rhs1 = rep1.samples[0]
-        from decaylab.operators import conserved_operator_norm, schrodinger_boost
-        from decaylab.propagators import schrodinger
+        from decaylab.operators import boost_norms
+        from decaylab.propagators import Evolution, schrodinger
 
-        n = [
-            float(conserved_operator_norm(u1, [(schrodinger_boost(0), k)], schrodinger(), [2.0])[0])
-            for k in (0, 1, 2)
-        ]
+        norms = boost_norms(Evolution(u1, schrodinger()).at(2.0), 2.0, 2)
+        n = [norms[(k,)] for k in (0, 1, 2)]
         predicted_rhs2 = 4 * n[0] ** 3 * n[2] + 6 * n[0] ** 2 * n[1] ** 2
         assert lhs2 == pytest.approx(lhs1**2, rel=1e-6)
         assert rhs2 == pytest.approx(predicted_rhs2, rel=1e-6)

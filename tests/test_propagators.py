@@ -107,17 +107,25 @@ class TestEvolution:
         np.testing.assert_allclose(u2.values, np.outer(u1, u1), atol=1e-13)
 
 
+def group_defect(u0, disp, s, t):
+    """|| U(s+t) u0 - U(t) U(s) u0 ||_2 / || u0 ||_2 from two composed evolutions."""
+    evolution = pr.Evolution(u0, disp)
+    direct = evolution.at(s + t).as_complex()
+    stepped = pr.Evolution(evolution.at(s), disp).at(t).as_complex()
+    return math.sqrt(float(np.sum(np.abs(direct - stepped) ** 2)) * u0.grid.cell_volume) / l2_norm(u0)
+
+
 class TestGroupProperty:
     def test_zero_times(self, schrodinger_gaussian):
-        res = pr.group_property_check(schrodinger_gaussian, pr.schrodinger(), 0.0, 0.0)
+        res = group_defect(schrodinger_gaussian, pr.schrodinger(), 0.0, 0.0)
         assert res <= 1e-14  # two FFT round trips of round-off
 
     def test_composition(self, schrodinger_gaussian):
-        res = pr.group_property_check(schrodinger_gaussian, pr.schrodinger(), 0.3, 0.7)
+        res = group_defect(schrodinger_gaussian, pr.schrodinger(), 0.3, 0.7)
         assert res <= 1e-12
 
     def test_time_reversibility(self, schrodinger_gaussian):
-        res = pr.group_property_check(schrodinger_gaussian, pr.schrodinger(), 1.0, -1.0)
+        res = group_defect(schrodinger_gaussian, pr.schrodinger(), 1.0, -1.0)
         assert res <= 1e-12
 
 

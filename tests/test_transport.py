@@ -128,6 +128,77 @@ class TestSupVelocityAverage:
         assert sup == pytest.approx(dense_sup, rel=1e-8)
 
 
+SCALAR_MAPS = {
+    "identity": tr.identity_map(1).axis_maps[0],
+    "square": tr.square_map().axis_maps[0],
+    "relativistic": tr.relativistic_map(1).axis_maps[0],
+}
+BRANCHES = [(name, i) for name, smap in SCALAR_MAPS.items() for i in range(len(smap.branches))]
+# |p| at which the (W, W) Gaussian pair drops below the 1e-14 support tolerance
+P_MAX = W * math.sqrt(2.0 * math.log(1e14))
+
+
+def branch_nodes(start, end, n):
+    """n nodes strictly inside the branch, its infinite ends cut at |p| = 8."""
+    return np.linspace(max(start, -8.0), min(end, 8.0), n + 2)[1:-1]
+
+
+class TestDispersionBranches:
+    @pytest.mark.parametrize("name", SCALAR_MAPS)
+    def test_branches_tile_the_line(self, name):
+        branches = SCALAR_MAPS[name].branches
+        assert branches[0][0] == -math.inf and branches[-1][1] == math.inf
+        assert all(left[1] == right[0] for left, right in zip(branches, branches[1:]))
+
+    @pytest.mark.parametrize("name, i", BRANCHES)
+    def test_inverse_round_trips_within_a_few_ulp(self, name, i):
+        smap = SCALAR_MAPS[name]
+        start, end, inverse = smap.branches[i]
+        p = np.concatenate([branch_nodes(start, end, 1001), [-P_MAX, P_MAX, start, end]])
+        p = p[np.isfinite(p) & (p >= start) & (p <= end)]
+        u = smap.w(p)  # relativistic targets reach +-w(P_MAX) = +-0.985
+        np.testing.assert_array_less(np.abs(smap.w(inverse(u)) - u), 4.0 * np.spacing(np.abs(u)) + 1e-300)
+
+    @pytest.mark.parametrize("name, i", BRANCHES)
+    def test_dw_keeps_one_sign_inside_each_branch(self, name, i):
+        smap = SCALAR_MAPS[name]
+        start, end, _ = smap.branches[i]
+        signs = np.sign(smap.dw(branch_nodes(start, end, 1001)))
+        assert signs[0] != 0.0 and np.all(signs == signs[0])
+
+    def test_square_pieces_split_at_the_critical_point(self):
+        pieces = tr._monotone_pieces(SCALAR_MAPS["square"], -3.0, 2.0)
+        assert [(a, b) for a, b, _ in pieces] == [(-3.0, 0.0), (0.0, 2.0)]
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 2.0), (-2.0, -0.5), (-2.0, 0.0)])
+    def test_a_range_on_one_side_of_zero_is_one_piece(self, lo, hi):
+        pieces = tr._monotone_pieces(SCALAR_MAPS["square"], lo, hi)
+        assert [(a, b) for a, b, _ in pieces] == [(lo, hi)]
+
+
+# _pair_profile of the (W, W) Gaussian pair at q = t w(p) + 0.25 for p = -1.1, 0, 0.6, as
+# computed when the window ends were found by bisection in place of the branch inverses
+PINNED_PROFILES = {
+    ("identity", 0.5): [1.4751994002537303, 1.5080134177638942, 1.2445738314581585],
+    ("identity", 10.0): [0.05616966234208306, 0.1762566464974216, 0.11979746650385083],
+    ("identity", 640.0): [0.0008265565022822954, 0.0027694553387742804, 0.0019312796268547727],
+    ("relativistic", 0.5): [1.6496115266868574, 1.5808646617188287, 1.3304034095286608],
+    ("relativistic", 10.0): [0.1720040073624755, 0.17774150632752156, 0.19532793776162427],
+    ("relativistic", 640.0): [0.0027156400004080083, 0.002769461043674605, 0.0030647140308744892],
+    ("square", 0.5): [1.125036454034149, 1.6319017407220255, 1.557885933698811],
+    ("square", 10.0): [0.046654794207447954, 0.6237627370227885, 0.1989155303699301],
+    ("square", 640.0): [0.0007503550973091133, 0.08116195458638197, 0.0032173261687764077],
+}
+
+
+@pytest.mark.parametrize("name, t", PINNED_PROFILES)
+def test_pair_profile_matches_the_pinned_quadrature(name, t):
+    smap = SCALAR_MAPS[name]
+    q = t * smap.w(np.array([-1.1, 0.0, 0.6])) + 0.25
+    got = tr._pair_profile(Gaussian((0.0, 0.0), (W, W)), smap, t, q)
+    np.testing.assert_allclose(got, PINNED_PROFILES[name, t], rtol=1e-13, atol=0.0)
+
+
 class TestConservedFunctional:
     @pytest.mark.parametrize("t", [0.0, 1.0, 5.0])
     def test_mass_matches_oracle(self, gaussian_solution, t):
