@@ -25,24 +25,25 @@ import numpy as np
 
 from . import transport as tr
 from .fields import BUMP_PROFILE_ID, BumpLambda, CubeIndicator, Gaussian, GridSpec, product_gaussian_phase
-from .fields import SupportOverflowError, _check_support, l2_norm, linf_norm, sample
+from .fields import SupportOverflowError, _check_support, l2_norm, linf_norm, sample, spectral_derivative
 from .harness import (
     ContaminationError,
     DecayFit,
     InequalityReport,
     MIN_FIT_SAMPLES,
-    _ks_report,
-    _propagation_series,
+    Series,
+    _ratio,
     check_airy_local_energy,
     check_airy_pointwise,
     check_dispersive_schrodinger,
+    check_ks_schrodinger,
     check_local_mass,
     check_lp_decay,
     check_monomial_estimate,
-    airy_decay_experiment,
     fit_decay,
 )
-from .norms import PARTITION_PROFILE_ID, build_dyadic_partition, hs_norm, translated_xnorm_inf, x_norm
+from .norms import PARTITION_PROFILE_ID, _check_window, build_dyadic_partition, hs_norm
+from .norms import translated_xnorm_inf, x_norm
 from .operators import (
     boost_norms,
     commutation_residual,
@@ -52,7 +53,7 @@ from .operators import (
     random_wave_packets,
     schrodinger_boost,
 )
-from .propagators import Evolution, airy, even_order, schrodinger
+from .propagators import airy, even_order, schrodinger
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -194,7 +195,14 @@ def _check_ranges(sections: dict) -> None:
 
 
 def _check_boxes(config: ExperimentConfig) -> None:
-    """``sample``'s support check at parse time, so ``validate`` refuses a box ``run`` would."""
+    """The grid checks of ``sample`` and ``build_dyadic_partition`` at parse time,
+    so ``validate`` refuses what ``run`` would."""
+    grid = config.as_dict().get("grid", {})
+    if "k_min" in grid:
+        try:
+            _check_window(_grid(config), grid["k_min"], grid["k_max"])
+        except ValueError as err:
+            raise ConfigError(f"grid.half_width, grid.points, grid.k_min, grid.k_max: {err}") from None
     try:
         data = catalog()[config.experiment].sampled(config)
     except ValueError as err:
@@ -331,8 +339,8 @@ def _fit_times(cfg: ExperimentConfig, prefix: str = "", after: Optional[str] = N
 
 
 def _ratio_rows(rep: InequalityReport, *label) -> tuple:
-    """One (label..., t, lhs, rhs, lhs/rhs) row per sample of an inequality report."""
-    return tuple((*label, t, l, r, l / r) for (t, l, r) in rep.samples)
+    """One (label..., t, lhs, rhs, ratio) row per sample of an inequality report, ratio as the check reads it."""
+    return tuple((*label, t, l, r, _ratio(l, r)) for (t, l, r) in rep.samples)
 
 
 def _complexify(f):
@@ -498,14 +506,12 @@ def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
     x0 = int(np.argmin(np.abs(grid.axis(0))))
     checkpoints, times = cfg.get("times", "checkpoints"), _fit_times(cfg)
     # one guarded series serves the oracle rows, the conservation drift and the fit
-    series_times = sorted(set(checkpoints) | set(times))
-    clean, excluded = _propagation_series(Evolution(u0, schrodinger()), series_times)
-    at = dict(clean)
+    series = Series.evolve(u0, schrodinger(), (*checkpoints, *times))
+    checked, fitted = series.restrict(checkpoints), series.restrict(times)
     base = {s: hs_norm(u0, s).value for s in (0.25, 0.5, 1.0)}
     mass0 = l2_norm(u0)
     rows, passed, worst = [], True, 0.0
-    for t in (t for t in checkpoints if t in at):
-        ut = at[t]
+    for t, ut in checked.clean:
         value = abs(ut.values[x0])
         oracle = (1.0 + 4.0 * t * t) ** -0.25
         err = abs(value / oracle - 1.0)
@@ -518,11 +524,10 @@ def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
         raise ContaminationError("schrodinger-decay: every checkpoint was excluded")
     passed = passed and worst <= cfg.get("tolerances", "conservation")
     notes = (f"max unitarity/Sobolev drift {worst:.3e}",) + tuple(
-        f"checkpoint t={t:g} excluded: {why}" for t, why in excluded if t in checkpoints
+        f"checkpoint t={t:g} excluded: {why}" for t, why in checked.excluded
     )
-    sup = [(t, linf_norm(at[t])) for t in times if t in at]
-    fit_excluded = tuple((t, why) for t, why in excluded if t in times)
-    fit = fit_decay([t for t, _ in sup], [v for _, v in sup], excluded=fit_excluded)
+    sup = [linf_norm(ut) for _, ut in fitted.clean]
+    fit = fit_decay([t for t, _ in fitted.clean], sup, excluded=fitted.excluded)
     tol = cfg.get("tolerances", "slope")
     passed = passed and abs(fit.slope + 0.5) <= tol
     cols = ("t", "amplitude_at_origin", "oracle", "relative_error")
@@ -540,24 +545,19 @@ def _ks_dimension(u0, check_times, drift_times, drift_alphas, label):
     """
     d = u0.grid.dim
     drift_order = max(d, *(sum(alpha) for alpha in drift_alphas))
-    series_times = sorted(set(check_times) | set(drift_times))
-    clean, excluded = _propagation_series(Evolution(u0, schrodinger()), series_times)
-    table = {
-        t: (linf_norm(ut), boost_norms(ut, t, drift_order if t in drift_times else d)) for t, ut in clean
-    }
-    why = dict(excluded)
-    rows = [(float(t), *table[t]) for t in check_times if t in table]
-    report = _ks_report(d, rows, [(float(t), why[t]) for t in check_times if t in why])
-    notes = tuple(f"{label} drift time t={t:g} excluded: {why[t]}" for t in drift_times if t in why)
-    drift_rows = [table[t][1] for t in drift_times if t in table]
-    if len(drift_rows) < 2:
+    series = Series.evolve(u0, schrodinger(), (*check_times, *drift_times))
+    norms = {t: boost_norms(ut, t, drift_order if t in drift_times else d) for t, ut in series.clean}
+    report = check_ks_schrodinger(series.restrict(check_times), norms)
+    drifted = series.restrict(drift_times)
+    notes = tuple(f"{label} drift time t={t:g} excluded: {why}" for t, why in drifted.excluded)
+    if len(drifted.clean) < 2:
         raise ContaminationError(
-            f"schrodinger-ks: {len(drift_rows)} clean boost-norm drift times in {label}; the drift needs 2"
+            f"schrodinger-ks: {len(drifted.clean)} clean boost-norm drift times in {label}; the drift needs 2"
         )
     drift = 0.0
     for alpha in drift_alphas:
-        series = np.array([norms[alpha] for norms in drift_rows])
-        drift = max(drift, float((series.max() - series.min()) / series[0]))
+        values = np.array([norms[t][alpha] for t, _ in drifted.clean])
+        drift = max(drift, float((values.max() - values.min()) / values[0]))
     return report, drift, notes
 
 
@@ -587,12 +587,12 @@ def _shell_setup(cfg: ExperimentConfig):
 
 def _run_schrodinger_xnorm(cfg: ExperimentConfig, threads: int):
     grid, part, u0 = _shell_setup(cfg)
-    times = _times(cfg)
-    rep = check_dispersive_schrodinger(u0, times, part)
+    series = Series.evolve(u0, schrodinger(), _times(cfg))
+    rep = check_dispersive_schrodinger(series, part)
     # closed-form amplitude cross-check at one interior time
     w, c = cfg.get("datum", "width"), cfg.get("datum", "center")
     t_star = cfg.get("times", "cross_check_t")
-    sup = linf_norm(Evolution(u0, schrodinger()).at(t_star))
+    sup = linf_norm(series.evolution.at(t_star))
     oracle = w * (w**4 + 4.0 * t_star**2) ** -0.25
     err = abs(sup / oracle - 1.0)
     passed = rep.passed and err <= cfg.get("tolerances", "oracle")
@@ -603,9 +603,9 @@ def _run_schrodinger_xnorm(cfg: ExperimentConfig, threads: int):
 
 def _run_lp_decay(cfg: ExperimentConfig, threads: int):
     grid, part, u0 = _shell_setup(cfg)
-    times = _fit_times(cfg)
-    rep_half = check_lp_decay(u0, 0.5, times, part)
-    rep_zero = check_lp_decay(u0, 0.0, times)
+    series = Series.evolve(u0, schrodinger(), _fit_times(cfg))
+    rep_half = check_lp_decay(series, 0.5, part)
+    rep_zero = check_lp_decay(series, 0.0)
     l4 = [l / t**0.25 for (t, l, _) in rep_half.samples]
     fit = fit_decay([s[0] for s in rep_half.samples], l4, excluded=rep_half.excluded)
     tol = cfg.get("tolerances", "slope")
@@ -618,8 +618,8 @@ def _run_lp_decay(cfg: ExperimentConfig, threads: int):
 
 def _run_local_mass(cfg: ExperimentConfig, threads: int):
     grid, part, u0 = _shell_setup(cfg)
-    times = _times(cfg)
-    reports = [check_local_mass(u0, sigma, times, part) for sigma in cfg.get("datum", "sigmas")]
+    series = Series.evolve(u0, schrodinger(), _times(cfg))
+    reports = [check_local_mass(series, sigma, part) for sigma in cfg.get("datum", "sigmas")]
     passed = all(r.passed for r in reports)
     rows = sum((_ratio_rows(rep, rep.name) for rep in reports), ())
     cols = ("series", "t", "lhs", "rhs", "ratio")
@@ -664,13 +664,14 @@ def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
     # probing the nodes nearest the evenly spaced points keeps the report's rows.
     x = u0.grid.axis(0)
     probes = x[[int(np.argmin(np.abs(x - p))) for p in wanted]]
-    rep = check_airy_pointwise(u0, cfg.get("times", "checkpoints"), probes)
-    du_fit = airy_decay_experiment(
-        u0,
-        _fit_times(cfg, "fit_"),
-        derivative=True,
-        half_line_from=0.0,
-    )
+    checkpoints, fit_times = cfg.get("times", "checkpoints"), _fit_times(cfg, "fit_")
+    series = Series.evolve(u0, airy(), (*checkpoints, *fit_times))
+    rep = check_airy_pointwise(series.restrict(checkpoints), probes)
+    # the decay of d_x u(t) on the half line x >= 0
+    fitted = series.restrict(fit_times)
+    half_line = x >= 0.0
+    du_max = [float(np.max(np.abs(spectral_derivative(ut, 1).values[half_line]))) for _, ut in fitted.clean]
+    du_fit = fit_decay([t for t, _ in fitted.clean], du_max, excluded=fitted.excluded)
     tol = cfg.get("tolerances", "slope")
     passed = rep.passed and abs(du_fit.slope + 0.5) <= tol
     rows = _ratio_rows(rep)
@@ -680,11 +681,12 @@ def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
 
 def _run_airy_local_energy(cfg: ExperimentConfig, threads: int):
     u0 = _airy_field(cfg)
-    fit_from = _fit_times(cfg, after="fit_t_min")[0]
-    rep = check_airy_local_energy(u0, cfg.get("datum", "eps"), _times(cfg))
-    energies = [(t, l / t) for (t, l, _) in rep.samples if t >= fit_from]
-    excluded = tuple((t, why) for t, why in rep.excluded if t >= fit_from)
-    fit = fit_decay([t for t, _ in energies], [v for _, v in energies], excluded=excluded)
+    fit_times = _fit_times(cfg, after="fit_t_min")
+    series = Series.evolve(u0, airy(), _times(cfg))
+    rep = check_airy_local_energy(series, cfg.get("datum", "eps"))
+    fitted, lhs = series.restrict(fit_times), {t: l for t, l, _ in rep.samples}
+    energies = [lhs[t] / t for t, _ in fitted.clean]
+    fit = fit_decay([t for t, _ in fitted.clean], energies, excluded=fitted.excluded)
     passed = rep.passed and fit.slope <= cfg.get("tolerances", "energy_slope")
     rows = _ratio_rows(rep)
     fits = (_fit_dict("weighted-energy-decay", fit, -1.0, 0.1),)
@@ -693,9 +695,9 @@ def _run_airy_local_energy(cfg: ExperimentConfig, threads: int):
 
 def _run_airy_decay(cfg: ExperimentConfig, threads: int):
     u0 = _airy_field(cfg)
-    clean, excluded = _propagation_series(Evolution(u0, airy()), _fit_times(cfg))
-    rows = tuple((t, linf_norm(ut)) for t, ut in clean)
-    sup_fit = fit_decay([t for t, _ in rows], [v for _, v in rows], excluded=tuple(excluded))
+    series = Series.evolve(u0, airy(), _fit_times(cfg))
+    rows = tuple((t, linf_norm(ut)) for t, ut in series.clean)
+    sup_fit = fit_decay([t for t, _ in rows], [v for _, v in rows], excluded=series.excluded)
     tol = cfg.get("tolerances", "slope")
     passed = abs(sup_fit.slope + 1.0 / 3.0) <= tol
     fits = (_fit_dict("sup-decay", sup_fit, -1.0 / 3.0, tol),)
@@ -706,8 +708,7 @@ def _run_monomial_2k(cfg: ExperimentConfig, threads: int):
     reports, rows = [], []
     for k, (suffix, datum) in enumerate(_monomial_gaussians(cfg), start=1):
         u0 = _complexify(sample(datum, _grid(cfg, suffix)))
-        times = _times(cfg)
-        rep = check_monomial_estimate(k, u0, times)
+        rep = check_monomial_estimate(k, Series.evolve(u0, even_order(k), _times(cfg)))
         reports.append(rep)
         rows.extend(_ratio_rows(rep, f"k={k}"))
     passed = all(r.passed for r in reports)
@@ -1042,6 +1043,8 @@ def catalog() -> dict:
                 },
             ),
             _run_commutation_suite,
+            # the widest packets ``random_wave_packets`` draws: centres in [-5, 5], widths in [3, 4]
+            lambda cfg: (("", Gaussian(-5.0, 4.0)), ("", Gaussian(5.0, 4.0))),
         ),
     ]
     _CATALOG = {e.id: e for e in entries}

@@ -1,12 +1,16 @@
 """Decay-rate fitting and the inequality verification suites.
 
-Every check samples both sides of one estimate at geometric times, records
-(t, lhs, rhs) rows, and reports the largest ratio. Estimates that hold with
-constant exactly 1 (the transport sup bound, the Airy pointwise bound and
-its local-energy corollary, mass conservation) declare that bound; the
-others only assert stability of the empirical constant, with the bound set
-to twice the smallest sampled ratio. Wrap-around contaminated samples are
-excluded from fits and recorded with a reason.
+A runner evolves each datum once: its ``Series`` forms u(t) = U(t) u0 once
+at every time its checks and fits read, and guards each time once for
+wrap-around, carrying a contaminated time as (t, reason) instead of a
+sample. Each check and fit takes the series restricted to its own times.
+
+Every check records (t, lhs, rhs) rows and reports the largest ratio.
+Estimates that hold with constant exactly 1 (the transport sup bound, the
+Airy pointwise bound and its local-energy corollary, mass conservation)
+declare that bound; the others only assert stability of the empirical
+constant, with the bound set to twice the smallest sampled ratio. A sample
+with lhs > 0 = rhs has ratio inf and fails; 0 = 0 is no evidence, skipped.
 
 A check never passes on no evidence: when every sample of a check was
 excluded, or a decay fit is left with fewer than five samples after
@@ -16,21 +20,21 @@ exclusions, it raises ``ContaminationError`` instead of reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import product as _iter_product
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .fields import SampledField, l2_norm, linf_norm, spectral_derivative
-from .norms import DyadicPartition, NormValue, hs_norm, lp_norm, weighted_l2, x_norm
-from .operators import boost_norms, derive_commuting_operator
-from .propagators import Evolution, airy, edge_mass_fraction, even_order, schrodinger
+from .norms import DyadicPartition, hs_norm, lp_norm, weighted_l2, x_norm
+from .propagators import DispersionPolynomial, Evolution, edge_mass_fraction
 
 __all__ = [
     "ContaminationError",
     "DecayFit",
     "InequalityReport",
+    "Series",
     "fit_decay",
     "check_dispersive_schrodinger",
     "check_ks_schrodinger",
@@ -39,7 +43,6 @@ __all__ = [
     "check_airy_pointwise",
     "check_airy_local_energy",
     "check_monomial_estimate",
-    "airy_decay_experiment",
     "CONTAMINATION_THRESHOLD",
     "INEQUALITY_SLACK",
     "MIN_FIT_SAMPLES",
@@ -55,6 +58,44 @@ _PROBE_CHUNK = 32  # probes per phase block: 32 x 16k modes is 8.5 MB of phases
 
 class ContaminationError(ValueError):
     """Wrap-around contamination left a check or a fit too few clean samples."""
+
+
+@dataclass(frozen=True)
+class Series:
+    """u(t) = U(t) u0 at a set of times, evolved and guarded once.
+
+    ``clean`` holds the (t, u(t)) entries in time order, ``excluded`` the
+    (t, reason) entries whose edge mass exceeds ``CONTAMINATION_THRESHOLD``.
+    ``evolution`` gives u and its spectrum at any other time.
+    """
+
+    u0: SampledField
+    evolution: Evolution
+    clean: tuple
+    excluded: tuple
+
+    @classmethod
+    def evolve(cls, u0: SampledField, disp: DispersionPolynomial, times: Sequence[float]) -> "Series":
+        """Transform u0 once, then form and guard u(t) once at each distinct time."""
+        evolution = Evolution(u0, disp)
+        clean, excluded = [], []
+        for t in sorted({float(t) for t in times}):
+            ut = evolution.at(t)
+            frac = edge_mass_fraction(ut)
+            if frac > CONTAMINATION_THRESHOLD:
+                excluded.append((t, f"wrap-around edge mass {frac:.2e}"))
+            else:
+                clean.append((t, ut))
+        return cls(u0, evolution, tuple(clean), tuple(excluded))
+
+    def restrict(self, times) -> "Series":
+        """The sub-series at ``times``, each of which must be a time of this series."""
+        keep = {float(t) for t in times}
+        missing = keep.difference(t for t, _ in self.clean + self.excluded)
+        if missing:
+            raise ValueError(f"times {sorted(missing)} are not in the series")
+        clean, excluded = (tuple(e for e in part if e[0] in keep) for part in (self.clean, self.excluded))
+        return replace(self, clean=clean, excluded=excluded)
 
 
 @dataclass(frozen=True)
@@ -119,18 +160,25 @@ def fit_decay(times, values, window=None, excluded: tuple = ()) -> DecayFit:
     )
 
 
+def _ratio(lhs: float, rhs: float) -> float:
+    """lhs / rhs; inf (a violation) when lhs > 0 = rhs, nan (no evidence) when both are 0."""
+    if rhs > 0.0:
+        return lhs / rhs
+    return math.inf if lhs > 0.0 else math.nan
+
+
 def _report(name, samples, bound=None, tolerance=INEQUALITY_SLACK, detail=(), excluded=()):
     if excluded and not samples:
         t, reason = excluded[0]
         raise ContaminationError(
             f"{name}: all {len(excluded)} samples excluded, the first at t = {t:g} ({reason})"
         )
-    ratios = [lhs / rhs for (_, lhs, rhs) in samples if rhs > 0.0]
+    ratios = [r for r in (_ratio(lhs, rhs) for (_, lhs, rhs) in samples) if not math.isnan(r)]
     max_ratio = max(ratios) if ratios else 0.0
     if bound is None:  # stability-style bound: constant may wobble by x2
-        bound = STABILITY_FACTOR * min(ratios) if ratios else 0.0
+        bound = STABILITY_FACTOR * min((r for r in ratios if r < math.inf), default=0.0)
         detail = detail + (("bound_style", "stability"),)
-    passed = max_ratio <= bound + tolerance
+    passed = max_ratio <= bound + tolerance  # every bound is finite, so an inf ratio fails
     return InequalityReport(
         name=name,
         samples=tuple(samples),
@@ -143,64 +191,33 @@ def _report(name, samples, bound=None, tolerance=INEQUALITY_SLACK, detail=(), ex
     )
 
 
-def _propagation_series(evolution: Evolution, times):
-    """Evolve to each time, splitting clean samples from contaminated ones."""
-    clean, excluded = [], []
-    for t in times:
-        ut = evolution.at(float(t))
-        frac = edge_mass_fraction(ut)
-        if frac > CONTAMINATION_THRESHOLD:
-            excluded.append((float(t), f"wrap-around edge mass {frac:.2e}"))
-        else:
-            clean.append((float(t), ut))
-    return clean, excluded
-
-
-def check_dispersive_schrodinger(
-    u0: SampledField, times: Sequence[float], partition: DyadicPartition
-) -> InequalityReport:
+def check_dispersive_schrodinger(series: Series, partition: DyadicPartition) -> InequalityReport:
     """|t|^(d/2) sup |u(t)| against the dyadic X^{d/2,1} norm of the datum."""
-    d = u0.grid.dim
-    rhs = x_norm(u0, d / 2.0, 1, partition).value
-    clean, excluded = _propagation_series(Evolution(u0, schrodinger()), times)
-    samples = [(t, abs(t) ** (d / 2.0) * linf_norm(ut), rhs) for t, ut in clean]
-    return _report("schrodinger-dispersive-sup", samples, excluded=excluded)
+    d = series.u0.grid.dim
+    rhs = x_norm(series.u0, d / 2.0, 1, partition).value
+    samples = [(t, abs(t) ** (d / 2.0) * linf_norm(ut), rhs) for t, ut in series.clean]
+    return _report("schrodinger-dispersive-sup", samples, excluded=series.excluded)
 
 
-def _multiindices(axes: int, total: int):
-    return [alpha for alpha in _iter_product(range(total + 1), repeat=axes) if sum(alpha) <= total]
-
-
-def _ks_report(d: int, rows, excluded) -> InequalityReport:
-    """The weighted sup report from (t, ||u(t)||_inf, boost_norms(u(t), t, d)) rows."""
-    alphas = _multiindices(d, d)
-    samples = []
-    for t, sup, norms in rows:
-        rhs = sum(
-            norms[a] * norms[b]
-            for a in alphas
-            for b in alphas
-            if sum(a) + sum(b) == d
-        )
-        samples.append((t, abs(t) ** d * sup**2, rhs))
-    return _report("schrodinger-weighted-sup", samples, excluded=excluded)
-
-
-def check_ks_schrodinger(u0: SampledField, times: Sequence[float]) -> InequalityReport:
+def check_ks_schrodinger(series: Series, norms: dict) -> InequalityReport:
     """Weighted sup bound: |t|^d ||u||_inf^2 vs boost-norm products.
 
     rhs(t) sums ||W^a u(t)|| ||W^b u(t)|| over multi-index pairs with
-    |a| + |b| = d, all norms evaluated honestly at time t: ``boost_norms``
-    computes each ||W^alpha u(t)|| once per (t, alpha), from its parent.
+    |a| + |b| = d, all norms evaluated honestly at time t. ``norms`` maps
+    each clean time t to ``boost_norms(u(t), t, order)`` with order >= d,
+    so a runner that needs the same norms elsewhere boosts only once.
     """
-    d = u0.grid.dim
-    clean, excluded = _propagation_series(Evolution(u0, schrodinger()), times)
-    rows = [(t, linf_norm(ut), boost_norms(ut, t, d)) for t, ut in clean]
-    return _ks_report(d, rows, excluded)
+    d = series.u0.grid.dim
+    alphas = [alpha for alpha in _iter_product(range(d + 1), repeat=d) if sum(alpha) <= d]
+    samples = []
+    for t, ut in series.clean:
+        rhs = sum(norms[t][a] * norms[t][b] for a in alphas for b in alphas if sum(a) + sum(b) == d)
+        samples.append((t, abs(t) ** d * linf_norm(ut) ** 2, rhs))
+    return _report("schrodinger-weighted-sup", samples, excluded=series.excluded)
 
 
 def check_lp_decay(
-    u0: SampledField, theta: float, times: Sequence[float], partition: Optional[DyadicPartition] = None
+    series: Series, theta: float, partition: Optional[DyadicPartition] = None
 ) -> InequalityReport:
     """|t|^(theta d/2) L^p decay, p = 2/(1-theta), against dyadic/Sobolev data norms.
 
@@ -208,14 +225,14 @@ def check_lp_decay(
     """
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
+    u0 = series.u0
     d = u0.grid.dim
     p = 2.0 / (1.0 - theta)
-    clean, excluded = _propagation_series(Evolution(u0, schrodinger()), times)
     if theta == 0.0:
         rhs = lp_norm(u0, 2).value
-        samples = [(t, lp_norm(ut, 2).value, rhs) for t, ut in clean]
+        samples = [(t, lp_norm(ut, 2).value, rhs) for t, ut in series.clean]
         return _report(
-            "schrodinger-mass-conservation", samples, bound=1.0, tolerance=1e-12, excluded=excluded
+            "schrodinger-mass-conservation", samples, bound=1.0, tolerance=1e-12, excluded=series.excluded
         )
     s = theta * d / 2.0
     if partition is None:
@@ -223,17 +240,15 @@ def check_lp_decay(
     rhs_large_t = x_norm(u0, s, 2, partition).value
     rhs_all_t = weighted_l2(u0, s).value + hs_norm(u0, s).value
     samples, detail_rows = [], []
-    for t, ut in clean:
+    for t, ut in series.clean:
         lpv = lp_norm(ut, p).value
         samples.append((t, abs(t) ** s * lpv, rhs_large_t))
         detail_rows.append(((1.0 + t * t) ** (s / 2.0) * lpv) / rhs_all_t)
     detail = (("truncated_ratio_max", max(detail_rows) if detail_rows else 0.0),)
-    return _report(f"schrodinger-L{p:g}-decay", samples, detail=detail, excluded=excluded)
+    return _report(f"schrodinger-L{p:g}-decay", samples, detail=detail, excluded=series.excluded)
 
 
-def check_local_mass(
-    u0: SampledField, sigma: float, times: Sequence[float], partition: DyadicPartition
-) -> InequalityReport:
+def check_local_mass(series: Series, sigma: float, partition: DyadicPartition) -> InequalityReport:
     """|t|^sigma ||u(t)||_{X^{-sigma,2}} against ||u0||_{X^{sigma,2}}.
 
     The estimate is one-sided: it bounds the left side from above and no
@@ -241,20 +256,20 @@ def check_local_mass(
     mass of some u(t) has left the dyadic shell; the clipped norm is then
     smaller, so truncation cannot produce a false violation.
     """
-    d = u0.grid.dim
+    d = series.u0.grid.dim
     if not 0.0 <= sigma < d / 2.0:
         raise ValueError("sigma must lie in [0, d/2)")
-    rhs = x_norm(u0, sigma, 2, partition).value
-    clean, excluded = _propagation_series(Evolution(u0, schrodinger()), times)
+    rhs = x_norm(series.u0, sigma, 2, partition).value
     samples = []
     truncated = False
-    for t, ut in clean:
+    for t, ut in series.clean:
         nv = x_norm(ut, -sigma, 2, partition)
         truncated = truncated or nv.truncated
         samples.append((t, abs(t) ** sigma * nv.value, rhs))
     bound = math.sqrt(2.0) if sigma == 0.0 else None  # overlap sandwich at sigma = 0
     detail = (("window_truncated", truncated),)
-    return _report(f"schrodinger-local-mass-{sigma:g}", samples, bound=bound, detail=detail, excluded=excluded)
+    name = f"schrodinger-local-mass-{sigma:g}"
+    return _report(name, samples, bound=bound, detail=detail, excluded=series.excluded)
 
 
 def _airy_data_constant(u0: SampledField) -> float:
@@ -301,16 +316,16 @@ def _interpolate_real(grid, spectra: np.ndarray, probes: np.ndarray) -> np.ndarr
     return out
 
 
-def check_airy_pointwise(
-    u0: SampledField, times: Sequence[float], probes: Sequence[float]
-) -> InequalityReport:
+def check_airy_pointwise(series: Series, probes: Sequence[float]) -> InequalityReport:
     """3t (d_x u)^2 + x u^2 <= 2 ||d_x u0|| ||x u0|| + ||u0||^2 at every probe.
 
     The right side is built from the initial data only (its factors are
-    conserved); the estimate holds with constant exactly 1. u(t) and d_x u(t)
+    conserved); the estimate holds with constant exactly 1 and for t >= 0
+    only, so earlier times of the series are skipped. u(t) and d_x u(t)
     are evaluated at the probes through the trigonometric interpolant of the
     grid values, which is exact at nodes; probes must lie inside the grid.
     """
+    u0 = series.u0
     if u0.kind != "real":
         raise ValueError("the Airy pointwise bound is for real data")
     probes = np.asarray(probes, dtype=float)
@@ -318,27 +333,24 @@ def check_airy_pointwise(
     if np.any(probes < lo[0]) or np.any(probes > hi[0]):
         raise ValueError("probes must lie inside the grid")
     rhs = _airy_data_constant(u0)
-    evolution = Evolution(u0, airy())
-    clean, excluded = _propagation_series(evolution, [t for t in times if t >= 0.0])
-    if not clean:
-        return _report("airy-pointwise-weighted", [], bound=1.0, excluded=excluded)
-    (k,) = evolution.wavenumbers
+    series = series.restrict(t for t, _ in series.clean + series.excluded if t >= 0.0)
+    if not series.clean:
+        return _report("airy-pointwise-weighted", [], bound=1.0, excluded=series.excluded)
+    (k,) = series.evolution.wavenumbers
     spectra = []
-    for t, _ in clean:
-        s = evolution.spectrum(t)
+    for t, _ in series.clean:
+        s = series.evolution.spectrum(t)
         spectra += [s, 1j * k * s]
     values = _interpolate_real(u0.grid, np.stack(spectra, axis=1), probes)
     samples = []
-    for i, (t, _) in enumerate(clean):
+    for i, (t, _) in enumerate(series.clean):
         u, du = values[:, 2 * i], values[:, 2 * i + 1]
         lhs_all = 3.0 * t * du**2 + probes * u**2
         samples.append((t, float(np.max(lhs_all)), rhs))
-    return _report("airy-pointwise-weighted", samples, bound=1.0, excluded=excluded)
+    return _report("airy-pointwise-weighted", samples, bound=1.0, excluded=series.excluded)
 
 
-def check_airy_local_energy(
-    u0: SampledField, eps: float, times: Sequence[float]
-) -> InequalityReport:
+def check_airy_local_energy(series: Series, eps: float) -> InequalityReport:
     """|t| * || <x>^(-1/2-eps) d_x u(t) ||^2 against the initial-data constant.
 
     Integrating the pointwise bound against <x>^(-1-2eps) gives
@@ -347,59 +359,36 @@ def check_airy_local_energy(
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    u0 = series.u0
     rhs0 = _airy_data_constant(u0)
     x = u0.grid.axis(0)
     weight = (1.0 + x**2) ** (-0.5 - eps)
     i_eps = float(weight.sum() * u0.grid.cell_volume)
     rhs = (i_eps * rhs0 + l2_norm(u0) ** 2) / 3.0
-    clean, excluded = _propagation_series(Evolution(u0, airy()), times)
     samples = []
-    for t, ut in clean:
+    for t, ut in series.clean:
         du = spectral_derivative(ut, 1)
         energy = float(np.sum(weight * du.values**2) * u0.grid.cell_volume)
         samples.append((t, abs(t) * energy, rhs))
-    return _report(f"airy-local-energy-eps{eps:g}", samples, bound=1.0, excluded=excluded)
+    return _report(f"airy-local-energy-eps{eps:g}", samples, bound=1.0, excluded=series.excluded)
 
 
-def check_monomial_estimate(k: int, u0: SampledField, times: Sequence[float]) -> InequalityReport:
+def check_monomial_estimate(k: int, series: Series) -> InequalityReport:
     """t |d^(2k-2) u(t, x)|^2 at the spatial max against conserved products.
 
-    Uses the even-order evolution i d_t u + d^(2k) u = 0 with its derived
-    boost; k = 1 reproduces the Schrodinger-type structure.
+    The series evolves i d_t u + d^(2k) u = 0 (``even_order(k)``); k = 1
+    reproduces the Schrodinger-type structure.
     """
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    disp = even_order(k)
+    u0 = series.u0
     x = u0.grid.axis(0)
     xu0 = SampledField(u0.grid, x * u0.as_complex(), "complex")
     xnorm0 = l2_norm(xu0)
-    clean, excluded = _propagation_series(Evolution(u0, disp), times)
     samples = []
-    for t, ut in clean:
+    for t, ut in series.clean:
         dm = spectral_derivative(ut, 2 * k - 2)
         lhs = t * linf_norm(dm) ** 2
         rhs = l2_norm(dm) * xnorm0
         samples.append((t, lhs, rhs))
-    return _report(f"even-order-2k-pointwise-k{k}", samples, excluded=excluded)
-
-
-def airy_decay_experiment(
-    u0: SampledField,
-    times: Sequence[float],
-    derivative: bool = False,
-    half_line_from: Optional[float] = None,
-) -> DecayFit:
-    """Decay fit of the Airy sup norm, or of |d_x u| on a half line x >= x0."""
-    clean, excluded = _propagation_series(Evolution(u0, airy()), times)
-    if derivative:
-        x = u0.grid.axis(0)
-        mask = np.ones(x.shape, dtype=bool) if half_line_from is None else x >= half_line_from
-    ts, vals = [], []
-    for t, ut in clean:
-        if derivative:
-            du = spectral_derivative(ut, 1)
-            vals.append(float(np.max(np.abs(du.values[mask]))))
-        else:
-            vals.append(linf_norm(ut))
-        ts.append(t)
-    return fit_decay(ts, vals, excluded=tuple(excluded))
+    return _report(f"even-order-2k-pointwise-k{k}", samples, excluded=series.excluded)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -63,13 +63,8 @@ class DyadicPartition:
         return self.bumps.sum(axis=0)
 
 
-def build_dyadic_partition(grid: GridSpec, k_min: int, k_max: int) -> DyadicPartition:
-    """Bumps phi_k = cutoff(|x|/2^k) - cutoff(|x|/2^(k-1)) for k in [k_min, k_max].
-
-    The telescoping construction sums to exactly 1 on the shell
-    2^k_min <= |x| <= 2^k_max, each bump is smooth, nonnegative, supported in
-    its dyadic annulus, and only consecutive bumps overlap.
-    """
+def _check_window(grid: GridSpec, k_min: int, k_max: int) -> None:
+    """Raise ``ValueError`` unless the grid resolves and holds the annuli k_min..k_max."""
     if k_max < k_min:
         raise ValueError("empty dyadic window")
     if 2.0**k_min < 4.0 * max(grid.spacing):
@@ -80,6 +75,16 @@ def build_dyadic_partition(grid: GridSpec, k_min: int, k_max: int) -> DyadicPart
     half_extent = float(min(np.minimum(np.abs(lo), np.abs(hi))))
     if 2.0 ** (k_max + 1) > half_extent * (1 + 1e-12):
         raise ValueError(f"annulus k_max={k_max} does not fit in half-extent {half_extent:.3g}")
+
+
+def build_dyadic_partition(grid: GridSpec, k_min: int, k_max: int) -> DyadicPartition:
+    """Bumps phi_k = cutoff(|x|/2^k) - cutoff(|x|/2^(k-1)) for k in [k_min, k_max].
+
+    The telescoping construction sums to exactly 1 on the shell
+    2^k_min <= |x| <= 2^k_max, each bump is smooth, nonnegative, supported in
+    its dyadic annulus, and only consecutive bumps overlap.
+    """
+    _check_window(grid, k_min, k_max)
     r = np.sqrt(sum(x**2 for x in grid.meshgrid()))
     bumps = np.stack(
         [_radial_cutoff(r / 2.0**k) - _radial_cutoff(r / 2.0 ** (k - 1)) for k in range(k_min, k_max + 1)]

@@ -100,15 +100,16 @@ def apply_operator(op: CommutingOperator, u: SampledField, t: float) -> SampledF
     A complex ``u`` is used as it is; a real one is first taken to complex.
     """
     v = u if u.kind == "complex" else SampledField(u.grid, u.as_complex(), "complex")
+    # the sum is formed in place, so a boost of a large field keeps two fewer full-size temporaries alive
     if op.kind == "schrodinger_boost":
-        du = spectral_derivative(v, 1, axis=op.axis)
-        vals = t * du.values + 0.5j * _coordinate(u, op.axis) * v.values
+        vals = t * spectral_derivative(v, 1, axis=op.axis).values
+        vals += 0.5j * _coordinate(u, op.axis) * v.values
         return SampledField(u.grid, vals, "complex")
     if op.kind == "monomial_boost":
         if u.grid.dim != 1:
             raise ValueError("monomial boosts act on one-dimensional fields")
-        du = spectral_derivative(v, op.degree - 1)
-        vals = op.a * t * du.values + op.b * _coordinate(u, 0) * v.values
+        vals = op.a * t * spectral_derivative(v, op.degree - 1).values
+        vals += op.b * _coordinate(u, 0) * v.values
         return SampledField(u.grid, vals, "complex")
     raise ValueError(f"unknown operator kind {op.kind!r}")
 

@@ -94,13 +94,14 @@ class Evolution:
             axes = (grid.wavenumbers(i) for i in range(grid.dim))
             self.wavenumbers = np.meshgrid(*axes, indexing="ij", sparse=True)
             self._hat = np.fft.fftn(u0.as_complex())
-        self._symbol = sum(disp.symbol_1d(k) for k in self.wavenumbers)  # separable symbol
+        # the symbol is separable; its full-grid sum is formed per call, not kept alive with the series
+        self._symbols = [disp.symbol_1d(k) for k in self.wavenumbers]
 
     def spectrum(self, t: float) -> np.ndarray:
         """The transform of u(t), laid out as ``rfft`` or ``fftn`` lays it out."""
         # np.multiply fixes the operand order: numpy may evaluate ``hat * tmp``
         # as ``tmp * hat`` in place, and the two round differently
-        out = np.multiply(self._hat, np.exp(t * self._symbol))
+        out = np.multiply(self._hat, np.exp(t * sum(self._symbols)))
         if self.real and self.grid.points[0] % 2 == 0:
             out[-1] = out[-1].real  # real data have a real Nyquist mode; irfft reads only that
         return out

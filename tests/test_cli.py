@@ -135,6 +135,10 @@ class TestExitCodes:
                 "[experiment]\nid = cube-translation\n[datum]\nside = -1.0\n",
                 "datum: cube side must be positive",
             ),
+            (  # the widest random packet, Gaussian(-5, 4), reaches |x| = 32; the box stops at 12
+                "[experiment]\nid = commutation-suite\n[grid]\nhalf_width = 12.0\npoints = 256\n",
+                "; widen grid.half_width",
+            ),
         ],
     )
     def test_2_from_validate_when_the_box_cannot_hold_the_datum(self, tmp_path, capsys, text, wanted):
@@ -142,6 +146,15 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert err.startswith("config error: ") and wanted in err and "Traceback" not in err
         assert out == ""  # no resolved config is echoed
+
+    @pytest.mark.parametrize("exp_id", ["lp-decay", "schrodinger-xnorm", "local-mass", "cube-translation"])
+    def test_2_when_the_grid_cannot_resolve_the_dyadic_annuli(self, tmp_path, capsys, exp_id):
+        path = _write(tmp_path, f"[experiment]\nid = {exp_id}\n[grid]\npoints = 64\n")
+        assert cli.main(["validate", "--config", path]) == 2
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error: ") == 2 and "grid.points, grid.k_min" in err
+        assert "cannot resolve annuli" in err and not (tmp_path / "out").exists()
 
     def test_2_for_a_missing_file(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "absent.ini")]) == 2
@@ -169,6 +182,36 @@ class TestExitCodes:
         assert _run(tmp_path, text) == 3
         assert "0 clean boost-norm drift times in d2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def _sweep_value(section, key):
+    """The small value the sweep gives a key, or None for a key it leaves alone."""
+    if section == "grid" and key.startswith("points"):
+        return "64"
+    if section == "datum" and key.startswith("width"):
+        return "0.5"
+    if (section, key) == ("times", "t_min"):
+        return "0.5"
+    return None
+
+
+SWEEP = [
+    (exp_id, section, key, _sweep_value(section, key))
+    for exp_id in IDS
+    for section, items in default_config(exp_id).sections
+    for key, _ in items
+    if _sweep_value(section, key) is not None
+]
+
+
+@pytest.mark.parametrize(
+    "exp_id, section, key, value", SWEEP, ids=[f"{e}-{s}.{k}" for e, s, k, _ in SWEEP]
+)
+def test_a_small_value_exits_with_a_verdict_not_a_traceback(tmp_path, capsys, exp_id, section, key, value):
+    # one key at a time; an uncaught exception would propagate out of main and fail the test
+    code = _run(tmp_path, f"[experiment]\nid = {exp_id}\n[{section}]\n{key} = {value}\n", "--threads", "1")
+    out = capsys.readouterr().out
+    assert code in (0, 2, 3) or (code == 1 and f"{exp_id}: FAIL" in out)
 
 
 def test_schrodinger_ks_drift_does_not_need_the_checkpoints(tmp_path):

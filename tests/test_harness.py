@@ -5,15 +5,30 @@ import math
 import numpy as np
 import pytest
 
-from decaylab.fields import Gaussian, GridSpec, sample, spectral_derivative
+from decaylab.fields import Gaussian, GridSpec, linf_norm, sample, spectral_derivative
 from decaylab.norms import build_dyadic_partition, x_norm
-from decaylab.propagators import Evolution, airy, schrodinger
+from decaylab.operators import boost_norms
+from decaylab.propagators import Evolution, airy, even_order, schrodinger
 from decaylab import harness as hz
 
 
 def complex_sample(datum, grid):
     f = sample(datum, grid)
     return f.with_values(f.values.astype(np.complex128), "complex")
+
+
+def schrodinger_series(u0, times):
+    return hz.Series.evolve(u0, schrodinger(), times)
+
+
+def airy_series(u0, times):
+    return hz.Series.evolve(u0, airy(), times)
+
+
+def ks_check(u0, times):
+    series = schrodinger_series(u0, times)
+    d = u0.grid.dim
+    return hz.check_ks_schrodinger(series, {t: boost_norms(ut, t, d) for t, ut in series.clean})
 
 
 class TestFitDecay:
@@ -50,6 +65,32 @@ class TestFitDecay:
         assert not isinstance(info.value, hz.ContaminationError)
 
 
+class TestSeries:
+    def test_restrict_splits_clean_and_excluded_times(self):
+        # a small box: by t = 100 the packet has wrapped around, at t <= 1 it has not
+        grid = GridSpec.centered(40.0, 1024, dim=1)
+        u0 = complex_sample(Gaussian(2.2, 0.25), grid)
+        series = schrodinger_series(u0, [100.0, 1.0, 0.5, 1.0])
+        assert [t for t, _ in series.clean] == [0.5, 1.0]
+        assert [t for t, _ in series.excluded] == [100.0]
+        assert series.excluded[0][1].startswith("wrap-around edge mass")
+        sub = series.restrict([1.0, 100.0])
+        assert [t for t, _ in sub.clean] == [1.0] and sub.excluded == series.excluded
+        assert sub.clean[0][1] is series.clean[1][1] and sub.evolution is series.evolution
+        with pytest.raises(ValueError, match="not in the series"):
+            series.restrict([2.0])
+
+
+class TestRatioRule:
+    def test_lhs_above_a_zero_rhs_fails(self):
+        # the datum samples to the one node x = 0, so ||x u0|| = 0 while d^2 u(t) is not 0
+        grid = GridSpec.centered(4300.0, 64, dim=1)
+        u0 = complex_sample(Gaussian(0.0, 2.0), grid)
+        rep = hz.check_monomial_estimate(2, hz.Series.evolve(u0, even_order(2), [1.0, 2.0]))
+        assert all(lhs > 0.0 == rhs for _, lhs, rhs in rep.samples)
+        assert rep.max_ratio == math.inf and rep.bound == 0.0 and not rep.passed
+
+
 @pytest.fixture(scope="module")
 def shell_setup():
     grid = GridSpec.centered(1600.0, 32768, dim=1)
@@ -62,13 +103,13 @@ class TestDispersiveCheck:
     def test_zero_datum_passes(self, shell_setup):
         grid, part, _ = shell_setup
         zero = complex_sample(Gaussian(2.2, 0.25, amplitude=0.0), grid)
-        rep = hz.check_dispersive_schrodinger(zero, [1.0, 2.0], part)
+        rep = hz.check_dispersive_schrodinger(schrodinger_series(zero, [1.0, 2.0]), part)
         assert rep.passed and rep.max_ratio == 0.0
 
     def test_ratio_stable(self, shell_setup):
         _, part, u0 = shell_setup
         times = [1.0, 2.0, 4.0, 8.0, 16.0]
-        rep = hz.check_dispersive_schrodinger(u0, times, part)
+        rep = hz.check_dispersive_schrodinger(schrodinger_series(u0, times), part)
         ratios = [l / r for (_, l, r) in rep.samples]
         assert rep.passed
         assert max(ratios) <= 2.0 * min(ratios)
@@ -77,7 +118,7 @@ class TestDispersiveCheck:
         # lhs at t matches sqrt(t) * w (w^4 + 4 t^2)^(-1/4) for the shifted Gaussian
         _, part, u0 = shell_setup
         t, w = 16.0, 0.25
-        rep = hz.check_dispersive_schrodinger(u0, [t], part)
+        rep = hz.check_dispersive_schrodinger(schrodinger_series(u0, [t]), part)
         lhs = rep.samples[0][1]
         assert lhs == pytest.approx(math.sqrt(t) * w * (w**4 + 4 * t * t) ** -0.25, rel=1e-6)
 
@@ -86,7 +127,7 @@ class TestKsCheck:
     def test_ratio_level(self):
         grid = GridSpec.centered(800.0, 8192, dim=1)
         u0 = complex_sample(Gaussian(0.0, 1.0), grid)
-        rep = hz.check_ks_schrodinger(u0, [1.0, 4.0, 16.0])
+        rep = ks_check(u0, [1.0, 4.0, 16.0])
         assert rep.passed
         # rhs = 2 ||u|| ||W u|| = sqrt(pi/2); lhs -> 1/2 sup^2 scaling
         t, lhs, rhs = rep.samples[-1]
@@ -97,16 +138,13 @@ class TestKsCheck:
         # the 2-d ratio is predicted by the 1-d boost-norm structure
         grid2 = GridSpec.centered(120.0, 512, dim=2)
         u2 = complex_sample(Gaussian((0.0, 0.0), (1.3, 1.3)), grid2)
-        rep2 = hz.check_ks_schrodinger(u2, [2.0])
+        rep2 = ks_check(u2, [2.0])
         t, lhs2, rhs2 = rep2.samples[0]
 
         grid1 = GridSpec.centered(120.0, 1024, dim=1)
         u1 = complex_sample(Gaussian(0.0, 1.3), grid1)
-        rep1 = hz.check_ks_schrodinger(u1, [2.0])
+        rep1 = ks_check(u1, [2.0])
         _, lhs1, rhs1 = rep1.samples[0]
-        from decaylab.operators import boost_norms
-        from decaylab.propagators import Evolution, schrodinger
-
         norms = boost_norms(Evolution(u1, schrodinger()).at(2.0), 2.0, 2)
         n = [norms[(k,)] for k in (0, 1, 2)]
         predicted_rhs2 = 4 * n[0] ** 3 * n[2] + 6 * n[0] ** 2 * n[1] ** 2
@@ -118,7 +156,7 @@ class TestKsCheck:
 class TestLpAndLocalMass:
     def test_theta_zero_is_mass_conservation(self, shell_setup):
         _, _, u0 = shell_setup
-        rep = hz.check_lp_decay(u0, 0.0, [1.0, 3.0, 9.0])
+        rep = hz.check_lp_decay(schrodinger_series(u0, [1.0, 3.0, 9.0]), 0.0)
         assert rep.passed
         for _, lhs, rhs in rep.samples:
             assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -126,7 +164,7 @@ class TestLpAndLocalMass:
     def test_theta_half_rate(self, shell_setup):
         _, part, u0 = shell_setup
         times = [5.0 * 2 ** (0.5 * k) for k in range(8)]
-        rep = hz.check_lp_decay(u0, 0.5, times, part)
+        rep = hz.check_lp_decay(schrodinger_series(u0, times), 0.5, part)
         assert rep.passed
         l4 = [l / t**0.25 for (t, l, _) in rep.samples]
         fit = hz.fit_decay([s[0] for s in rep.samples], l4)
@@ -135,14 +173,14 @@ class TestLpAndLocalMass:
     def test_theta_guard(self, shell_setup):
         _, part, u0 = shell_setup
         with pytest.raises(ValueError):
-            hz.check_lp_decay(u0, 1.0, [1.0], part)
+            hz.check_lp_decay(schrodinger_series(u0, [1.0]), 1.0, part)
 
     def test_local_mass_sigma_zero_sandwich(self, shell_setup):
         _, part, u0 = shell_setup
         # The estimate is an upper bound. From sum phi_k^2 >= (sum phi_k)^2 / 2,
         # ||u(t)|| = ||u0|| and X(u0) <= ||u0||, the ratio is at least
         # 2^(-1/2) (1 - ofs(t)), ofs the mass fraction that has left the shell.
-        rep = hz.check_local_mass(u0, 0.0, [1.0, 4.0, 16.0], part)
+        rep = hz.check_local_mass(schrodinger_series(u0, [1.0, 4.0, 16.0]), 0.0, part)
         assert rep.passed
         assert dict(rep.detail)["window_truncated"]
         for t, lhs, rhs in rep.samples:
@@ -156,12 +194,12 @@ class TestLpAndLocalMass:
         part = build_dyadic_partition(grid, 0, 2)
         u0 = complex_sample(Gaussian(2.2, 0.25), grid)
         with pytest.raises(hz.ContaminationError, match="all 2 samples excluded"):
-            hz.check_local_mass(u0, 0.25, [100.0, 200.0], part)
+            hz.check_local_mass(schrodinger_series(u0, [100.0, 200.0]), 0.25, part)
 
     def test_local_mass_sigma_guard(self, shell_setup):
         _, part, u0 = shell_setup
         with pytest.raises(ValueError):
-            hz.check_local_mass(u0, 0.6, [1.0], part)
+            hz.check_local_mass(schrodinger_series(u0, [1.0]), 0.6, part)
 
 
 AIRY_GRID = GridSpec.centered(1500.0, 32768, dim=1)
@@ -173,14 +211,14 @@ class TestAiryChecks:
         return sample(Gaussian(0.0, 1.0 / math.sqrt(2.0)), AIRY_GRID)  # exp(-x^2)
 
     def test_pointwise_constant_free_bound(self, airy_u0):
-        rep = hz.check_airy_pointwise(airy_u0, [0.0, 1.0, 4.0, 16.0], np.linspace(-50, 50, 21))
+        rep = hz.check_airy_pointwise(airy_series(airy_u0, [0.0, 1.0, 4.0, 16.0]), np.linspace(-50, 50, 21))
         assert rep.passed and rep.bound == 1.0
         # rhs = 2 sqrt(pi/2) from the Gaussian moments
         assert rep.samples[0][2] == pytest.approx(2.0 * math.sqrt(math.pi / 2.0), rel=1e-8)
 
     def test_pointwise_t_zero_from_calculus(self, airy_u0):
         # max of x exp(-2 x^2) sits at x = 1/2
-        rep = hz.check_airy_pointwise(airy_u0, [0.0], np.linspace(-50, 50, 2001))
+        rep = hz.check_airy_pointwise(airy_series(airy_u0, [0.0]), np.linspace(-50, 50, 2001))
         lhs0 = rep.samples[0][1]
         assert lhs0 == pytest.approx(0.5 * math.exp(-0.5), rel=1e-4)
 
@@ -189,7 +227,7 @@ class TestAiryChecks:
         x = AIRY_GRID.axis(0)
         idx = np.abs(x[:, None] - np.linspace(-50, 50, 41)).argmin(axis=0)
         times = [0.0, 1.0, 4.0, 20.0]
-        rep = hz.check_airy_pointwise(airy_u0, times, x[idx])
+        rep = hz.check_airy_pointwise(airy_series(airy_u0, times), x[idx])
         for t, (ts, lhs, _) in zip(times, rep.samples):
             ut = Evolution(airy_u0, airy()).at(t)
             du = spectral_derivative(ut, 1)
@@ -198,12 +236,12 @@ class TestAiryChecks:
             assert lhs == pytest.approx(node, rel=1e-12)
 
     def test_local_energy_bound(self, airy_u0):
-        rep = hz.check_airy_local_energy(airy_u0, 0.5, [1.0, 4.0, 16.0])
+        rep = hz.check_airy_local_energy(airy_series(airy_u0, [1.0, 4.0, 16.0]), 0.5)
         assert rep.passed and rep.bound == 1.0
 
     def test_sup_decay_rate(self, airy_u0):
-        times = [2.0 * 2 ** (0.25 * k) for k in range(14)]
-        fit = hz.airy_decay_experiment(airy_u0, times)
+        series = airy_series(airy_u0, [2.0 * 2 ** (0.25 * k) for k in range(14)])
+        fit = hz.fit_decay([t for t, _ in series.clean], [linf_norm(ut) for _, ut in series.clean])
         assert fit.slope == pytest.approx(-1.0 / 3.0, abs=0.1)
 
     def test_contamination_excludes_and_still_passes(self):
@@ -211,7 +249,7 @@ class TestAiryChecks:
         # dropped with a reason and the surviving report still passes
         grid = GridSpec.centered(150.0, 4096, dim=1)
         u0 = sample(Gaussian(0.0, 1.0 / math.sqrt(2.0)), grid)
-        rep = hz.check_airy_pointwise(u0, [0.5, 1.0, 2.0, 30.0, 60.0], np.linspace(-20, 20, 11))
+        rep = hz.check_airy_pointwise(airy_series(u0, [0.5, 1.0, 2.0, 30.0, 60.0]), np.linspace(-20, 20, 11))
         assert len(rep.excluded) >= 1
         assert rep.passed
 
@@ -219,30 +257,33 @@ class TestAiryChecks:
         grid = GridSpec.centered(150.0, 4096, dim=1)
         u0 = sample(Gaussian(0.0, 1.0 / math.sqrt(2.0)), grid)
         with pytest.raises(ValueError, match="inside the grid"):
-            hz.check_airy_pointwise(u0, [0.0], [0.0, 151.0])
+            hz.check_airy_pointwise(airy_series(u0, [0.0]), [0.0, 151.0])
 
     def test_insufficient_window_raises(self):
         grid = GridSpec.centered(150.0, 4096, dim=1)
         u0 = sample(Gaussian(0.0, 1.0 / math.sqrt(2.0)), grid)
+        series = airy_series(u0, [20.0, 40.0, 80.0, 160.0, 320.0])
         with pytest.raises(ValueError, match="insufficient"):
-            hz.airy_decay_experiment(u0, [20.0, 40.0, 80.0, 160.0, 320.0])
+            hz.fit_decay(
+                [t for t, _ in series.clean], [linf_norm(ut) for _, ut in series.clean], excluded=series.excluded
+            )
 
 
 class TestMonomialCheck:
     def test_k1_matches_schrodinger_structure(self):
         grid = GridSpec.centered(320.0, 4096, dim=1)
         u0 = complex_sample(Gaussian(0.0, 1.0), grid)
-        rep = hz.check_monomial_estimate(1, u0, [1.0, 2.0, 4.0, 8.0])
+        rep = hz.check_monomial_estimate(1, hz.Series.evolve(u0, even_order(1), [1.0, 2.0, 4.0, 8.0]))
         assert rep.passed
 
     def test_k2_band_limited_bump(self):
         grid = GridSpec.centered(4300.0, 16384, dim=1)
         u0 = complex_sample(Gaussian(0.0, 2.0), grid)
-        rep = hz.check_monomial_estimate(2, u0, [1.0, 2.0, 4.0, 8.0, 16.0])
+        rep = hz.check_monomial_estimate(2, hz.Series.evolve(u0, even_order(2), [1.0, 2.0, 4.0, 8.0, 16.0]))
         assert rep.passed
 
     def test_k_guard(self):
         grid = GridSpec.centered(320.0, 4096, dim=1)
         u0 = complex_sample(Gaussian(0.0, 1.0), grid)
         with pytest.raises(ValueError):
-            hz.check_monomial_estimate(3, u0, [1.0])
+            hz.check_monomial_estimate(3, hz.Series.evolve(u0, even_order(2), [1.0]))
