@@ -9,7 +9,10 @@ Exit codes:
    names an unknown section or key, or holds an out-of-range value (found at
    load time or by the runner), or whose grid box is too small for its datum
    (found at load time, so by ``validate`` too; a ``SupportOverflowError``
-   from a runner also maps here); no report is written.
+   from a runner also maps here), or whose grid spacing is above half the
+   ``feature_scale()`` of a sampled datum, so the grid does not resolve it
+   (found at load time; indicator data have no feature scale and are not
+   checked); no report is written.
 3  numerical contamination: wrap-around excluded every sample of a check,
    left a decay fit fewer than 5 samples, or left a boost-norm drift of
    ``schrodinger-ks`` fewer than 2 clean times; no report is written.

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import transport as tr
 from .fields import BUMP_PROFILE_ID, BumpLambda, CubeIndicator, Gaussian, GridSpec, product_gaussian_phase
-from .fields import SupportOverflowError, _check_support, l2_norm, linf_norm, sample, spectral_derivative
+from .fields import OracleUnavailable, SupportOverflowError, _check_support, l2_norm, linf_norm
+from .fields import sample, spectral_derivative
 from .harness import (
     ContaminationError,
     DecayFit,
@@ -196,7 +197,10 @@ def _check_ranges(sections: dict) -> None:
 
 def _check_boxes(config: ExperimentConfig) -> None:
     """The grid checks of ``sample`` and ``build_dyadic_partition`` at parse time,
-    so ``validate`` refuses what ``run`` would."""
+    so ``validate`` refuses what ``run`` would, and one more: a grid spacing
+    above half a sampled datum's ``feature_scale()`` does not resolve it, and
+    the samples would report a sampling artefact as a violated estimate.
+    Indicator data have no feature scale and are not checked for it."""
     grid = config.as_dict().get("grid", {})
     if "k_min" in grid:
         try:
@@ -208,10 +212,21 @@ def _check_boxes(config: ExperimentConfig) -> None:
     except ValueError as err:
         raise ConfigError(f"datum: {err}") from None
     for suffix, datum in data:
+        spec = _grid(config, suffix, datum.ndim)
         try:
-            _check_support(datum, _grid(config, suffix, datum.ndim))
+            _check_support(datum, spec)
         except SupportOverflowError as err:
             raise ConfigError(f"{err}; widen grid.half_width{suffix}") from None
+        try:
+            scale = datum.feature_scale()
+        except OracleUnavailable:
+            continue
+        spacing = max(spec.spacing)
+        if scale < 2.0 * spacing:
+            raise ConfigError(
+                f"grid spacing {spacing:.6g} does not resolve the datum's feature scale {scale:.6g} "
+                f"(needs spacing <= {0.5 * scale:.6g}); raise grid.points{suffix} or narrow grid.half_width{suffix}"
+            )
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -128,7 +128,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SampledField:
-    """Complex or real samples on a periodic grid."""
+    """Complex or real samples on a periodic grid.
+
+    The field takes the ``values`` array it is given and freezes it: an
+    array that is already C-contiguous of the kind's dtype (float64 or
+    complex128) is kept as it is, shared and made read-only, so a caller must
+    not write to it afterwards; any other input is copied once.
+    """
 
     grid: GridSpec
     values: np.ndarray
@@ -145,11 +151,12 @@ class SampledField:
                 if np.max(np.abs(vals.imag)) > 1e-12 * max(1.0, np.max(np.abs(vals.real))):
                     raise ValueError("real-kind field has a non-negligible imaginary part")
                 vals = vals.real
-            vals = vals.astype(np.float64, copy=True)
+            dtype = np.float64
         elif self.kind == "complex":
-            vals = vals.astype(np.complex128, copy=True)
+            dtype = np.complex128
         else:
             raise ValueError("kind must be 'real' or 'complex'")
+        vals = np.ascontiguousarray(vals, dtype)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -210,7 +217,9 @@ def spectral_derivative(field: SampledField, order: int, axis: int = 0) -> Sampl
     shape = [1] * field.grid.dim
     shape[axis] = k.size
     mult = (1j * k.reshape(shape)) ** order
-    out = np.fft.ifft(np.fft.fft(field.as_complex(), axis=axis) * mult, axis=axis)
+    spec = np.fft.fft(field.as_complex(), axis=axis)
+    spec *= mult
+    out = np.fft.ifft(spec, axis=axis, out=spec)
     if field.kind == "real":
         return field.with_values(out.real)
     return field.with_values(out)

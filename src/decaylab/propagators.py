@@ -94,14 +94,20 @@ class Evolution:
             axes = (grid.wavenumbers(i) for i in range(grid.dim))
             self.wavenumbers = np.meshgrid(*axes, indexing="ij", sparse=True)
             self._hat = np.fft.fftn(u0.as_complex())
-        # the symbol is separable; its full-grid sum is formed per call, not kept alive with the series
+        # the symbol is separable, sigma(xi) = sum_j sigma_j(xi_j): one 1-d symbol per axis
         self._symbols = [disp.symbol_1d(k) for k in self.wavenumbers]
 
     def spectrum(self, t: float) -> np.ndarray:
-        """The transform of u(t), laid out as ``rfft`` or ``fftn`` lays it out."""
+        """The transform of u(t), laid out as ``rfft`` or ``fftn`` lays it out.
+
+        The multiplier is applied as one factor exp(t sigma_j(xi_j)) per axis,
+        so no exponential of a full-grid phase is taken.
+        """
         # np.multiply fixes the operand order: numpy may evaluate ``hat * tmp``
         # as ``tmp * hat`` in place, and the two round differently
-        out = np.multiply(self._hat, np.exp(t * sum(self._symbols)))
+        out = np.multiply(self._hat, np.exp(t * self._symbols[0]))
+        for symbol in self._symbols[1:]:
+            out *= np.exp(t * symbol)
         if self.real and self.grid.points[0] % 2 == 0:
             out[-1] = out[-1].real  # real data have a real Nyquist mode; irfft reads only that
         return out
@@ -110,7 +116,7 @@ class Evolution:
         spec = self.spectrum(t)
         if self.real:
             return SampledField(self.grid, np.fft.irfft(spec, n=self.grid.points[0]), "real")
-        return SampledField(self.grid, np.fft.ifftn(spec), "complex")
+        return SampledField(self.grid, np.fft.ifftn(spec, out=spec), "complex")
 
 
 def edge_mass_fraction(field: SampledField) -> float:

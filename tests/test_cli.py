@@ -156,6 +156,28 @@ class TestExitCodes:
         assert err.count("config error: ") == 2 and "grid.points, grid.k_min" in err
         assert "cannot resolve annuli" in err and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "exp_id, key",
+        [
+            ("schrodinger-decay", "points"),
+            ("airy-pointwise", "points"),
+            ("airy-local-energy", "points"),
+            ("airy-decay", "points"),
+            ("monomial-2k", "points_k1"),
+            ("monomial-2k", "points_k2"),
+            ("commutation-suite", "points"),
+            ("schrodinger-ks", "points_1d"),
+        ],
+    )
+    def test_2_when_the_grid_cannot_resolve_the_datum(self, tmp_path, capsys, exp_id, key):
+        # 64 points leave a spacing of 10 to 150, where the data vary over 0.7 to 4
+        path = _write(tmp_path, f"[experiment]\nid = {exp_id}\n[grid]\n{key} = 64\n")
+        assert cli.main(["validate", "--config", path]) == 2
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error: grid spacing ") == 2 and f"raise grid.{key}" in err
+        assert "does not resolve the datum's feature scale" in err and not (tmp_path / "out").exists()
+
     def test_2_for_a_missing_file(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "absent.ini")]) == 2
 

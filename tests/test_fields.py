@@ -90,6 +90,28 @@ class TestSampledField:
         fresh[0] = 5.0
         assert r.values[0] == 0.0 and r.as_complex()[0] == 0.0
 
+    def test_takes_a_contiguous_array_of_its_dtype_and_freezes_it(self):
+        g = GridSpec.centered(5.0, 16, dim=1)
+        vals = np.exp(1j * g.axis(0))
+        z = SampledField(g, vals, "complex")
+        assert np.shares_memory(z.values, vals) and not vals.flags.writeable
+
+    @pytest.mark.parametrize(
+        "dim, vals, kind",
+        [
+            (1, (np.arange(32) + 1j)[::2], "complex"),  # strided
+            (2, np.arange(256.0).reshape(16, 16).T + 0j, "complex"),  # Fortran order
+            (1, np.arange(16.0) + 0j, "real"),  # real part of a complex array
+            (1, np.arange(16, dtype=np.float32), "real"),  # another dtype
+        ],
+    )
+    def test_copies_other_input_into_a_contiguous_array(self, dim, vals, kind):
+        f = SampledField(GridSpec.centered(5.0, 16, dim=dim), vals, kind)
+        assert f.values.flags.c_contiguous and not f.values.flags.writeable
+        assert f.values.dtype == (np.complex128 if kind == "complex" else np.float64)
+        assert not np.shares_memory(f.values, vals) and vals.flags.writeable
+        np.testing.assert_array_equal(f.values, vals if kind == "complex" else vals.real)
+
 
 class TestSpectralDerivative:
     def test_fourier_eigenfunction(self):

@@ -98,6 +98,24 @@ class TestEvolution:
             ev.spectrum(t)
         assert forward == ["rfft"]
 
+    def test_one_dimensional_spectrum_is_hat_times_the_multiplier(self, schrodinger_gaussian):
+        sigma = pr.schrodinger().symbol_1d(schrodinger_gaussian.grid.wavenumbers(0))
+        hat = np.fft.fftn(schrodinger_gaussian.values)
+        spectrum = pr.Evolution(schrodinger_gaussian, pr.schrodinger()).spectrum(16.0)
+        assert np.array_equal(spectrum, hat * np.exp(16.0 * sigma))
+
+    def test_two_dimensional_spectrum_matches_the_summed_phase(self):
+        # the schrodinger-ks spacing: at t = 16 the summed phase t(k0^2 + k1^2) reaches 2e3 rad,
+        # and the per-axis factors must agree with its exponential to rounding
+        grid = GridSpec.centered(50.0, 256, dim=2)
+        u0 = complex_sample(Gaussian((0.0, 0.0), (1.3, 1.3)), grid)
+        k0, k1 = np.meshgrid(grid.wavenumbers(0), grid.wavenumbers(1), indexing="ij", sparse=True)
+        sigma = pr.schrodinger().symbol_1d(k0) + pr.schrodinger().symbol_1d(k1)
+        assert 16.0 * np.abs(sigma).max() > 2e3
+        expected = np.fft.fftn(u0.values) * np.exp(16.0 * sigma)
+        spectrum = pr.Evolution(u0, pr.schrodinger()).spectrum(16.0)
+        np.testing.assert_allclose(spectrum, expected, rtol=1e-12, atol=0.0)
+
     def test_two_dimensional_schrodinger_is_separable(self):
         # exp(-|x|^2/2) evolves as the product of two one-dimensional solutions
         grid1 = GridSpec.centered(40.0, 256, dim=1)

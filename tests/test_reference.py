@@ -2,12 +2,17 @@
 
 ``counterexample``, ``cube-translation`` and ``schrodinger-decay`` take well
 under a second at their default configs and between them go through the pair
-quadrature, the gradient oracles, the translated X norm and ``sample``.
-``schrodinger-ks`` takes about 3 s; it is here because its boost norms come
-from the depth-first walk of ``boost_norms``, which claims the same bits as
-applying each W^alpha as a plain chain of boosts. The fits, inequality
-ratios and sample rows of these four must equal ``perfbench/reference.json``
-bit for bit.
+quadrature, the gradient oracles, the translated X norm and ``sample``. The
+fits, inequality ratios and sample rows of these three must equal
+``perfbench/reference.json`` bit for bit.
+
+``schrodinger-ks`` takes about 2 s. Its 2-d evolution applies the Schrodinger
+multiplier as one factor exp(t sigma_j(xi_j)) per axis, not as the
+exponential of the summed full-grid phase the reference was recorded with;
+at t = 16 that phase reaches about 2e3 rad, so the two differ in the last
+bits and its rows and ratios moved by up to 6e-16 relative. They are compared
+within 1e-13 relative. The bit identity of its boost-norm walk with a plain
+chain of boosts is pinned by ``tests/test_operators.py``.
 
 ``vlasov-decay`` and ``transport-degenerate`` (under a second each) guard the
 adaptive sup search. Its refinement finds each sup to about 1e-12, so their
@@ -28,6 +33,8 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 # The benchmark's correctness gate, |value - ref| <= 1e-6 * |ref| + 1e-12,
 # restated from perfbench/workloads.py (REFERENCE_REL_TOL, REFERENCE_ABS_TOL).
 GATE_REL, GATE_ABS = 1e-6, 1e-12
+# schrodinger-ks: rounding of the per-axis multiplier, with room above the 6e-16 seen
+KS_REL = 1e-13
 
 
 @pytest.fixture(scope="module")
@@ -45,23 +52,30 @@ def _report(exp_id, monkeypatch):
     return json.loads(run(default_config(exp_id)).to_json())
 
 
-@pytest.mark.parametrize("exp_id", ["counterexample", "cube-translation", "schrodinger-decay", "schrodinger-ks"])
+@pytest.mark.parametrize("exp_id", ["counterexample", "cube-translation", "schrodinger-decay"])
 def test_rows_equal_reference(exp_id, reference, monkeypatch):
     ref = reference[exp_id]
     assert _numbers(_report(exp_id, monkeypatch)) == (ref["samples"], ref["fits"], ref["inequalities"])
 
 
-def _within_gate(got, ref):
+def _within(got, ref, rel, abs_):
     if isinstance(ref, dict):
-        return got.keys() == ref.keys() and all(_within_gate(got[k], ref[k]) for k in ref)
+        return got.keys() == ref.keys() and all(_within(got[k], ref[k], rel, abs_) for k in ref)
     if isinstance(ref, (list, tuple)):
-        return len(got) == len(ref) and all(_within_gate(g, r) for g, r in zip(got, ref))
+        return len(got) == len(ref) and all(_within(g, r, rel, abs_) for g, r in zip(got, ref))
     if isinstance(ref, float):
-        return abs(got - ref) <= GATE_REL * abs(ref) + GATE_ABS
+        return abs(got - ref) <= rel * abs(ref) + abs_
     return got == ref
+
+
+def test_schrodinger_ks_rows_within_rounding(reference, monkeypatch):
+    ref = reference["schrodinger-ks"]
+    got = _numbers(_report("schrodinger-ks", monkeypatch))
+    assert _within(got, (ref["samples"], ref["fits"], ref["inequalities"]), KS_REL, 0.0)
 
 
 @pytest.mark.parametrize("exp_id", ["vlasov-decay", "transport-degenerate"])
 def test_transport_rows_within_gate(exp_id, reference, monkeypatch):
     ref = reference[exp_id]
-    assert _within_gate(_numbers(_report(exp_id, monkeypatch)), (ref["samples"], ref["fits"], ref["inequalities"]))
+    got = _numbers(_report(exp_id, monkeypatch))
+    assert _within(got, (ref["samples"], ref["fits"], ref["inequalities"]), GATE_REL, GATE_ABS)
