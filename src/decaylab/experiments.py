@@ -1058,8 +1058,9 @@ def catalog() -> dict:
                 },
             ),
             _run_commutation_suite,
-            # the widest packets ``random_wave_packets`` draws: centres in [-5, 5], widths in [3, 4]
-            lambda cfg: (("", Gaussian(-5.0, 4.0)), ("", Gaussian(5.0, 4.0))),
+            # the extreme packets ``random_wave_packets`` draws (centres in [-5, 5], widths in
+            # [3, 4]): the widest two bound the support, the narrowest sets the feature scale
+            lambda cfg: (("", Gaussian(-5.0, 4.0)), ("", Gaussian(5.0, 4.0)), ("", Gaussian(0.0, 3.0))),
         ),
     ]
     _CATALOG = {e.id: e for e in entries}

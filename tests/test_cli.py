@@ -157,21 +157,23 @@ class TestExitCodes:
         assert "cannot resolve annuli" in err and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "exp_id, key",
+        "exp_id, key, points",
         [
-            ("schrodinger-decay", "points"),
-            ("airy-pointwise", "points"),
-            ("airy-local-energy", "points"),
-            ("airy-decay", "points"),
-            ("monomial-2k", "points_k1"),
-            ("monomial-2k", "points_k2"),
-            ("commutation-suite", "points"),
-            ("schrodinger-ks", "points_1d"),
+            ("schrodinger-decay", "points", 64),
+            ("airy-pointwise", "points", 64),
+            ("airy-local-energy", "points", 64),
+            ("airy-decay", "points", 64),
+            ("monomial-2k", "points_k1", 64),
+            ("monomial-2k", "points_k2", 64),
+            ("commutation-suite", "points", 64),
+            # spacing 2: resolves the widest packets (width 4), not the narrowest (width 3)
+            ("commutation-suite", "points", 1200),
+            ("schrodinger-ks", "points_1d", 64),
         ],
     )
-    def test_2_when_the_grid_cannot_resolve_the_datum(self, tmp_path, capsys, exp_id, key):
+    def test_2_when_the_grid_cannot_resolve_the_datum(self, tmp_path, capsys, exp_id, key, points):
         # 64 points leave a spacing of 10 to 150, where the data vary over 0.7 to 4
-        path = _write(tmp_path, f"[experiment]\nid = {exp_id}\n[grid]\n{key} = 64\n")
+        path = _write(tmp_path, f"[experiment]\nid = {exp_id}\n[grid]\n{key} = {points}\n")
         assert cli.main(["validate", "--config", path]) == 2
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
