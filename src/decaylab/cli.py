@@ -35,6 +35,13 @@ from .fields import SupportOverflowError
 from .harness import ContaminationError
 
 
+def _thread_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decaylab",
@@ -46,7 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one experiment from a config file")
     p_run.add_argument("--config", required=True, help="path to an INI experiment config")
     p_run.add_argument("--out", default=None, help="report output directory")
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads for independent samples")
+    p_run.add_argument(
+        "--threads", type=_thread_count, default=1, help="worker threads for independent samples (at least 1)"
+    )
 
     sub.add_parser("list", help="list the experiment catalog")
 

@@ -180,6 +180,13 @@ class TestExitCodes:
         assert err.count("config error: grid spacing ") == 2 and f"raise grid.{key}" in err
         assert "does not resolve the datum's feature scale" in err and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
+    def test_2_for_a_thread_count_that_is_not_a_positive_integer(self, tmp_path, capsys, threads):
+        with pytest.raises(SystemExit) as exit_info:
+            _run(tmp_path, "[experiment]\nid = vlasov-decay\n", "--threads", threads)
+        assert exit_info.value.code == 2
+        assert "--threads" in capsys.readouterr().err and not (tmp_path / "out").exists()
+
     def test_2_for_a_missing_file(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "absent.ini")]) == 2
 
