@@ -492,24 +492,20 @@ def _run_conservation(cfg: ExperimentConfig, threads: int):
     width = cfg.get("datum", "width")
     lam = cfg.get("datum", "lam")
     tol = cfg.get("tolerances", "drift")
-    tasks = []
-    for name in _CONSERVATION_CASES:
+
+    def one(name):
+        # one nu window per time serves every functional: one row per time, one column per functional
         sol, pgrid = _conservation_case(name, width, lam)
-        for fname, F in _FUNCTIONALS.items():
-            tasks.append((name, sol, pgrid, fname, F))
+        return [tr.conserved_functional(sol, tuple(_FUNCTIONALS.values()), t, pgrid) for t in times]
 
-    def one(task):
-        name, sol, pgrid, fname, F = task
-        return [tr.conserved_functional(sol, F, t, pgrid) for t in times]
-
-    series = _ordered_map(one, tasks, threads)
+    tables = _ordered_map(one, _CONSERVATION_CASES, threads)
     rows, passed = [], True
-    for (name, _, _, fname, _), vals in zip(tasks, series):
-        ref = vals[0]
-        drift = (max(vals) - min(vals)) / abs(ref)
-        passed = passed and drift <= tol
-        for t, v in zip(times, vals):
-            rows.append((name, fname, t, v, drift))
+    for name, table in zip(_CONSERVATION_CASES, tables):
+        for fname, vals in zip(_FUNCTIONALS, zip(*table)):
+            drift = (max(vals) - min(vals)) / abs(vals[0])
+            passed = passed and drift <= tol
+            for t, v in zip(times, vals):
+                rows.append((name, fname, t, v, drift))
     cols = ("case", "functional", "t", "value", "relative_drift")
     return _Outcome(cols, tuple(rows), passed, notes=(f"drift tolerance {tol:g}",))
 

@@ -9,6 +9,15 @@ Two operator shapes cover everything this package needs:
 solves the linear symbol-side condition  a (i xi)^(m-1) + i b sigma'(xi) = 0
 (with the normalization a = m) and verifies that the residual vanishes
 identically in xi, which pins the sign conventions of the propagators.
+
+The Schrodinger boost is t d_j conjugated by the chirp M = exp(i |x|^2 / (4t)):
+d_j (M u) = M (d_j u + (i x_j / (2t)) u), so W_j = conj(M) t d_j M and
+|| W^alpha u || = t^|alpha| || d^alpha (M u) ||. ``boost_norms`` reads every
+such norm by Parseval from one transform of M u. The sampled identity needs
+M u resolved by the grid: M u(t) is band-limited to |xi| <~ R/(2t) for data
+of radius R, so ``boost_norms`` checks that the transform of M u has
+negligible mass outside the inner half band |xi_j| <= pi/(2 h_j), and boosts
+by spectral derivatives where it does not.
 """
 
 from __future__ import annotations
@@ -114,13 +123,83 @@ def apply_operator(op: CommutingOperator, u: SampledField, t: float) -> SampledF
     raise ValueError(f"unknown operator kind {op.kind!r}")
 
 
+# Share of the transformed chirped field's mass allowed outside the inner half band
+# before ``boost_norms`` treats the sampled chirp as aliased.
+_ALIASED_SHARE = 1e-10
+
+
 def boost_norms(u: SampledField, t: float, order: int) -> dict:
     """|| W^alpha u ||_2 for every multi-index |alpha| <= order, keyed by alpha.
 
-    W_j is the Schrodinger boost along axis j at time t, and W^alpha applies
-    W_0 alpha_0 times first, then W_1, and so on. The multi-indices are
-    walked depth first: W^alpha u is one boost W_j of its parent
-    W^(alpha - e_j) u, with j the last axis where alpha_j > 0, so each
+    W_j = t d_j + (i/2) x_j is the Schrodinger boost along axis j at time t,
+    and W^alpha applies W_j alpha_j times along every axis j (the boosts
+    commute). With the chirp M = exp(i |x|^2 / (4t)),
+        d_j (M u) = M (d_j u + (i x_j / (2t)) u),   so   W_j = conj(M) t d_j M,
+    and since |M| = 1,
+        || W^alpha u ||^2 = t^(2|alpha|) || d^alpha (M u) ||^2
+                          = (dV/N) sum_xi |(M u)^(xi)|^2 prod_j (t xi_j)^(2 alpha_j)
+    by Parseval: one forward transform of M u gives every norm, summed by
+    one contraction per axis.
+
+    The identity holds for the samples only while M u is resolved by the
+    grid. M u(t) is band-limited to |xi| <~ R/(2t) for data of radius R, so
+    at small t or on a coarse grid the sampled chirp aliases. When more than
+    ``_ALIASED_SHARE`` of sum |(M u)^|^2 lies outside the inner half band
+    (|xi_j| <= pi/(2 h_j) on every axis), the norms come from
+    ``_boost_walk``, one spectral-derivative boost per multi-index. At t = 0,
+    W_j = (i/2) x_j and the norms are x-weighted sums of |u|^2.
+    """
+    grid = u.grid
+    if t == 0.0:
+        p = np.abs(u.values) ** 2
+        weights = [_powers((0.5 * grid.axis(j)) ** 2, order) for j in range(grid.dim)]
+        table = _weighted_sums(p, weights)
+        scale = grid.cell_volume
+    else:
+        # one chirp factor exp(i x_j^2 / (4t)) per axis, as Evolution.spectrum applies its phase
+        chirps = [np.exp(1j * _coordinate(u, j) ** 2 / (4.0 * t)) for j in range(grid.dim)]
+        h = u.as_complex() * chirps[0]
+        for chirp in chirps[1:]:
+            h *= chirp
+        np.fft.fftn(h, out=h)
+        p = np.square(h.real)
+        p += np.square(h.imag)
+        weights = []
+        for j in range(grid.dim):
+            xi = grid.wavenumbers(j)
+            inner = np.abs(xi) <= 0.5 * np.pi / grid.spacing[j]
+            weights.append(np.column_stack([_powers((t * xi) ** 2, order), inner]))
+        table = _weighted_sums(p, weights)
+        total, resolved = table[(0,) * grid.dim], table[(order + 1,) * grid.dim]
+        if total - resolved > _ALIASED_SHARE * total:
+            return _boost_walk(u, t, order)
+        scale = grid.cell_volume / math.prod(grid.points)
+    alphas = (alpha for alpha in np.ndindex(*(order + 1,) * grid.dim) if sum(alpha) <= order)
+    return {alpha: math.sqrt(scale * table[alpha]) for alpha in alphas}
+
+
+def _powers(s: np.ndarray, order: int) -> np.ndarray:
+    """Columns s^0, s^1, ..., s^order."""
+    return np.column_stack([s**k for k in range(order + 1)])
+
+
+def _weighted_sums(p: np.ndarray, weights: list) -> np.ndarray:
+    """sum_x p(x) prod_j weights[j][x_j, k_j] for every (k_0, ..., k_(d-1)).
+
+    One matrix product per axis, last axis first: ``p @ w_y``, then ``w_x``.
+    """
+    table = p
+    for w in reversed(weights):
+        table = np.moveaxis(table @ w, -1, 0)
+    return table
+
+
+def _boost_walk(u: SampledField, t: float, order: int) -> dict:
+    """``boost_norms`` by spectral-derivative boosts of the samples, at any resolution.
+
+    W^alpha applies W_0 alpha_0 times first, then W_1, and so on. The
+    multi-indices are walked depth first: W^alpha u is one boost W_j of its
+    parent W^(alpha - e_j) u, with j the last axis where alpha_j > 0, so each
     boosted field is made once and only the current path stays alive.
     """
     boosts = [schrodinger_boost(axis) for axis in range(u.grid.dim)]

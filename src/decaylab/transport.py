@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -414,12 +414,17 @@ def sup_velocity_average(
 
 def conserved_functional(
     sol: TransportSolution,
-    F: Callable,
+    F: Union[Callable, Sequence[Callable]],
     t: float,
     pgrid: GridSpec,
     qgrid: Optional[GridSpec] = None,
-) -> float:
+):
     """Phase-space quadrature of F(p, nu(t, q, p)).
+
+    ``F`` is one functional, which gives one float, or a sequence of them,
+    which gives a list of floats in the same order: each chunk of nu is
+    evaluated once and every functional is summed over it, so the floats
+    equal those of one call per functional bit for bit.
 
     With ``qgrid`` the integral runs over the product grid (which must cover
     the transported support). Without it, the q-integration uses per-p
@@ -427,31 +432,33 @@ def conserved_functional(
     t*w(p); this requires F(p, 0) = 0 so the empty region contributes
     nothing, and stays cheap however far the support has travelled.
     """
+    if callable(F):
+        return conserved_functional(sol, [F], t, pgrid, qgrid)[0]
     _check_p_coverage(sol, pgrid)
     d = sol.dim
     (qlo, qhi), _ = sol._qp_bounds(1e-14)
     pmesh = pgrid.nodes().reshape(-1, d)
+    totals = [0.0] * len(F)
 
     if qgrid is not None:
         _check_q_coverage(sol, qgrid, t, qlo, qhi, pmesh)
         qmesh = qgrid.nodes().reshape(-1, d)
-        total = 0.0
         rows = max(1, (1 << 22) // max(1, pmesh.shape[0]))
         for start in range(0, qmesh.shape[0], rows):
             qc = qmesh[start : start + rows]
             nu = sol.evaluate(t, qc[:, None, :], pmesh[None, :, :])
-            total += float(np.asarray(F(pmesh[None, :, :], nu)).sum())
-        return total * qgrid.cell_volume * pgrid.cell_volume
+            for i, G in enumerate(F):
+                totals[i] += float(np.asarray(G(pmesh[None, :, :], nu)).sum())
+        return [total * qgrid.cell_volume * pgrid.cell_volume for total in totals]
 
     probe = np.zeros((1, d))
-    if abs(float(np.asarray(F(probe, np.zeros(1))).ravel()[0])) > 0.0:
+    if any(abs(float(np.asarray(G(probe, np.zeros(1))).ravel()[0])) > 0.0 for G in F):
         raise ValueError("windowed quadrature needs F(p, 0) = 0; pass an explicit qgrid")
 
     h = sol.datum.feature_scale() / 3.0
     pad = 4.0 * h
     counts = [int(math.ceil((qhi[i] - qlo[i] + 2 * pad) / h)) + 2 for i in range(d)]
     centers = t * sol.dispersion.w(pmesh)  # (M, d)
-    total = 0.0
     rows = max(1, (1 << 21) // max(1, int(np.prod(counts))))
     offsets = [np.arange(counts[i]) * h for i in range(d)]
     for start in range(0, pmesh.shape[0], rows):
@@ -465,8 +472,9 @@ def conserved_functional(
             y.append(window.reshape((len(pc),) + tuple(counts[i] if j == i else 1 for j in range(d))))
         pexp = pc.reshape((len(pc),) + (1,) * d + (d,))
         nu = sol.datum.value(*y, *np.moveaxis(pexp, -1, 0))
-        total += float(np.asarray(F(pexp, nu)).sum())
-    return total * (h**d) * pgrid.cell_volume
+        for i, G in enumerate(F):
+            totals[i] += float(np.asarray(G(pexp, nu)).sum())
+    return [total * (h**d) * pgrid.cell_volume for total in totals]
 
 
 # ---------------------------------------------------------------------------

@@ -115,30 +115,92 @@ class TestCommutationResidual:
             assert rel and res.shape == (3,) and res.max() <= 1e-9
 
 
-class TestBoostNorms:
-    @pytest.mark.parametrize("dim, points", [(1, 256), (2, 64)])
-    def test_walk_equals_plain_chain(self, dim, points, monkeypatch):
-        grid = GridSpec.centered(40.0, points, dim=dim)
-        u = ops.random_wave_packets(grid, np.random.default_rng(5))
-        t = 1.7
-        calls = []
-        apply = ops.apply_operator
+def packets(dim, points):
+    """Random wave packets on the L = 40 box, edge-clean at every time used below."""
+    return ops.random_wave_packets(GridSpec.centered(40.0, points, dim=dim), np.random.default_rng(5))
 
-        def counted(op, v, t):
-            calls.append(op.axis)
-            return apply(op, v, t)
 
-        monkeypatch.setattr(ops, "apply_operator", counted)
-        norms = ops.boost_norms(u, t, 2)
-        alphas = [a for a in np.ndindex(*(3,) * dim) if sum(a) <= 2]
-        assert sorted(norms) == sorted(alphas)
-        assert len(calls) == len(alphas) - 1  # one boost per nonzero multi-index
-        for alpha in alphas:
+def chain_norms(u, t, order):
+    """|| W^alpha u || from a plain chain of ``apply_operator`` boosts, W_0 first."""
+    out = {}
+    for alpha in np.ndindex(*(order + 1,) * u.grid.dim):
+        if sum(alpha) <= order:
             v = u
             for axis, power in enumerate(alpha):
                 for _ in range(power):
-                    v = apply(ops.schrodinger_boost(axis), v, t)
-            assert norms[alpha] == l2_norm(v)
+                    v = ops.apply_operator(ops.schrodinger_boost(axis), v, t)
+            out[alpha] = l2_norm(v)
+    return out
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("a path the test rules out was taken")
+
+
+def counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+class TestBoostNorms:
+    @pytest.mark.parametrize("dim, points", [(1, 4096), (2, 256)])
+    @pytest.mark.parametrize("t", [1.7, 3.0, 5.0])
+    def test_fast_path_equals_plain_chain(self, dim, points, t, monkeypatch):
+        # the guard is off here (tested below): the Parseval sums alone must match
+        u = packets(dim, points)
+        chain = chain_norms(u, t, 2)
+        monkeypatch.setattr(ops, "_ALIASED_SHARE", 1.0)
+        monkeypatch.setattr(ops, "_boost_walk", forbidden)
+        norms = ops.boost_norms(u, t, 2)
+        assert norms.keys() == chain.keys()
+        for alpha, value in chain.items():
+            assert norms[alpha] == pytest.approx(value, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("dim, points, t", [(1, 4096, 1.7), (2, 256, 3.0)])
+    def test_fast_path_work(self, dim, points, t, monkeypatch):
+        # one forward transform, no inverse, no boost: counted at numpy and at apply_operator
+        u = packets(dim, points)
+        calls = []
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counting(calls, name, getattr(np.fft, name)))
+        monkeypatch.setattr(ops, "apply_operator", counting(calls, "apply_operator", ops.apply_operator))
+        monkeypatch.setattr(ops, "_boost_walk", forbidden)
+        ops.boost_norms(u, t, 2)
+        assert calls == ["fftn"]
+
+    @pytest.mark.parametrize("dim, points, t", [(1, 256, 0.3), (2, 64, 1.7)])
+    def test_under_resolved_chirp_falls_back_to_the_walk(self, dim, points, t, monkeypatch):
+        # the sampled chirp aliases here: the Parseval sums are off by 0.23 (1-d) and 0.25 (2-d)
+        u = packets(dim, points)
+        chain = chain_norms(u, t, 2)
+        calls = []
+        monkeypatch.setattr(ops, "_boost_walk", counting(calls, "walk", ops._boost_walk))
+        monkeypatch.setattr(ops, "apply_operator", counting(calls, "boost", ops.apply_operator))
+        assert ops.boost_norms(u, t, 2) == chain
+        assert calls.count("walk") == 1
+        assert calls.count("boost") == len(chain) - 1  # one boost per nonzero multi-index
+        monkeypatch.setattr(ops, "_ALIASED_SHARE", 1.0)
+        monkeypatch.setattr(ops, "_boost_walk", forbidden)
+        aliased = ops.boost_norms(u, t, 2)
+        assert max(abs(aliased[a] / chain[a] - 1.0) for a in chain) > 0.1
+
+    @pytest.mark.parametrize("dim, points", [(1, 256), (2, 64)])
+    def test_time_zero_is_coordinate_weight(self, dim, points, monkeypatch):
+        # W_j = (i/2) x_j at t = 0: || W^alpha u || = || (x/2)^alpha u ||, with no transform
+        u = packets(dim, points)
+        alphas = chain_norms(u, 0.0, 2).keys()
+        monkeypatch.setattr(np.fft, "fftn", forbidden)
+        norms = ops.boost_norms(u, 0.0, 2)
+        assert norms.keys() == alphas
+        for alpha in alphas:
+            weight = np.ones(u.grid.points)
+            for j, power in enumerate(alpha):
+                weight = weight * (ops._coordinate(u, j) / 2.0) ** power
+            expected = l2_norm(SampledField(u.grid, weight * u.values, "complex"))
+            assert norms[alpha] == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def schrodinger_boost_series(u0, power, times):

@@ -243,6 +243,10 @@ def test_pair_profile_matches_the_pinned_quadrature(name, t):
     np.testing.assert_allclose(got, PINNED_PROFILES[name, t], rtol=1e-13, atol=0.0)
 
 
+def product_solution_d2():
+    return tr.TransportSolution(product_gaussian_phase(1.0, 1.0, 2), tr.identity_map(2))
+
+
 class TestConservedFunctional:
     @pytest.mark.parametrize("t", [0.0, 1.0, 5.0])
     def test_mass_matches_oracle(self, gaussian_solution, t):
@@ -269,6 +273,33 @@ class TestConservedFunctional:
         qg = GridSpec.centered(50.0, 1024, dim=1)
         a = tr.conserved_functional(gaussian_solution, lambda p, v: v, 5.0, pg, qgrid=qg)
         assert a == pytest.approx(math.pi, rel=1e-9)
+
+    @pytest.mark.parametrize("case", ["windowed-d1", "windowed-d2", "qgrid-d1"])
+    def test_sequence_equals_single_calls(self, gaussian_solution, case):
+        sol, pg, qg = gaussian_solution, GridSpec.centered(8.0, 96, dim=1), None
+        if case == "windowed-d2":  # its p-grid spans three nu chunks
+            sol, pg = product_solution_d2(), GridSpec.centered(8.0, 40, dim=2)
+        if case == "qgrid-d1":
+            qg = GridSpec.centered(50.0, 1024, dim=1)
+        functionals = [lambda p, v: v, lambda p, v: v * v, lambda p, v: np.sum(p * p, axis=-1) * v]
+        for t in (0.0, 5.0):
+            single = [tr.conserved_functional(sol, F, t, pg, qgrid=qg) for F in functionals]
+            assert tr.conserved_functional(sol, functionals, t, pg, qgrid=qg) == single
+
+    def test_one_window_evaluation_serves_every_functional(self, monkeypatch):
+        sol, pg = product_solution_d2(), GridSpec.centered(8.0, 40, dim=2)
+        calls = []
+        value = Gaussian.value
+
+        def counted(self, *x):
+            calls.append(1)
+            return value(self, *x)
+
+        monkeypatch.setattr(Gaussian, "value", counted)
+        tr.conserved_functional(sol, lambda p, v: v, 5.0, pg)
+        chunks = len(calls)
+        tr.conserved_functional(sol, [lambda p, v: v, lambda p, v: v * v, lambda p, v: v**3], 5.0, pg)
+        assert chunks == 3 and len(calls) == 2 * chunks
 
     def test_windowed_needs_vanishing_functional(self, gaussian_solution):
         pg = GridSpec.centered(8.0, 64, dim=1)
