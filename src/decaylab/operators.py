@@ -146,34 +146,30 @@ def boost_norms(u: SampledField, t: float, order: int) -> dict:
     at small t or on a coarse grid the sampled chirp aliases. When more than
     ``_ALIASED_SHARE`` of sum |(M u)^|^2 lies outside the inner half band
     (|xi_j| <= pi/(2 h_j) on every axis), the norms come from
-    ``_boost_walk``, one spectral-derivative boost per multi-index. At t = 0,
-    W_j = (i/2) x_j and the norms are x-weighted sums of |u|^2.
+    ``_boost_walk``, one spectral-derivative boost per multi-index. At t = 0
+    the chirp is undefined and the walk runs too; there W_j = (i/2) x_j.
     """
-    grid = u.grid
     if t == 0.0:
-        p = np.abs(u.values) ** 2
-        weights = [_powers((0.5 * grid.axis(j)) ** 2, order) for j in range(grid.dim)]
-        table = _weighted_sums(p, weights)
-        scale = grid.cell_volume
-    else:
-        # one chirp factor exp(i x_j^2 / (4t)) per axis, as Evolution.spectrum applies its phase
-        chirps = [np.exp(1j * _coordinate(u, j) ** 2 / (4.0 * t)) for j in range(grid.dim)]
-        h = u.as_complex() * chirps[0]
-        for chirp in chirps[1:]:
-            h *= chirp
-        np.fft.fftn(h, out=h)
-        p = np.square(h.real)
-        p += np.square(h.imag)
-        weights = []
-        for j in range(grid.dim):
-            xi = grid.wavenumbers(j)
-            inner = np.abs(xi) <= 0.5 * np.pi / grid.spacing[j]
-            weights.append(np.column_stack([_powers((t * xi) ** 2, order), inner]))
-        table = _weighted_sums(p, weights)
-        total, resolved = table[(0,) * grid.dim], table[(order + 1,) * grid.dim]
-        if total - resolved > _ALIASED_SHARE * total:
-            return _boost_walk(u, t, order)
-        scale = grid.cell_volume / math.prod(grid.points)
+        return _boost_walk(u, t, order)  # the chirp would divide by t
+    grid = u.grid
+    # one chirp factor exp(i x_j^2 / (4t)) per axis, as Evolution.spectrum applies its phase
+    chirps = [np.exp(1j * _coordinate(u, j) ** 2 / (4.0 * t)) for j in range(grid.dim)]
+    h = u.as_complex() * chirps[0]
+    for chirp in chirps[1:]:
+        h *= chirp
+    np.fft.fftn(h, out=h)
+    p = np.square(h.real)
+    p += np.square(h.imag)
+    weights = []
+    for j in range(grid.dim):
+        xi = grid.wavenumbers(j)
+        inner = np.abs(xi) <= 0.5 * np.pi / grid.spacing[j]
+        weights.append(np.column_stack([_powers((t * xi) ** 2, order), inner]))
+    table = _weighted_sums(p, weights)
+    total, resolved = table[(0,) * grid.dim], table[(order + 1,) * grid.dim]
+    if total - resolved > _ALIASED_SHARE * total:
+        return _boost_walk(u, t, order)
+    scale = grid.cell_volume / math.prod(grid.points)
     alphas = (alpha for alpha in np.ndindex(*(order + 1,) * grid.dim) if sum(alpha) <= order)
     return {alpha: math.sqrt(scale * table[alpha]) for alpha in alphas}
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -418,7 +418,7 @@ def conserved_functional(
     t: float,
     pgrid: GridSpec,
     qgrid: Optional[GridSpec] = None,
-):
+) -> Union[float, List[float]]:
     """Phase-space quadrature of F(p, nu(t, q, p)).
 
     ``F`` is one functional, which gives one float, or a sequence of them,

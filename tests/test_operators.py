@@ -189,11 +189,15 @@ class TestBoostNorms:
 
     @pytest.mark.parametrize("dim, points", [(1, 256), (2, 64)])
     def test_time_zero_is_coordinate_weight(self, dim, points, monkeypatch):
-        # W_j = (i/2) x_j at t = 0: || W^alpha u || = || (x/2)^alpha u ||, with no transform
+        # W_j = (i/2) x_j at t = 0: the walk runs (the chirp would divide by t)
+        # and gives || W^alpha u || = || (x/2)^alpha u ||
         u = packets(dim, points)
         alphas = chain_norms(u, 0.0, 2).keys()
+        calls = []
+        monkeypatch.setattr(ops, "_boost_walk", counting(calls, "walk", ops._boost_walk))
         monkeypatch.setattr(np.fft, "fftn", forbidden)
         norms = ops.boost_norms(u, 0.0, 2)
+        assert calls == ["walk"]
         assert norms.keys() == alphas
         for alpha in alphas:
             weight = np.ones(u.grid.points)
