@@ -549,16 +549,20 @@ def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
 def _ks_dimension(u0, check_times, drift_times, drift_alphas, label):
     """Weighted sup report, boost-norm drift and notes of one datum.
 
-    One guarded series over the check and drift times feeds both: the
-    boost-norm table is taken once at each clean time, to order d at check
-    times and to the drift's order at drift times. The drift is read at
-    clean drift times only, and fewer than two of them raise.
+    One guarded series over the check and drift times feeds both. It reads
+    the sup and the boost-norm table once at each clean time, to order d at
+    check times and to the drift's order at drift times, so only one evolved
+    field is alive at a time. The drift is read at clean drift times only,
+    and fewer than two of them raise.
     """
     d = u0.grid.dim
     drift_order = max(d, *(sum(alpha) for alpha in drift_alphas))
-    series = Series.evolve(u0, schrodinger(), (*check_times, *drift_times))
-    norms = {t: boost_norms(ut, t, drift_order if t in drift_times else d) for t, ut in series.clean}
-    report = check_ks_schrodinger(series.restrict(check_times), norms)
+
+    def read(t, ut):
+        return linf_norm(ut), boost_norms(ut, t, drift_order if t in drift_times else d)
+
+    series = Series.evolve(u0, schrodinger(), (*check_times, *drift_times), read)
+    report = check_ks_schrodinger(series.restrict(check_times))
     drifted = series.restrict(drift_times)
     notes = tuple(f"{label} drift time t={t:g} excluded: {why}" for t, why in drifted.excluded)
     if len(drifted.clean) < 2:
@@ -567,7 +571,7 @@ def _ks_dimension(u0, check_times, drift_times, drift_alphas, label):
         )
     drift = 0.0
     for alpha in drift_alphas:
-        values = np.array([norms[t][alpha] for t, _ in drifted.clean])
+        values = np.array([norms[alpha] for _, (_, norms) in drifted.clean])
         drift = max(drift, float((values.max() - values.min()) / values[0]))
     return report, drift, notes
 

@@ -3,7 +3,9 @@
 A runner evolves each datum once: its ``Series`` forms u(t) = U(t) u0 once
 at every time its checks and fits read, and guards each time once for
 wrap-around, carrying a contaminated time as (t, reason) instead of a
-sample. Each check and fit takes the series restricted to its own times.
+sample. A clean time holds u(t), or only what the runner's ``read(t, u)``
+takes from it; a runner that reads keeps one evolved field alive at a time.
+Each check and fit takes the series restricted to its own times.
 
 Every check records (t, lhs, rhs) rows and reports the largest ratio.
 Estimates that hold with constant exactly 1 (the transport sup bound, the
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import product as _iter_product
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -64,9 +66,11 @@ class ContaminationError(ValueError):
 class Series:
     """u(t) = U(t) u0 at a set of times, evolved and guarded once.
 
-    ``clean`` holds the (t, u(t)) entries in time order, ``excluded`` the
-    (t, reason) entries whose edge mass exceeds ``CONTAMINATION_THRESHOLD``.
-    ``evolution`` gives u and its spectrum at any other time.
+    ``clean`` holds the (t, u(t)) entries in time order, or (t, read(t, u(t)))
+    when ``evolve`` was given ``read``; each field is then freed before the
+    next is formed. ``excluded`` holds the (t, reason) entries whose edge mass
+    exceeds ``CONTAMINATION_THRESHOLD``. ``evolution`` gives u and its
+    spectrum at any other time.
     """
 
     u0: SampledField
@@ -75,7 +79,9 @@ class Series:
     excluded: tuple
 
     @classmethod
-    def evolve(cls, u0: SampledField, disp: DispersionPolynomial, times: Sequence[float]) -> "Series":
+    def evolve(
+        cls, u0: SampledField, disp: DispersionPolynomial, times: Sequence[float], read: Optional[Callable] = None
+    ) -> "Series":
         """Transform u0 once, then form and guard u(t) once at each distinct time."""
         evolution = Evolution(u0, disp)
         clean, excluded = [], []
@@ -85,7 +91,8 @@ class Series:
             if frac > CONTAMINATION_THRESHOLD:
                 excluded.append((t, f"wrap-around edge mass {frac:.2e}"))
             else:
-                clean.append((t, ut))
+                clean.append((t, ut if read is None else read(t, ut)))
+            del ut  # the next field is formed with this one freed
         return cls(u0, evolution, tuple(clean), tuple(excluded))
 
     def restrict(self, times) -> "Series":
@@ -199,20 +206,21 @@ def check_dispersive_schrodinger(series: Series, partition: DyadicPartition) -> 
     return _report("schrodinger-dispersive-sup", samples, excluded=series.excluded)
 
 
-def check_ks_schrodinger(series: Series, norms: dict) -> InequalityReport:
+def check_ks_schrodinger(series: Series) -> InequalityReport:
     """Weighted sup bound: |t|^d ||u||_inf^2 vs boost-norm products.
 
     rhs(t) sums ||W^a u(t)|| ||W^b u(t)|| over multi-index pairs with
-    |a| + |b| = d, all norms evaluated honestly at time t. ``norms`` maps
-    each clean time t to ``boost_norms(u(t), t, order)`` with order >= d,
-    so a runner that needs the same norms elsewhere boosts only once.
+    |a| + |b| = d, all norms evaluated honestly at time t. The series is read
+    with ``(linf_norm(u), boost_norms(u, t, order))``, order >= d, at each
+    clean time, so a runner that needs the same norms elsewhere boosts only
+    once and holds no field.
     """
     d = series.u0.grid.dim
     alphas = [alpha for alpha in _iter_product(range(d + 1), repeat=d) if sum(alpha) <= d]
     samples = []
-    for t, ut in series.clean:
-        rhs = sum(norms[t][a] * norms[t][b] for a in alphas for b in alphas if sum(a) + sum(b) == d)
-        samples.append((t, abs(t) ** d * linf_norm(ut) ** 2, rhs))
+    for t, (sup, norms) in series.clean:
+        rhs = sum(norms[a] * norms[b] for a in alphas for b in alphas if sum(a) + sum(b) == d)
+        samples.append((t, abs(t) ** d * sup**2, rhs))
     return _report("schrodinger-weighted-sup", samples, excluded=series.excluded)
 
 

@@ -16,8 +16,8 @@ d_j (M u) = M (d_j u + (i x_j / (2t)) u), so W_j = conj(M) t d_j M and
 such norm by Parseval from one transform of M u. The sampled identity needs
 M u resolved by the grid: M u(t) is band-limited to |xi| <~ R/(2t) for data
 of radius R, so ``boost_norms`` checks that the transform of M u has
-negligible mass outside the inner half band |xi_j| <= pi/(2 h_j), and boosts
-by spectral derivatives where it does not.
+negligible mass outside the inner three-quarter band |xi_j| <= 3 pi/(4 h_j),
+and boosts by spectral derivatives where it does not.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def apply_operator(op: CommutingOperator, u: SampledField, t: float) -> SampledF
     raise ValueError(f"unknown operator kind {op.kind!r}")
 
 
-# Share of the transformed chirped field's mass allowed outside the inner half band
+# Share of the transformed chirped field's mass allowed outside the inner 3/4 band
 # before ``boost_norms`` treats the sampled chirp as aliased.
 _ALIASED_SHARE = 1e-10
 
@@ -144,8 +144,8 @@ def boost_norms(u: SampledField, t: float, order: int) -> dict:
     The identity holds for the samples only while M u is resolved by the
     grid. M u(t) is band-limited to |xi| <~ R/(2t) for data of radius R, so
     at small t or on a coarse grid the sampled chirp aliases. When more than
-    ``_ALIASED_SHARE`` of sum |(M u)^|^2 lies outside the inner half band
-    (|xi_j| <= pi/(2 h_j) on every axis), the norms come from
+    ``_ALIASED_SHARE`` of sum |(M u)^|^2 lies outside the inner three-quarter
+    band (|xi_j| <= 3 pi/(4 h_j) on every axis), the norms come from
     ``_boost_walk``, one spectral-derivative boost per multi-index. At t = 0
     the chirp is undefined and the walk runs too; there W_j = (i/2) x_j.
     """
@@ -158,12 +158,14 @@ def boost_norms(u: SampledField, t: float, order: int) -> dict:
     for chirp in chirps[1:]:
         h *= chirp
     np.fft.fftn(h, out=h)
-    p = np.square(h.real)
-    p += np.square(h.imag)
+    # squared in place, so |h|^2 needs no full-size temporary beyond p itself
+    np.square(h.real, out=h.real)
+    np.square(h.imag, out=h.imag)
+    p = np.add(h.real, h.imag)
     weights = []
     for j in range(grid.dim):
         xi = grid.wavenumbers(j)
-        inner = np.abs(xi) <= 0.5 * np.pi / grid.spacing[j]
+        inner = np.abs(xi) <= 0.75 * np.pi / grid.spacing[j]
         weights.append(np.column_stack([_powers((t * xi) ** 2, order), inner]))
     table = _weighted_sums(p, weights)
     total, resolved = table[(0,) * grid.dim], table[(order + 1,) * grid.dim]

@@ -281,6 +281,8 @@ def test_airy_decay_rows_are_the_clean_samples(tmp_path):
     [
         ("vlasov-decay", "[experiment]\nid = vlasov-decay\n[times]\nt_max = 100.0\n"),
         ("counterexample", "[experiment]\nid = counterexample\n"),
+        # a spectral entry, pinned before --threads reaches the spectral runners
+        ("schrodinger-ks", "[experiment]\nid = schrodinger-ks\n[grid]\nhalf_width_2d = 40.0\npoints_2d = 256\n"),
     ],
 )
 def test_samples_table_identical_at_one_and_two_threads(tmp_path, exp_id, text):

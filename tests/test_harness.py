@@ -1,10 +1,13 @@
 """Decay fitting and the inequality check suites on small grids."""
 
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from decaylab.experiments import parse_config, run
 from decaylab.fields import Gaussian, GridSpec, linf_norm, sample, spectral_derivative
 from decaylab.norms import build_dyadic_partition, x_norm
 from decaylab.operators import boost_norms
@@ -17,18 +20,21 @@ def complex_sample(datum, grid):
     return f.with_values(f.values.astype(np.complex128), "complex")
 
 
-def schrodinger_series(u0, times):
-    return hz.Series.evolve(u0, schrodinger(), times)
+def schrodinger_series(u0, times, read=None):
+    return hz.Series.evolve(u0, schrodinger(), times, read)
 
 
 def airy_series(u0, times):
     return hz.Series.evolve(u0, airy(), times)
 
 
+def ks_read(d):
+    """The (sup, boost-norm table) reader ``check_ks_schrodinger`` takes, to order d."""
+    return lambda t, u: (linf_norm(u), boost_norms(u, t, d))
+
+
 def ks_check(u0, times):
-    series = schrodinger_series(u0, times)
-    d = u0.grid.dim
-    return hz.check_ks_schrodinger(series, {t: boost_norms(ut, t, d) for t, ut in series.clean})
+    return hz.check_ks_schrodinger(schrodinger_series(u0, times, ks_read(u0.grid.dim)))
 
 
 class TestFitDecay:
@@ -151,6 +157,39 @@ class TestKsCheck:
         assert lhs2 == pytest.approx(lhs1**2, rel=1e-6)
         assert rhs2 == pytest.approx(predicted_rhs2, rel=1e-6)
         assert (lhs2 / rhs2) == pytest.approx(lhs1**2 / predicted_rhs2, rel=0.10)
+
+
+class TestSeriesRead:
+    def test_read_keeps_the_guard_and_the_ks_report(self):
+        # the 2-d packet wraps around this box by t = 16, as in the schrodinger-ks contamination test
+        u0 = complex_sample(Gaussian((0.0, 0.0), (1.3, 1.3)), GridSpec.centered(40.0, 256, dim=2))
+        read = ks_read(2)
+        fields = schrodinger_series(u0, [1.0, 4.0, 16.0])
+        reads = schrodinger_series(u0, [1.0, 4.0, 16.0], read)
+        assert [t for t, _ in reads.clean] == [t for t, _ in fields.clean] == [1.0, 4.0]
+        assert reads.excluded == fields.excluded
+        assert [t for t, _ in reads.excluded] == [16.0]
+        # the same report, bit for bit, as reading the held fields after the fact
+        held = replace(fields, clean=tuple((t, read(t, ut)) for t, ut in fields.clean))
+        assert hz.check_ks_schrodinger(reads) == hz.check_ks_schrodinger(held)
+
+    def test_schrodinger_ks_keeps_one_evolved_field_alive(self, tmp_path, monkeypatch):
+        # every field Evolution.at forms is watched; once it is formed, no earlier one of its datum remains
+        watched, alive = {}, []
+        at = Evolution.at
+
+        def watched_at(evolution, t):
+            field = at(evolution, t)
+            refs = watched.setdefault(evolution, [])
+            refs.append(weakref.ref(field.values))
+            alive.append(sum(ref() is not None for ref in refs))
+            return field
+
+        monkeypatch.setattr(Evolution, "at", watched_at)
+        text = "[experiment]\nid = schrodinger-ks\n[grid]\nhalf_width_2d = 40.0\npoints_2d = 256\n"
+        run(parse_config(text), out_dir=str(tmp_path))
+        assert len(watched) == 2 and len(alive) == 16 + 5  # d1: 14 checkpoints, drift 10 and 100; d2: 5
+        assert max(alive) == 1
 
 
 class TestLpAndLocalMass:

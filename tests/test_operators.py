@@ -145,18 +145,33 @@ def counting(calls, name, fn):
     return wrapper
 
 
+# (seed, dim, points, t) of random packets on the L = 40 box that the half-band guard sent to
+# the walk and the 3/4-band guard admits, from a sweep over seeds 3, 5, 7, 11
+NEWLY_ADMITTED = [(seed, *case) for seed in (3, 5, 7, 11) for case in ((1, 256, 1.7), (2, 128, 5.0), (2, 256, 1.7))]
+NEWLY_ADMITTED += [(3, 1, 512, 1.0), (7, 2, 128, 3.0)]
+
+
 class TestBoostNorms:
     @pytest.mark.parametrize("dim, points", [(1, 4096), (2, 256)])
     @pytest.mark.parametrize("t", [1.7, 3.0, 5.0])
     def test_fast_path_equals_plain_chain(self, dim, points, t, monkeypatch):
-        # the guard is off here (tested below): the Parseval sums alone must match
         u = packets(dim, points)
         chain = chain_norms(u, t, 2)
-        monkeypatch.setattr(ops, "_ALIASED_SHARE", 1.0)
         monkeypatch.setattr(ops, "_boost_walk", forbidden)
         norms = ops.boost_norms(u, t, 2)
         assert norms.keys() == chain.keys()
         for alpha, value in chain.items():
+            assert norms[alpha] == pytest.approx(value, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("seed, dim, points, t", NEWLY_ADMITTED)
+    def test_three_quarter_band_admits_resolved_chirps(self, seed, dim, points, t, monkeypatch):
+        # 1e-9 to 5e-5 of sum |h|^2 lies outside the half band here, at most 1e-10 outside the 3/4 band
+        u = ops.random_wave_packets(GridSpec.centered(40.0, points, dim=dim), np.random.default_rng(seed))
+        walk = ops._boost_walk(u, t, 2)
+        monkeypatch.setattr(ops, "_boost_walk", forbidden)
+        norms = ops.boost_norms(u, t, 2)
+        assert norms.keys() == walk.keys()
+        for alpha, value in walk.items():
             assert norms[alpha] == pytest.approx(value, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("dim, points, t", [(1, 4096, 1.7), (2, 256, 3.0)])
@@ -173,7 +188,8 @@ class TestBoostNorms:
 
     @pytest.mark.parametrize("dim, points, t", [(1, 256, 0.3), (2, 64, 1.7)])
     def test_under_resolved_chirp_falls_back_to_the_walk(self, dim, points, t, monkeypatch):
-        # the sampled chirp aliases here: the Parseval sums are off by 0.23 (1-d) and 0.25 (2-d)
+        # the sampled chirp aliases here: 0.03 (1-d) and 0.30 (2-d) of sum |h|^2 lie outside
+        # the 3/4 band, and the Parseval sums are off by 0.23 and 0.25
         u = packets(dim, points)
         chain = chain_norms(u, t, 2)
         calls = []
