@@ -36,7 +36,6 @@ from .transport import (
     relativistic_map,
     square_map,
     sup_velocity_average,
-    velocity_average,
 )
 from .propagators import Evolution, airy, even_order, schrodinger
 from .operators import (

@@ -172,13 +172,38 @@ def parse_config(text: str) -> ExperimentConfig:
             resolved[section][key] = _parse_value(value, resolved[section][key])
     if resolved["experiment"]["id"] != exp_id:
         raise ConfigError("experiment.id mismatch")
-    _check_ranges(resolved)
+    _check_ranges(exp_id, resolved)
     config = ExperimentConfig(exp_id, _freeze_sections(resolved))
     _check_boxes(config)
     return config
 
 
-def _check_ranges(sections: dict) -> None:
+# (section, key, test of (value, sections), requirement) per experiment, for the
+# ranges that the generic rules of ``_check_ranges`` do not cover
+_ENTRY_RANGES = {
+    "vlasov-decay": (("datum", "dimension", lambda v, s: v >= 1, "must be at least 1"),),
+    "counterexample": (("datum", "lams", lambda v, s: min(v) >= 1.0, "must all be >= 1"),),
+    "conservation": (
+        ("datum", "lam", lambda v, s: v >= 1.0, "must be >= 1"),
+        # a drift over one time is 0 whatever the quadrature does
+        ("times", "checkpoints", lambda v, s: len(set(v)) >= 2, "must hold at least 2 distinct times"),
+    ),
+    # the grid is one-dimensional, so 0 <= sigma < d/2 = 1/2
+    "local-mass": (("datum", "sigmas", lambda v, s: all(0.0 <= x < 0.5 for x in v), "must lie in [0, 1/2)"),),
+    "airy-local-energy": (("datum", "eps", lambda v, s: v > 0.0, "must be positive"),),
+    # a probe outside the box would be snapped to an edge node
+    "airy-pointwise": (
+        (
+            "datum",
+            "probe_half_width",
+            lambda v, s: 0.0 <= v <= s["grid"]["half_width"],
+            "must lie in [0, grid.half_width]",
+        ),
+    ),
+}
+
+
+def _check_ranges(exp_id: str, sections: dict) -> None:
     """Reject, with the key path, values that no runner can use."""
     for name, items in sections.items():
         for key, value in items.items():
@@ -193,6 +218,9 @@ def _check_ranges(sections: dict) -> None:
                 except ConfigError as err:
                     keys = f"{name}.{prefix}t_min, {name}.{prefix}t_max, {name}.ratio"
                     raise ConfigError(f"{keys}: {err}") from None
+    for name, key, test, requirement in _ENTRY_RANGES.get(exp_id, ()):
+        if not test(sections[name][key], sections):
+            raise ConfigError(f"{name}.{key} {requirement}, got {_format_value(sections[name][key])}")
 
 
 def _check_boxes(config: ExperimentConfig) -> None:
@@ -416,7 +444,7 @@ def _run_transport_degenerate(cfg: ExperimentConfig, threads: int):
     width = cfg.get("datum", "width")
     times = _fit_times(cfg)
     if tag == "relativistic":
-        dispersion = tr.relativistic_map(1)
+        dispersion = tr.relativistic_map()
         datum = Gaussian((0.0, 0.0), (width, width))
         target, tol, one_sided = -1.0, cfg.get("tolerances", "slope"), False
     elif tag == "mixed":
@@ -460,7 +488,7 @@ def _run_counterexample(cfg: ExperimentConfig, threads: int):
 
 _CONSERVATION_CASES = {  # name -> (datum, dispersion map) for a width and a bump scale
     "identity-d1-gaussian": lambda w, lam: (Gaussian((0.0, 0.0), (w, w)), tr.identity_map(1)),
-    "relativistic-d1-gaussian": lambda w, lam: (Gaussian((0.0, 0.0), (w, w)), tr.relativistic_map(1)),
+    "relativistic-d1-gaussian": lambda w, lam: (Gaussian((0.0, 0.0), (w, w)), tr.relativistic_map()),
     "square-d1-bump": lambda w, lam: (BumpLambda(lam), tr.square_map()),
     "identity-d2-product": lambda w, lam: (product_gaussian_phase(w, w, 2), tr.identity_map(2)),
     "mixed-d2-product": lambda w, lam: (product_gaussian_phase(w, w, 2), tr.mixed_map()),

@@ -1,9 +1,9 @@
 """Commuting operators for the dispersive propagators.
 
-Two operator shapes cover everything this package needs:
-
-* the Schrodinger boost per axis j,  u -> t d_j u + (i/2) x_j u, and
-* the monomial boost  u -> a t d^(m-1) u + b x u  for a degree-m evolution.
+One operator shape covers everything this package needs: the monomial
+boost  u -> a t d_j^(m-1) u + b x_j u  along axis j for a degree-m
+evolution. The Schrodinger boost per axis j,  u -> t d_j u + (i/2) x_j u,
+is its case m = 2, (a, b) = (1, i/2); other degrees act in one dimension.
 
 ``derive_commuting_operator`` does not look coefficients up in a table: it
 solves the linear symbol-side condition  a (i xi)^(m-1) + i b sigma'(xi) = 0
@@ -50,21 +50,21 @@ class NoCommutingOperatorError(Exception):
 
 @dataclass(frozen=True)
 class CommutingOperator:
-    """Structured coefficients of a first-order-in-t commuting operator."""
+    """The monomial boost u -> a t d_j^(degree-1) u + b x_j u along axis j = ``axis``."""
 
-    kind: str  # "schrodinger_boost" | "monomial_boost"
+    degree: int
+    a: complex
+    b: complex
     axis: int = 0
-    degree: int = 2
-    a: complex = 0.0
-    b: complex = 0.0
 
 
 def schrodinger_boost(axis: int = 0) -> CommutingOperator:
-    return CommutingOperator("schrodinger_boost", axis=axis)
+    """W_j = t d_j + (i/2) x_j: the degree-2 monomial boost with (a, b) = (1, i/2)."""
+    return CommutingOperator(2, 1.0 + 0.0j, 0.5j, axis)
 
 
 def monomial_boost(degree: int, a: complex, b: complex) -> CommutingOperator:
-    return CommutingOperator("monomial_boost", degree=degree, a=complex(a), b=complex(b))
+    return CommutingOperator(degree, complex(a), complex(b))
 
 
 def derive_commuting_operator(disp: DispersionPolynomial) -> CommutingOperator:
@@ -108,19 +108,13 @@ def apply_operator(op: CommutingOperator, u: SampledField, t: float) -> SampledF
 
     A complex ``u`` is used as it is; a real one is first taken to complex.
     """
+    if op.degree != 2 and u.grid.dim != 1:
+        raise ValueError("monomial boosts of degree other than 2 act on one-dimensional fields")
     v = u if u.kind == "complex" else SampledField(u.grid, u.as_complex(), "complex")
     # the sum is formed in place, so a boost of a large field keeps two fewer full-size temporaries alive
-    if op.kind == "schrodinger_boost":
-        vals = t * spectral_derivative(v, 1, axis=op.axis).values
-        vals += 0.5j * _coordinate(u, op.axis) * v.values
-        return SampledField(u.grid, vals, "complex")
-    if op.kind == "monomial_boost":
-        if u.grid.dim != 1:
-            raise ValueError("monomial boosts act on one-dimensional fields")
-        vals = op.a * t * spectral_derivative(v, op.degree - 1).values
-        vals += op.b * _coordinate(u, 0) * v.values
-        return SampledField(u.grid, vals, "complex")
-    raise ValueError(f"unknown operator kind {op.kind!r}")
+    vals = op.a * t * spectral_derivative(v, op.degree - 1, axis=op.axis).values
+    vals += op.b * _coordinate(u, op.axis) * v.values
+    return SampledField(u.grid, vals, "complex")
 
 
 # Share of the transformed chirped field's mass allowed outside the inner 3/4 band

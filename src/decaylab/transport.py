@@ -3,11 +3,12 @@
 The transport equation d_t nu + w(p) . d_q nu = 0 is solved exactly by
 nu(t, q, p) = nu0(q - t w(p), p), so this module never time-steps: it
 evaluates the characteristics formula on analytic data and quadratures it.
-Velocity averages at large times concentrate on p-scales ~ 1/t, so the sup
-and conservation routines integrate over preimage windows of the datum
-support instead of a fixed p-grid. Each scalar dispersion map declares its
-monotone branches with their closed-form inverses, so a window's ends are
-read off directly.
+Every dispersion map acts separately on each momentum axis, through one
+scalar map per axis. Velocity averages at large times concentrate on
+p-scales ~ 1/t, so the sup and conservation routines integrate over
+preimage windows of the datum support instead of a fixed p-grid. Each
+scalar dispersion map declares its monotone branches with their
+closed-form inverses, so a window's ends are read off directly.
 
 The sup search ranks its candidate positions with a 129-node window
 quadrature, a quarter of the nodes of the reported one, and reports the
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -45,10 +46,8 @@ __all__ = [
     "square_map",
     "mixed_map",
     "TransportSolution",
-    "velocity_average",
     "sup_velocity_average",
     "conserved_functional",
-    "apply_transport_boost",
     "ks_vlasov_check",
     "CounterexampleProfile",
     "counterexample_profile",
@@ -73,17 +72,23 @@ class ScalarDispersion:
 
 @dataclass(frozen=True)
 class DispersionMap:
-    """Velocity map w: R^d -> R^d.
+    """Velocity map w: R^d -> R^d acting on each momentum axis separately.
 
-    ``axis_maps`` lists per-axis scalar components when the map acts
-    separately on each momentum coordinate; it enables the fast adaptive
-    quadrature paths.
+    ``axis_maps`` holds one ``ScalarDispersion`` per axis, so that
+    w(p)_i = axis_maps[i].w(p_i) and d is the number of axes.
     """
 
     tag: str
-    dim: int
-    w: Callable
-    axis_maps: Optional[tuple] = None
+    axis_maps: tuple
+
+    @property
+    def dim(self) -> int:
+        return len(self.axis_maps)
+
+    def w(self, p) -> np.ndarray:
+        """w(p) for momenta stacked on a trailing axis of length d."""
+        p = np.asarray(p, dtype=float)
+        return np.stack([smap.w(p[..., i]) for i, smap in enumerate(self.axis_maps)], axis=-1)
 
 
 _IDENTITY = ScalarDispersion(
@@ -104,32 +109,21 @@ _RELATIVISTIC = ScalarDispersion(
 
 
 def identity_map(dim: int = 1) -> DispersionMap:
-    return DispersionMap("identity", dim, _IDENTITY.w, (_IDENTITY,) * dim)
+    return DispersionMap("identity", (_IDENTITY,) * dim)
 
 
-def relativistic_map(dim: int = 1) -> DispersionMap:
-    def w(p):
-        p = np.asarray(p, dtype=float)
-        gamma = np.sqrt(1.0 + np.sum(p**2, axis=-1, keepdims=True))
-        return p / gamma
-
-    return DispersionMap("relativistic", dim, w, (_RELATIVISTIC,) if dim == 1 else None)
+def relativistic_map() -> DispersionMap:
+    """d=1 map p / sqrt(1 + p^2)."""
+    return DispersionMap("relativistic", (_RELATIVISTIC,))
 
 
 def square_map() -> DispersionMap:
-    return DispersionMap("square", 1, _SQUARE.w, (_SQUARE,))
+    return DispersionMap("square", (_SQUARE,))
 
 
 def mixed_map() -> DispersionMap:
     """d=2 map (p1, p2^2): full rank in the first axis, degenerate second."""
-
-    def w(p):
-        p = np.asarray(p, dtype=float)
-        out = p.copy()
-        out[..., 1] = p[..., 1] ** 2
-        return out
-
-    return DispersionMap("mixed", 2, w, (_IDENTITY, _SQUARE))
+    return DispersionMap("mixed", (_IDENTITY, _SQUARE))
 
 
 @dataclass(frozen=True)
@@ -180,35 +174,6 @@ def _check_p_coverage(sol: TransportSolution, pgrid: GridSpec):
         raise SupportOverflowError(
             f"momentum support [{plo}, {phi}] not inside p-grid box {pgrid.bounds()}"
         )
-
-
-def _check_q_coverage(sol: TransportSolution, qgrid: GridSpec, t: float, qlo, qhi, momenta):
-    """The q-grid must hold the q-support carried to time t at every sampled momentum."""
-    travel = t * sol.dispersion.w(momenta)
-    lo_req, hi_req = qlo + travel.min(axis=0), qhi + travel.max(axis=0)
-    if not qgrid.contains_box(lo_req, hi_req):
-        raise SupportOverflowError(
-            f"q-grid {qgrid.bounds()} does not cover the transported support [{lo_req}, {hi_req}] at t={t}"
-        )
-
-
-def velocity_average(sol: TransportSolution, t: float, q, pgrid: GridSpec):
-    """Quadrature of nu(t, q, .) over the momentum grid.
-
-    ``q`` is one point of R^d, giving a float, or an array of points with a
-    trailing axis of length d, giving an array of averages (chunked over q).
-    """
-    _check_p_coverage(sol, pgrid)
-    q = np.asarray(q, dtype=float)
-    qpoints = q.reshape(-1, sol.dim)
-    pmesh = pgrid.nodes().reshape(-1, sol.dim)
-    out = np.empty(qpoints.shape[0])
-    rows = max(1, (1 << 22) // pmesh.shape[0])
-    for start in range(0, qpoints.shape[0], rows):
-        qc = qpoints[start : start + rows]
-        vals = sol.evaluate(t, qc[:, None, :], pmesh[None, :, :])
-        out[start : start + rows] = vals.sum(axis=1) * pgrid.cell_volume
-    return float(out[0]) if q.ndim <= 1 else out.reshape(q.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -355,52 +320,33 @@ def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, t: float):
 
 
 def _separable_parts(sol: TransportSolution):
-    if sol.dispersion.axis_maps is None:
-        return None
+    """(pair factor, scalar map) per axis, or None when the datum does not split into pairs."""
     pairs = sol.datum.phase_pair_factors(sol.dim)
     if pairs is None:
         return None
     return list(zip(pairs, sol.dispersion.axis_maps))
 
 
-def sup_velocity_average(
-    sol: TransportSolution,
-    t: float,
-    qgrid: Optional[GridSpec] = None,
-    pgrid: Optional[GridSpec] = None,
-) -> float:
+def sup_velocity_average(sol: TransportSolution, t: float) -> float:
     """Max over position of the velocity average at time t.
 
-    With explicit grids this is a plain max over the q-grid nodes of
-    p-grid quadratures (the q-grid must cover the transported support).
-    Without grids, the (datum, map) pair must split into (q_i, p_i) pair
-    factors, and the sup is the product of the pair sups found by
-    ``_pair_sup``: a 257-node coarse scan of the reachable q-range, 33
-    candidates across the datum's q-width at the image of every critical
-    point of w (the fold caustics, where degenerate maps concentrate the
-    average), and 4 rounds of 33-node bracketed refinement around the 3
-    best, each node ranked by a 129-node preimage-window quadrature, which is
-    accurate uniformly in t; the sup reported is the 513-node quadrature at
-    the winner, within 2 max |F_129 - F_513| over the scored q of the best
-    513-node value there. The windows' ends come in closed form from the
-    branch inverses of the axis maps (``ScalarDispersion.branches``).
-    Against a brute-force search (20001 nodes, then 2001 around the best)
-    the square-map sup agrees to 2.2e-12 relative at t = 640, 905 and 3000.
+    The datum must split into (q_i, p_i) pair factors, and the sup is the
+    product of the pair sups found by ``_pair_sup``: a 257-node coarse scan
+    of the reachable q-range, 33 candidates across the datum's q-width at
+    the image of every critical point of w (the fold caustics, where
+    degenerate maps concentrate the average), and 4 rounds of 33-node
+    bracketed refinement around the 3 best, each node ranked by a 129-node
+    preimage-window quadrature, which is accurate uniformly in t; the sup
+    reported is the 513-node quadrature at the winner, within
+    2 max |F_129 - F_513| over the scored q of the best 513-node value
+    there. The windows' ends come in closed form from the branch inverses
+    of the axis maps (``ScalarDispersion.branches``). Against a brute-force
+    search (20001 nodes, then 2001 around the best) the square-map sup
+    agrees to 2.2e-12 relative at t = 640, 905 and 3000.
     """
-    if qgrid is not None and pgrid is not None:
-        (qlo, qhi), (plo, phi) = sol._qp_bounds(1e-10)
-        psample = np.stack(
-            np.meshgrid(*[np.linspace(plo[i], phi[i], 65) for i in range(sol.dim)], indexing="ij"),
-            axis=-1,
-        ).reshape(-1, sol.dim)
-        _check_q_coverage(sol, qgrid, t, qlo, qhi, psample)
-        return float(velocity_average(sol, t, qgrid.nodes().reshape(-1, sol.dim), pgrid).max())
-
     parts = _separable_parts(sol)
     if parts is None:
-        raise ValueError(
-            "adaptive sup needs a separable (datum, map) pair; pass explicit grids instead"
-        )
+        raise ValueError("the sup needs a datum that splits into (q_i, p_i) pair factors")
     total = 1.0
     for pair_datum, smap in parts:
         sup, _ = _pair_sup(pair_datum, smap, t)
@@ -413,47 +359,26 @@ def sup_velocity_average(
 
 
 def conserved_functional(
-    sol: TransportSolution,
-    F: Union[Callable, Sequence[Callable]],
-    t: float,
-    pgrid: GridSpec,
-    qgrid: Optional[GridSpec] = None,
-) -> Union[float, List[float]]:
-    """Phase-space quadrature of F(p, nu(t, q, p)).
+    sol: TransportSolution, F: Sequence[Callable], t: float, pgrid: GridSpec
+) -> List[float]:
+    """Phase-space quadrature of each F(p, nu(t, q, p)), in the order of ``F``.
 
-    ``F`` is one functional, which gives one float, or a sequence of them,
-    which gives a list of floats in the same order: each chunk of nu is
-    evaluated once and every functional is summed over it, so the floats
-    equal those of one call per functional bit for bit.
-
-    With ``qgrid`` the integral runs over the product grid (which must cover
-    the transported support). Without it, the q-integration uses per-p
-    windows on a global lattice centred at the characteristic position
-    t*w(p); this requires F(p, 0) = 0 so the empty region contributes
-    nothing, and stays cheap however far the support has travelled.
+    Each chunk of nu is evaluated once and every functional is summed over
+    it, so each float equals that of a call with its functional alone, bit
+    for bit. The p-integral sums over the nodes of ``pgrid``, which must hold the
+    datum's momentum support. The q-integral uses per-p windows on a global
+    lattice centred at the characteristic position t*w(p); this requires
+    F(p, 0) = 0 so the empty region contributes nothing, and stays cheap
+    however far the support has travelled.
     """
-    if callable(F):
-        return conserved_functional(sol, [F], t, pgrid, qgrid)[0]
     _check_p_coverage(sol, pgrid)
     d = sol.dim
     (qlo, qhi), _ = sol._qp_bounds(1e-14)
     pmesh = pgrid.nodes().reshape(-1, d)
     totals = [0.0] * len(F)
-
-    if qgrid is not None:
-        _check_q_coverage(sol, qgrid, t, qlo, qhi, pmesh)
-        qmesh = qgrid.nodes().reshape(-1, d)
-        rows = max(1, (1 << 22) // max(1, pmesh.shape[0]))
-        for start in range(0, qmesh.shape[0], rows):
-            qc = qmesh[start : start + rows]
-            nu = sol.evaluate(t, qc[:, None, :], pmesh[None, :, :])
-            for i, G in enumerate(F):
-                totals[i] += float(np.asarray(G(pmesh[None, :, :], nu)).sum())
-        return [total * qgrid.cell_volume * pgrid.cell_volume for total in totals]
-
     probe = np.zeros((1, d))
     if any(abs(float(np.asarray(G(probe, np.zeros(1))).ravel()[0])) > 0.0 for G in F):
-        raise ValueError("windowed quadrature needs F(p, 0) = 0; pass an explicit qgrid")
+        raise ValueError("windowed quadrature needs F(p, 0) = 0")
 
     h = sol.datum.feature_scale() / 3.0
     pad = 4.0 * h
@@ -478,19 +403,7 @@ def conserved_functional(
 
 
 # ---------------------------------------------------------------------------
-# boosts and inequality material
-
-
-def apply_transport_boost(sol: TransportSolution, t: float, axis: int, q, p) -> np.ndarray:
-    """Boost field W_i = d_{p_i} + t * sum_j (d_{p_i} w^j) d_{q_j} applied to nu.
-
-    On the exact solution this collapses, by the chain rule, to the datum's
-    p_i-derivative transported along characteristics.
-    """
-    d = sol.dim
-    if axis < 0 or axis >= d:
-        raise ValueError("axis out of range")
-    return sol.datum.gradient(*sol._foot(t, q, p))[d + axis]
+# inequality material
 
 
 def _pair_abs_p_derivative_integral(pair: AnalyticField, t: float) -> float:

@@ -45,6 +45,22 @@ def test_unknown_names_rejected(text, message):
         parse_config(text)
 
 
+# values that reached a runner when no parse-time rule covered them: the datum ones
+# crashed it (exit 1, traceback), the probe and time ones gave a PASS on no evidence
+ENTRY_RANGE_CASES = [
+    ("conservation", "datum", "lam", "0.5"),  # BumpLambda needs lam >= 1
+    ("counterexample", "datum", "lams", "0.5, 4.0"),
+    ("airy-local-energy", "datum", "eps", "0.0"),
+    ("local-mass", "datum", "sigmas", "0.0, 0.5"),  # sigma < d/2 on the 1-d grid
+    ("vlasov-decay", "datum", "dimension", "0"),
+    # beyond the 1500 half-width box: the probes would snap to the edge nodes and PASS
+    ("airy-pointwise", "datum", "probe_half_width", "5000"),
+    # one time gives a drift of 0, a pass on no evidence
+    ("conservation", "times", "checkpoints", "0.0"),
+    ("conservation", "times", "checkpoints", "2.0, 2.0"),
+]
+
+
 @pytest.mark.parametrize(
     "exp_id, section, key, value",
     [
@@ -55,7 +71,8 @@ def test_unknown_names_rejected(text, message):
         ("vlasov-decay", "times", "t_min", "-1"),
         ("lp-decay", "times", "ratio", "1.0"),
         ("airy-pointwise", "times", "fit_t_max", "1.0"),  # below fit_t_min = 2
-    ],
+    ]
+    + ENTRY_RANGE_CASES,
 )
 def test_out_of_range_values_rejected(exp_id, section, key, value):
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
@@ -78,11 +95,16 @@ class TestExitCodes:
         assert "schrodinger-decay: FAIL" in capsys.readouterr().out
         assert _report(tmp_path, "schrodinger-decay")["passed"] is False
 
-    def test_2_for_an_out_of_range_value_in_validate_and_run(self, tmp_path, capsys):
-        path = _write(tmp_path, "[experiment]\nid = vlasov-decay\n[datum]\nwidth = -1\n")
+    @pytest.mark.parametrize(
+        "exp_id, section, key, value", [("vlasov-decay", "datum", "width", "-1")] + ENTRY_RANGE_CASES
+    )
+    def test_2_for_an_out_of_range_value_in_validate_and_run(self, tmp_path, capsys, exp_id, section, key, value):
+        path = _write(tmp_path, f"[experiment]\nid = {exp_id}\n[{section}]\n{key} = {value}\n")
         assert cli.main(["validate", "--config", path]) == 2
-        assert cli.main(["run", "--config", path]) == 2
-        assert "datum.width" in capsys.readouterr().err
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"config error: {section}.{key}") == 2 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_2_for_a_config_error_raised_by_the_runner(self, tmp_path, capsys):
         assert _run(tmp_path, "[experiment]\nid = transport-degenerate\n[datum]\nmap = cubic\n") == 2

@@ -1,14 +1,18 @@
 """Transport solutions: characteristics, averages, conservation, boosts."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from decaylab.fields import BumpLambda, Gaussian, GridSpec, SupportOverflowError, product_gaussian_phase
+from decaylab.fields import BumpLambda, CubeIndicator, Gaussian, GridSpec, SupportOverflowError, product_gaussian_phase
 from decaylab import transport as tr
+from decaylab.experiments import OUTPUT_DIR_ENV, default_config, emit_config, parse_config, run
 from decaylab.harness import fit_decay
+
+import transport_oracles as oracle
 
 W = 1.0 / math.sqrt(2.0)  # width so the datum is exp(-q^2 - p^2)
 
@@ -53,21 +57,21 @@ class TestVelocityAverage:
     def test_zero_datum(self):
         sol = tr.TransportSolution(Gaussian((0.0, 0.0), (W, W), amplitude=0.0), tr.identity_map(1))
         pg = GridSpec.centered(8.0, 64, dim=1)
-        assert tr.velocity_average(sol, 1.0, [0.0], pg) == 0.0
+        assert oracle.velocity_average(sol, 1.0, [0.0], pg) == 0.0
 
     def test_closed_form_at_origin(self, gaussian_solution):
         pg = GridSpec.centered(8.0, 128, dim=1)
-        assert tr.velocity_average(gaussian_solution, 0.0, [0.0], pg) == pytest.approx(
+        assert oracle.velocity_average(gaussian_solution, 0.0, [0.0], pg) == pytest.approx(
             math.sqrt(math.pi), abs=1e-12
         )
-        assert tr.velocity_average(gaussian_solution, 1.0, [0.0], pg) == pytest.approx(
+        assert oracle.velocity_average(gaussian_solution, 1.0, [0.0], pg) == pytest.approx(
             math.sqrt(math.pi / 2.0), abs=1e-12
         )
 
     def test_momentum_coverage_guard(self, gaussian_solution):
         small = GridSpec.centered(1.0, 16, dim=1)
         with pytest.raises(SupportOverflowError):
-            tr.velocity_average(gaussian_solution, 1.0, [0.0], small)
+            oracle.velocity_average(gaussian_solution, 1.0, [0.0], small)
 
 
 class TestSupVelocityAverage:
@@ -88,7 +92,7 @@ class TestSupVelocityAverage:
         t = 2.0
         qg = GridSpec.centered(20.0, 4096, dim=1)
         pg = GridSpec.centered(8.0, 512, dim=1)
-        explicit = tr.sup_velocity_average(gaussian_solution, t, qg, pg)
+        explicit = oracle.grid_sup(gaussian_solution, t, qg, pg)
         adaptive = tr.sup_velocity_average(gaussian_solution, t)
         assert explicit == pytest.approx(adaptive, rel=1e-5)
 
@@ -96,15 +100,15 @@ class TestSupVelocityAverage:
         qg = GridSpec.centered(3.0, 64, dim=1)  # too small for t = 10 travel
         pg = GridSpec.centered(8.0, 128, dim=1)
         with pytest.raises(SupportOverflowError):
-            tr.sup_velocity_average(gaussian_solution, 10.0, qg, pg)
+            oracle.grid_sup(gaussian_solution, 10.0, qg, pg)
 
     def test_relativistic_peak_off_origin(self):
         # characteristics pile up near |q| = t w(1/sqrt(2)); the sup must see it
-        sol = tr.TransportSolution(Gaussian((0.0, 0.0), (W, W)), tr.relativistic_map(1))
+        sol = tr.TransportSolution(Gaussian((0.0, 0.0), (W, W)), tr.relativistic_map())
         t = 50.0
         sup = tr.sup_velocity_average(sol, t)
         pg = GridSpec.centered(8.0, 4096, dim=1)
-        at_peak = tr.velocity_average(sol, t, [t * (1 / math.sqrt(3))], pg)
+        at_peak = oracle.velocity_average(sol, t, [t * (1 / math.sqrt(3))], pg)
         assert sup >= at_peak - 1e-10
 
     @pytest.mark.parametrize("t", [1000.0, 1e4])
@@ -131,7 +135,7 @@ class TestSupVelocityAverage:
 SCALAR_MAPS = {
     "identity": tr.identity_map(1).axis_maps[0],
     "square": tr.square_map().axis_maps[0],
-    "relativistic": tr.relativistic_map(1).axis_maps[0],
+    "relativistic": tr.relativistic_map().axis_maps[0],
 }
 BRANCHES = [(name, i) for name, smap in SCALAR_MAPS.items() for i in range(len(smap.branches))]
 # |p| at which the (W, W) Gaussian pair drops below the 1e-14 support tolerance
@@ -251,13 +255,13 @@ class TestConservedFunctional:
     @pytest.mark.parametrize("t", [0.0, 1.0, 5.0])
     def test_mass_matches_oracle(self, gaussian_solution, t):
         pg = GridSpec.centered(8.0, 96, dim=1)
-        val = tr.conserved_functional(gaussian_solution, lambda p, v: v, t, pg)
+        (val,) = tr.conserved_functional(gaussian_solution, [lambda p, v: v], t, pg)
         assert val == pytest.approx(math.pi, rel=1e-10)
 
     def test_squared_density_constant(self, gaussian_solution):
         pg = GridSpec.centered(8.0, 96, dim=1)
         vals = [
-            tr.conserved_functional(gaussian_solution, lambda p, v: v * v, t, pg)
+            tr.conserved_functional(gaussian_solution, [lambda p, v: v * v], t, pg)[0]
             for t in (0.0, 1.0, 5.0)
         ]
         assert max(vals) - min(vals) <= 1e-8 * abs(vals[0])
@@ -265,26 +269,18 @@ class TestConservedFunctional:
     def test_kinetic_constant(self, gaussian_solution):
         pg = GridSpec.centered(8.0, 96, dim=1)
         kin = lambda p, v: np.sum(p * p, axis=-1) * v
-        vals = [tr.conserved_functional(gaussian_solution, kin, t, pg) for t in (0.0, 5.0)]
+        vals = [tr.conserved_functional(gaussian_solution, [kin], t, pg)[0] for t in (0.0, 5.0)]
         assert vals[1] == pytest.approx(vals[0], rel=1e-8)
 
-    def test_explicit_qgrid_path(self, gaussian_solution):
-        pg = GridSpec.centered(8.0, 128, dim=1)
-        qg = GridSpec.centered(50.0, 1024, dim=1)
-        a = tr.conserved_functional(gaussian_solution, lambda p, v: v, 5.0, pg, qgrid=qg)
-        assert a == pytest.approx(math.pi, rel=1e-9)
-
-    @pytest.mark.parametrize("case", ["windowed-d1", "windowed-d2", "qgrid-d1"])
+    @pytest.mark.parametrize("case", ["windowed-d1", "windowed-d2"])
     def test_sequence_equals_single_calls(self, gaussian_solution, case):
-        sol, pg, qg = gaussian_solution, GridSpec.centered(8.0, 96, dim=1), None
+        sol, pg = gaussian_solution, GridSpec.centered(8.0, 96, dim=1)
         if case == "windowed-d2":  # its p-grid spans three nu chunks
             sol, pg = product_solution_d2(), GridSpec.centered(8.0, 40, dim=2)
-        if case == "qgrid-d1":
-            qg = GridSpec.centered(50.0, 1024, dim=1)
         functionals = [lambda p, v: v, lambda p, v: v * v, lambda p, v: np.sum(p * p, axis=-1) * v]
         for t in (0.0, 5.0):
-            single = [tr.conserved_functional(sol, F, t, pg, qgrid=qg) for F in functionals]
-            assert tr.conserved_functional(sol, functionals, t, pg, qgrid=qg) == single
+            single = [tr.conserved_functional(sol, [F], t, pg)[0] for F in functionals]
+            assert tr.conserved_functional(sol, functionals, t, pg) == single
 
     def test_one_window_evaluation_serves_every_functional(self, monkeypatch):
         sol, pg = product_solution_d2(), GridSpec.centered(8.0, 40, dim=2)
@@ -296,7 +292,7 @@ class TestConservedFunctional:
             return value(self, *x)
 
         monkeypatch.setattr(Gaussian, "value", counted)
-        tr.conserved_functional(sol, lambda p, v: v, 5.0, pg)
+        tr.conserved_functional(sol, [lambda p, v: v], 5.0, pg)
         chunks = len(calls)
         tr.conserved_functional(sol, [lambda p, v: v, lambda p, v: v * v, lambda p, v: v**3], 5.0, pg)
         assert chunks == 3 and len(calls) == 2 * chunks
@@ -304,24 +300,18 @@ class TestConservedFunctional:
     def test_windowed_needs_vanishing_functional(self, gaussian_solution):
         pg = GridSpec.centered(8.0, 64, dim=1)
         with pytest.raises(ValueError):
-            tr.conserved_functional(gaussian_solution, lambda p, v: v + 1.0, 1.0, pg)
-
-    def test_explicit_qgrid_coverage_guard(self, gaussian_solution):
-        pg = GridSpec.centered(8.0, 64, dim=1)
-        qg = GridSpec.centered(10.0, 64, dim=1)
-        with pytest.raises(SupportOverflowError):
-            tr.conserved_functional(gaussian_solution, lambda p, v: v, 5.0, pg, qgrid=qg)
+            tr.conserved_functional(gaussian_solution, [lambda p, v: v + 1.0], 1.0, pg)
 
 
 class TestTransportBoost:
     def test_time_zero_is_momentum_derivative(self, gaussian_solution):
         q, p = 0.4, -0.3
-        got = tr.apply_transport_boost(gaussian_solution, 0.0, 0, [q], [p])
+        got = oracle.apply_transport_boost(gaussian_solution, 0.0, 0, [q], [p])
         exact = -2.0 * p * math.exp(-(q**2) - p**2)
         assert got == pytest.approx(exact, rel=1e-12)
 
     def test_odd_symmetry_zero(self, gaussian_solution):
-        assert tr.apply_transport_boost(gaussian_solution, 2.0, 0, [0.0], [0.0]) == pytest.approx(
+        assert oracle.apply_transport_boost(gaussian_solution, 2.0, 0, [0.0], [0.0]) == pytest.approx(
             0.0, abs=1e-14
         )
 
@@ -329,7 +319,7 @@ class TestTransportBoost:
         "make",
         [
             lambda: tr.TransportSolution(Gaussian((0.0, 0.0), (W, W)), tr.identity_map(1)),
-            lambda: tr.TransportSolution(Gaussian((0.0, 0.0), (W, W)), tr.relativistic_map(1)),
+            lambda: tr.TransportSolution(Gaussian((0.0, 0.0), (W, W)), tr.relativistic_map()),
             lambda: tr.TransportSolution(Gaussian((0.0, 0.0), (W, W)), tr.square_map()),
         ],
     )
@@ -349,7 +339,7 @@ class TestTransportBoost:
             ) / (2 * h)
             dw = float(sol.dispersion.axis_maps[0].dw(p))
             stencil = dnu_dp + t * dw * dnu_dq
-            boost = tr.apply_transport_boost(sol, t, 0, [q], [p])
+            boost = oracle.apply_transport_boost(sol, t, 0, [q], [p])
             assert boost == pytest.approx(float(stencil), rel=1e-5, abs=1e-8)
 
 
@@ -446,6 +436,45 @@ def test_datum_dimension_guard():
 def test_velocity_average_against_scipy_quadrature(gaussian_solution):
     t, q = 1.7, 0.4
     pg = GridSpec.centered(8.0, 256, dim=1)
-    ours = tr.velocity_average(gaussian_solution, t, [q], pg)
+    ours = oracle.velocity_average(gaussian_solution, t, [q], pg)
     ref = quad(lambda p: math.exp(-((q - t * p) ** 2) - p * p), -8, 8, epsabs=1e-13)[0]
     assert ours == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "dmap, closed_form",
+    [
+        (tr.relativistic_map(), lambda p: p / np.sqrt(1.0 + p**2)),
+        (tr.mixed_map(), lambda p: np.stack([p[..., 0], p[..., 1] ** 2], axis=-1)),
+        (tr.identity_map(2), lambda p: p),
+    ],
+)
+def test_map_velocity_is_read_axis_by_axis(dmap, closed_form):
+    p = np.random.default_rng(11).normal(size=(7, dmap.dim)) * 3.0
+    np.testing.assert_array_equal(dmap.w(p), closed_form(p))
+
+
+def test_sup_needs_a_pair_factored_datum():
+    sol = tr.TransportSolution(CubeIndicator((0.0, 0.0), 1.0), tr.identity_map(1))
+    with pytest.raises(ValueError, match="pair factors"):
+        tr.sup_velocity_average(sol, 1.0)
+
+
+REPORTS = Path(__file__).resolve().parent / "reports"
+
+
+@pytest.mark.parametrize(
+    "name, exp_id, edit",
+    [
+        ("conservation", "conservation", None),
+        ("transport-degenerate-relativistic", "transport-degenerate", ("map = mixed", "map = relativistic")),
+    ],
+    ids=["conservation", "transport-degenerate-relativistic"],
+)
+def test_transport_reports_equal_the_recorded_tables(name, exp_id, edit, monkeypatch):
+    # recorded from the default configs before the explicit-grid and non-separable-map paths were removed
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    config = default_config(exp_id)
+    if edit is not None:
+        config = parse_config(emit_config(config).replace(*edit))
+    assert run(config).samples_table() == (REPORTS / f"{name}.tsv").read_text()
