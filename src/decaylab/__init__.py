@@ -17,8 +17,6 @@ from .fields import (
     OracleUnavailable,
     SampledField,
     SupportOverflowError,
-    integrate,
-    l1_norm,
     l2_norm,
     linf_norm,
     product_gaussian_phase,
@@ -49,7 +47,6 @@ from .operators import (
 )
 from .norms import (
     DyadicPartition,
-    NormValue,
     build_dyadic_partition,
     hs_norm,
     lp_norm,

@@ -175,6 +175,8 @@ def parse_config(text: str) -> ExperimentConfig:
     _check_ranges(exp_id, resolved)
     config = ExperimentConfig(exp_id, _freeze_sections(resolved))
     _check_boxes(config)
+    if exp_id in _FITTING:
+        _fit_times(config)  # refuse here a fit window the runner would refuse
     return config
 
 
@@ -182,7 +184,10 @@ def parse_config(text: str) -> ExperimentConfig:
 # ranges that the generic rules of ``_check_ranges`` do not cover
 _ENTRY_RANGES = {
     "vlasov-decay": (("datum", "dimension", lambda v, s: v >= 1, "must be at least 1"),),
-    "counterexample": (("datum", "lams", lambda v, s: min(v) >= 1.0, "must all be >= 1"),),
+    "counterexample": (  # the spread and growth checks compare consecutive lams
+        ("datum", "lams", lambda v, s: min(v) >= 1.0, "must all be >= 1"),
+        ("datum", "lams", lambda v, s: len(v) > 1 and list(v) == sorted(set(v)), "must increase over 2 or more values"),
+    ),
     "conservation": (
         ("datum", "lam", lambda v, s: v >= 1.0, "must be >= 1"),
         # a drift over one time is 0 whatever the quadrature does
@@ -191,6 +196,12 @@ _ENTRY_RANGES = {
     # the grid is one-dimensional, so 0 <= sigma < d/2 = 1/2
     "local-mass": (("datum", "sigmas", lambda v, s: all(0.0 <= x < 0.5 for x in v), "must lie in [0, 1/2)"),),
     "airy-local-energy": (("datum", "eps", lambda v, s: v > 0.0, "must be positive"),),
+    "commutation-suite": (
+        ("experiment", "seed", lambda v, s: v >= 0, "must be at least 0"),
+        ("datum", "n_data", lambda v, s: v >= 1, "must be at least 1"),
+    ),
+    # one center makes the shared-constant spread 1 whatever the norms are
+    "cube-translation": (("datum", "centers", lambda v, s: len(set(v)) > 1, "must hold 2 or more distinct values"),),
     # a probe outside the box would be snapped to an edge node
     "airy-pointwise": (
         (
@@ -367,8 +378,15 @@ def _times(cfg: ExperimentConfig, prefix: str = "") -> list:
     )
 
 
-def _fit_times(cfg: ExperimentConfig, prefix: str = "", after: Optional[str] = None) -> list:
+# the entries that fit a decay rate, and the (prefix, after) of the ``times`` keys that
+# ``_fit_times`` reads where they are not ("", None)
+_FIT_KEYS = {"airy-pointwise": ("fit_", None), "airy-local-energy": ("", "fit_t_min")}
+_FITTING = ("vlasov-decay", "transport-degenerate", "schrodinger-decay", "lp-decay", "airy-decay", *_FIT_KEYS)
+
+
+def _fit_times(cfg: ExperimentConfig) -> list:
     """Decay-fit times: ``_times``, from ``times.{after}`` on; too few is an error of those keys."""
+    prefix, after = _FIT_KEYS.get(cfg.experiment, ("", None))
     times = _times(cfg, prefix)
     keys = [f"times.{prefix}t_min", f"times.{prefix}t_max", "times.ratio"]
     if after is not None:
@@ -502,8 +520,6 @@ def _conservation_case(name: str, width: float, lam: float):
     pbox = float(max(abs(lo[d:]).max(), abs(hi[d:]).max())) * 1.05
     spacing = sol.datum.feature_scale() / 3.0
     n = max(16, int(math.ceil(2 * pbox / spacing)))
-    if d == 2:
-        n = min(n, 72)
     pgrid = GridSpec.centered(pbox, n, dim=d)
     return sol, pgrid
 
@@ -547,7 +563,7 @@ def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
     # one guarded series serves the oracle rows, the conservation drift and the fit
     series = Series.evolve(u0, schrodinger(), (*checkpoints, *times))
     checked, fitted = series.restrict(checkpoints), series.restrict(times)
-    base = {s: hs_norm(u0, s).value for s in (0.25, 0.5, 1.0)}
+    base = {s: hs_norm(u0, s) for s in (0.25, 0.5, 1.0)}
     mass0 = l2_norm(u0)
     rows, passed, worst = [], True, 0.0
     for t, ut in checked.clean:
@@ -558,7 +574,7 @@ def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
         rows.append((t, value, oracle, err))
         worst = max(worst, abs(l2_norm(ut) / mass0 - 1.0))
         for s, ref in base.items():
-            worst = max(worst, abs(hs_norm(ut, s).value / ref - 1.0))
+            worst = max(worst, abs(hs_norm(ut, s) / ref - 1.0))
     if not rows:
         raise ContaminationError("schrodinger-decay: every checkpoint was excluded")
     passed = passed and worst <= cfg.get("tolerances", "conservation")
@@ -672,24 +688,20 @@ def _run_local_mass(cfg: ExperimentConfig, threads: int):
 def _run_cube_translation(cfg: ExperimentConfig, threads: int):
     grid = _grid(cfg)
     part = build_dyadic_partition(grid, cfg.get("grid", "k_min"), cfg.get("grid", "k_max"))
-    centers = cfg.get("datum", "centers")
-    rows, ratios = [], []
-    untranslated_ratio = None
-    for c, (_, cube) in zip(centers, _cubes(cfg)):
+    rows = []
+    for c, (_, cube) in zip(cfg.get("datum", "centers"), _cubes(cfg)):
         opt = translated_xnorm_inf(cube, 0.5, 1, part)
-        plain = x_norm(sample(cube, grid), 0.5, 1, part).value
-        l1 = cube.mass()
-        ratios.append(opt.value / l1)
-        rows.append((c, opt.value, plain, l1, opt.value / l1))
-        if c == max(centers):
-            untranslated_ratio = plain / opt.value
+        rows.append((c, opt, x_norm(sample(cube, grid), 0.5, 1, part), cube.mass(), opt / cube.mass()))
+    ratios = [row[-1] for row in rows]
+    c_max, opt, plain = max(rows)[:3]  # the row of the largest center
+    untranslated_ratio = plain / opt
     spread = max(ratios) / min(ratios)
     passed = spread <= cfg.get("tolerances", "shared_constant_spread") and untranslated_ratio >= cfg.get(
         "tolerances", "untranslated_gain"
     )
     notes = (
         f"shared constant C = {max(ratios):.6f} (spread x{spread:.3f})",
-        f"untranslated/translated at c={max(centers):g}: x{untranslated_ratio:.3f}",
+        f"untranslated/translated at c={c_max:g}: x{untranslated_ratio:.3f}",
     )
     cols = ("center", "translated_xnorm", "untranslated_xnorm", "l1", "ratio_to_l1")
     return _Outcome(cols, tuple(rows), passed, notes=notes)
@@ -707,7 +719,7 @@ def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
     # probing the nodes nearest the evenly spaced points keeps the report's rows.
     x = u0.grid.axis(0)
     probes = x[[int(np.argmin(np.abs(x - p))) for p in wanted]]
-    checkpoints, fit_times = cfg.get("times", "checkpoints"), _fit_times(cfg, "fit_")
+    checkpoints, fit_times = cfg.get("times", "checkpoints"), _fit_times(cfg)
     series = Series.evolve(u0, airy(), (*checkpoints, *fit_times))
     rep = check_airy_pointwise(series.restrict(checkpoints), probes)
     # the decay of d_x u(t) on the half line x >= 0
@@ -724,7 +736,7 @@ def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
 
 def _run_airy_local_energy(cfg: ExperimentConfig, threads: int):
     u0 = _airy_field(cfg)
-    fit_times = _fit_times(cfg, after="fit_t_min")
+    fit_times = _fit_times(cfg)
     series = Series.evolve(u0, airy(), _times(cfg))
     rep = check_airy_local_energy(series, cfg.get("datum", "eps"))
     fitted, lhs = series.restrict(fit_times), {t: l for t, l, _ in rep.samples}
@@ -774,7 +786,7 @@ def _run_commutation_suite(cfg: ExperimentConfig, threads: int):
         perturbed_best = {"a": 0.0, "b": 0.0}
         for i in range(n_data):
             u0 = random_wave_packets(grid, rng)
-            residuals = commutation_residual(op, disp, u0, times)[0].tolist()
+            residuals = commutation_residual(op, disp, u0, times).tolist()
             worst = max(worst, *residuals)
             rows.extend((m, i, t, r) for t, r in zip(times, residuals))
             if i == 0:
@@ -784,7 +796,7 @@ def _run_commutation_suite(cfg: ExperimentConfig, threads: int):
                         op.a * 1.1 if which == "a" else op.a,
                         op.b if which == "a" else op.b * 1.1,
                     )
-                    perturbed_best[which] = float(commutation_residual(bad, disp, u0, times)[0].max())
+                    perturbed_best[which] = float(commutation_residual(bad, disp, u0, times).max())
         ok = worst <= tol and all(v >= detect for v in perturbed_best.values())
         passed = passed and ok
         notes.append(

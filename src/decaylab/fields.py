@@ -37,9 +37,7 @@ __all__ = [
     "CubeIndicator",
     "product_gaussian_phase",
     "sample",
-    "integrate",
     "spectral_derivative",
-    "l1_norm",
     "l2_norm",
     "linf_norm",
 ]
@@ -185,16 +183,6 @@ def sample(datum: "AnalyticField", grid: GridSpec) -> SampledField:
         raise ValueError(f"datum dimension {datum.ndim} != grid dimension {grid.dim}")
     _check_support(datum, grid)
     return SampledField(grid, datum.value(*grid.meshgrid()), datum.kind)
-
-
-def integrate(field: SampledField):
-    """Periodic trapezoid (= rectangle) quadrature of the samples."""
-    total = field.values.sum() * field.grid.cell_volume
-    return complex(total) if field.kind == "complex" else float(total)
-
-
-def l1_norm(field: SampledField) -> float:
-    return float(np.sum(np.abs(field.values)) * field.grid.cell_volume)
 
 
 def l2_norm(field: SampledField) -> float:

@@ -131,8 +131,8 @@ class InequalityReport:
     excluded: tuple = ()
 
 
-def fit_decay(times, values, window=None, excluded: tuple = ()) -> DecayFit:
-    """Fit log(value) = intercept + slope * log(t) over the time window.
+def fit_decay(times, values, excluded: tuple = ()) -> DecayFit:
+    """Fit log(value) = intercept + slope * log(t) over all the given samples.
 
     ``excluded`` lists the (t, reason) samples already dropped; if any were
     and fewer than ``MIN_FIT_SAMPLES`` remain, the error is a
@@ -144,9 +144,6 @@ def fit_decay(times, values, window=None, excluded: tuple = ()) -> DecayFit:
         raise ValueError("times and values must have matching length")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    if window is not None:
-        keep = (times >= window[0]) & (times <= window[1])
-        times, values = times[keep], values[keep]
     if times.size < MIN_FIT_SAMPLES:
         msg = f"need at least {MIN_FIT_SAMPLES} samples in the fit window, got {times.size}"
         if excluded:
@@ -201,7 +198,7 @@ def _report(name, samples, bound=None, tolerance=INEQUALITY_SLACK, detail=(), ex
 def check_dispersive_schrodinger(series: Series, partition: DyadicPartition) -> InequalityReport:
     """|t|^(d/2) sup |u(t)| against the dyadic X^{d/2,1} norm of the datum."""
     d = series.u0.grid.dim
-    rhs = x_norm(series.u0, d / 2.0, 1, partition).value
+    rhs = x_norm(series.u0, d / 2.0, 1, partition)
     samples = [(t, abs(t) ** (d / 2.0) * linf_norm(ut), rhs) for t, ut in series.clean]
     return _report("schrodinger-dispersive-sup", samples, excluded=series.excluded)
 
@@ -237,19 +234,19 @@ def check_lp_decay(
     d = u0.grid.dim
     p = 2.0 / (1.0 - theta)
     if theta == 0.0:
-        rhs = lp_norm(u0, 2).value
-        samples = [(t, lp_norm(ut, 2).value, rhs) for t, ut in series.clean]
+        rhs = lp_norm(u0, 2)
+        samples = [(t, lp_norm(ut, 2), rhs) for t, ut in series.clean]
         return _report(
             "schrodinger-mass-conservation", samples, bound=1.0, tolerance=1e-12, excluded=series.excluded
         )
     s = theta * d / 2.0
     if partition is None:
         raise ValueError("theta > 0 needs a dyadic partition for the data norm")
-    rhs_large_t = x_norm(u0, s, 2, partition).value
-    rhs_all_t = weighted_l2(u0, s).value + hs_norm(u0, s).value
+    rhs_large_t = x_norm(u0, s, 2, partition)
+    rhs_all_t = weighted_l2(u0, s) + hs_norm(u0, s)
     samples, detail_rows = [], []
     for t, ut in series.clean:
-        lpv = lp_norm(ut, p).value
+        lpv = lp_norm(ut, p)
         samples.append((t, abs(t) ** s * lpv, rhs_large_t))
         detail_rows.append(((1.0 + t * t) ** (s / 2.0) * lpv) / rhs_all_t)
     detail = (("truncated_ratio_max", max(detail_rows) if detail_rows else 0.0),)
@@ -259,21 +256,21 @@ def check_lp_decay(
 def check_local_mass(series: Series, sigma: float, partition: DyadicPartition) -> InequalityReport:
     """|t|^sigma ||u(t)||_{X^{-sigma,2}} against ||u0||_{X^{sigma,2}}.
 
-    The estimate is one-sided: it bounds the left side from above and no
-    lower bound is promised. ``window_truncated`` in ``detail`` means that
-    mass of some u(t) has left the dyadic shell; the clipped norm is then
-    smaller, so truncation cannot produce a false violation.
+    Both sides are float ``x_norm``s. The estimate is one-sided: it bounds the
+    left side from above and no lower bound is promised. Truncation is measured
+    here: ``window_truncated`` in ``detail`` means that more than 1e-10 of some
+    u(t) lies off the dyadic shell (``DyadicPartition.off_shell_fraction``); the
+    clipped norm is then smaller, so truncation cannot produce a false violation.
     """
     d = series.u0.grid.dim
     if not 0.0 <= sigma < d / 2.0:
         raise ValueError("sigma must lie in [0, d/2)")
-    rhs = x_norm(series.u0, sigma, 2, partition).value
+    rhs = x_norm(series.u0, sigma, 2, partition)
     samples = []
     truncated = False
     for t, ut in series.clean:
-        nv = x_norm(ut, -sigma, 2, partition)
-        truncated = truncated or nv.truncated
-        samples.append((t, abs(t) ** sigma * nv.value, rhs))
+        truncated = truncated or partition.off_shell_fraction(ut) > 1e-10
+        samples.append((t, abs(t) ** sigma * x_norm(ut, -sigma, 2, partition), rhs))
     bound = math.sqrt(2.0) if sigma == 0.0 else None  # overlap sandwich at sigma = 0
     detail = (("window_truncated", truncated),)
     name = f"schrodinger-local-mass-{sigma:g}"

@@ -4,23 +4,23 @@ The dyadic partition is built from a fixed C^2 quintic smoothstep of the
 radial coordinate in log2 scale (profile id below); every reported constant
 depends on this choice, so reports carry the id. The partition bumps
 telescope, which makes the partition-of-unity identity exact on the shell.
+Every norm is a plain float. An X norm clips f to the dyadic shell; the share
+it clips is ``DyadicPartition.off_shell_fraction``, read by ``check_local_mass``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import AnalyticField, GridSpec, SampledField
+from .fields import AnalyticField, GridSpec, SampledField, l2_norm
 
 __all__ = [
     "PARTITION_PROFILE_ID",
     "DyadicPartition",
     "build_dyadic_partition",
-    "NormValue",
     "x_norm",
     "lp_norm",
     "hs_norm",
@@ -53,14 +53,15 @@ class DyadicPartition:
     k_min: int
     k_max: int
     bumps: np.ndarray  # (k_max - k_min + 1, *grid.points)
-    profile_id: str = PARTITION_PROFILE_ID
 
     @property
     def k_range(self) -> range:
         return range(self.k_min, self.k_max + 1)
 
-    def shell_sum(self) -> np.ndarray:
-        return self.bumps.sum(axis=0)
+    def off_shell_fraction(self, f: SampledField) -> float:
+        """||(1 - sum_k phi_k) f||_2 / ||f||_2, the share of f an X norm clips; 0 for f = 0."""
+        total = l2_norm(f)
+        return l2_norm(f.with_values((1.0 - self.bumps.sum(axis=0)) * f.values)) / total if total else 0.0
 
 
 def _check_window(grid: GridSpec, k_min: int, k_max: int) -> None:
@@ -92,65 +93,34 @@ def build_dyadic_partition(grid: GridSpec, k_min: int, k_max: int) -> DyadicPart
     return DyadicPartition(grid, k_min, k_max, bumps)
 
 
-@dataclass(frozen=True)
-class NormValue:
-    """A computed norm with the metadata needed to reproduce it."""
+def x_norm(f: SampledField, theta: float, q: float, partition: DyadicPartition) -> float:
+    """Dyadic norm: l^q over k of 2^(theta k) ||phi_k f||_L2, for 1 <= q <= inf.
 
-    kind: str
-    value: float
-    k_range: Optional[tuple] = None
-    truncated: bool = False
-    detail: tuple = ()
-
-
-def _grid_l2(values: np.ndarray, grid: GridSpec) -> float:
-    return math.sqrt(float(np.sum(np.abs(values) ** 2)) * grid.cell_volume)
-
-
-def x_norm(f: SampledField, theta: float, q, partition: DyadicPartition) -> NormValue:
-    """Dyadic norm: l^q over k of 2^(theta k) ||phi_k f||_L2.
-
-    Sets the truncation flag when more than 1e-10 of the L2 mass of f sits
-    outside the partition shell (the value is then a clipped-window norm).
+    Mass of f off the partition shell is not counted; the value is then a
+    clipped-window norm (see ``DyadicPartition.off_shell_fraction``).
     """
     if f.grid != partition.grid:
         raise ValueError("field and partition live on different grids")
-    pieces = np.array(
-        [_grid_l2(bump * f.values, f.grid) for bump in partition.bumps]
-    )
-    weights = 2.0 ** (theta * np.arange(partition.k_min, partition.k_max + 1))
+    pieces = np.array([l2_norm(f.with_values(bump * f.values)) for bump in partition.bumps])
+    weights = 2.0 ** (theta * np.array(partition.k_range))
     seq = weights * pieces
-    if q == math.inf or q == "inf":
-        value = float(seq.max()) if seq.size else 0.0
-    else:
-        q = float(q)
-        if q < 1.0:
-            raise ValueError("sequence exponent must satisfy q >= 1")
-        value = float(np.sum(seq**q) ** (1.0 / q))
-    total = _grid_l2(f.values, f.grid)
-    off_shell = _grid_l2((1.0 - partition.shell_sum()) * f.values, f.grid)
-    truncated = total > 0 and off_shell / total > 1e-10
-    return NormValue(
-        kind=f"X({theta},{q})",
-        value=value,
-        k_range=(partition.k_min, partition.k_max),
-        truncated=truncated,
-        detail=(("off_shell_fraction", off_shell / total if total else 0.0),),
-    )
+    if q == math.inf:
+        return float(seq.max()) if seq.size else 0.0
+    q = float(q)
+    if q < 1.0:
+        raise ValueError("sequence exponent must satisfy q >= 1")
+    return float(np.sum(seq**q) ** (1.0 / q))
 
 
-def lp_norm(f: SampledField, p) -> NormValue:
-    """L^p norm by grid quadrature; p = inf is the max over nodes."""
-    if p == math.inf or p == "inf":
-        return NormValue("Linf", float(np.max(np.abs(f.values))))
+def lp_norm(f: SampledField, p: float) -> float:
+    """L^p norm by grid quadrature for finite p >= 1; ``linf_norm`` is the sup."""
     p = float(p)
-    if p < 1.0:
-        raise ValueError("p must satisfy p >= 1")
-    value = float((np.sum(np.abs(f.values) ** p) * f.grid.cell_volume) ** (1.0 / p))
-    return NormValue(f"L{p:g}", value)
+    if not 1.0 <= p < math.inf:
+        raise ValueError("p must satisfy 1 <= p < inf")
+    return float((np.sum(np.abs(f.values) ** p) * f.grid.cell_volume) ** (1.0 / p))
 
 
-def hs_norm(f: SampledField, s: float) -> NormValue:
+def hs_norm(f: SampledField, s: float) -> float:
     """Sobolev norm via the weighted Fourier-side quadrature.
 
     Normalized so that s = 0 reproduces the grid L2 norm exactly.
@@ -164,11 +134,10 @@ def hs_norm(f: SampledField, s: float) -> NormValue:
         ksq = ksq + k.reshape(shape) ** 2
     weight = (1.0 + ksq) ** s
     n_total = float(np.prod(f.grid.points))
-    value = math.sqrt(float(np.sum(weight * np.abs(fhat) ** 2)) * f.grid.cell_volume / n_total)
-    return NormValue(f"H{s:g}", value)
+    return math.sqrt(float(np.sum(weight * np.abs(fhat) ** 2)) * f.grid.cell_volume / n_total)
 
 
-def weighted_l2(f: SampledField, power: float) -> NormValue:
+def weighted_l2(f: SampledField, power: float) -> float:
     """|| |x|^power f ||_L2.
 
     For power < 0 the weight is singular at x = 0, and a grid node there is
@@ -178,10 +147,8 @@ def weighted_l2(f: SampledField, power: float) -> NormValue:
     - for -d/2 < power < 0 the origin node carries the mean of |x|^(2 power)
       over the ball with the cell's volume, d/(d + 2 power) R^(2 power);
     - for power <= -d/2 the weight is not locally integrable, so if f(0) != 0
-      the value is inf, with ("singular_weight", "non-integrable") in
-      ``detail``.
+      the value is inf.
     """
-    kind = f"wabs^{power:g}-L2"
     rsq = sum(x**2 for x in f.grid.meshgrid())
     if power >= 0.0:
         w = rsq ** (power / 2.0)
@@ -189,16 +156,16 @@ def weighted_l2(f: SampledField, power: float) -> NormValue:
         d = f.grid.dim
         origin = rsq == 0.0
         if power <= -d / 2.0 and np.any(f.values[origin] != 0):
-            return NormValue(kind, math.inf, detail=(("singular_weight", "non-integrable"),))
+            return math.inf
         w = np.zeros(rsq.shape)
         w[~origin] = rsq[~origin] ** (power / 2.0)
         if power > -d / 2.0:
             radius = (f.grid.cell_volume * math.gamma(d / 2.0 + 1.0) / math.pi ** (d / 2.0)) ** (1.0 / d)
             w[origin] = math.sqrt(d / (d + 2.0 * power)) * radius**power
-    return NormValue(kind, _grid_l2(w * np.abs(f.values), f.grid))
+    return l2_norm(f.with_values(w * np.abs(f.values), "real"))
 
 
-def translated_xnorm_inf(datum: AnalyticField, theta: float, q, partition: DyadicPartition) -> NormValue:
+def translated_xnorm_inf(datum: AnalyticField, theta: float, q: float, partition: DyadicPartition) -> float:
     """Upper bound on inf over shifts y of the X norm of x -> datum(x + y).
 
     Coarse-to-fine grid search: 3 levels of 17 shifts per axis, each level
@@ -227,7 +194,7 @@ def translated_xnorm_inf(datum: AnalyticField, theta: float, q, partition: Dyadi
             if np.any(lo - y < glo) or np.any(hi - y > ghi):
                 continue
             fy = SampledField(grid, datum.value(*(x + yi for x, yi in zip(nodes, y))), datum.kind)
-            val = x_norm(fy, theta, q, partition).value
+            val = x_norm(fy, theta, q, partition)
             if val < best_val:
                 best_val, best_shift = val, y.copy()
         if best_shift is None:
@@ -236,10 +203,5 @@ def translated_xnorm_inf(datum: AnalyticField, theta: float, q, partition: Dyadi
         width = 2.0 * width / (coarse - 1)
     if best_shift is None:
         raise ValueError("no admissible shift keeps the support inside the shell")
-    return NormValue(
-        kind=f"inf_y X({theta},{q})",
-        value=best_val,
-        k_range=(partition.k_min, partition.k_max),
-        detail=(("best_shift", tuple(float(v) for v in best_shift)),),
-    )
+    return best_val
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -210,21 +210,17 @@ def _boost_walk(u: SampledField, t: float, order: int) -> dict:
 
 def commutation_residual(
     op: CommutingOperator, disp: DispersionPolynomial, u0: SampledField, times: Sequence[float]
-) -> Tuple[np.ndarray, bool]:
+) -> np.ndarray:
     """|| A(t) U(t) u0 - U(t) A(0) u0 ||_2 at each time, relative to || A(0) u0 ||_2.
 
-    Returns (residuals, relative), one residual per time. When the
-    denominator vanishes the absolute residuals are returned with
-    relative=False.
+    One residual per time; when || A(0) u0 ||_2 = 0 the residuals are absolute.
     """
     a0 = apply_operator(op, u0, 0.0)
     evolution, boosted = Evolution(u0, disp), Evolution(a0, disp)
-    diffs = (apply_operator(op, evolution.at(t), t).as_complex() - boosted.at(t).as_complex() for t in times)
-    nums = np.array([math.sqrt(float(np.sum(np.abs(d) ** 2)) * u0.grid.cell_volume) for d in diffs])
+    diffs = (apply_operator(op, evolution.at(t), t).values - boosted.at(t).as_complex() for t in times)
+    nums = np.array([l2_norm(SampledField(u0.grid, d, "complex")) for d in diffs])
     denom = l2_norm(a0)
-    if denom == 0.0:
-        return nums, False
-    return nums / denom, True
+    return nums / denom if denom else nums
 
 
 def commutator_norm(
@@ -233,8 +229,7 @@ def commutator_norm(
     """|| [W_1, W_2] u ||_2 evaluated on the grid."""
     ab = apply_operator(op1, apply_operator(op2, u, t), t)
     ba = apply_operator(op2, apply_operator(op1, u, t), t)
-    diff = ab.as_complex() - ba.as_complex()
-    return math.sqrt(float(np.sum(np.abs(diff) ** 2)) * u.grid.cell_volume)
+    return l2_norm(ab.with_values(ab.values - ba.values))
 
 
 def random_wave_packets(grid, rng) -> SampledField:

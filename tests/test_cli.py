@@ -20,6 +20,12 @@ def _run(tmp_path, text, *extra):
     return cli.main(["run", "--config", _write(tmp_path, text), "--out", str(tmp_path / "out"), *extra])
 
 
+def _one_key(exp_id, section, key, value):
+    """Config text that sets one key of an entry."""
+    head = f"[experiment]\nid = {exp_id}\n"
+    return head + (f"{key} = {value}\n" if section == "experiment" else f"[{section}]\n{key} = {value}\n")
+
+
 def _report(tmp_path, exp_id):
     return json.loads((tmp_path / "out" / f"{exp_id}.json").read_text())
 
@@ -47,6 +53,7 @@ def test_unknown_names_rejected(text, message):
 
 # values that reached a runner when no parse-time rule covered them: the datum ones
 # crashed it (exit 1, traceback), the probe and time ones gave a PASS on no evidence
+# (or a FAIL with nothing checked)
 ENTRY_RANGE_CASES = [
     ("conservation", "datum", "lam", "0.5"),  # BumpLambda needs lam >= 1
     ("counterexample", "datum", "lams", "0.5, 4.0"),
@@ -58,6 +65,12 @@ ENTRY_RANGE_CASES = [
     # one time gives a drift of 0, a pass on no evidence
     ("conservation", "times", "checkpoints", "0.0"),
     ("conservation", "times", "checkpoints", "2.0, 2.0"),
+    ("commutation-suite", "experiment", "seed", "-3"),  # numpy's rng refuses it
+    ("commutation-suite", "datum", "n_data", "0"),  # FAIL with nothing checked
+    # one lam: vacuous spread and growth checks; decreasing lams: a FAIL of the growth check
+    ("counterexample", "datum", "lams", "4.0"),
+    ("counterexample", "datum", "lams", "16.0, 4.0"),
+    ("cube-translation", "datum", "centers", "10.0"),  # "spread x1.000" from one center
 ]
 
 
@@ -71,12 +84,20 @@ ENTRY_RANGE_CASES = [
         ("vlasov-decay", "times", "t_min", "-1"),
         ("lp-decay", "times", "ratio", "1.0"),
         ("airy-pointwise", "times", "fit_t_max", "1.0"),  # below fit_t_min = 2
+        # a fit window of one time, or none, in each entry that fits a decay rate
+        ("vlasov-decay", "times", "t_max", "10.0"),
+        ("transport-degenerate", "times", "t_max", "10.0"),
+        ("schrodinger-decay", "times", "t_max", "5.0"),
+        ("lp-decay", "times", "t_max", "5.0"),
+        ("airy-decay", "times", "t_max", "2.0"),
+        ("airy-pointwise", "times", "fit_t_max", "2.0"),
+        ("airy-local-energy", "times", "fit_t_min", "50.0"),
     ]
     + ENTRY_RANGE_CASES,
 )
 def test_out_of_range_values_rejected(exp_id, section, key, value):
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
-        parse_config(f"[experiment]\nid = {exp_id}\n[{section}]\n{key} = {value}\n")
+        parse_config(_one_key(exp_id, section, key, value))
 
 
 class TestExitCodes:
@@ -99,7 +120,7 @@ class TestExitCodes:
         "exp_id, section, key, value", [("vlasov-decay", "datum", "width", "-1")] + ENTRY_RANGE_CASES
     )
     def test_2_for_an_out_of_range_value_in_validate_and_run(self, tmp_path, capsys, exp_id, section, key, value):
-        path = _write(tmp_path, f"[experiment]\nid = {exp_id}\n[{section}]\n{key} = {value}\n")
+        path = _write(tmp_path, _one_key(exp_id, section, key, value))
         assert cli.main(["validate", "--config", path]) == 2
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
@@ -121,13 +142,17 @@ class TestExitCodes:
                 "[experiment]\nid = airy-local-energy\n[times]\nfit_t_min = 40.0\n",
                 "times.t_min, times.t_max, times.ratio, times.fit_t_min",
             ),
+            (  # times 10, 14.1, 20
+                "[experiment]\nid = vlasov-decay\n[times]\nt_max = 20.0\n",
+                "times.t_min, times.t_max, times.ratio",
+            ),
         ],
     )
     def test_2_when_the_time_keys_leave_a_fit_too_few_times(self, tmp_path, capsys, text, keys):
-        assert cli.main(["validate", "--config", _write(tmp_path, text)]) == 0
+        assert cli.main(["validate", "--config", _write(tmp_path, text)]) == 2
         assert _run(tmp_path, text) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and keys in err
+        assert err.count("config error: ") == 2 and err.count(keys) == 2
         assert not (tmp_path / "out").exists()
 
     def test_2_when_the_box_is_too_small_for_the_datum(self, tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from decaylab.experiments import parse_config, run
 from decaylab.fields import Gaussian, GridSpec, linf_norm, sample, spectral_derivative
-from decaylab.norms import build_dyadic_partition, x_norm
+from decaylab.norms import build_dyadic_partition
 from decaylab.operators import boost_norms
 from decaylab.propagators import Evolution, airy, even_order, schrodinger
 from decaylab import harness as hz
@@ -44,12 +44,6 @@ class TestFitDecay:
         fit = hz.fit_decay(t, t**-a)
         assert fit.slope == pytest.approx(-a, abs=1e-12)
         assert fit.max_abs_residual <= 1e-12
-
-    def test_window_filter(self):
-        t = np.geomspace(1.0, 100.0, 20)
-        v = t**-1.0
-        fit = hz.fit_decay(t, v, window=(5.0, 50.0))
-        assert fit.window[0] >= 5.0 and fit.window[1] <= 50.0
 
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValueError):
@@ -224,7 +218,7 @@ class TestLpAndLocalMass:
         assert dict(rep.detail)["window_truncated"]
         for t, lhs, rhs in rep.samples:
             ut = Evolution(u0, schrodinger()).at(t)
-            ofs = dict(x_norm(ut, 0.0, 2, part).detail)["off_shell_fraction"]
+            ofs = part.off_shell_fraction(ut)
             assert 2**-0.5 * (1.0 - ofs) - 1e-9 <= lhs / rhs <= 2**0.5 + 1e-9
 
     def test_check_with_every_sample_excluded_raises(self):
