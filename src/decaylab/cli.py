@@ -7,7 +7,8 @@ Exit codes:
    report is written. An unexpected exception also exits 1, with a traceback.
 2  bad input: a bad command line, or a config that cannot be read or parsed,
    names an unknown section or key, or holds an out-of-range value (found at
-   load time or by the runner), or whose grid box is too small for its datum
+   load time, so by ``validate`` too; no runner raises ``ConfigError``, and one
+   that did would also exit 2), or whose grid box is too small for its datum
    (found at load time, so by ``validate`` too; a ``SupportOverflowError``
    from a runner also maps here), or whose grid spacing is above half the
    ``feature_scale()`` of a sampled datum, so the grid does not resolve it

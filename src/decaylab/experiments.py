@@ -7,6 +7,11 @@ tab-separated sample tables whose floats are written with ``repr``, so
 re-running a config reproduces the samples table byte-identically at any
 thread count (threads only spread independent samples; reductions happen
 in fixed time order).
+
+Each catalog entry carries its defaults, its value rules and the ``times``
+keys of its decay fit. A runner hands back its own check, its fitted slopes
+and its inequality reports; ``run`` passes the experiment exactly when all
+three pass.
 """
 
 from __future__ import annotations
@@ -156,13 +161,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if not parser.has_section("experiment") or not parser.has_option("experiment", "id"):
         raise ConfigError("missing required key experiment.id")
     exp_id = parser.get("experiment", "id").strip()
-    entries = catalog()
-    if exp_id not in entries:
-        raise ConfigError(
-            f"experiment.id {exp_id!r} is not in the catalog ({', '.join(entries)})"
-        )
-    defaults = entries[exp_id].defaults
-    resolved = {name: dict(items) for name, items in _freeze_sections(defaults)}
+    resolved = default_config(exp_id).as_dict()  # refuses an id not in the catalog
+    entry = catalog()[exp_id]
     for section in parser.sections():
         if section not in resolved:
             raise ConfigError(f"unknown section {section!r}")
@@ -172,49 +172,15 @@ def parse_config(text: str) -> ExperimentConfig:
             resolved[section][key] = _parse_value(value, resolved[section][key])
     if resolved["experiment"]["id"] != exp_id:
         raise ConfigError("experiment.id mismatch")
-    _check_ranges(exp_id, resolved)
+    _check_ranges(entry, resolved)
     config = ExperimentConfig(exp_id, _freeze_sections(resolved))
     _check_boxes(config)
-    if exp_id in _FITTING:
+    if entry.fit is not None:
         _fit_times(config)  # refuse here a fit window the runner would refuse
     return config
 
 
-# (section, key, test of (value, sections), requirement) per experiment, for the
-# ranges that the generic rules of ``_check_ranges`` do not cover
-_ENTRY_RANGES = {
-    "vlasov-decay": (("datum", "dimension", lambda v, s: v >= 1, "must be at least 1"),),
-    "counterexample": (  # the spread and growth checks compare consecutive lams
-        ("datum", "lams", lambda v, s: min(v) >= 1.0, "must all be >= 1"),
-        ("datum", "lams", lambda v, s: len(v) > 1 and list(v) == sorted(set(v)), "must increase over 2 or more values"),
-    ),
-    "conservation": (
-        ("datum", "lam", lambda v, s: v >= 1.0, "must be >= 1"),
-        # a drift over one time is 0 whatever the quadrature does
-        ("times", "checkpoints", lambda v, s: len(set(v)) >= 2, "must hold at least 2 distinct times"),
-    ),
-    # the grid is one-dimensional, so 0 <= sigma < d/2 = 1/2
-    "local-mass": (("datum", "sigmas", lambda v, s: all(0.0 <= x < 0.5 for x in v), "must lie in [0, 1/2)"),),
-    "airy-local-energy": (("datum", "eps", lambda v, s: v > 0.0, "must be positive"),),
-    "commutation-suite": (
-        ("experiment", "seed", lambda v, s: v >= 0, "must be at least 0"),
-        ("datum", "n_data", lambda v, s: v >= 1, "must be at least 1"),
-    ),
-    # one center makes the shared-constant spread 1 whatever the norms are
-    "cube-translation": (("datum", "centers", lambda v, s: len(set(v)) > 1, "must hold 2 or more distinct values"),),
-    # a probe outside the box would be snapped to an edge node
-    "airy-pointwise": (
-        (
-            "datum",
-            "probe_half_width",
-            lambda v, s: 0.0 <= v <= s["grid"]["half_width"],
-            "must lie in [0, grid.half_width]",
-        ),
-    ),
-}
-
-
-def _check_ranges(exp_id: str, sections: dict) -> None:
+def _check_ranges(entry: CatalogEntry, sections: dict) -> None:
     """Reject, with the key path, values that no runner can use."""
     for name, items in sections.items():
         for key, value in items.items():
@@ -229,7 +195,7 @@ def _check_ranges(exp_id: str, sections: dict) -> None:
                 except ConfigError as err:
                     keys = f"{name}.{prefix}t_min, {name}.{prefix}t_max, {name}.ratio"
                     raise ConfigError(f"{keys}: {err}") from None
-    for name, key, test, requirement in _ENTRY_RANGES.get(exp_id, ()):
+    for name, key, test, requirement in entry.ranges:
         if not test(sections[name][key], sections):
             raise ConfigError(f"{name}.{key} {requirement}, got {_format_value(sections[name][key])}")
 
@@ -276,7 +242,7 @@ def load_config(path: str) -> ExperimentConfig:
 def default_config(exp_id: str) -> ExperimentConfig:
     entries = catalog()
     if exp_id not in entries:
-        raise ConfigError(f"experiment.id {exp_id!r} is not in the catalog")
+        raise ConfigError(f"experiment.id {exp_id!r} is not in the catalog ({', '.join(entries)})")
     return ExperimentConfig(exp_id, _freeze_sections(entries[exp_id].defaults))
 
 
@@ -338,18 +304,36 @@ class Report:
         return json_path, tsv_path
 
 
-def _fit_dict(name: str, fit: DecayFit, target: float, tol: float) -> dict:
-    out = {"name": name, **asdict(fit), "window": list(fit.window)}  # the CLI prints it as [t0, t1]
-    return {**out, "target_slope": target, "slope_tolerance": tol}
+@dataclass(frozen=True)
+class _Slope:
+    """A fitted decay rate against its target: it passes on |slope - target| <= tol,
+    or, when ``upper`` is set, on slope <= upper (a one-sided bound)."""
+
+    name: str
+    fit: DecayFit
+    target: float
+    tol: float
+    upper: Optional[float] = None
+
+    @property
+    def passed(self) -> bool:
+        if self.upper is not None:
+            return self.fit.slope <= self.upper
+        return abs(self.fit.slope - self.target) <= self.tol
+
+    def as_dict(self) -> dict:
+        out = {"name": self.name, **asdict(self.fit), "window": list(self.fit.window)}  # the CLI prints [t0, t1]
+        return {**out, "target_slope": self.target, "slope_tolerance": self.tol}
 
 
 @dataclass(frozen=True)
 class _Outcome:
-    """What a runner hands back to ``run``."""
+    """What a runner hands back to ``run``: ``passed`` is its own check, beside its
+    ``_Slope`` fits and ``InequalityReport``s."""
 
     columns: tuple
     rows: tuple
-    passed: bool
+    passed: bool = True
     fits: tuple = ()
     inequalities: tuple = ()
     notes: tuple = ()
@@ -378,15 +362,10 @@ def _times(cfg: ExperimentConfig, prefix: str = "") -> list:
     )
 
 
-# the entries that fit a decay rate, and the (prefix, after) of the ``times`` keys that
-# ``_fit_times`` reads where they are not ("", None)
-_FIT_KEYS = {"airy-pointwise": ("fit_", None), "airy-local-energy": ("", "fit_t_min")}
-_FITTING = ("vlasov-decay", "transport-degenerate", "schrodinger-decay", "lp-decay", "airy-decay", *_FIT_KEYS)
-
-
 def _fit_times(cfg: ExperimentConfig) -> list:
-    """Decay-fit times: ``_times``, from ``times.{after}`` on; too few is an error of those keys."""
-    prefix, after = _FIT_KEYS.get(cfg.experiment, ("", None))
+    """Decay-fit times: ``_times`` from ``times.{after}`` on, with the entry's ``fit`` (prefix, after);
+    too few is an error of those keys."""
+    prefix, after = catalog()[cfg.experiment].fit
     times = _times(cfg, prefix)
     keys = [f"times.{prefix}t_min", f"times.{prefix}t_max", "times.ratio"]
     if after is not None:
@@ -449,36 +428,26 @@ def _run_vlasov_decay(cfg: ExperimentConfig, threads: int):
     datum = Gaussian((0.0,) * 2 * d, (width,) * 2 * d)
     sol = tr.TransportSolution(datum, tr.identity_map(d))
     values = _ordered_map(lambda t: tr.sup_velocity_average(sol, t), times, threads)
-    fit = fit_decay(times, values)
-    tol = cfg.get("tolerances", "slope")
-    passed = abs(fit.slope - (-float(d))) <= tol
     rows = tuple((t, v) for t, v in zip(times, values))
-    fits = (_fit_dict("sup-decay", fit, -float(d), tol),)
-    return _Outcome(("t", "sup_velocity_average"), rows, passed, fits=fits)
+    fits = (_Slope("sup-decay", fit_decay(times, values), -float(d), cfg.get("tolerances", "slope")),)
+    return _Outcome(("t", "sup_velocity_average"), rows, fits=fits)
 
 
 def _run_transport_degenerate(cfg: ExperimentConfig, threads: int):
     tag = cfg.get("datum", "map")
     width = cfg.get("datum", "width")
     times = _fit_times(cfg)
-    if tag == "relativistic":
-        dispersion = tr.relativistic_map()
-        datum = Gaussian((0.0, 0.0), (width, width))
-        target, tol, one_sided = -1.0, cfg.get("tolerances", "slope"), False
-    elif tag == "mixed":
-        dispersion = tr.mixed_map()
-        datum = product_gaussian_phase(width, width, 2)
-        target, tol, one_sided = -1.0, cfg.get("tolerances", "slope"), True
+    one_sided = tag == "mixed"
+    if one_sided:
+        sol = tr.TransportSolution(product_gaussian_phase(width, width, 2), tr.mixed_map())
     else:
-        raise ConfigError(f"datum.map must be 'relativistic' or 'mixed', got {tag!r}")
-    sol = tr.TransportSolution(datum, dispersion)
+        sol = tr.TransportSolution(Gaussian((0.0, 0.0), (width, width)), tr.relativistic_map())
     values = _ordered_map(lambda t: tr.sup_velocity_average(sol, t), times, threads)
-    fit = fit_decay(times, values)
-    passed = fit.slope <= target + tol if one_sided else abs(fit.slope - target) <= tol
+    tol = cfg.get("tolerances", "slope")
+    slope = _Slope("sup-decay", fit_decay(times, values), -1.0, tol, upper=-1.0 + tol if one_sided else None)
     rows = tuple((t, v) for t, v in zip(times, values))
     notes = (f"map={tag}", "one-sided bound" if one_sided else "two-sided fit")
-    fits = (_fit_dict("sup-decay", fit, target, tol),)
-    return _Outcome(("t", "sup_velocity_average"), rows, passed, fits=fits, notes=notes)
+    return _Outcome(("t", "sup_velocity_average"), rows, fits=(slope,), notes=notes)
 
 
 def _run_counterexample(cfg: ExperimentConfig, threads: int):
@@ -513,17 +482,6 @@ _CONSERVATION_CASES = {  # name -> (datum, dispersion map) for a width and a bum
 }
 
 
-def _conservation_case(name: str, width: float, lam: float):
-    sol = tr.TransportSolution(*_CONSERVATION_CASES[name](width, lam))
-    d = sol.dim
-    lo, hi = sol.datum.support_bounds(1e-14)
-    pbox = float(max(abs(lo[d:]).max(), abs(hi[d:]).max())) * 1.05
-    spacing = sol.datum.feature_scale() / 3.0
-    n = max(16, int(math.ceil(2 * pbox / spacing)))
-    pgrid = GridSpec.centered(pbox, n, dim=d)
-    return sol, pgrid
-
-
 _FUNCTIONALS = {
     "mass": lambda p, v: v,
     "l2": lambda p, v: v * v,
@@ -539,8 +497,8 @@ def _run_conservation(cfg: ExperimentConfig, threads: int):
 
     def one(name):
         # one nu window per time serves every functional: one row per time, one column per functional
-        sol, pgrid = _conservation_case(name, width, lam)
-        return [tr.conserved_functional(sol, tuple(_FUNCTIONALS.values()), t, pgrid) for t in times]
+        sol = tr.TransportSolution(*_CONSERVATION_CASES[name](width, lam))
+        return [tr.conserved_functional(sol, tuple(_FUNCTIONALS.values()), t) for t in times]
 
     tables = _ordered_map(one, _CONSERVATION_CASES, threads)
     rows, passed = [], True
@@ -583,10 +541,8 @@ def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
     )
     sup = [linf_norm(ut) for _, ut in fitted.clean]
     fit = fit_decay([t for t, _ in fitted.clean], sup, excluded=fitted.excluded)
-    tol = cfg.get("tolerances", "slope")
-    passed = passed and abs(fit.slope + 0.5) <= tol
     cols = ("t", "amplitude_at_origin", "oracle", "relative_error")
-    fits = (_fit_dict("sup-decay", fit, -0.5, tol),)
+    fits = (_Slope("sup-decay", fit, -0.5, cfg.get("tolerances", "slope")),)
     return _Outcome(cols, tuple(rows), passed, fits=fits, notes=notes)
 
 
@@ -630,11 +586,10 @@ def _run_schrodinger_ks(cfg: ExperimentConfig, threads: int):
     )
     tol = cfg.get("tolerances", "norm_drift")
     drift = max(drift1, drift2)
-    passed = rep1.passed and rep2.passed and drift <= tol
     rows = _ratio_rows(rep1, "d1") + _ratio_rows(rep2, "d2")
     notes = (f"max conserved boost-norm drift {drift:.3e} (tolerance {tol:g})",) + notes1 + notes2
     cols = ("suite", "t", "lhs", "rhs", "ratio")
-    return _Outcome(cols, rows, passed, inequalities=(asdict(rep1), asdict(rep2)), notes=notes)
+    return _Outcome(cols, rows, drift <= tol, inequalities=(rep1, rep2), notes=notes)
 
 
 def _shell_setup(cfg: ExperimentConfig):
@@ -654,10 +609,9 @@ def _run_schrodinger_xnorm(cfg: ExperimentConfig, threads: int):
     sup = linf_norm(series.evolution.at(t_star))
     oracle = w * (w**4 + 4.0 * t_star**2) ** -0.25
     err = abs(sup / oracle - 1.0)
-    passed = rep.passed and err <= cfg.get("tolerances", "oracle")
-    rows = _ratio_rows(rep)
+    passed = err <= cfg.get("tolerances", "oracle")
     notes = (f"amplitude cross-check at t={t_star:g}: rel err {err:.3e}",)
-    return _Outcome(("t", "lhs", "rhs", "ratio"), rows, passed, inequalities=(asdict(rep),), notes=notes)
+    return _Outcome(("t", "lhs", "rhs", "ratio"), _ratio_rows(rep), passed, inequalities=(rep,), notes=notes)
 
 
 def _run_lp_decay(cfg: ExperimentConfig, threads: int):
@@ -667,22 +621,18 @@ def _run_lp_decay(cfg: ExperimentConfig, threads: int):
     rep_zero = check_lp_decay(series, 0.0)
     l4 = [l / t**0.25 for (t, l, _) in rep_half.samples]
     fit = fit_decay([s[0] for s in rep_half.samples], l4, excluded=rep_half.excluded)
-    tol = cfg.get("tolerances", "slope")
-    passed = rep_half.passed and rep_zero.passed and abs(fit.slope + 0.25) <= tol
     rows = _ratio_rows(rep_half, "theta=1/2") + _ratio_rows(rep_zero, "theta=0")
     cols = ("series", "t", "lhs", "rhs", "ratio")
-    fits = (_fit_dict("L4-decay", fit, -0.25, tol),)
-    return _Outcome(cols, rows, passed, fits=fits, inequalities=(asdict(rep_half), asdict(rep_zero)))
+    fits = (_Slope("L4-decay", fit, -0.25, cfg.get("tolerances", "slope")),)
+    return _Outcome(cols, rows, fits=fits, inequalities=(rep_half, rep_zero))
 
 
 def _run_local_mass(cfg: ExperimentConfig, threads: int):
     grid, part, u0 = _shell_setup(cfg)
     series = Series.evolve(u0, schrodinger(), _times(cfg))
-    reports = [check_local_mass(series, sigma, part) for sigma in cfg.get("datum", "sigmas")]
-    passed = all(r.passed for r in reports)
+    reports = tuple(check_local_mass(series, sigma, part) for sigma in cfg.get("datum", "sigmas"))
     rows = sum((_ratio_rows(rep, rep.name) for rep in reports), ())
-    cols = ("series", "t", "lhs", "rhs", "ratio")
-    return _Outcome(cols, rows, passed, inequalities=tuple(asdict(r) for r in reports))
+    return _Outcome(("series", "t", "lhs", "rhs", "ratio"), rows, inequalities=reports)
 
 
 def _run_cube_translation(cfg: ExperimentConfig, threads: int):
@@ -693,7 +643,7 @@ def _run_cube_translation(cfg: ExperimentConfig, threads: int):
         opt = translated_xnorm_inf(cube, 0.5, 1, part)
         rows.append((c, opt, x_norm(sample(cube, grid), 0.5, 1, part), cube.mass(), opt / cube.mass()))
     ratios = [row[-1] for row in rows]
-    c_max, opt, plain = max(rows)[:3]  # the row of the largest center
+    c_far, opt, plain = max(rows, key=lambda row: abs(row[0]))[:3]  # the center farthest from the origin
     untranslated_ratio = plain / opt
     spread = max(ratios) / min(ratios)
     passed = spread <= cfg.get("tolerances", "shared_constant_spread") and untranslated_ratio >= cfg.get(
@@ -701,7 +651,7 @@ def _run_cube_translation(cfg: ExperimentConfig, threads: int):
     )
     notes = (
         f"shared constant C = {max(ratios):.6f} (spread x{spread:.3f})",
-        f"untranslated/translated at c={c_max:g}: x{untranslated_ratio:.3f}",
+        f"untranslated/translated at c={c_far:g}: x{untranslated_ratio:.3f}",
     )
     cols = ("center", "translated_xnorm", "untranslated_xnorm", "l1", "ratio_to_l1")
     return _Outcome(cols, tuple(rows), passed, notes=notes)
@@ -727,11 +677,8 @@ def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
     half_line = x >= 0.0
     du_max = [float(np.max(np.abs(spectral_derivative(ut, 1).values[half_line]))) for _, ut in fitted.clean]
     du_fit = fit_decay([t for t, _ in fitted.clean], du_max, excluded=fitted.excluded)
-    tol = cfg.get("tolerances", "slope")
-    passed = rep.passed and abs(du_fit.slope + 0.5) <= tol
-    rows = _ratio_rows(rep)
-    fits = (_fit_dict("dx-half-line-decay", du_fit, -0.5, tol),)
-    return _Outcome(("t", "lhs", "rhs", "ratio"), rows, passed, fits=fits, inequalities=(asdict(rep),))
+    fits = (_Slope("dx-half-line-decay", du_fit, -0.5, cfg.get("tolerances", "slope")),)
+    return _Outcome(("t", "lhs", "rhs", "ratio"), _ratio_rows(rep), fits=fits, inequalities=(rep,))
 
 
 def _run_airy_local_energy(cfg: ExperimentConfig, threads: int):
@@ -742,10 +689,9 @@ def _run_airy_local_energy(cfg: ExperimentConfig, threads: int):
     fitted, lhs = series.restrict(fit_times), {t: l for t, l, _ in rep.samples}
     energies = [lhs[t] / t for t, _ in fitted.clean]
     fit = fit_decay([t for t, _ in fitted.clean], energies, excluded=fitted.excluded)
-    passed = rep.passed and fit.slope <= cfg.get("tolerances", "energy_slope")
-    rows = _ratio_rows(rep)
-    fits = (_fit_dict("weighted-energy-decay", fit, -1.0, 0.1),)
-    return _Outcome(("t", "lhs", "rhs", "ratio"), rows, passed, fits=fits, inequalities=(asdict(rep),))
+    # reported against the rate -1 +- 0.1, gated one-sided on tolerances.energy_slope
+    fits = (_Slope("weighted-energy-decay", fit, -1.0, 0.1, upper=cfg.get("tolerances", "energy_slope")),)
+    return _Outcome(("t", "lhs", "rhs", "ratio"), _ratio_rows(rep), fits=fits, inequalities=(rep,))
 
 
 def _run_airy_decay(cfg: ExperimentConfig, threads: int):
@@ -753,10 +699,8 @@ def _run_airy_decay(cfg: ExperimentConfig, threads: int):
     series = Series.evolve(u0, airy(), _fit_times(cfg))
     rows = tuple((t, linf_norm(ut)) for t, ut in series.clean)
     sup_fit = fit_decay([t for t, _ in rows], [v for _, v in rows], excluded=series.excluded)
-    tol = cfg.get("tolerances", "slope")
-    passed = abs(sup_fit.slope + 1.0 / 3.0) <= tol
-    fits = (_fit_dict("sup-decay", sup_fit, -1.0 / 3.0, tol),)
-    return _Outcome(("t", "sup_amplitude"), rows, passed, fits=fits)
+    fits = (_Slope("sup-decay", sup_fit, -1.0 / 3.0, cfg.get("tolerances", "slope")),)
+    return _Outcome(("t", "sup_amplitude"), rows, fits=fits)
 
 
 def _run_monomial_2k(cfg: ExperimentConfig, threads: int):
@@ -766,9 +710,8 @@ def _run_monomial_2k(cfg: ExperimentConfig, threads: int):
         rep = check_monomial_estimate(k, Series.evolve(u0, even_order(k), _times(cfg)))
         reports.append(rep)
         rows.extend(_ratio_rows(rep, f"k={k}"))
-    passed = all(r.passed for r in reports)
     cols = ("series", "t", "lhs", "rhs", "ratio")
-    return _Outcome(cols, tuple(rows), passed, inequalities=tuple(asdict(r) for r in reports))
+    return _Outcome(cols, tuple(rows), inequalities=tuple(reports))
 
 
 def _run_commutation_suite(cfg: ExperimentConfig, threads: int):
@@ -823,290 +766,283 @@ class CatalogEntry:
     id: str
     anchor: str
     description: str
-    defaults: dict
+    sections: dict  # the entry's own sections; ``defaults`` adds experiment and output
     runner: Callable
     sampled: Callable = lambda cfg: ()  # (grid key suffix, datum) pairs; see _check_boxes
+    # (section, key, test of (value, sections), requirement): the value rules beyond the
+    # generic ones of ``_check_ranges``
+    ranges: tuple = ()
+    # the (prefix, after) of the ``times`` keys ``_fit_times`` reads, or None for an entry
+    # that fits no decay rate
+    fit: Optional[tuple] = None
+
+    @property
+    def defaults(self) -> dict:
+        return {"experiment": {"id": self.id, "seed": 20260811}, "output": {"dir": ""}, **self.sections}
 
 
-def _base_sections(exp_id: str, extra: dict) -> dict:
-    out = {
-        "experiment": {"id": exp_id, "seed": 20260811},
-        "output": {"dir": ""},
-    }
-    out.update(extra)
+def _by_id(*entries: CatalogEntry) -> dict:
+    out = {e.id: e for e in entries}
+    if len(out) != len(entries):
+        raise RuntimeError("catalog ids must be unique")
     return out
 
 
-_CATALOG = None
+_ENTRIES = _by_id(
+    CatalogEntry(
+        "vlasov-decay",
+        "free transport: sup of the velocity average decays like <t>^-d",
+        "fit the decay exponent of sup_q of the velocity average for the identity map",
+        {
+            "datum": {"dimension": 1, "width": GAUSS_W},
+            "times": {"t_min": 10.0, "t_max": 10000.0, "ratio": ROOT2},
+            "tolerances": {"slope": 0.02},
+        },
+        _run_vlasov_decay,
+        ranges=(("datum", "dimension", lambda v, s: v >= 1, "must be at least 1"),),
+        fit=("", None),
+    ),
+    CatalogEntry(
+        "transport-degenerate",
+        "transport decay persists for dispersion maps of partial rank",
+        "decay exponents for the relativistic and mixed (p1, p2^2) maps",
+        {
+            "datum": {"map": "mixed", "width": GAUSS_W},
+            "times": {"t_min": 10.0, "t_max": 1000.0, "ratio": ROOT2},
+            "tolerances": {"slope": 0.05},
+        },
+        _run_transport_degenerate,
+        ranges=(("datum", "map", lambda v, s: v in ("relativistic", "mixed"), "must be 'relativistic' or 'mixed'"),),
+        fit=("", None),
+    ),
+    CatalogEntry(
+        "counterexample",
+        "square-map concentration: no uniform <t>^-eps decay with bounded W^{1,1} data",
+        "velocity average at the origin stays above its closed-form floor along t = lam",
+        {
+            "datum": {"lams": (4.0, 16.0, 64.0)},
+            "tolerances": {"floor": 0.78},
+        },
+        _run_counterexample,
+        ranges=(  # the spread and growth checks compare consecutive lams
+            ("datum", "lams", lambda v, s: min(v) >= 1.0, "must all be >= 1"),
+            ("datum", "lams", lambda v, s: len(v) > 1 and list(v) == sorted(set(v)), "must increase over 2 or more values"),
+        ),
+    ),
+    CatalogEntry(
+        "conservation",
+        "integrals of F(p, nu) are constant in time for transport solutions",
+        "mass, squared-density and kinetic functionals across the built-in data",
+        {
+            "datum": {"width": GAUSS_W, "lam": 4.0},
+            "times": {"checkpoints": (0.0, 1.0, 2.0, 5.0, 10.0)},
+            "tolerances": {"drift": 1e-8},
+        },
+        _run_conservation,
+        ranges=(
+            ("datum", "lam", lambda v, s: v >= 1.0, "must be >= 1"),
+            # a drift over one time is 0 whatever the quadrature does
+            ("times", "checkpoints", lambda v, s: len(set(v)) >= 2, "must hold at least 2 distinct times"),
+        ),
+    ),
+    CatalogEntry(
+        "schrodinger-decay",
+        "Schrodinger amplitude decay: |u(t,0)| = (1+4t^2)^(-1/4) for Gaussian data",
+        "closed-form amplitude oracle, unitarity, Sobolev conservation, sup-norm slope",
+        {
+            "grid": {"half_width": 800.0, "points": 8192},
+            "datum": {"width": 1.0},
+            "times": {
+                "checkpoints": (1.0, 5.0, 25.0),
+                "t_min": 5.0,
+                "t_max": 50.0,
+                "ratio": ROOT2,
+            },
+            "tolerances": {"oracle": 1e-8, "conservation": 1e-12, "slope": 0.03},
+        },
+        _run_schrodinger_decay,
+        _centered_gaussian,
+        fit=("", None),
+    ),
+    CatalogEntry(
+        "schrodinger-ks",
+        "weighted sup bound: |t|^d ||u||_inf^2 controlled by boost-norm products",
+        "stability of the empirical constant plus conservation of boost norms",
+        {
+            "grid": {
+                "half_width_1d": 2500.0,
+                "points_1d": 32768,
+                "half_width_2d": 200.0,
+                "points_2d": 1024,
+            },
+            "datum": {"width_1d": 1.0, "width_2d": 1.3},
+            "times": {
+                "t_min": 1.0,
+                "t_max": 100.0,
+                "ratio": ROOT2,
+                "checkpoints_2d": (1.0, 2.0, 4.0, 8.0, 16.0),
+            },
+            "tolerances": {"norm_drift": 1e-9},
+        },
+        _run_schrodinger_ks,
+        _ks_gaussians,
+    ),
+    CatalogEntry(
+        "schrodinger-xnorm",
+        "dispersive bound |t|^{d/2} sup|u| <= C ||u0||_{X^{d/2,1}}",
+        "empirical constant for shell-supported data, with a closed-form cross-check",
+        {
+            "grid": {"half_width": 6200.0, "points": 131072, "k_min": 0, "k_max": 2},
+            "datum": {"center": 2.2, "width": 0.25},
+            "times": {"t_min": 1.0, "t_max": 100.0, "ratio": ROOT2, "cross_check_t": 25.0},
+            "tolerances": {"oracle": 1e-6},
+        },
+        _run_schrodinger_xnorm,
+        _shell_gaussian,
+    ),
+    CatalogEntry(
+        "lp-decay",
+        "interpolated decay |t|^{theta d/2} ||u||_{L^{2/(1-theta)}} <= C ||u0||_{X,2}",
+        "theta = 1/2 gives the L4 rate -1/4; theta = 0 degenerates to mass conservation",
+        {
+            "grid": {"half_width": 3100.0, "points": 65536, "k_min": 0, "k_max": 2},
+            "datum": {"center": 2.2, "width": 0.25},
+            "times": {"t_min": 5.0, "t_max": 50.0, "ratio": ROOT2},
+            "tolerances": {"slope": 0.05},
+        },
+        _run_lp_decay,
+        _shell_gaussian,
+        fit=("", None),
+    ),
+    CatalogEntry(
+        "local-mass",
+        "local mass decay |t|^sigma ||u(t)||_{X^{-sigma,2}} <= C ||u0||_{X^{sigma,2}}",
+        "sigma = 0 sits inside the overlap sandwich; sigma = 1/4 has a stable constant",
+        {
+            "grid": {"half_width": 2300.0, "points": 16384, "k_min": 1, "k_max": 10},
+            "datum": {"center": 8.0, "width": 0.8, "sigmas": (0.0, 0.25)},
+            "times": {"t_min": 1.0, "t_max": 100.0, "ratio": ROOT2},
+            "tolerances": {},
+        },
+        _run_local_mass,
+        _shell_gaussian,
+        # the grid is one-dimensional, so 0 <= sigma < d/2 = 1/2
+        ranges=(("datum", "sigmas", lambda v, s: all(0.0 <= x < 0.5 for x in v), "must lie in [0, 1/2)"),),
+    ),
+    CatalogEntry(
+        "cube-translation",
+        "translation-optimized dyadic norm of cube data is controlled by the L1 norm",
+        "centering a cube minimizes its X norm; off-center cubes pay a factor >= 2",
+        {
+            "grid": {"half_width": 64.0, "points": 8192, "k_min": -4, "k_max": 5},
+            "datum": {"centers": (0.0, 3.0, 10.0), "side": 1.0},
+            "tolerances": {"shared_constant_spread": 1.25, "untranslated_gain": 2.0},
+        },
+        _run_cube_translation,
+        _cubes,
+        # one center makes the shared-constant spread 1 whatever the norms are
+        ranges=(("datum", "centers", lambda v, s: len(set(v)) > 1, "must hold 2 or more distinct values"),),
+    ),
+    CatalogEntry(
+        "airy-pointwise",
+        "Airy weighted bound 3t(du)^2 + x u^2 <= 2||du0|| ||x u0|| + ||u0||^2",
+        "pointwise bound at probe points plus the half-line derivative decay rate",
+        {
+            "grid": {"half_width": 1500.0, "points": 32768},
+            "datum": {"width": GAUSS_W, "probe_half_width": 50.0},
+            "times": {
+                "checkpoints": (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0),
+                "fit_t_min": 2.0,
+                "fit_t_max": 20.0,
+                "ratio": 2.0**0.25,
+            },
+            "tolerances": {"slope": 0.1},
+        },
+        _run_airy_pointwise,
+        _centered_gaussian,
+        # a probe outside the box would be snapped to an edge node
+        ranges=(
+            (
+                "datum",
+                "probe_half_width",
+                lambda v, s: 0.0 <= v <= s["grid"]["half_width"],
+                "must lie in [0, grid.half_width]",
+            ),
+        ),
+        fit=("fit_", None),
+    ),
+    CatalogEntry(
+        "airy-local-energy",
+        "Airy local energy decay: |t| ||<x>^(-1/2-eps) dx u||^2 bounded by data",
+        "weighted derivative energy stays below its initial-data constant",
+        {
+            "grid": {"half_width": 4800.0, "points": 32768},
+            "datum": {"width": GAUSS_W, "eps": 0.5},
+            "times": {"t_min": 1.0, "t_max": 50.0, "ratio": ROOT2, "fit_t_min": 2.0},
+            "tolerances": {"energy_slope": -0.9},
+        },
+        _run_airy_local_energy,
+        _centered_gaussian,
+        ranges=(("datum", "eps", lambda v, s: v > 0.0, "must be positive"),),
+        fit=("", "fit_t_min"),
+    ),
+    CatalogEntry(
+        "airy-decay",
+        "Airy sup-norm decay |t|^{1/3} sup|u| bounded (slope -1/3)",
+        "sup-amplitude decay fit on wrap-around-clean samples",
+        {
+            "grid": {"half_width": 1500.0, "points": 32768},
+            "datum": {"width": GAUSS_W},
+            "times": {"t_min": 2.0, "t_max": 20.0, "ratio": 2.0**0.25},
+            "tolerances": {"slope": 0.1},
+        },
+        _run_airy_decay,
+        _centered_gaussian,
+        fit=("", None),
+    ),
+    CatalogEntry(
+        "monomial-2k",
+        "even-order evolutions: t |d^{2k-2} u|^2 controlled by conserved products",
+        "k = 1 mirrors the Schrodinger structure; k = 2 is the genuinely higher-order case",
+        {
+            "grid": {
+                "half_width_k1": 320.0,
+                "points_k1": 4096,
+                "half_width_k2": 4300.0,
+                "points_k2": 16384,
+            },
+            "datum": {"width_k1": 1.0, "width_k2": 2.0},
+            "times": {"t_min": 1.0, "t_max": 20.0, "ratio": ROOT2},
+            "tolerances": {},
+        },
+        _run_monomial_2k,
+        _monomial_gaussians,
+    ),
+    CatalogEntry(
+        "commutation-suite",
+        "derived boosts commute with their evolutions; perturbed ones do not",
+        "residual suite over random band-limited packets for degrees 2, 3, 4",
+        {
+            "grid": {"half_width": 1200.0, "points": 4096},
+            "datum": {"n_data": 20},
+            "times": {"checkpoints": (0.1, 1.0, 10.0)},
+            "tolerances": {"residual": 1e-9, "perturbed_floor": 1e-3},
+        },
+        _run_commutation_suite,
+        # the extreme packets ``random_wave_packets`` draws (centres in [-5, 5], widths in
+        # [3, 4]): the widest two bound the support, the narrowest sets the feature scale
+        lambda cfg: (("", Gaussian(-5.0, 4.0)), ("", Gaussian(5.0, 4.0)), ("", Gaussian(0.0, 3.0))),
+        ranges=(
+            ("experiment", "seed", lambda v, s: v >= 0, "must be at least 0"),
+            ("datum", "n_data", lambda v, s: v >= 1, "must be at least 1"),
+        ),
+    ),
+)
 
 
 def catalog() -> dict:
-    global _CATALOG
-    if _CATALOG is not None:
-        return _CATALOG
-    entries = [
-        CatalogEntry(
-            "vlasov-decay",
-            "free transport: sup of the velocity average decays like <t>^-d",
-            "fit the decay exponent of sup_q of the velocity average for the identity map",
-            _base_sections(
-                "vlasov-decay",
-                {
-                    "datum": {"dimension": 1, "width": GAUSS_W},
-                    "times": {"t_min": 10.0, "t_max": 10000.0, "ratio": ROOT2},
-                    "tolerances": {"slope": 0.02},
-                },
-            ),
-            _run_vlasov_decay,
-        ),
-        CatalogEntry(
-            "transport-degenerate",
-            "transport decay persists for dispersion maps of partial rank",
-            "decay exponents for the relativistic and mixed (p1, p2^2) maps",
-            _base_sections(
-                "transport-degenerate",
-                {
-                    "datum": {"map": "mixed", "width": GAUSS_W},
-                    "times": {"t_min": 10.0, "t_max": 1000.0, "ratio": ROOT2},
-                    "tolerances": {"slope": 0.05},
-                },
-            ),
-            _run_transport_degenerate,
-        ),
-        CatalogEntry(
-            "counterexample",
-            "square-map concentration: no uniform <t>^-eps decay with bounded W^{1,1} data",
-            "velocity average at the origin stays above its closed-form floor along t = lam",
-            _base_sections(
-                "counterexample",
-                {
-                    "datum": {"lams": (4.0, 16.0, 64.0)},
-                    "tolerances": {"floor": 0.78},
-                },
-            ),
-            _run_counterexample,
-        ),
-        CatalogEntry(
-            "conservation",
-            "integrals of F(p, nu) are constant in time for transport solutions",
-            "mass, squared-density and kinetic functionals across the built-in data",
-            _base_sections(
-                "conservation",
-                {
-                    "datum": {"width": GAUSS_W, "lam": 4.0},
-                    "times": {"checkpoints": (0.0, 1.0, 2.0, 5.0, 10.0)},
-                    "tolerances": {"drift": 1e-8},
-                },
-            ),
-            _run_conservation,
-        ),
-        CatalogEntry(
-            "schrodinger-decay",
-            "Schrodinger amplitude decay: |u(t,0)| = (1+4t^2)^(-1/4) for Gaussian data",
-            "closed-form amplitude oracle, unitarity, Sobolev conservation, sup-norm slope",
-            _base_sections(
-                "schrodinger-decay",
-                {
-                    "grid": {"half_width": 800.0, "points": 8192},
-                    "datum": {"width": 1.0},
-                    "times": {
-                        "checkpoints": (1.0, 5.0, 25.0),
-                        "t_min": 5.0,
-                        "t_max": 50.0,
-                        "ratio": ROOT2,
-                    },
-                    "tolerances": {"oracle": 1e-8, "conservation": 1e-12, "slope": 0.03},
-                },
-            ),
-            _run_schrodinger_decay,
-            _centered_gaussian,
-        ),
-        CatalogEntry(
-            "schrodinger-ks",
-            "weighted sup bound: |t|^d ||u||_inf^2 controlled by boost-norm products",
-            "stability of the empirical constant plus conservation of boost norms",
-            _base_sections(
-                "schrodinger-ks",
-                {
-                    "grid": {
-                        "half_width_1d": 2500.0,
-                        "points_1d": 32768,
-                        "half_width_2d": 200.0,
-                        "points_2d": 1024,
-                    },
-                    "datum": {"width_1d": 1.0, "width_2d": 1.3},
-                    "times": {
-                        "t_min": 1.0,
-                        "t_max": 100.0,
-                        "ratio": ROOT2,
-                        "checkpoints_2d": (1.0, 2.0, 4.0, 8.0, 16.0),
-                    },
-                    "tolerances": {"norm_drift": 1e-9},
-                },
-            ),
-            _run_schrodinger_ks,
-            _ks_gaussians,
-        ),
-        CatalogEntry(
-            "schrodinger-xnorm",
-            "dispersive bound |t|^{d/2} sup|u| <= C ||u0||_{X^{d/2,1}}",
-            "empirical constant for shell-supported data, with a closed-form cross-check",
-            _base_sections(
-                "schrodinger-xnorm",
-                {
-                    "grid": {"half_width": 6200.0, "points": 131072, "k_min": 0, "k_max": 2},
-                    "datum": {"center": 2.2, "width": 0.25},
-                    "times": {"t_min": 1.0, "t_max": 100.0, "ratio": ROOT2, "cross_check_t": 25.0},
-                    "tolerances": {"oracle": 1e-6},
-                },
-            ),
-            _run_schrodinger_xnorm,
-            _shell_gaussian,
-        ),
-        CatalogEntry(
-            "lp-decay",
-            "interpolated decay |t|^{theta d/2} ||u||_{L^{2/(1-theta)}} <= C ||u0||_{X,2}",
-            "theta = 1/2 gives the L4 rate -1/4; theta = 0 degenerates to mass conservation",
-            _base_sections(
-                "lp-decay",
-                {
-                    "grid": {"half_width": 3100.0, "points": 65536, "k_min": 0, "k_max": 2},
-                    "datum": {"center": 2.2, "width": 0.25},
-                    "times": {"t_min": 5.0, "t_max": 50.0, "ratio": ROOT2},
-                    "tolerances": {"slope": 0.05},
-                },
-            ),
-            _run_lp_decay,
-            _shell_gaussian,
-        ),
-        CatalogEntry(
-            "local-mass",
-            "local mass decay |t|^sigma ||u(t)||_{X^{-sigma,2}} <= C ||u0||_{X^{sigma,2}}",
-            "sigma = 0 sits inside the overlap sandwich; sigma = 1/4 has a stable constant",
-            _base_sections(
-                "local-mass",
-                {
-                    "grid": {"half_width": 2300.0, "points": 16384, "k_min": 1, "k_max": 10},
-                    "datum": {"center": 8.0, "width": 0.8, "sigmas": (0.0, 0.25)},
-                    "times": {"t_min": 1.0, "t_max": 100.0, "ratio": ROOT2},
-                    "tolerances": {},
-                },
-            ),
-            _run_local_mass,
-            _shell_gaussian,
-        ),
-        CatalogEntry(
-            "cube-translation",
-            "translation-optimized dyadic norm of cube data is controlled by the L1 norm",
-            "centering a cube minimizes its X norm; off-center cubes pay a factor >= 2",
-            _base_sections(
-                "cube-translation",
-                {
-                    "grid": {"half_width": 64.0, "points": 8192, "k_min": -4, "k_max": 5},
-                    "datum": {"centers": (0.0, 3.0, 10.0), "side": 1.0},
-                    "tolerances": {"shared_constant_spread": 1.25, "untranslated_gain": 2.0},
-                },
-            ),
-            _run_cube_translation,
-            _cubes,
-        ),
-        CatalogEntry(
-            "airy-pointwise",
-            "Airy weighted bound 3t(du)^2 + x u^2 <= 2||du0|| ||x u0|| + ||u0||^2",
-            "pointwise bound at probe points plus the half-line derivative decay rate",
-            _base_sections(
-                "airy-pointwise",
-                {
-                    "grid": {"half_width": 1500.0, "points": 32768},
-                    "datum": {"width": GAUSS_W, "probe_half_width": 50.0},
-                    "times": {
-                        "checkpoints": (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0),
-                        "fit_t_min": 2.0,
-                        "fit_t_max": 20.0,
-                        "ratio": 2.0**0.25,
-                    },
-                    "tolerances": {"slope": 0.1},
-                },
-            ),
-            _run_airy_pointwise,
-            _centered_gaussian,
-        ),
-        CatalogEntry(
-            "airy-local-energy",
-            "Airy local energy decay: |t| ||<x>^(-1/2-eps) dx u||^2 bounded by data",
-            "weighted derivative energy stays below its initial-data constant",
-            _base_sections(
-                "airy-local-energy",
-                {
-                    "grid": {"half_width": 4800.0, "points": 32768},
-                    "datum": {"width": GAUSS_W, "eps": 0.5},
-                    "times": {"t_min": 1.0, "t_max": 50.0, "ratio": ROOT2, "fit_t_min": 2.0},
-                    "tolerances": {"energy_slope": -0.9},
-                },
-            ),
-            _run_airy_local_energy,
-            _centered_gaussian,
-        ),
-        CatalogEntry(
-            "airy-decay",
-            "Airy sup-norm decay |t|^{1/3} sup|u| bounded (slope -1/3)",
-            "sup-amplitude decay fit on wrap-around-clean samples",
-            _base_sections(
-                "airy-decay",
-                {
-                    "grid": {"half_width": 1500.0, "points": 32768},
-                    "datum": {"width": GAUSS_W},
-                    "times": {"t_min": 2.0, "t_max": 20.0, "ratio": 2.0**0.25},
-                    "tolerances": {"slope": 0.1},
-                },
-            ),
-            _run_airy_decay,
-            _centered_gaussian,
-        ),
-        CatalogEntry(
-            "monomial-2k",
-            "even-order evolutions: t |d^{2k-2} u|^2 controlled by conserved products",
-            "k = 1 mirrors the Schrodinger structure; k = 2 is the genuinely higher-order case",
-            _base_sections(
-                "monomial-2k",
-                {
-                    "grid": {
-                        "half_width_k1": 320.0,
-                        "points_k1": 4096,
-                        "half_width_k2": 4300.0,
-                        "points_k2": 16384,
-                    },
-                    "datum": {"width_k1": 1.0, "width_k2": 2.0},
-                    "times": {"t_min": 1.0, "t_max": 20.0, "ratio": ROOT2},
-                    "tolerances": {},
-                },
-            ),
-            _run_monomial_2k,
-            _monomial_gaussians,
-        ),
-        CatalogEntry(
-            "commutation-suite",
-            "derived boosts commute with their evolutions; perturbed ones do not",
-            "residual suite over random band-limited packets for degrees 2, 3, 4",
-            _base_sections(
-                "commutation-suite",
-                {
-                    "grid": {"half_width": 1200.0, "points": 4096},
-                    "datum": {"n_data": 20},
-                    "times": {"checkpoints": (0.1, 1.0, 10.0)},
-                    "tolerances": {"residual": 1e-9, "perturbed_floor": 1e-3},
-                },
-            ),
-            _run_commutation_suite,
-            # the extreme packets ``random_wave_packets`` draws (centres in [-5, 5], widths in
-            # [3, 4]): the widest two bound the support, the narrowest sets the feature scale
-            lambda cfg: (("", Gaussian(-5.0, 4.0)), ("", Gaussian(5.0, 4.0)), ("", Gaussian(0.0, 3.0))),
-        ),
-    ]
-    _CATALOG = {e.id: e for e in entries}
-    if len(_CATALOG) != len(entries):
-        raise RuntimeError("catalog ids must be unique")
-    return _CATALOG
+    """The catalog: experiment id -> ``CatalogEntry``."""
+    return _ENTRIES
 
 
 def list_catalog() -> list:
@@ -1118,20 +1054,25 @@ def list_catalog() -> list:
 
 
 def run(config: ExperimentConfig, out_dir: Optional[str] = None, threads: int = 1) -> Report:
-    """Dispatch to the configured experiment, write report files, return the report."""
+    """Dispatch to the configured experiment, write report files, return the report.
+
+    The experiment passes when the runner's own check, every fitted slope and
+    every inequality report pass.
+    """
     entry = catalog()[config.experiment]
     start = time.perf_counter()
     out = entry.runner(config, threads)
     elapsed = time.perf_counter() - start
+    checks = (*out.fits, *out.inequalities)
     report = Report(
         experiment=config.experiment,
         config=config.as_dict(),
         columns=out.columns,
         rows=out.rows,
-        fits=out.fits,
-        inequalities=out.inequalities,
+        fits=tuple(s.as_dict() for s in out.fits),
+        inequalities=tuple(asdict(r) for r in out.inequalities),
         notes=out.notes + (f"anchor: {entry.anchor}",),
-        passed=bool(out.passed),
+        passed=bool(out.passed) and all(c.passed for c in checks),
         wall_clock_s=elapsed,
     )
     target = out_dir or config.get("output", "dir") or os.environ.get(OUTPUT_DIR_ENV)

@@ -31,12 +31,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .fields import (
-    AnalyticField,
-    BumpLambda,
-    GridSpec,
-    SupportOverflowError,
-)
+from .fields import AnalyticField, BumpLambda, GridSpec
 
 __all__ = [
     "ScalarDispersion",
@@ -164,16 +159,6 @@ class TransportSolution:
     def evaluate(self, t: float, q, p) -> np.ndarray:
         """nu(t,q,p) = nu0(q - t w(p), p), exact up to round-off."""
         return self.datum.value(*self._foot(t, q, p))
-
-
-def _check_p_coverage(sol: TransportSolution, pgrid: GridSpec):
-    if pgrid.dim != sol.dim:
-        raise ValueError("momentum grid dimension mismatch")
-    (_, _), (plo, phi) = sol._qp_bounds(1e-10)
-    if not pgrid.contains_box(plo, phi):
-        raise SupportOverflowError(
-            f"momentum support [{plo}, {phi}] not inside p-grid box {pgrid.bounds()}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -358,29 +343,29 @@ def sup_velocity_average(sol: TransportSolution, t: float) -> float:
 # conserved functionals
 
 
-def conserved_functional(
-    sol: TransportSolution, F: Sequence[Callable], t: float, pgrid: GridSpec
-) -> List[float]:
+def conserved_functional(sol: TransportSolution, F: Sequence[Callable], t: float) -> List[float]:
     """Phase-space quadrature of each F(p, nu(t, q, p)), in the order of ``F``.
 
     Each chunk of nu is evaluated once and every functional is summed over
     it, so each float equals that of a call with its functional alone, bit
-    for bit. The p-integral sums over the nodes of ``pgrid``, which must hold the
-    datum's momentum support. The q-integral uses per-p windows on a global
-    lattice centred at the characteristic position t*w(p); this requires
-    F(p, 0) = 0 so the empty region contributes nothing, and stays cheap
-    however far the support has travelled.
+    for bit. With h = ``feature_scale()/3``, the p-integral sums over a centred
+    lattice of spacing at most h, at least 16 nodes per axis, on 1.05 times the
+    box of the datum's momentum support at 1e-14. The q-integral uses per-p
+    windows on a global lattice of spacing h centred at the characteristic
+    position t*w(p); this requires F(p, 0) = 0 so the empty region contributes
+    nothing, and stays cheap however far the support has travelled.
     """
-    _check_p_coverage(sol, pgrid)
     d = sol.dim
-    (qlo, qhi), _ = sol._qp_bounds(1e-14)
-    pmesh = pgrid.nodes().reshape(-1, d)
+    (qlo, qhi), (plo, phi) = sol._qp_bounds(1e-14)
+    h = sol.datum.feature_scale() / 3.0
+    pbox = float(max(abs(plo).max(), abs(phi).max())) * 1.05
+    plattice = GridSpec.centered(pbox, max(16, int(math.ceil(2 * pbox / h))), dim=d)
+    pmesh = plattice.nodes().reshape(-1, d)
     totals = [0.0] * len(F)
     probe = np.zeros((1, d))
     if any(abs(float(np.asarray(G(probe, np.zeros(1))).ravel()[0])) > 0.0 for G in F):
         raise ValueError("windowed quadrature needs F(p, 0) = 0")
 
-    h = sol.datum.feature_scale() / 3.0
     pad = 4.0 * h
     counts = [int(math.ceil((qhi[i] - qlo[i] + 2 * pad) / h)) + 2 for i in range(d)]
     centers = t * sol.dispersion.w(pmesh)  # (M, d)
@@ -399,7 +384,7 @@ def conserved_functional(
         nu = sol.datum.value(*y, *np.moveaxis(pexp, -1, 0))
         for i, G in enumerate(F):
             totals[i] += float(np.asarray(G(pexp, nu)).sum())
-    return [total * (h**d) * pgrid.cell_volume for total in totals]
+    return [total * (h**d) * plattice.cell_volume for total in totals]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Config parsing and the command line: round trips, rejections, exit codes, thread-stable tables."""
 
+import dataclasses
 import json
 
 import pytest
 
-from decaylab import cli
+from decaylab import cli, experiments
 from decaylab.experiments import ConfigError, default_config, emit_config, list_catalog, parse_config
+from decaylab.harness import DecayFit, InequalityReport
 
 IDS = [row["id"] for row in list_catalog()]
 
@@ -28,6 +30,11 @@ def _one_key(exp_id, section, key, value):
 
 def _report(tmp_path, exp_id):
     return json.loads((tmp_path / "out" / f"{exp_id}.json").read_text())
+
+
+def _patch_runner(monkeypatch, exp_id, runner):
+    entries = experiments.catalog()
+    monkeypatch.setitem(entries, exp_id, dataclasses.replace(entries[exp_id], runner=runner))
 
 
 @pytest.mark.parametrize("exp_id", IDS)
@@ -71,6 +78,7 @@ ENTRY_RANGE_CASES = [
     ("counterexample", "datum", "lams", "4.0"),
     ("counterexample", "datum", "lams", "16.0, 4.0"),
     ("cube-translation", "datum", "centers", "10.0"),  # "spread x1.000" from one center
+    ("transport-degenerate", "datum", "map", "cubic"),  # only run refused it, validate echoed it
 ]
 
 
@@ -127,9 +135,16 @@ class TestExitCodes:
         assert err.count(f"config error: {section}.{key}") == 2 and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    def test_2_for_a_config_error_raised_by_the_runner(self, tmp_path, capsys):
-        assert _run(tmp_path, "[experiment]\nid = transport-degenerate\n[datum]\nmap = cubic\n") == 2
-        assert "datum.map" in capsys.readouterr().err
+    def test_2_for_a_config_error_raised_by_the_runner(self, tmp_path, capsys, monkeypatch):
+        # no runner raises ConfigError today; the CLI still maps one to exit 2 without a report
+        def refuse(cfg, threads):
+            raise ConfigError("datum.lams refused by the runner")
+
+        _patch_runner(monkeypatch, "counterexample", refuse)
+        assert _run(tmp_path, "[experiment]\nid = counterexample\n") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: datum.lams refused") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "text, keys",
@@ -260,6 +275,61 @@ class TestExitCodes:
         assert _run(tmp_path, text) == 3
         assert "0 clean boost-norm drift times in d2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def _verdict_outcome(own, slope, report):
+    """A runner outcome whose own check, one fitted slope and one inequality report pass or fail as given."""
+    fit = DecayFit(slope=-1.0 if slope else -2.0, intercept=0.0, max_abs_residual=0.0, window=(1.0, 16.0), n_samples=5)
+    ratio = 0.5 if report else 2.0
+    rep = InequalityReport("bound", ((1.0, ratio, 1.0),), ratio, 1.0, 0.0, report)
+    return experiments._Outcome(("t",), ((1.0,),), own, (experiments._Slope("decay", fit, -1.0, 0.1),), (rep,))
+
+
+@pytest.mark.parametrize(
+    "own, slope, report, code",
+    [
+        (True, True, True, 0),
+        (False, True, True, 1),  # the runner's own check
+        (True, False, True, 1),  # one fitted slope: -2 against -1 +- 0.1
+        (True, True, False, 1),  # one inequality report
+    ],
+)
+def test_run_passes_when_the_runner_check_every_slope_and_every_report_pass(
+    tmp_path, capsys, monkeypatch, own, slope, report, code
+):
+    _patch_runner(monkeypatch, "counterexample", lambda cfg, threads: _verdict_outcome(own, slope, report))
+    assert _run(tmp_path, "[experiment]\nid = counterexample\n") == code
+    assert f"counterexample: {'PASS' if code == 0 else 'FAIL'}" in capsys.readouterr().out
+    result = _report(tmp_path, "counterexample")
+    assert result["passed"] is (code == 0)
+    assert [q["passed"] for q in result["inequalities"]] == [report]
+    (fit,) = result["fits"]
+    assert (fit["target_slope"], fit["slope_tolerance"]) == (-1.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "exp_id, slope",
+    [
+        ("airy-local-energy", -1.25),  # gated on tolerances.energy_slope = -0.9, reported against -1 +- 0.1
+        ("transport-degenerate", -1.49),  # the mixed map's bound is one-sided: slope <= -1 + 0.05
+    ],
+)
+def test_one_sided_fits_pass_outside_their_reported_tolerance(tmp_path, exp_id, slope):
+    assert _run(tmp_path, f"[experiment]\nid = {exp_id}\n") == 0
+    (fit,) = _report(tmp_path, exp_id)["fits"]
+    assert fit["slope"] == pytest.approx(slope, abs=0.01)
+    assert abs(fit["slope"] - fit["target_slope"]) > fit["slope_tolerance"]
+
+
+def test_airy_local_energy_fails_above_its_energy_slope(tmp_path):
+    text = "[experiment]\nid = airy-local-energy\n[tolerances]\nenergy_slope = -1.3\n"
+    assert _run(tmp_path, text) == 1
+    assert _report(tmp_path, "airy-local-energy")["passed"] is False
+
+
+def test_cube_translation_gates_the_center_farthest_from_the_origin(tmp_path, capsys):
+    assert _run(tmp_path, "[experiment]\nid = cube-translation\n[datum]\ncenters = -10.0, 0.0, 3.0\n") == 0
+    assert "untranslated/translated at c=-10: x" in capsys.readouterr().out
 
 
 def _sweep_value(section, key):

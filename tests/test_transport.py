@@ -254,36 +254,29 @@ def product_solution_d2():
 class TestConservedFunctional:
     @pytest.mark.parametrize("t", [0.0, 1.0, 5.0])
     def test_mass_matches_oracle(self, gaussian_solution, t):
-        pg = GridSpec.centered(8.0, 96, dim=1)
-        (val,) = tr.conserved_functional(gaussian_solution, [lambda p, v: v], t, pg)
+        (val,) = tr.conserved_functional(gaussian_solution, [lambda p, v: v], t)
         assert val == pytest.approx(math.pi, rel=1e-10)
 
     def test_squared_density_constant(self, gaussian_solution):
-        pg = GridSpec.centered(8.0, 96, dim=1)
-        vals = [
-            tr.conserved_functional(gaussian_solution, [lambda p, v: v * v], t, pg)[0]
-            for t in (0.0, 1.0, 5.0)
-        ]
+        vals = [tr.conserved_functional(gaussian_solution, [lambda p, v: v * v], t)[0] for t in (0.0, 1.0, 5.0)]
         assert max(vals) - min(vals) <= 1e-8 * abs(vals[0])
 
     def test_kinetic_constant(self, gaussian_solution):
-        pg = GridSpec.centered(8.0, 96, dim=1)
         kin = lambda p, v: np.sum(p * p, axis=-1) * v
-        vals = [tr.conserved_functional(gaussian_solution, [kin], t, pg)[0] for t in (0.0, 5.0)]
+        vals = [tr.conserved_functional(gaussian_solution, [kin], t)[0] for t in (0.0, 5.0)]
         assert vals[1] == pytest.approx(vals[0], rel=1e-8)
 
     @pytest.mark.parametrize("case", ["windowed-d1", "windowed-d2"])
     def test_sequence_equals_single_calls(self, gaussian_solution, case):
-        sol, pg = gaussian_solution, GridSpec.centered(8.0, 96, dim=1)
-        if case == "windowed-d2":  # its p-grid spans three nu chunks
-            sol, pg = product_solution_d2(), GridSpec.centered(8.0, 40, dim=2)
+        # the d2 solution's p-lattice spans five nu chunks
+        sol = gaussian_solution if case == "windowed-d1" else product_solution_d2()
         functionals = [lambda p, v: v, lambda p, v: v * v, lambda p, v: np.sum(p * p, axis=-1) * v]
         for t in (0.0, 5.0):
-            single = [tr.conserved_functional(sol, [F], t, pg)[0] for F in functionals]
-            assert tr.conserved_functional(sol, functionals, t, pg) == single
+            single = [tr.conserved_functional(sol, [F], t)[0] for F in functionals]
+            assert tr.conserved_functional(sol, functionals, t) == single
 
     def test_one_window_evaluation_serves_every_functional(self, monkeypatch):
-        sol, pg = product_solution_d2(), GridSpec.centered(8.0, 40, dim=2)
+        sol = product_solution_d2()
         calls = []
         value = Gaussian.value
 
@@ -292,15 +285,14 @@ class TestConservedFunctional:
             return value(self, *x)
 
         monkeypatch.setattr(Gaussian, "value", counted)
-        tr.conserved_functional(sol, [lambda p, v: v], 5.0, pg)
+        tr.conserved_functional(sol, [lambda p, v: v], 5.0)
         chunks = len(calls)
-        tr.conserved_functional(sol, [lambda p, v: v, lambda p, v: v * v, lambda p, v: v**3], 5.0, pg)
-        assert chunks == 3 and len(calls) == 2 * chunks
+        tr.conserved_functional(sol, [lambda p, v: v, lambda p, v: v * v, lambda p, v: v**3], 5.0)
+        assert chunks == 5 and len(calls) == 2 * chunks
 
     def test_windowed_needs_vanishing_functional(self, gaussian_solution):
-        pg = GridSpec.centered(8.0, 64, dim=1)
         with pytest.raises(ValueError):
-            tr.conserved_functional(gaussian_solution, [lambda p, v: v + 1.0], 1.0, pg)
+            tr.conserved_functional(gaussian_solution, [lambda p, v: v + 1.0], 1.0)
 
 
 class TestTransportBoost:

@@ -22,13 +22,23 @@ def check_q_coverage(sol: tr.TransportSolution, qgrid: GridSpec, t: float, qlo, 
         )
 
 
+def check_p_coverage(sol: tr.TransportSolution, pgrid: GridSpec):
+    if pgrid.dim != sol.dim:
+        raise ValueError("momentum grid dimension mismatch")
+    (_, _), (plo, phi) = sol._qp_bounds(1e-10)
+    if not pgrid.contains_box(plo, phi):
+        raise SupportOverflowError(
+            f"momentum support [{plo}, {phi}] not inside p-grid box {pgrid.bounds()}"
+        )
+
+
 def velocity_average(sol: tr.TransportSolution, t: float, q, pgrid: GridSpec):
     """Quadrature of nu(t, q, .) over the momentum grid.
 
     ``q`` is one point of R^d, giving a float, or an array of points with a
     trailing axis of length d, giving an array of averages (chunked over q).
     """
-    tr._check_p_coverage(sol, pgrid)
+    check_p_coverage(sol, pgrid)
     q = np.asarray(q, dtype=float)
     qpoints = q.reshape(-1, sol.dim)
     pmesh = pgrid.nodes().reshape(-1, sol.dim)
