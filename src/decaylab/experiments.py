@@ -546,22 +546,23 @@ def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
     return _Outcome(cols, tuple(rows), passed, fits=fits, notes=notes)
 
 
-def _ks_dimension(u0, check_times, drift_times, drift_alphas, label):
+def _ks_dimension(u0, check_times, drift_times, drift_alphas, label, power=1):
     """Weighted sup report, boost-norm drift and notes of one datum.
 
     One guarded series over the check and drift times feeds both. It reads
     the sup and the boost-norm table once at each clean time, to order d at
     check times and to the drift's order at drift times, so only one evolved
     field is alive at a time. The drift is read at clean drift times only,
-    and fewer than two of them raise.
+    and fewer than two of them raise. With ``power`` = k > 1 the datum is
+    the k-fold tensor power of the 1-d ``u0``, read from the factor alone.
     """
-    d = u0.grid.dim
+    d = u0.grid.dim * power
     drift_order = max(d, *(sum(alpha) for alpha in drift_alphas))
 
     def read(t, ut):
-        return linf_norm(ut), boost_norms(ut, t, drift_order if t in drift_times else d)
+        return linf_norm(ut) ** power, boost_norms(ut, t, drift_order if t in drift_times else d, power)
 
-    series = Series.evolve(u0, schrodinger(), (*check_times, *drift_times), read)
+    series = Series.evolve(u0, schrodinger(), (*check_times, *drift_times), read, power)
     report = check_ks_schrodinger(series.restrict(check_times))
     drifted = series.restrict(drift_times)
     notes = tuple(f"{label} drift time t={t:g} excluded: {why}" for t, why in drifted.excluded)
@@ -577,12 +578,13 @@ def _ks_dimension(u0, check_times, drift_times, drift_alphas, label):
 
 
 def _run_schrodinger_ks(cfg: ExperimentConfig, threads: int):
-    (_, g1), (_, g2) = _ks_gaussians(cfg)
+    (_, g1), _ = _ks_gaussians(cfg)
     u1 = _complexify(sample(g1, _grid(cfg, "_1d")))
     rep1, drift1, notes1 = _ks_dimension(u1, _times(cfg), (1.0, 10.0, 100.0), ((0,), (1,), (2,)), "d1")
-    u2 = _complexify(sample(g2, _grid(cfg, "_2d", 2)))
+    # the 2-d datum Gaussian((0, 0), (w, w)) is the square of its 1-d factor at every node of the square grid
+    factor = _complexify(sample(Gaussian(0.0, cfg.get("datum", "width_2d")), _grid(cfg, "_2d")))
     rep2, drift2, notes2 = _ks_dimension(
-        u2, cfg.get("times", "checkpoints_2d"), (1.0, 4.0, 16.0), ((1, 0), (1, 1), (0, 2)), "d2"
+        factor, cfg.get("times", "checkpoints_2d"), (1.0, 4.0, 16.0), ((1, 0), (1, 1), (0, 2)), "d2", power=2
     )
     tol = cfg.get("tolerances", "norm_drift")
     drift = max(drift1, drift2)

@@ -71,29 +71,50 @@ class Series:
     next is formed. ``excluded`` holds the (t, reason) entries whose edge mass
     exceeds ``CONTAMINATION_THRESHOLD``. ``evolution`` gives u and its
     spectrum at any other time.
+
+    With ``power`` = k > 1 the series stands for the k-fold tensor power
+    u0 (x) ... (x) u0 in ``dim`` dimensions, which the Schrodinger evolution
+    keeps a product: every field held or read is the factor's, and no
+    product field is formed.
     """
 
     u0: SampledField
     evolution: Evolution
     clean: tuple
     excluded: tuple
+    power: int = 1
+
+    @property
+    def dim(self) -> int:
+        return self.u0.grid.dim * self.power
 
     @classmethod
     def evolve(
-        cls, u0: SampledField, disp: DispersionPolynomial, times: Sequence[float], read: Optional[Callable] = None
+        cls,
+        u0: SampledField,
+        disp: DispersionPolynomial,
+        times: Sequence[float],
+        read: Optional[Callable] = None,
+        power: int = 1,
     ) -> "Series":
-        """Transform u0 once, then form and guard u(t) once at each distinct time."""
+        """Transform u0 once, then form and guard u(t) once at each distinct time.
+
+        A tensor power is guarded as the formed field would be: the interior
+        of the product grid's edge strips is the product of the factors'
+        interiors, so its edge-mass fraction is 1 - (1 - f)^power, f the
+        factor's, node by node.
+        """
         evolution = Evolution(u0, disp)
         clean, excluded = [], []
         for t in sorted({float(t) for t in times}):
             ut = evolution.at(t)
-            frac = edge_mass_fraction(ut)
+            frac = _edge_mass(ut, power)
             if frac > CONTAMINATION_THRESHOLD:
                 excluded.append((t, f"wrap-around edge mass {frac:.2e}"))
             else:
                 clean.append((t, ut if read is None else read(t, ut)))
             del ut  # the next field is formed with this one freed
-        return cls(u0, evolution, tuple(clean), tuple(excluded))
+        return cls(u0, evolution, tuple(clean), tuple(excluded), power)
 
     def restrict(self, times) -> "Series":
         """The sub-series at ``times``, each of which must be a time of this series."""
@@ -103,6 +124,13 @@ class Series:
             raise ValueError(f"times {sorted(missing)} are not in the series")
         clean, excluded = (tuple(e for e in part if e[0] in keep) for part in (self.clean, self.excluded))
         return replace(self, clean=clean, excluded=excluded)
+
+
+def _edge_mass(u: SampledField, power: int) -> float:
+    """``edge_mass_fraction`` of the ``power``-fold tensor power of u, 1 - (1 - f)^power
+    taken through log1p and expm1 so that a small fraction keeps its digits."""
+    frac = edge_mass_fraction(u)
+    return frac if power == 1 else -math.expm1(power * math.log1p(-frac))
 
 
 @dataclass(frozen=True)
@@ -207,12 +235,14 @@ def check_ks_schrodinger(series: Series) -> InequalityReport:
     """Weighted sup bound: |t|^d ||u||_inf^2 vs boost-norm products.
 
     rhs(t) sums ||W^a u(t)|| ||W^b u(t)|| over multi-index pairs with
-    |a| + |b| = d, all norms evaluated honestly at time t. The series is read
-    with ``(linf_norm(u), boost_norms(u, t, order))``, order >= d, at each
-    clean time, so a runner that needs the same norms elsewhere boosts only
-    once and holds no field.
+    |a| + |b| = d, all norms evaluated honestly at time t, and d is the
+    series' ``dim``. The series is read with
+    ``(linf_norm(u) ** power, boost_norms(u, t, order, power))``, order >= d,
+    at each clean time, so a runner that needs the same norms elsewhere boosts
+    only once and holds no field; on a tensor power u is the factor, whose
+    sup to the power is the sup of the product.
     """
-    d = series.u0.grid.dim
+    d = series.dim
     alphas = [alpha for alpha in _iter_product(range(d + 1), repeat=d) if sum(alpha) <= d]
     samples = []
     for t, (sup, norms) in series.clean:

@@ -18,10 +18,16 @@ M u resolved by the grid: M u(t) is band-limited to |xi| <~ R/(2t) for data
 of radius R, so ``boost_norms`` checks that the transform of M u has
 negligible mass outside the inner three-quarter band |xi_j| <= 3 pi/(4 h_j),
 and boosts by spectral derivatives where it does not.
+
+For a tensor power u_1 (x) ... (x) u_1 the chirped transform, its Parseval
+sums and every boosted field are products of the factor's, node by node, so
+``boost_norms(u_1, t, order, power)`` reads the power's norms from u_1 alone.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -122,7 +128,7 @@ def apply_operator(op: CommutingOperator, u: SampledField, t: float) -> SampledF
 _ALIASED_SHARE = 1e-10
 
 
-def boost_norms(u: SampledField, t: float, order: int) -> dict:
+def boost_norms(u: SampledField, t: float, order: int, power: int = 1) -> dict:
     """|| W^alpha u ||_2 for every multi-index |alpha| <= order, keyed by alpha.
 
     W_j = t d_j + (i/2) x_j is the Schrodinger boost along axis j at time t,
@@ -135,6 +141,12 @@ def boost_norms(u: SampledField, t: float, order: int) -> dict:
     by Parseval: one forward transform of M u gives every norm, summed by
     one contraction per axis.
 
+    With ``power`` = k > 1 the norms are those of the k-fold tensor power
+    u (x) ... (x) u, which is not formed: the chirp factors per axis, so the
+    table of weighted sums (the power columns and the inner-band column) is
+    the k-fold outer product of the table of u, and a boost of the power is
+    the tensor product of boosts of u.
+
     The identity holds for the samples only while M u is resolved by the
     grid. M u(t) is band-limited to |xi| <~ R/(2t) for data of radius R, so
     at small t or on a coarse grid the sampled chirp aliases. When more than
@@ -142,9 +154,11 @@ def boost_norms(u: SampledField, t: float, order: int) -> dict:
     band (|xi_j| <= 3 pi/(4 h_j) on every axis), the norms come from
     ``_boost_walk``, one spectral-derivative boost per multi-index. At t = 0
     the chirp is undefined and the walk runs too; there W_j = (i/2) x_j.
+    The share is read from the table of the tensor power, so a power is
+    decided as the formed field would be.
     """
     if t == 0.0:
-        return _boost_walk(u, t, order)  # the chirp would divide by t
+        return _power_walk(u, t, order, power)  # the chirp would divide by t
     grid = u.grid
     # one chirp factor exp(i x_j^2 / (4t)) per axis, as Evolution.spectrum applies its phase
     chirps = [np.exp(1j * _coordinate(u, j) ** 2 / (4.0 * t)) for j in range(grid.dim)]
@@ -161,13 +175,27 @@ def boost_norms(u: SampledField, t: float, order: int) -> dict:
         xi = grid.wavenumbers(j)
         inner = np.abs(xi) <= 0.75 * np.pi / grid.spacing[j]
         weights.append(np.column_stack([_powers((t * xi) ** 2, order), inner]))
-    table = _weighted_sums(p, weights)
-    total, resolved = table[(0,) * grid.dim], table[(order + 1,) * grid.dim]
+    table = functools.reduce(np.multiply.outer, [_weighted_sums(p, weights)] * power)
+    dim = grid.dim * power
+    total, resolved = table[(0,) * dim], table[(order + 1,) * dim]
     if total - resolved > _ALIASED_SHARE * total:
-        return _boost_walk(u, t, order)
-    scale = grid.cell_volume / math.prod(grid.points)
-    alphas = (alpha for alpha in np.ndindex(*(order + 1,) * grid.dim) if sum(alpha) <= order)
+        return _power_walk(u, t, order, power)
+    scale = (grid.cell_volume / math.prod(grid.points)) ** power
+    alphas = (alpha for alpha in np.ndindex(*(order + 1,) * dim) if sum(alpha) <= order)
     return {alpha: math.sqrt(scale * table[alpha]) for alpha in alphas}
+
+
+def _power_walk(u: SampledField, t: float, order: int, power: int) -> dict:
+    """``_boost_walk`` norms of the ``power``-fold tensor power of u, from one walk of u.
+
+    W^alpha of the power is the tensor product of the factor's boosts by the
+    slices of alpha, one slice per factor, so its norm is their product.
+    """
+    norms = _boost_walk(u, t, order)
+    if power == 1:
+        return norms
+    slices = itertools.product(norms, repeat=power)
+    return {sum(s, ()): math.prod(norms[a] for a in s) for s in slices if sum(map(sum, s)) <= order}
 
 
 def _powers(s: np.ndarray, order: int) -> np.ndarray:

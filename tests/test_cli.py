@@ -398,6 +398,8 @@ def test_airy_decay_rows_are_the_clean_samples(tmp_path):
     [
         ("vlasov-decay", "[experiment]\nid = vlasov-decay\n[times]\nt_max = 100.0\n"),
         ("counterexample", "[experiment]\nid = counterexample\n"),
+        # the five cases run on a thread pool at 2 threads
+        ("conservation", "[experiment]\nid = conservation\n"),
         # a spectral entry, pinned before --threads reaches the spectral runners
         ("schrodinger-ks", "[experiment]\nid = schrodinger-ks\n[grid]\nhalf_width_2d = 40.0\npoints_2d = 256\n"),
     ],

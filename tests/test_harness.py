@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from decaylab.experiments import parse_config, run
-from decaylab.fields import Gaussian, GridSpec, linf_norm, sample, spectral_derivative
+from decaylab.fields import Gaussian, GridSpec, SampledField, linf_norm, sample, spectral_derivative
 from decaylab.norms import build_dyadic_partition
 from decaylab.operators import boost_norms
-from decaylab.propagators import Evolution, airy, even_order, schrodinger
+from decaylab.propagators import Evolution, airy, edge_mass_fraction, even_order, schrodinger
 from decaylab import harness as hz
+from decaylab import operators as ops
 
 
 def complex_sample(datum, grid):
@@ -184,6 +185,76 @@ class TestSeriesRead:
         run(parse_config(text), out_dir=str(tmp_path))
         assert len(watched) == 2 and len(alive) == 16 + 5  # d1: 14 checkpoints, drift 10 and 100; d2: 5
         assert max(alive) == 1
+
+
+def square_and_factor(half_width, points):
+    """The 2-d schrodinger-ks datum on a square grid, and its 1-d factor on one axis of that grid."""
+    square = complex_sample(Gaussian((0.0, 0.0), (1.3, 1.3)), GridSpec.centered(half_width, points, dim=2))
+    return square, complex_sample(Gaussian(0.0, 1.3), GridSpec.centered(half_width, points))
+
+
+def power_read(d):
+    """``ks_read`` of the square of a 1-d factor: sup and boost norms of the product, read from the factor."""
+    return lambda t, u: (linf_norm(u) ** 2, boost_norms(u, t, d, power=2))
+
+
+class TestTensorPower:
+    def test_square_of_the_factor_reads_as_the_formed_field(self):
+        # the datum wraps around this box by t = 8, as in the schrodinger-ks contamination test
+        square, factor = square_and_factor(40.0, 256)
+        times = [1.0, 2.0, 4.0, 8.0, 16.0]
+        formed = schrodinger_series(square, times, ks_read(2))
+        product = hz.Series.evolve(factor, schrodinger(), times, power_read(2), power=2)
+        assert product.dim == formed.dim == 2
+        assert [t for t, _ in product.clean] == [t for t, _ in formed.clean] == [1.0, 2.0, 4.0]
+        assert product.excluded == formed.excluded  # the same times, reason strings and all
+        assert [t for t, _ in product.excluded] == [8.0, 16.0]
+        for (_, (sup, norms)), (_, (sup2, norms2)) in zip(product.clean, formed.clean):
+            assert sup == pytest.approx(sup2, rel=1e-13, abs=0.0)
+            assert norms.keys() == norms2.keys()
+            for alpha, value in norms2.items():
+                assert norms[alpha] == pytest.approx(value, rel=1e-13, abs=0.0)
+        rep, rep2 = hz.check_ks_schrodinger(product), hz.check_ks_schrodinger(formed)
+        assert rep.excluded == rep2.excluded
+        assert rep.max_ratio == pytest.approx(rep2.max_ratio, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_aliased_chirp_walks_on_both_paths(self, t, monkeypatch):
+        # on 128 points the sampled chirp aliases at t = 0.5, and t = 0 always walks
+        u2, u1 = (Evolution(u0, schrodinger()).at(t) for u0 in square_and_factor(40.0, 128))
+        calls = []
+        walk = ops._boost_walk
+        monkeypatch.setattr(ops, "_boost_walk", lambda u, *args: calls.append(u.grid.dim) or walk(u, *args))
+        formed, product = ops.boost_norms(u2, t, 2), ops.boost_norms(u1, t, 2, power=2)
+        assert calls == [2, 1]
+        assert product.keys() == formed.keys()
+        for alpha, value in formed.items():
+            assert product[alpha] == pytest.approx(value, rel=1e-13, abs=0.0)
+
+    def test_edge_mass_of_the_square_at_the_excluded_times(self):
+        # 1 - (1 - f)^2 of the factor's fraction f is the fraction of the outer-product field
+        square, factor = square_and_factor(40.0, 256)
+        evolution = Evolution(factor, schrodinger())
+        fractions = []
+        for t in (8.0, 16.0):
+            u1 = evolution.at(t)
+            outer = SampledField(square.grid, np.multiply.outer(u1.values, u1.values), "complex")
+            fractions.append(edge_mass_fraction(outer))
+            assert hz._edge_mass(u1, 2) == pytest.approx(fractions[-1], rel=1e-12, abs=0.0)
+        assert fractions == pytest.approx([2.33e-05, 1.98e-02], rel=1e-2)
+
+    def test_default_schrodinger_ks_makes_no_2d_transform(self, tmp_path, monkeypatch):
+        shapes = []
+        for name in ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2", "rfft", "irfft", "rfftn", "irfftn"):
+
+            def counted(a, *args, fn=getattr(np.fft, name), **kwargs):
+                shapes.append(np.shape(a))
+                return fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        run(parse_config("[experiment]\nid = schrodinger-ks\n"), out_dir=str(tmp_path))
+        assert shapes and all(len(shape) == 1 for shape in shapes)
+        assert sorted(set(shapes)) == [(1024,), (32768,)]
 
 
 class TestLpAndLocalMass:

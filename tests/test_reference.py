@@ -6,14 +6,17 @@ quadrature, the gradient oracles, the translated X norm and ``sample``. The
 fits, inequality ratios and sample rows of these three must equal
 ``perfbench/reference.json`` bit for bit.
 
-``schrodinger-ks`` is compared within 1e-13 relative. Two changes since the
-reference was recorded move its rows in the last bits. Its 2-d evolution
-applies the Schrodinger multiplier as one factor exp(t sigma_j(xi_j)) per
-axis, not as the exponential of the summed full-grid phase (at t = 16 that
-phase reaches about 2e3 rad). Its boost norms come from Parseval sums of one
-transform of the chirped field, not from a chain of spectral-derivative
-boosts; at every default time that transform is resolved, so no boost walk
-runs. Together they move rows and ratios by up to 1e-15 relative.
+``schrodinger-ks`` is compared within 1e-13 relative. Three changes since the
+reference was recorded move its rows in the last bits. The multiplier is
+applied as one factor exp(t sigma_j(xi_j)) per axis, not as the exponential
+of the summed full-grid phase (at t = 16 the 2-d phase reached about 2e3 rad).
+Its boost norms come from Parseval sums of one transform of the chirped field,
+not from a chain of spectral-derivative boosts; at every default time that
+transform is resolved, so no boost walk runs. Its 2-d datum, the square of a
+1-d Gaussian on a square grid, is evolved as that 1-d factor: the sup, the
+wrap-around guard and the boost norms of the square are read from the
+factor's, node by node, and no 2-d field is formed. Together they move rows
+and ratios by up to 1e-15 relative.
 
 ``vlasov-decay`` and ``transport-degenerate`` (under a second each) guard the
 adaptive sup search. Its refinement finds each sup to about 1e-12, so their
