@@ -4,11 +4,15 @@ The transport equation d_t nu + w(p) . d_q nu = 0 is solved exactly by
 nu(t, q, p) = nu0(q - t w(p), p), so this module never time-steps: it
 evaluates the characteristics formula on analytic data and quadratures it.
 Every dispersion map acts separately on each momentum axis, through one
-scalar map per axis. Velocity averages at large times concentrate on
-p-scales ~ 1/t, so the sup and conservation routines integrate over
-preimage windows of the datum support instead of a fixed p-grid. Each
-scalar dispersion map declares its monotone branches with their
-closed-form inverses, so a window's ends are read off directly.
+scalar map per axis. The sup, the conserved functionals and the Vlasov
+check need a datum that splits into (q_i, p_i) pair factors: each composes
+1-d quadratures of the pairs, each pair under its own axis map. Velocity averages at large times concentrate
+on p-scales ~ 1/t, so the sup integrates over preimage windows of the datum
+support instead of a fixed p-grid; the conserved functionals and the Vlasov
+rhs sum over q-windows that ride the characteristics on one global lattice
+(``_foot_window``). Each scalar dispersion map declares its monotone
+branches with their closed-form inverses, so a window's ends are read off
+directly.
 
 The sup search ranks its candidate positions with a 129-node window
 quadrature, a quarter of the nodes of the reported one, and reports the
@@ -16,22 +20,22 @@ quadrature, a quarter of the nodes of the reported one, and reports the
 reported sup misses the best 513-node value over the scored q by at most
 2 max |F_129 - F_513| over those q (measured in ``_pair_sup``).
 
-Positions q and momenta p stay points of R^d stacked on a trailing axis of
-length d, the form the dispersion maps w(p) and the functionals F(p, nu)
-read. ``TransportSolution._foot`` is the one place that splits them into
-the per-axis coordinate arrays the analytic data take; the pair quadratures
-pass their (q, p) axes to the datum directly.
+Positions q and momenta p of ``TransportSolution.evaluate`` are points of
+R^d stacked on a trailing axis of length d, the form the dispersion maps
+w(p) read. ``TransportSolution._foot`` is the one place that splits them
+into the per-axis coordinate arrays the analytic data take; the pair
+quadratures pass their (q, p) axes to the datum directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .fields import AnalyticField, BumpLambda, GridSpec
+from .fields import AnalyticField, BumpLambda
 
 __all__ = [
     "ScalarDispersion",
@@ -139,11 +143,6 @@ class TransportSolution:
     @property
     def dim(self) -> int:
         return self.dispersion.dim
-
-    def _qp_bounds(self, tol: float = 1e-12):
-        lo, hi = self.datum.support_bounds(tol)
-        d = self.dim
-        return (lo[:d], hi[:d]), (lo[d:], hi[d:])
 
     def _foot(self, t: float, q, p) -> tuple:
         """Per-axis coordinates of (q - t w(p), p), where the characteristics start."""
@@ -305,10 +304,10 @@ def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, t: float):
 
 
 def _separable_parts(sol: TransportSolution):
-    """(pair factor, scalar map) per axis, or None when the datum does not split into pairs."""
+    """(pair factor, scalar map) per axis; ValueError when the datum does not split into pairs."""
     pairs = sol.datum.phase_pair_factors(sol.dim)
     if pairs is None:
-        return None
+        raise ValueError("transport quadrature needs a datum that splits into (q_i, p_i) pair factors")
     return list(zip(pairs, sol.dispersion.axis_maps))
 
 
@@ -329,11 +328,8 @@ def sup_velocity_average(sol: TransportSolution, t: float) -> float:
     search (20001 nodes, then 2001 around the best) the square-map sup
     agrees to 2.2e-12 relative at t = 640, 905 and 3000.
     """
-    parts = _separable_parts(sol)
-    if parts is None:
-        raise ValueError("the sup needs a datum that splits into (q_i, p_i) pair factors")
     total = 1.0
-    for pair_datum, smap in parts:
+    for pair_datum, smap in _separable_parts(sol):
         sup, _ = _pair_sup(pair_datum, smap, t)
         total *= sup
     return total
@@ -343,48 +339,49 @@ def sup_velocity_average(sol: TransportSolution, t: float) -> float:
 # conserved functionals
 
 
-def conserved_functional(sol: TransportSolution, F: Sequence[Callable], t: float) -> List[float]:
-    """Phase-space quadrature of each F(p, nu(t, q, p)), in the order of ``F``.
+def _foot_window(qlo: float, qhi: float, h: float, c: np.ndarray) -> np.ndarray:
+    """Feet q - c of lattice-aligned q-windows, one row per characteristic position c.
 
-    Each chunk of nu is evaluated once and every functional is summed over
-    it, so each float equals that of a call with its functional alone, bit
-    for bit. With h = ``feature_scale()/3``, the p-integral sums over a centred
-    lattice of spacing at most h, at least 16 nodes per axis, on 1.05 times the
-    box of the datum's momentum support at 1e-14. The q-integral uses per-p
-    windows on a global lattice of spacing h centred at the characteristic
-    position t*w(p); this requires F(p, 0) = 0 so the empty region contributes
-    nothing, and stays cheap however far the support has travelled.
+    Row i holds the nodes of the global lattice hZ on [c_i + qlo - 4h, c_i + qhi + 4h]
+    minus c_i: where the characteristic through c_i starts, for a pair whose
+    q-support is [qlo, qhi]. Every row has the same number of nodes.
     """
-    d = sol.dim
-    (qlo, qhi), (plo, phi) = sol._qp_bounds(1e-14)
-    h = sol.datum.feature_scale() / 3.0
-    pbox = float(max(abs(plo).max(), abs(phi).max())) * 1.05
-    plattice = GridSpec.centered(pbox, max(16, int(math.ceil(2 * pbox / h))), dim=d)
-    pmesh = plattice.nodes().reshape(-1, d)
-    totals = [0.0] * len(F)
-    probe = np.zeros((1, d))
-    if any(abs(float(np.asarray(G(probe, np.zeros(1))).ravel()[0])) > 0.0 for G in F):
-        raise ValueError("windowed quadrature needs F(p, 0) = 0")
-
     pad = 4.0 * h
-    counts = [int(math.ceil((qhi[i] - qlo[i] + 2 * pad) / h)) + 2 for i in range(d)]
-    centers = t * sol.dispersion.w(pmesh)  # (M, d)
-    rows = max(1, (1 << 21) // max(1, int(np.prod(counts))))
-    offsets = [np.arange(counts[i]) * h for i in range(d)]
-    for start in range(0, pmesh.shape[0], rows):
-        pc = pmesh[start : start + rows]
-        cc = centers[start : start + rows]
-        # lattice-aligned window per p node (array axis 0) and q_i (array axis 1 + i)
-        y = []
-        for i in range(d):
-            base = np.ceil((cc[:, i] + qlo[i] - pad) / h) * h
-            window = base[:, None] - cc[:, i][:, None] + offsets[i][None, :]
-            y.append(window.reshape((len(pc),) + tuple(counts[i] if j == i else 1 for j in range(d))))
-        pexp = pc.reshape((len(pc),) + (1,) * d + (d,))
-        nu = sol.datum.value(*y, *np.moveaxis(pexp, -1, 0))
-        for i, G in enumerate(F):
-            totals[i] += float(np.asarray(G(pexp, nu)).sum())
-    return [total * (h**d) * plattice.cell_volume for total in totals]
+    count = int(math.ceil((qhi - qlo + 2 * pad) / h)) + 2
+    base = np.ceil((c + qlo - pad) / h) * h
+    return base[:, None] - c[:, None] + np.arange(count)[None, :] * h
+
+
+def _pair_moments(pair: AnalyticField, smap: ScalarDispersion, t: float) -> tuple:
+    """(int g, int g^2, int p^2 g) over the (q, p) plane for one pair g at time t.
+
+    With h = ``feature_scale()/3``, the p-integral sums over a centred lattice
+    of spacing at most h, at least 16 nodes, on 1.05 times the pair's momentum
+    support at 1e-14; the q-integral sums over ``_foot_window`` rows centred at
+    t*w(p). One evaluation of the pair serves all three moments.
+    """
+    lo, hi = pair.support_bounds(1e-14)
+    h = pair.feature_scale() / 3.0
+    pbox = float(max(abs(lo[1]), abs(hi[1]))) * 1.05
+    n = max(16, int(math.ceil(2 * pbox / h)))
+    hp = 2 * pbox / n
+    p = -pbox + hp * np.arange(n)
+    g = pair.value(_foot_window(lo[0], hi[0], h, t * smap.w(p)), p[:, None])
+    return tuple(float(f.sum()) * h * hp for f in (g, g * g, p[:, None] ** 2 * g))
+
+
+def conserved_functional(sol: TransportSolution, t: float) -> tuple:
+    """(mass, l2, kinetic): the integrals of nu, nu^2 and |p|^2 nu over phase space at time t.
+
+    For nu = prod_i g_i(q_i, p_i) with per-axis maps these are prod_i int g_i,
+    prod_i int g_i^2 and sum_i int p_i^2 g_i * prod_{j != i} int g_j, from
+    the ``_pair_moments`` of each pair under its own axis map. The datum must
+    split into (q_i, p_i) pair factors.
+    """
+    moments = [_pair_moments(pair, smap, t) for pair, smap in _separable_parts(sol)]
+    masses = [m[0] for m in moments]
+    kinetic = sum(m[2] * math.prod(masses[:i] + masses[i + 1 :]) for i, m in enumerate(moments))
+    return math.prod(masses), math.prod(m[1] for m in moments), kinetic
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +396,10 @@ def _pair_abs_p_derivative_integral(pair: AnalyticField, t: float) -> float:
     through quadrature only.
     """
     lo, hi = pair.support_bounds(1e-14)
-    qlo, qhi, plo, phi = lo[0], hi[0], lo[1], hi[1]
-    hq = pair.feature_scale() / 3.0
-    pad = 4.0 * hq
-    count = int(math.ceil((qhi - qlo + 2 * pad) / hq)) + 2
-    p = np.linspace(plo, phi, 2049)
-    hp = p[1] - p[0]
-    base = np.ceil((t * p + qlo - pad) / hq) * hq
-    y = base[:, None] + np.arange(count)[None, :] * hq - (t * p)[:, None]
-    _, grad = pair.gradient(y, p[:, None])
-    return float(np.abs(grad).sum() * hq * hp)
+    h = pair.feature_scale() / 3.0
+    p = np.linspace(lo[1], hi[1], 2049)
+    _, grad = pair.gradient(_foot_window(lo[0], hi[0], h, t * p), p[:, None])
+    return float(np.abs(grad).sum() * h * (p[1] - p[0]))
 
 
 def ks_vlasov_check(sol: TransportSolution, t: float) -> tuple:
@@ -420,13 +411,9 @@ def ks_vlasov_check(sol: TransportSolution, t: float) -> tuple:
     """
     if sol.dispersion.tag != "identity":
         raise ValueError("the weighted sup bound is for the identity dispersion map")
-    parts = _separable_parts(sol)
-    if parts is None:
-        raise ValueError("needs a datum with (q_i, p_i) pair factors")
-    d = sol.dim
-    lhs = abs(t) ** d * sup_velocity_average(sol, t)
+    lhs = abs(t) ** sol.dim * sup_velocity_average(sol, t)
     rhs = 1.0
-    for pair, _ in parts:
+    for pair, _ in _separable_parts(sol):
         rhs *= _pair_abs_p_derivative_integral(pair, t)
     return lhs, rhs
 

@@ -307,18 +307,29 @@ def test_run_passes_when_the_runner_check_every_slope_and_every_report_pass(
     assert (fit["target_slope"], fit["slope_tolerance"]) == (-1.0, 0.1)
 
 
+def _fit_passes(fit):
+    """A fit's verdict from its JSON alone: slope <= upper when one-sided, else slope within tolerance of target."""
+    if fit["upper"] is not None:
+        return fit["slope"] <= fit["upper"]
+    return abs(fit["slope"] - fit["target_slope"]) <= fit["slope_tolerance"]
+
+
 @pytest.mark.parametrize(
-    "exp_id, slope",
+    "exp_id, slope, upper",
     [
-        ("airy-local-energy", -1.25),  # gated on tolerances.energy_slope = -0.9, reported against -1 +- 0.1
-        ("transport-degenerate", -1.49),  # the mixed map's bound is one-sided: slope <= -1 + 0.05
+        ("airy-local-energy", -1.25, -0.9),  # gated on tolerances.energy_slope, reported against -1 +- 0.1
+        ("transport-degenerate", -1.49, -0.95),  # the mixed map's bound is one-sided: slope <= -1 + 0.05
+        ("vlasov-decay", -1.0, None),  # two-sided, the control: |slope + 1| <= 0.02
     ],
 )
-def test_one_sided_fits_pass_outside_their_reported_tolerance(tmp_path, exp_id, slope):
+def test_one_sided_fits_pass_outside_their_reported_tolerance(tmp_path, exp_id, slope, upper):
     assert _run(tmp_path, f"[experiment]\nid = {exp_id}\n") == 0
-    (fit,) = _report(tmp_path, exp_id)["fits"]
+    report = _report(tmp_path, exp_id)
+    (fit,) = report["fits"]
     assert fit["slope"] == pytest.approx(slope, abs=0.01)
-    assert abs(fit["slope"] - fit["target_slope"]) > fit["slope_tolerance"]
+    assert fit["upper"] == upper
+    assert (abs(fit["slope"] - fit["target_slope"]) > fit["slope_tolerance"]) is (upper is not None)
+    assert _fit_passes(fit) is report["passed"] is True
 
 
 def test_airy_local_energy_fails_above_its_energy_slope(tmp_path):

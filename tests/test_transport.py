@@ -247,36 +247,28 @@ def test_pair_profile_matches_the_pinned_quadrature(name, t):
     np.testing.assert_allclose(got, PINNED_PROFILES[name, t], rtol=1e-13, atol=0.0)
 
 
-def product_solution_d2():
-    return tr.TransportSolution(product_gaussian_phase(1.0, 1.0, 2), tr.identity_map(2))
+# closed-form (mass, l2, kinetic) of exp(-|q|^2 - |p|^2) under each map: per axis int exp(-x^2) = sqrt(pi),
+# int exp(-2x^2) = sqrt(pi/2) and int x^2 exp(-x^2) = sqrt(pi)/2
+GAUSSIAN_D1, GAUSSIAN_D2 = Gaussian((0.0, 0.0), (W, W)), product_gaussian_phase(W, W, 2)
+CONSERVED_CASES = {
+    "identity-d1": (GAUSSIAN_D1, tr.identity_map(1), (math.pi, math.pi / 2, math.pi / 2)),
+    "relativistic-d1": (GAUSSIAN_D1, tr.relativistic_map(), (math.pi, math.pi / 2, math.pi / 2)),
+    "identity-d2": (GAUSSIAN_D2, tr.identity_map(2), (math.pi**2, math.pi**2 / 4, math.pi**2)),
+    "mixed-d2": (GAUSSIAN_D2, tr.mixed_map(), (math.pi**2, math.pi**2 / 4, math.pi**2)),
+}
 
 
 class TestConservedFunctional:
-    @pytest.mark.parametrize("t", [0.0, 1.0, 5.0])
-    def test_mass_matches_oracle(self, gaussian_solution, t):
-        (val,) = tr.conserved_functional(gaussian_solution, [lambda p, v: v], t)
-        assert val == pytest.approx(math.pi, rel=1e-10)
+    @pytest.mark.parametrize("t", [0.0, 1.0, 5.0, 10.0])
+    @pytest.mark.parametrize("case", list(CONSERVED_CASES))
+    def test_matches_the_closed_forms(self, case, t):
+        datum, dmap, closed = CONSERVED_CASES[case]
+        got = tr.conserved_functional(tr.TransportSolution(datum, dmap), t)
+        np.testing.assert_allclose(got, closed, rtol=1e-14, atol=0.0)
 
-    def test_squared_density_constant(self, gaussian_solution):
-        vals = [tr.conserved_functional(gaussian_solution, [lambda p, v: v * v], t)[0] for t in (0.0, 1.0, 5.0)]
-        assert max(vals) - min(vals) <= 1e-8 * abs(vals[0])
-
-    def test_kinetic_constant(self, gaussian_solution):
-        kin = lambda p, v: np.sum(p * p, axis=-1) * v
-        vals = [tr.conserved_functional(gaussian_solution, [kin], t)[0] for t in (0.0, 5.0)]
-        assert vals[1] == pytest.approx(vals[0], rel=1e-8)
-
-    @pytest.mark.parametrize("case", ["windowed-d1", "windowed-d2"])
-    def test_sequence_equals_single_calls(self, gaussian_solution, case):
-        # the d2 solution's p-lattice spans five nu chunks
-        sol = gaussian_solution if case == "windowed-d1" else product_solution_d2()
-        functionals = [lambda p, v: v, lambda p, v: v * v, lambda p, v: np.sum(p * p, axis=-1) * v]
-        for t in (0.0, 5.0):
-            single = [tr.conserved_functional(sol, [F], t)[0] for F in functionals]
-            assert tr.conserved_functional(sol, functionals, t) == single
-
-    def test_one_window_evaluation_serves_every_functional(self, monkeypatch):
-        sol = product_solution_d2()
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_datum_evaluation_per_pair(self, monkeypatch, d):
+        sol = tr.TransportSolution(product_gaussian_phase(W, W, d), tr.identity_map(d))
         calls = []
         value = Gaussian.value
 
@@ -285,14 +277,8 @@ class TestConservedFunctional:
             return value(self, *x)
 
         monkeypatch.setattr(Gaussian, "value", counted)
-        tr.conserved_functional(sol, [lambda p, v: v], 5.0)
-        chunks = len(calls)
-        tr.conserved_functional(sol, [lambda p, v: v, lambda p, v: v * v, lambda p, v: v**3], 5.0)
-        assert chunks == 5 and len(calls) == 2 * chunks
-
-    def test_windowed_needs_vanishing_functional(self, gaussian_solution):
-        with pytest.raises(ValueError):
-            tr.conserved_functional(gaussian_solution, [lambda p, v: v + 1.0], 1.0)
+        tr.conserved_functional(sol, 5.0)
+        assert len(calls) == d
 
 
 class TestTransportBoost:
@@ -450,6 +436,12 @@ def test_sup_needs_a_pair_factored_datum():
     sol = tr.TransportSolution(CubeIndicator((0.0, 0.0), 1.0), tr.identity_map(1))
     with pytest.raises(ValueError, match="pair factors"):
         tr.sup_velocity_average(sol, 1.0)
+
+
+def test_conserved_functional_needs_a_pair_factored_datum():
+    sol = tr.TransportSolution(CubeIndicator((0.0, 0.0), 1.0), tr.identity_map(1))
+    with pytest.raises(ValueError, match="pair factors"):
+        tr.conserved_functional(sol, 1.0)
 
 
 REPORTS = Path(__file__).resolve().parent / "reports"

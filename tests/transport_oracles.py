@@ -25,7 +25,8 @@ def check_q_coverage(sol: tr.TransportSolution, qgrid: GridSpec, t: float, qlo, 
 def check_p_coverage(sol: tr.TransportSolution, pgrid: GridSpec):
     if pgrid.dim != sol.dim:
         raise ValueError("momentum grid dimension mismatch")
-    (_, _), (plo, phi) = sol._qp_bounds(1e-10)
+    lo, hi = sol.datum.support_bounds(1e-10)
+    plo, phi = lo[sol.dim :], hi[sol.dim :]
     if not pgrid.contains_box(plo, phi):
         raise SupportOverflowError(
             f"momentum support [{plo}, {phi}] not inside p-grid box {pgrid.bounds()}"
@@ -57,13 +58,15 @@ def grid_sup(sol: tr.TransportSolution, t: float, qgrid: GridSpec, pgrid: GridSp
     The q-grid must cover the support carried to time t at 65 momenta per
     axis across the p-support.
     """
-    (qlo, qhi), (plo, phi) = sol._qp_bounds(1e-10)
+    lo, hi = sol.datum.support_bounds(1e-10)
+    d = sol.dim
+    qlo, qhi, plo, phi = lo[:d], hi[:d], lo[d:], hi[d:]
     psample = np.stack(
-        np.meshgrid(*[np.linspace(plo[i], phi[i], 65) for i in range(sol.dim)], indexing="ij"),
+        np.meshgrid(*[np.linspace(plo[i], phi[i], 65) for i in range(d)], indexing="ij"),
         axis=-1,
-    ).reshape(-1, sol.dim)
+    ).reshape(-1, d)
     check_q_coverage(sol, qgrid, t, qlo, qhi, psample)
-    return float(velocity_average(sol, t, qgrid.nodes().reshape(-1, sol.dim), pgrid).max())
+    return float(velocity_average(sol, t, qgrid.nodes().reshape(-1, d), pgrid).max())
 
 
 def apply_transport_boost(sol: tr.TransportSolution, t: float, axis: int, q, p) -> np.ndarray:
