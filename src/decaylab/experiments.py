@@ -712,6 +712,12 @@ def _run_monomial_2k(cfg: ExperimentConfig, threads: int):
     return _Outcome(cols, tuple(rows), inequalities=tuple(reports))
 
 
+# Packets scored by one ``commutation_residual`` call. Its stacked arrays hold about
+# 0.6 MB per 4096-point datum, so peak memory stays bounded at any ``datum.n_data``;
+# the default 20 take one call.
+_PACKETS_PER_CALL = 32
+
+
 def _run_commutation_suite(cfg: ExperimentConfig, threads: int):
     seed = cfg.get("experiment", "seed")
     grid = _grid(cfg)
@@ -723,27 +729,20 @@ def _run_commutation_suite(cfg: ExperimentConfig, threads: int):
     for m, disp in ((2, schrodinger()), (3, airy()), (4, even_order(2))):
         op = derive_commuting_operator(disp)
         rng = np.random.default_rng(seed + m)
-        worst = 0.0
-        perturbed_best = {"a": 0.0, "b": 0.0}
-        for i in range(n_data):
-            u0 = random_wave_packets(grid, rng)
-            residuals = commutation_residual(op, disp, u0, times).tolist()
-            worst = max(worst, *residuals)
-            rows.extend((m, i, t, r) for t, r in zip(times, residuals))
-            if i == 0:
-                for which in ("a", "b"):
-                    bad = monomial_boost(
-                        op.degree,
-                        op.a * 1.1 if which == "a" else op.a,
-                        op.b if which == "a" else op.b * 1.1,
-                    )
-                    perturbed_best[which] = float(commutation_residual(bad, disp, u0, times).max())
-        ok = worst <= tol and all(v >= detect for v in perturbed_best.values())
-        passed = passed and ok
-        notes.append(
-            f"m={m}: worst residual {worst:.3e}, perturbed a/b max residual "
-            f"{perturbed_best['a']:.3e}/{perturbed_best['b']:.3e}"
-        )
+        tables = []
+        for start in range(0, n_data, _PACKETS_PER_CALL):
+            data = [random_wave_packets(grid, rng) for _ in range(min(_PACKETS_PER_CALL, n_data - start))]
+            tables.append(commutation_residual(op, disp, data, times))
+            if start == 0:
+                first = data[:1]  # scored again below by the perturbed boosts
+        residuals = np.concatenate(tables)
+        worst = float(residuals.max())
+        rows.extend((m, i, t, r) for i, row in enumerate(residuals.tolist()) for t, r in zip(times, row))
+        # each coefficient 10% off: the first datum alone shows that the boost no longer commutes
+        perturbed = (monomial_boost(m, op.a * 1.1, op.b), monomial_boost(m, op.a, op.b * 1.1))
+        best_a, best_b = (float(commutation_residual(bad, disp, first, times).max()) for bad in perturbed)
+        passed = passed and worst <= tol and min(best_a, best_b) >= detect
+        notes.append(f"m={m}: worst residual {worst:.3e}, perturbed a/b max residual {best_a:.3e}/{best_b:.3e}")
     # pairwise boost commutation in two dimensions
     grid2 = GridSpec.centered(60.0, 256, dim=2)
     rng = np.random.default_rng(seed)
@@ -829,7 +828,7 @@ _ENTRIES = _by_id(
     ),
     CatalogEntry(
         "conservation",
-        "integrals of F(p, nu) are constant in time for transport solutions",
+        "the mass, L2 and kinetic functionals of transport solutions are constant in time",
         "mass, squared-density and kinetic functionals across the built-in data",
         {
             "datum": {"width": GAUSS_W, "lam": 4.0},

@@ -423,3 +423,16 @@ def test_samples_table_identical_at_one_and_two_threads(tmp_path, exp_id, text):
         assert cli.main(["run", "--config", path, "--out", str(out), "--threads", str(threads)]) == 0
         tables.append((out / f"{exp_id}_samples.tsv").read_bytes())
     assert tables[0] == tables[1]
+
+
+def test_commutation_suite_report_does_not_depend_on_how_many_packets_one_call_scores(tmp_path, monkeypatch):
+    # 5 packets per degree in one call, then 2 at a time over three calls: the same rows and notes
+    reports = []
+    for per_call in (32, 2):
+        monkeypatch.setattr(experiments, "_PACKETS_PER_CALL", per_call)
+        run_dir = tmp_path / str(per_call)
+        run_dir.mkdir()
+        assert _run(run_dir, "[experiment]\nid = commutation-suite\n[datum]\nn_data = 5\n") == 0
+        report = _report(run_dir, "commutation-suite")
+        reports.append(((run_dir / "out" / "commutation-suite_samples.tsv").read_bytes(), report["notes"]))
+    assert reports[0] == reports[1]

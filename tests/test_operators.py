@@ -83,26 +83,26 @@ class TestCommutationResidual:
         rng = np.random.default_rng(4)
         u0 = ops.random_wave_packets(packet_grid, rng)
         op = ops.derive_commuting_operator(pr.schrodinger())
-        (res,) = ops.commutation_residual(op, pr.schrodinger(), u0, [0.0])
+        ((res,),) = ops.commutation_residual(op, pr.schrodinger(), [u0], [0.0])
         assert res <= 1e-12
 
     def test_gaussian_residual_small(self, fine_grid):
         u0 = complex_sample(Gaussian(0.0, 1.0), fine_grid)
         op = ops.derive_commuting_operator(pr.schrodinger())
-        (res,) = ops.commutation_residual(op, pr.schrodinger(), u0, [1.0])
+        ((res,),) = ops.commutation_residual(op, pr.schrodinger(), [u0], [1.0])
         assert res <= 1e-10
 
     def test_wrong_operator_detected(self, fine_grid):
         # 2t d_x + 2i x does not commute: the residual must be visible
         u0 = complex_sample(Gaussian(0.0, 1.0), fine_grid)
         bad = ops.monomial_boost(2, 2.0, 2.0j)
-        (res,) = ops.commutation_residual(bad, pr.schrodinger(), u0, [1.0])
+        ((res,),) = ops.commutation_residual(bad, pr.schrodinger(), [u0], [1.0])
         assert res >= 0.1
 
     def test_zero_denominator_gives_the_absolute_residual(self, packet_grid):
         zero = SampledField(packet_grid, np.zeros(packet_grid.points[0], dtype=complex), "complex")
         op = ops.derive_commuting_operator(pr.airy())
-        (res,) = ops.commutation_residual(op, pr.airy(), zero, [1.0])
+        ((res,),) = ops.commutation_residual(op, pr.airy(), [zero], [1.0])
         assert res == 0.0
 
     @pytest.mark.parametrize("disp", [pr.schrodinger(), pr.airy(), pr.even_order(2)])
@@ -111,8 +111,63 @@ class TestCommutationResidual:
         op = ops.derive_commuting_operator(disp)
         for _ in range(3):
             u0 = ops.random_wave_packets(packet_grid, rng)
-            res = ops.commutation_residual(op, disp, u0, (0.1, 1.0, 10.0))
-            assert res.shape == (3,) and res.max() <= 1e-9
+            res = ops.commutation_residual(op, disp, [u0], (0.1, 1.0, 10.0))
+            assert res.shape == (1, 3) and res.max() <= 1e-9
+
+    @pytest.mark.parametrize("disp", [pr.schrodinger(), pr.airy(), pr.even_order(2)])
+    def test_batch_rows_equal_single_datum_calls(self, packet_grid, disp):
+        rng = np.random.default_rng(23)
+        data = [ops.random_wave_packets(packet_grid, rng) for _ in range(20)]
+        op = ops.derive_commuting_operator(disp)
+        table = ops.commutation_residual(op, disp, data, (0.1, 1.0, 10.0))
+        assert table.shape == (20, 3)
+        for u0, row in zip(data, table):
+            assert ops.commutation_residual(op, disp, [u0], (0.1, 1.0, 10.0))[0].tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("n_data", [1, 20])
+    def test_transform_count_is_independent_of_the_batch(self, packet_grid, n_data, monkeypatch):
+        # two forward transforms (u0 and b x u0), then two inverse ones per time
+        rng = np.random.default_rng(29)
+        data = [ops.random_wave_packets(packet_grid, rng) for _ in range(n_data)]
+        calls = []
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counting(calls, name, getattr(np.fft, name)))
+        ops.commutation_residual(ops.derive_commuting_operator(pr.airy()), pr.airy(), data, (0.1, 1.0, 10.0))
+        assert calls == ["fft", "fft"] + ["ifft", "ifft"] * 3
+
+    def test_data_on_two_grids_are_refused(self, packet_grid):
+        rng = np.random.default_rng(4)
+        data = [ops.random_wave_packets(grid, rng) for grid in (packet_grid, GridSpec.centered(600.0, 4096))]
+        with pytest.raises(ValueError):
+            ops.commutation_residual(ops.schrodinger_boost(), pr.schrodinger(), data, [1.0])
+
+
+def packets_on_every_node(grid, rng):
+    """``random_wave_packets`` evaluating every packet at every grid node: the unwindowed oracle."""
+    nodes = grid.meshgrid()
+    vals = np.zeros(grid.points, dtype=complex)
+    for _ in range(5):
+        g = Gaussian(
+            tuple(rng.uniform(-5.0, 5.0, grid.dim)),
+            tuple(rng.uniform(3.0, 4.0, grid.dim)),
+            tuple(rng.uniform(-0.5, 0.5, grid.dim)),
+        )
+        vals += (rng.normal() + 1j * rng.normal()) * g.value(*nodes)
+    return vals
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        GridSpec.centered(1200.0, 4096, dim=1),  # the windows cover an eighth of the box
+        GridSpec.centered(12.0, 256, dim=1),  # the windows clip at the box
+        GridSpec.centered(60.0, 256, dim=2),
+    ],
+)
+def test_windowed_packets_are_the_bytes_of_every_node_evaluation(grid):
+    for seed in range(12):
+        u = ops.random_wave_packets(grid, np.random.default_rng(seed))
+        assert u.values.tobytes() == packets_on_every_node(grid, np.random.default_rng(seed)).tobytes()
 
 
 def packets(dim, points):

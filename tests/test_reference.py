@@ -22,7 +22,13 @@ and ratios by up to 1e-15 relative.
 adaptive sup search. Its refinement finds each sup to about 1e-12, so their
 numbers moved by up to 2e-9 relative from the recorded ones, which came
 from an older, coarser search; they are compared within the benchmark's own
-gate. The file is only read here.
+gate.
+
+``commutation-suite`` at the catalog seed is compared within the same gate.
+Its rows are rounding-level residuals (1e-14 to 1e-12): since its residuals
+are formed on the Fourier side, without a round trip of each derivative
+through physical space, they moved by up to 1.4e-13 absolute, inside the
+gate's 1e-12. The file is only read here.
 """
 
 import json
@@ -88,3 +94,10 @@ def test_transport_rows_within_gate(exp_id, reference, monkeypatch):
     ref = reference[exp_id]
     got = _numbers(_report(exp_id, monkeypatch))
     assert _within(got, (ref["samples"], ref["fits"], ref["inequalities"]), GATE_REL, GATE_ABS)
+
+
+def test_commutation_suite_rows_within_gate(reference, monkeypatch):
+    ref = reference["commutation-suite"]
+    report = _report("commutation-suite", monkeypatch)
+    assert report["config"]["experiment"]["seed"] == 20260811  # the seed reference.json was recorded with
+    assert _within(_numbers(report), (ref["samples"], ref["fits"], ref["inequalities"]), GATE_REL, GATE_ABS)
