@@ -3,8 +3,8 @@
 Exit codes:
 
 0  ``list`` or ``validate`` succeeded, or ``run`` finished and every check passed.
-1  ``run`` finished and an inequality, fit target or oracle check failed; the
-   report is written. An unexpected exception also exits 1, with a traceback.
+1  ``run`` finished and a fit, inequality or check record failed; the report
+   is written. An unexpected exception also exits 1, with a traceback.
 2  bad input: a bad command line, or a config that cannot be read or parsed,
    names an unknown section or key, or holds an out-of-range value (found at
    load time, so by ``validate`` too; no runner raises ``ConfigError``, and one
@@ -41,6 +41,10 @@ def _thread_count(text: str) -> int:
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
     return count
+
+
+def _verdict(record) -> str:
+    return "ok" if record.passed else "VIOLATED"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,12 +103,11 @@ def main(argv=None) -> int:
     for note in report.notes:
         print(f"  {note}")
     for fit in report.fits:
-        print(f"  fit {fit['name']}: slope {fit['slope']:+.4f} over {fit['window']}")
+        print(f"  fit {fit.name}: slope {fit.fit.slope:+.4f} over {list(fit.fit.window)}")
     for ineq in report.inequalities:
-        print(
-            f"  {ineq['name']}: max ratio {ineq['max_ratio']:.4g} vs bound {ineq['bound']:.4g} "
-            f"-> {'ok' if ineq['passed'] else 'VIOLATED'}"
-        )
+        print(f"  {ineq.name}: max ratio {ineq.max_ratio:.4g} vs bound {ineq.bound:.4g} -> {_verdict(ineq)}")
+    for check in report.checks:
+        print(f"  check {check.name}: {check.value:.4g} {check.relation} {check.bound:.4g} -> {_verdict(check)}")
     return 0 if report.passed else 1
 
 

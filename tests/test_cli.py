@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import operator
 
 import pytest
 
@@ -277,34 +279,63 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
 
-def _verdict_outcome(own, slope, report):
-    """A runner outcome whose own check, one fitted slope and one inequality report pass or fail as given."""
+def _verdict_report(value, slope, report):
+    """A runner report whose own check (``value`` <= 1), one fitted slope and one inequality report
+    pass or fail as given."""
     fit = DecayFit(slope=-1.0 if slope else -2.0, intercept=0.0, max_abs_residual=0.0, window=(1.0, 16.0), n_samples=5)
     ratio = 0.5 if report else 2.0
     rep = InequalityReport("bound", ((1.0, ratio, 1.0),), ratio, 1.0, 0.0, report)
-    return experiments._Outcome(("t",), ((1.0,),), own, (experiments._Slope("decay", fit, -1.0, 0.1),), (rep,))
+    check = experiments._Check("own", value, "<=", 1.0)
+    return experiments.Report(("t",), ((1.0,),), (experiments._Slope("decay", fit, -1.0, 0.1),), (rep,), (check,))
 
 
 @pytest.mark.parametrize(
-    "own, slope, report, code",
+    "value, slope, report, code",
     [
-        (True, True, True, 0),
-        (False, True, True, 1),  # the runner's own check
-        (True, False, True, 1),  # one fitted slope: -2 against -1 +- 0.1
-        (True, True, False, 1),  # one inequality report
+        (0.5, True, True, 0),
+        (2.0, True, True, 1),  # the runner's own check
+        (math.nan, True, True, 1),  # a NaN value fails its check
+        (0.5, False, True, 1),  # one fitted slope: -2 against -1 +- 0.1
+        (0.5, True, False, 1),  # one inequality report
     ],
 )
 def test_run_passes_when_the_runner_check_every_slope_and_every_report_pass(
-    tmp_path, capsys, monkeypatch, own, slope, report, code
+    tmp_path, capsys, monkeypatch, value, slope, report, code
 ):
-    _patch_runner(monkeypatch, "counterexample", lambda cfg, threads: _verdict_outcome(own, slope, report))
+    _patch_runner(monkeypatch, "counterexample", lambda cfg, threads: _verdict_report(value, slope, report))
     assert _run(tmp_path, "[experiment]\nid = counterexample\n") == code
-    assert f"counterexample: {'PASS' if code == 0 else 'FAIL'}" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"counterexample: {'PASS' if code == 0 else 'FAIL'}" in out
     result = _report(tmp_path, "counterexample")
     assert result["passed"] is (code == 0)
     assert [q["passed"] for q in result["inequalities"]] == [report]
     (fit,) = result["fits"]
     assert (fit["target_slope"], fit["slope_tolerance"]) == (-1.0, 0.1)
+    (check,) = result["checks"]
+    own_passed = value <= 1.0
+    assert (check["name"], check["relation"], check["bound"], check["passed"]) == ("own", "<=", 1.0, own_passed)
+    assert check["value"] == value or math.isnan(check["value"]) and math.isnan(value)
+    assert f"  check own: {value:.4g} <= 1 -> {'ok' if own_passed else 'VIOLATED'}" in out
+
+
+_RELATIONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+
+
+@pytest.mark.parametrize("relation", sorted(_RELATIONS))
+def test_a_check_passes_on_its_relation_and_never_on_nan(relation):
+    for value in (0.5, 1.0, 2.0):
+        assert experiments._Check("c", value, relation, 1.0).passed is _RELATIONS[relation](value, 1.0)
+    assert experiments._Check("c", math.nan, relation, 1.0).passed is False
+
+
+def _check_passes(check):
+    """A check's verdict from its JSON alone."""
+    return _RELATIONS[check["relation"]](check["value"], check["bound"])
+
+
+def _inequality_passes(ineq):
+    """An inequality report's verdict from its JSON alone."""
+    return ineq["max_ratio"] <= ineq["bound"] + ineq["tolerance"]
 
 
 def _fit_passes(fit):
@@ -338,9 +369,28 @@ def test_airy_local_energy_fails_above_its_energy_slope(tmp_path):
     assert _report(tmp_path, "airy-local-energy")["passed"] is False
 
 
-def test_cube_translation_gates_the_center_farthest_from_the_origin(tmp_path, capsys):
+@pytest.mark.parametrize("exp_id", IDS)
+def test_every_verdict_of_a_default_report_recomputes_from_its_json(exp_id, monkeypatch):
+    monkeypatch.delenv(experiments.OUTPUT_DIR_ENV, raising=False)
+    report = json.loads(experiments.run(default_config(exp_id)).to_json())
+    assert report["schema_version"] == 3
+    verdicts = [_fit_passes(fit) for fit in report["fits"]]
+    for ineq in report["inequalities"]:
+        assert _inequality_passes(ineq) is ineq["passed"]
+        verdicts.append(_inequality_passes(ineq))
+    for check in report["checks"]:
+        assert set(check) == {"name", "value", "relation", "bound", "passed"}
+        assert _check_passes(check) is check["passed"]
+        verdicts.append(_check_passes(check))
+    assert verdicts and report["passed"] is all(verdicts) is True
+
+
+def test_cube_translation_gates_the_center_farthest_from_the_origin(tmp_path):
     assert _run(tmp_path, "[experiment]\nid = cube-translation\n[datum]\ncenters = -10.0, 0.0, 3.0\n") == 0
-    assert "untranslated/translated at c=-10: x" in capsys.readouterr().out
+    checks = {c["name"]: c for c in _report(tmp_path, "cube-translation")["checks"]}
+    gain = checks["untranslated-gain-c=-10"]
+    assert (gain["relation"], gain["bound"], gain["passed"]) == (">=", 2.0, True)
+    assert set(checks) == {"shared-constant-spread", "untranslated-gain-c=-10"}
 
 
 def _sweep_value(section, key):
@@ -380,9 +430,9 @@ def test_schrodinger_ks_drift_does_not_need_the_checkpoints(tmp_path):
     other.mkdir()
     assert _run(default, "[experiment]\nid = schrodinger-ks\n") == 0
     assert _run(other, "[experiment]\nid = schrodinger-ks\n[times]\ncheckpoints_2d = 2.0, 8.0\n") == 0
-    note = _report(default, "schrodinger-ks")["notes"][0]
-    assert note.startswith("max conserved boost-norm drift")
-    assert _report(other, "schrodinger-ks")["notes"][0] == note
+    (drift,) = _report(default, "schrodinger-ks")["checks"]
+    assert (drift["name"], drift["relation"], drift["bound"]) == ("max-boost-norm-drift", "<=", 1e-9)
+    assert _report(other, "schrodinger-ks")["checks"] == [drift]
 
 
 def test_schrodinger_decay_fits_its_clean_window_only(tmp_path):
@@ -426,7 +476,7 @@ def test_samples_table_identical_at_one_and_two_threads(tmp_path, exp_id, text):
 
 
 def test_commutation_suite_report_does_not_depend_on_how_many_packets_one_call_scores(tmp_path, monkeypatch):
-    # 5 packets per degree in one call, then 2 at a time over three calls: the same rows and notes
+    # 5 packets per degree in one call, then 2 at a time over three calls: the same rows, checks and notes
     reports = []
     for per_call in (32, 2):
         monkeypatch.setattr(experiments, "_PACKETS_PER_CALL", per_call)
@@ -434,5 +484,7 @@ def test_commutation_suite_report_does_not_depend_on_how_many_packets_one_call_s
         run_dir.mkdir()
         assert _run(run_dir, "[experiment]\nid = commutation-suite\n[datum]\nn_data = 5\n") == 0
         report = _report(run_dir, "commutation-suite")
-        reports.append(((run_dir / "out" / "commutation-suite_samples.tsv").read_bytes(), report["notes"]))
+        table = (run_dir / "out" / "commutation-suite_samples.tsv").read_bytes()
+        reports.append((table, report["checks"], report["notes"]))
     assert reports[0] == reports[1]
+    assert len(reports[0][1]) == 10  # worst residual and perturbed a/b per degree, and the 2-d commutator

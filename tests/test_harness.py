@@ -309,25 +309,33 @@ class TestLpAndLocalMass:
 AIRY_GRID = GridSpec.centered(1500.0, 32768, dim=1)
 
 
+def _nodes(grid, wanted):
+    """The grid nodes nearest the wanted probe points."""
+    x = grid.axis(0)
+    return x[np.abs(x[:, None] - np.asarray(wanted)).argmin(axis=0)]
+
+
 class TestAiryChecks:
     @pytest.fixture(scope="class")
     def airy_u0(self):
         return sample(Gaussian(0.0, 1.0 / math.sqrt(2.0)), AIRY_GRID)  # exp(-x^2)
 
     def test_pointwise_constant_free_bound(self, airy_u0):
-        rep = hz.check_airy_pointwise(airy_series(airy_u0, [0.0, 1.0, 4.0, 16.0]), np.linspace(-50, 50, 21))
+        probes = _nodes(AIRY_GRID, np.linspace(-50, 50, 21))
+        rep = hz.check_airy_pointwise(airy_series(airy_u0, [0.0, 1.0, 4.0, 16.0]), probes)
         assert rep.passed and rep.bound == 1.0
         # rhs = 2 sqrt(pi/2) from the Gaussian moments
         assert rep.samples[0][2] == pytest.approx(2.0 * math.sqrt(math.pi / 2.0), rel=1e-8)
 
     def test_pointwise_t_zero_from_calculus(self, airy_u0):
-        # max of x exp(-2 x^2) sits at x = 1/2
-        rep = hz.check_airy_pointwise(airy_series(airy_u0, [0.0]), np.linspace(-50, 50, 2001))
+        # at t = 0 the left side is x u0(x)^2 = x exp(-2 x^2), largest at the probed nodes nearest x = 1/2
+        probes = _nodes(AIRY_GRID, np.linspace(-50, 50, 2001))
+        rep = hz.check_airy_pointwise(airy_series(airy_u0, [0.0]), probes)
         lhs0 = rep.samples[0][1]
-        assert lhs0 == pytest.approx(0.5 * math.exp(-0.5), rel=1e-4)
+        assert lhs0 == pytest.approx(np.max(probes * np.exp(-2.0 * probes**2)), rel=1e-12)
 
     def test_pointwise_node_probes_match_node_values(self, airy_u0):
-        # at grid nodes the interpolant reproduces the node values
+        # the check reads u(t) and its spectral derivative at the probed nodes
         x = AIRY_GRID.axis(0)
         idx = np.abs(x[:, None] - np.linspace(-50, 50, 41)).argmin(axis=0)
         times = [0.0, 1.0, 4.0, 20.0]
@@ -353,7 +361,8 @@ class TestAiryChecks:
         # dropped with a reason and the surviving report still passes
         grid = GridSpec.centered(150.0, 4096, dim=1)
         u0 = sample(Gaussian(0.0, 1.0 / math.sqrt(2.0)), grid)
-        rep = hz.check_airy_pointwise(airy_series(u0, [0.5, 1.0, 2.0, 30.0, 60.0]), np.linspace(-20, 20, 11))
+        probes = _nodes(grid, np.linspace(-20, 20, 11))
+        rep = hz.check_airy_pointwise(airy_series(u0, [0.5, 1.0, 2.0, 30.0, 60.0]), probes)
         assert len(rep.excluded) >= 1
         assert rep.passed
 
@@ -362,6 +371,13 @@ class TestAiryChecks:
         u0 = sample(Gaussian(0.0, 1.0 / math.sqrt(2.0)), grid)
         with pytest.raises(ValueError, match="inside the grid"):
             hz.check_airy_pointwise(airy_series(u0, [0.0]), [0.0, 151.0])
+
+    @pytest.mark.parametrize("probe", [0.01, 150.0])  # between two nodes, and the right end of the box
+    def test_probes_off_the_nodes_rejected(self, probe):
+        grid = GridSpec.centered(150.0, 4096, dim=1)
+        u0 = sample(Gaussian(0.0, 1.0 / math.sqrt(2.0)), grid)
+        with pytest.raises(ValueError, match="probes must be grid nodes"):
+            hz.check_airy_pointwise(airy_series(u0, [0.0]), [0.0, probe])
 
     def test_insufficient_window_raises(self):
         grid = GridSpec.centered(150.0, 4096, dim=1)

@@ -170,7 +170,7 @@ class TestTranslatedXNorm:
 
 
 def test_partition_profile_id_recorded():
-    assert Report("any", {}, (), ()).profile["partition_profile"] == nm.PARTITION_PROFILE_ID
+    assert Report(("t",), ((1.0,),)).profile["partition_profile"] == nm.PARTITION_PROFILE_ID
 
 
 def test_norms_require_matching_grid(partition):
