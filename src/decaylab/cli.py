@@ -103,7 +103,7 @@ def main(argv=None) -> int:
     for note in report.notes:
         print(f"  {note}")
     for fit in report.fits:
-        print(f"  fit {fit.name}: slope {fit.fit.slope:+.4f} over {list(fit.fit.window)}")
+        print(f"  fit {fit.name}: slope {fit.fit.slope:+.4f} over {list(fit.fit.window)} -> {_verdict(fit)}")
     for ineq in report.inequalities:
         print(f"  {ineq.name}: max ratio {ineq.max_ratio:.4g} vs bound {ineq.bound:.4g} -> {_verdict(ineq)}")
     for check in report.checks:

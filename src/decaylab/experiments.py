@@ -41,6 +41,7 @@ from .harness import (
     MIN_FIT_SAMPLES,
     Series,
     _ratio,
+    airy_pointwise_read,
     check_airy_local_energy,
     check_airy_pointwise,
     check_dispersive_schrodinger,
@@ -49,11 +50,16 @@ from .harness import (
     check_lp_decay,
     check_monomial_estimate,
     fit_decay,
+    ks_read,
+    local_energy_read,
+    local_mass_read,
+    lp_read,
+    monomial_read,
+    sup_read,
 )
 from .norms import PARTITION_PROFILE_ID, _check_window, build_dyadic_partition, hs_norm
 from .norms import translated_xnorm_inf, x_norm
 from .operators import (
-    boost_norms,
     commutation_residual,
     commutator_norm,
     derive_commuting_operator,
@@ -78,7 +84,7 @@ __all__ = [
     "run",
 ]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 OUTPUT_DIR_ENV = "DECAYLAB_REPORT_DIR"
 ROOT2 = math.sqrt(2.0)
 GAUSS_W = 1.0 / ROOT2  # width of exp(-x^2)-style data per axis
@@ -335,7 +341,8 @@ class _Slope:
 
     def as_dict(self) -> dict:
         out = {"name": self.name, **asdict(self.fit), "window": list(self.fit.window)}  # the CLI prints [t0, t1]
-        return {**out, "target_slope": self.target, "slope_tolerance": self.tol, "upper": self.upper}
+        out.update(target_slope=self.target, slope_tolerance=self.tol, upper=self.upper)
+        return {**out, "passed": self.passed}
 
 
 _RELATIONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
@@ -528,18 +535,23 @@ def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
     u0 = _complexify(sample(datum, grid))
     x0 = int(np.argmin(np.abs(grid.axis(0))))
     checkpoints, times = cfg.get("times", "checkpoints"), _fit_times(cfg)
-    # one guarded series serves the oracle rows, the conservation drift and the fit
-    series = Series.evolve(u0, schrodinger(), (*checkpoints, *times))
-    checked, fitted = series.restrict(checkpoints), series.restrict(times)
     base = {s: hs_norm(u0, s) for s in (0.25, 0.5, 1.0)}
     mass0 = l2_norm(u0)
+
+    def read(t, ut):
+        # |u(t, 0)| and the conserved norms at checkpoints, the sup for the fit
+        conserved = (l2_norm(ut), *(hs_norm(ut, s) for s in base)) if t in checkpoints else ()
+        return abs(ut.values[x0]), conserved, linf_norm(ut)
+
+    # one guarded series serves the oracle rows, the conservation drift and the fit
+    series = Series.evolve(u0, schrodinger(), (*checkpoints, *times), read)
+    checked, fitted = series.restrict(checkpoints), series.restrict(times)
     rows, drifts = [], []
-    for t, ut in checked.clean:
-        value = abs(ut.values[x0])
+    for t, (value, (mass, *sobolev), _) in checked.clean:
         oracle = (1.0 + 4.0 * t * t) ** -0.25
         rows.append((t, value, oracle, abs(value / oracle - 1.0)))
-        drifts.append(abs(l2_norm(ut) / mass0 - 1.0))
-        drifts.extend(abs(hs_norm(ut, s) / ref - 1.0) for s, ref in base.items())
+        drifts.append(abs(mass / mass0 - 1.0))
+        drifts.extend(abs(norm / ref - 1.0) for norm, ref in zip(sobolev, base.values()))
     if not rows:
         raise ContaminationError("schrodinger-decay: every checkpoint was excluded")
     checks = (
@@ -547,7 +559,7 @@ def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
         _Check("max-unitarity-sobolev-drift", float(np.max(drifts)), "<=", cfg.get("tolerances", "conservation")),
     )
     notes = tuple(f"checkpoint t={t:g} excluded: {why}" for t, why in checked.excluded)
-    sup = [linf_norm(ut) for _, ut in fitted.clean]
+    sup = [s for _, (_, _, s) in fitted.clean]
     fit = fit_decay([t for t, _ in fitted.clean], sup, excluded=fitted.excluded)
     cols = ("t", "amplitude_at_origin", "oracle", "relative_error")
     fits = (_Slope("sup-decay", fit, -0.5, cfg.get("tolerances", "slope")),)
@@ -566,9 +578,10 @@ def _ks_dimension(u0, check_times, drift_times, drift_alphas, label, power=1):
     """
     d = u0.grid.dim * power
     drift_order = max(d, *(sum(alpha) for alpha in drift_alphas))
+    check_read, drift_read = ks_read(d, power), ks_read(drift_order, power)
 
     def read(t, ut):
-        return linf_norm(ut) ** power, boost_norms(ut, t, drift_order if t in drift_times else d, power)
+        return (drift_read if t in drift_times else check_read)(t, ut)
 
     series = Series.evolve(u0, schrodinger(), (*check_times, *drift_times), read, power)
     report = check_ks_schrodinger(series.restrict(check_times))
@@ -607,9 +620,14 @@ def _shell_setup(cfg: ExperimentConfig):
     return grid, part, _complexify(sample(datum, grid))
 
 
+def _reads(*reads: Callable) -> Callable:
+    """One read for several checks in one pass: t, u -> the tuple of every read's value."""
+    return lambda t, u: tuple(read(t, u) for read in reads)
+
+
 def _run_schrodinger_xnorm(cfg: ExperimentConfig, threads: int):
     grid, part, u0 = _shell_setup(cfg)
-    series = Series.evolve(u0, schrodinger(), _times(cfg))
+    series = Series.evolve(u0, schrodinger(), _times(cfg), sup_read())
     rep = check_dispersive_schrodinger(series, part)
     # closed-form amplitude cross-check at one interior time
     w, c = cfg.get("datum", "width"), cfg.get("datum", "center")
@@ -622,9 +640,9 @@ def _run_schrodinger_xnorm(cfg: ExperimentConfig, threads: int):
 
 def _run_lp_decay(cfg: ExperimentConfig, threads: int):
     grid, part, u0 = _shell_setup(cfg)
-    series = Series.evolve(u0, schrodinger(), _fit_times(cfg))
-    rep_half = check_lp_decay(series, 0.5, part)
-    rep_zero = check_lp_decay(series, 0.0)
+    series = Series.evolve(u0, schrodinger(), _fit_times(cfg), _reads(lp_read(0.5), lp_read(0.0)))
+    rep_half = check_lp_decay(series.map(operator.itemgetter(0)), 0.5, part)
+    rep_zero = check_lp_decay(series.map(operator.itemgetter(1)), 0.0)
     l4 = [l / t**0.25 for (t, l, _) in rep_half.samples]
     fit = fit_decay([s[0] for s in rep_half.samples], l4, excluded=rep_half.excluded)
     rows = _ratio_rows(rep_half, "theta=1/2") + _ratio_rows(rep_zero, "theta=0")
@@ -635,8 +653,9 @@ def _run_lp_decay(cfg: ExperimentConfig, threads: int):
 
 def _run_local_mass(cfg: ExperimentConfig, threads: int):
     grid, part, u0 = _shell_setup(cfg)
-    series = Series.evolve(u0, schrodinger(), _times(cfg))
-    reports = tuple(check_local_mass(series, sigma, part) for sigma in cfg.get("datum", "sigmas"))
+    sigmas = cfg.get("datum", "sigmas")
+    series = Series.evolve(u0, schrodinger(), _times(cfg), _reads(*(local_mass_read(s, part) for s in sigmas)))
+    reports = tuple(check_local_mass(series.map(operator.itemgetter(i)), s, part) for i, s in enumerate(sigmas))
     rows = sum((_ratio_rows(rep, rep.name) for rep in reports), ())
     return Report(("series", "t", "lhs", "rhs", "ratio"), rows, inequalities=reports)
 
@@ -671,13 +690,20 @@ def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
     # the check reads u(t) at nodes, the ones nearest the evenly spaced points.
     x = u0.grid.axis(0)
     probes = x[[int(np.argmin(np.abs(x - p))) for p in wanted]]
+    pointwise, half_line = airy_pointwise_read(u0.grid, probes), x >= 0.0
     checkpoints, fit_times = cfg.get("times", "checkpoints"), _fit_times(cfg)
-    series = Series.evolve(u0, airy(), (*checkpoints, *fit_times))
-    rep = check_airy_pointwise(series.restrict(checkpoints), probes)
+
+    def read(t, ut):
+        # the check's read at checkpoints, and the sup of |d_x u| on x >= 0 at fit times
+        probed = pointwise(t, ut) if t in checkpoints else None
+        du_max = float(np.max(np.abs(spectral_derivative(ut, 1).values[half_line]))) if t in fit_times else None
+        return probed, du_max
+
+    series = Series.evolve(u0, airy(), (*checkpoints, *fit_times), read)
+    rep = check_airy_pointwise(series.restrict(checkpoints).map(operator.itemgetter(0)), probes)
     # the decay of d_x u(t) on the half line x >= 0
     fitted = series.restrict(fit_times)
-    half_line = x >= 0.0
-    du_max = [float(np.max(np.abs(spectral_derivative(ut, 1).values[half_line]))) for _, ut in fitted.clean]
+    du_max = [du for _, (_, du) in fitted.clean]
     du_fit = fit_decay([t for t, _ in fitted.clean], du_max, excluded=fitted.excluded)
     fits = (_Slope("dx-half-line-decay", du_fit, -0.5, cfg.get("tolerances", "slope")),)
     return Report(("t", "lhs", "rhs", "ratio"), _ratio_rows(rep), fits=fits, inequalities=(rep,))
@@ -686,8 +712,9 @@ def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
 def _run_airy_local_energy(cfg: ExperimentConfig, threads: int):
     u0 = _airy_field(cfg)
     fit_times = _fit_times(cfg)
-    series = Series.evolve(u0, airy(), _times(cfg))
-    rep = check_airy_local_energy(series, cfg.get("datum", "eps"))
+    eps = cfg.get("datum", "eps")
+    series = Series.evolve(u0, airy(), _times(cfg), local_energy_read(u0.grid, eps))
+    rep = check_airy_local_energy(series, eps)
     fitted, lhs = series.restrict(fit_times), {t: l for t, l, _ in rep.samples}
     energies = [lhs[t] / t for t, _ in fitted.clean]
     fit = fit_decay([t for t, _ in fitted.clean], energies, excluded=fitted.excluded)
@@ -698,8 +725,8 @@ def _run_airy_local_energy(cfg: ExperimentConfig, threads: int):
 
 def _run_airy_decay(cfg: ExperimentConfig, threads: int):
     u0 = _airy_field(cfg)
-    series = Series.evolve(u0, airy(), _fit_times(cfg))
-    rows = tuple((t, linf_norm(ut)) for t, ut in series.clean)
+    series = Series.evolve(u0, airy(), _fit_times(cfg), sup_read())
+    rows = series.clean
     sup_fit = fit_decay([t for t, _ in rows], [v for _, v in rows], excluded=series.excluded)
     fits = (_Slope("sup-decay", sup_fit, -1.0 / 3.0, cfg.get("tolerances", "slope")),)
     return Report(("t", "sup_amplitude"), rows, fits=fits)
@@ -709,7 +736,7 @@ def _run_monomial_2k(cfg: ExperimentConfig, threads: int):
     reports, rows = [], []
     for k, (suffix, datum) in enumerate(_monomial_gaussians(cfg), start=1):
         u0 = _complexify(sample(datum, _grid(cfg, suffix)))
-        rep = check_monomial_estimate(k, Series.evolve(u0, even_order(k), _times(cfg)))
+        rep = check_monomial_estimate(k, Series.evolve(u0, even_order(k), _times(cfg), monomial_read(k)))
         reports.append(rep)
         rows.extend(_ratio_rows(rep, f"k={k}"))
     cols = ("series", "t", "lhs", "rhs", "ratio")

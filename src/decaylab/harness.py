@@ -3,9 +3,12 @@
 A runner evolves each datum once: its ``Series`` forms u(t) = U(t) u0 once
 at every time its checks and fits read, and guards each time once for
 wrap-around, carrying a contaminated time as (t, reason) instead of a
-sample. A clean time holds u(t), or only what the runner's ``read(t, u)``
-takes from it; a runner that reads keeps one evolved field alive at a time.
-Each check and fit takes the series restricted to its own times.
+sample. A clean time holds only the per-time numbers the runner's
+``read(t, u)`` takes from u(t), never the field, so one evolved field is
+alive at a time. Each check consumes the read that the ``*_read`` factory
+beside it makes from the check's own parameters; a runner that feeds several
+checks or a fit reads for all of them in one pass and hands each its part
+(``Series.map``), restricted to its own times.
 
 Every check records (t, lhs, rhs) rows and reports the largest ratio.
 Estimates with an explicit constant declare it as the bound: 1 for the Airy
@@ -29,8 +32,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import SampledField, l2_norm, linf_norm, spectral_derivative
+from .fields import GridSpec, SampledField, l2_norm, linf_norm, spectral_derivative
 from .norms import DyadicPartition, hs_norm, lp_norm, weighted_l2, x_norm
+from .operators import boost_norms
 from .propagators import DispersionPolynomial, Evolution, edge_mass_fraction
 
 __all__ = [
@@ -46,6 +50,13 @@ __all__ = [
     "check_airy_pointwise",
     "check_airy_local_energy",
     "check_monomial_estimate",
+    "sup_read",
+    "ks_read",
+    "lp_read",
+    "local_mass_read",
+    "airy_pointwise_read",
+    "local_energy_read",
+    "monomial_read",
     "CONTAMINATION_THRESHOLD",
     "INEQUALITY_SLACK",
     "MIN_FIT_SAMPLES",
@@ -64,18 +75,18 @@ class ContaminationError(ValueError):
 
 @dataclass(frozen=True)
 class Series:
-    """u(t) = U(t) u0 at a set of times, evolved and guarded once.
+    """u(t) = U(t) u0 at a set of times, evolved, guarded and read once.
 
-    ``clean`` holds the (t, u(t)) entries in time order, or (t, read(t, u(t)))
-    when ``evolve`` was given ``read``; each field is then freed before the
-    next is formed. ``excluded`` holds the (t, reason) entries whose edge mass
-    exceeds ``CONTAMINATION_THRESHOLD``. ``evolution`` gives u and its
-    spectrum at any other time.
+    ``clean`` holds the (t, read(t, u(t))) entries in time order: the
+    per-time numbers a runner takes from u(t), never the field, which is
+    freed before the next is formed. ``excluded`` holds the (t, reason)
+    entries whose edge mass exceeds ``CONTAMINATION_THRESHOLD``.
+    ``evolution`` gives u and its spectrum at any other time.
 
     With ``power`` = k > 1 the series stands for the k-fold tensor power
     u0 (x) ... (x) u0 in ``dim`` dimensions, which the Schrodinger evolution
-    keeps a product: every field held or read is the factor's, and no
-    product field is formed.
+    keeps a product: every field read is the factor's, and no product field
+    is formed.
     """
 
     u0: SampledField
@@ -94,10 +105,10 @@ class Series:
         u0: SampledField,
         disp: DispersionPolynomial,
         times: Sequence[float],
-        read: Optional[Callable] = None,
+        read: Callable,
         power: int = 1,
     ) -> "Series":
-        """Transform u0 once, then form and guard u(t) once at each distinct time.
+        """Transform u0 once, then form, guard and read u(t) once at each distinct time.
 
         A tensor power is guarded as the formed field would be: the interior
         of the product grid's edge strips is the product of the factors'
@@ -112,7 +123,7 @@ class Series:
             if frac > CONTAMINATION_THRESHOLD:
                 excluded.append((t, f"wrap-around edge mass {frac:.2e}"))
             else:
-                clean.append((t, ut if read is None else read(t, ut)))
+                clean.append((t, read(t, ut)))
             del ut  # the next field is formed with this one freed
         return cls(u0, evolution, tuple(clean), tuple(excluded), power)
 
@@ -124,6 +135,10 @@ class Series:
             raise ValueError(f"times {sorted(missing)} are not in the series")
         clean, excluded = (tuple(e for e in part if e[0] in keep) for part in (self.clean, self.excluded))
         return replace(self, clean=clean, excluded=excluded)
+
+    def map(self, fn: Callable) -> "Series":
+        """The series with each clean read r replaced by fn(r): one check's part of a joint read."""
+        return replace(self, clean=tuple((t, fn(r)) for t, r in self.clean))
 
 
 def _edge_mass(u: SampledField, power: int) -> float:
@@ -223,12 +238,29 @@ def _report(name, samples, bound=None, tolerance=INEQUALITY_SLACK, detail=(), ex
     )
 
 
+def sup_read() -> Callable:
+    """The read ``check_dispersive_schrodinger`` takes: t, u -> sup |u(t)|."""
+    return lambda t, u: linf_norm(u)
+
+
 def check_dispersive_schrodinger(series: Series, partition: DyadicPartition) -> InequalityReport:
-    """|t|^(d/2) sup |u(t)| against the dyadic X^{d/2,1} norm of the datum."""
+    """|t|^(d/2) sup |u(t)| against the dyadic X^{d/2,1} norm of the datum.
+
+    The series is read with ``sup_read()``.
+    """
     d = series.u0.grid.dim
     rhs = x_norm(series.u0, d / 2.0, 1, partition)
-    samples = [(t, abs(t) ** (d / 2.0) * linf_norm(ut), rhs) for t, ut in series.clean]
+    samples = [(t, abs(t) ** (d / 2.0) * sup, rhs) for t, sup in series.clean]
     return _report("schrodinger-dispersive-sup", samples, excluded=series.excluded)
+
+
+def ks_read(order: int, power: int = 1) -> Callable:
+    """The read ``check_ks_schrodinger`` takes: t, u -> (sup |u| ** power, boost-norm table to ``order``).
+
+    On a tensor power u is the factor, whose sup to the power is the sup of
+    the product.
+    """
+    return lambda t, u: (linf_norm(u) ** power, boost_norms(u, t, order, power))
 
 
 def check_ks_schrodinger(series: Series) -> InequalityReport:
@@ -236,11 +268,9 @@ def check_ks_schrodinger(series: Series) -> InequalityReport:
 
     rhs(t) sums ||W^a u(t)|| ||W^b u(t)|| over multi-index pairs with
     |a| + |b| = d, all norms evaluated honestly at time t, and d is the
-    series' ``dim``. The series is read with
-    ``(linf_norm(u) ** power, boost_norms(u, t, order, power))``, order >= d,
-    at each clean time, so a runner that needs the same norms elsewhere boosts
-    only once and holds no field; on a tensor power u is the factor, whose
-    sup to the power is the sup of the product.
+    series' ``dim``. The series is read with ``ks_read(order, power)``,
+    order >= d, at each clean time, so a runner that needs the same norms
+    elsewhere boosts only once and holds no field.
     """
     d = series.dim
     alphas = [alpha for alpha in _iter_product(range(d + 1), repeat=d) if sum(alpha) <= d]
@@ -251,12 +281,19 @@ def check_ks_schrodinger(series: Series) -> InequalityReport:
     return _report("schrodinger-weighted-sup", samples, excluded=series.excluded)
 
 
+def lp_read(theta: float) -> Callable:
+    """The read ``check_lp_decay`` takes at ``theta``: t, u -> ||u(t)||_p, p = 2/(1-theta)."""
+    p = 2.0 / (1.0 - theta)
+    return lambda t, u: lp_norm(u, p)
+
+
 def check_lp_decay(
     series: Series, theta: float, partition: Optional[DyadicPartition] = None
 ) -> InequalityReport:
     """|t|^(theta d/2) L^p decay, p = 2/(1-theta), against dyadic/Sobolev data norms.
 
-    theta = 0 degenerates to mass conservation with ratio identically 1.
+    The series is read with ``lp_read(theta)``. theta = 0 degenerates to mass
+    conservation with ratio identically 1.
     """
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
@@ -265,7 +302,7 @@ def check_lp_decay(
     p = 2.0 / (1.0 - theta)
     if theta == 0.0:
         rhs = lp_norm(u0, 2)
-        samples = [(t, lp_norm(ut, 2), rhs) for t, ut in series.clean]
+        samples = [(t, lpv, rhs) for t, lpv in series.clean]
         return _report(
             "schrodinger-mass-conservation", samples, bound=1.0, tolerance=1e-12, excluded=series.excluded
         )
@@ -275,34 +312,36 @@ def check_lp_decay(
     rhs_large_t = x_norm(u0, s, 2, partition)
     rhs_all_t = weighted_l2(u0, s) + hs_norm(u0, s)
     samples, detail_rows = [], []
-    for t, ut in series.clean:
-        lpv = lp_norm(ut, p)
+    for t, lpv in series.clean:
         samples.append((t, abs(t) ** s * lpv, rhs_large_t))
         detail_rows.append(((1.0 + t * t) ** (s / 2.0) * lpv) / rhs_all_t)
     detail = (("truncated_ratio_max", max(detail_rows) if detail_rows else 0.0),)
     return _report(f"schrodinger-L{p:g}-decay", samples, detail=detail, excluded=series.excluded)
 
 
+def local_mass_read(sigma: float, partition: DyadicPartition) -> Callable:
+    """The read ``check_local_mass`` takes: t, u -> (the off-shell share of u(t), its X^{-sigma,2} norm)."""
+    return lambda t, u: (partition.off_shell_fraction(u), x_norm(u, -sigma, 2, partition))
+
+
 def check_local_mass(series: Series, sigma: float, partition: DyadicPartition) -> InequalityReport:
     """|t|^sigma ||u(t)||_{X^{-sigma,2}} against ||u0||_{X^{sigma,2}}.
 
-    Both sides are float ``x_norm``s. The estimate is one-sided: it bounds the
-    left side from above and no lower bound is promised. Truncation is measured
-    here: ``window_truncated`` in ``detail`` means that more than 1e-10 of some
-    u(t) lies off the dyadic shell (``DyadicPartition.off_shell_fraction``); the
-    clipped norm is then smaller, so truncation cannot produce a false violation.
+    The series is read with ``local_mass_read(sigma, partition)``. Both sides
+    are float ``x_norm``s. The estimate is one-sided: it bounds the left side
+    from above and no lower bound is promised. Truncation is measured here:
+    ``window_truncated`` in ``detail`` means that more than 1e-10 of some u(t)
+    lies off the dyadic shell (``DyadicPartition.off_shell_fraction``); the
+    clipped norm is then smaller, so truncation cannot produce a false
+    violation.
     """
     d = series.u0.grid.dim
     if not 0.0 <= sigma < d / 2.0:
         raise ValueError("sigma must lie in [0, d/2)")
     rhs = x_norm(series.u0, sigma, 2, partition)
-    samples = []
-    truncated = False
-    for t, ut in series.clean:
-        truncated = truncated or partition.off_shell_fraction(ut) > 1e-10
-        samples.append((t, abs(t) ** sigma * x_norm(ut, -sigma, 2, partition), rhs))
+    samples = [(t, abs(t) ** sigma * norm, rhs) for t, (_, norm) in series.clean]
     bound = math.sqrt(2.0) if sigma == 0.0 else None  # overlap sandwich at sigma = 0
-    detail = (("window_truncated", truncated),)
+    detail = (("window_truncated", any(off > 1e-10 for _, (off, _) in series.clean)),)
     name = f"schrodinger-local-mass-{sigma:g}"
     return _report(name, samples, bound=bound, detail=detail, excluded=series.excluded)
 
@@ -314,33 +353,58 @@ def _airy_data_constant(u0: SampledField) -> float:
     return 2.0 * l2_norm(du0) * l2_norm(xu0) + l2_norm(u0) ** 2
 
 
+def _probe_nodes(grid: GridSpec, probes: Sequence[float]) -> np.ndarray:
+    """The indices of the 1-d grid nodes at ``probes``; a probe outside the grid
+    or off its nodes is a ``ValueError``."""
+    probes = np.asarray(probes, dtype=float)
+    lo, hi = grid.bounds()
+    if np.any(probes < lo[0]) or np.any(probes > hi[0]):
+        raise ValueError("probes must lie inside the grid")
+    x = grid.axis(0)
+    nodes = np.minimum(np.searchsorted(x, probes), x.size - 1)
+    if np.any(x[nodes] != probes):
+        raise ValueError("probes must be grid nodes")
+    return nodes
+
+
+def airy_pointwise_read(grid: GridSpec, probes: Sequence[float]) -> Callable:
+    """The read ``check_airy_pointwise`` takes: t, u -> (u(t), d_x u(t)) at the probes.
+
+    The probes must be nodes of the 1-d grid, as the check requires.
+    """
+    nodes = _probe_nodes(grid, probes)
+    return lambda t, u: (u.values[nodes], spectral_derivative(u, 1).values[nodes])
+
+
 def check_airy_pointwise(series: Series, probes: Sequence[float]) -> InequalityReport:
     """3t (d_x u)^2 + x u^2 <= 2 ||d_x u0|| ||x u0|| + ||u0||^2 at every probe.
 
     The right side is built from the initial data only (its factors are
     conserved); the estimate holds with constant exactly 1 and for t >= 0
-    only, so earlier times of the series are skipped. u(t) and d_x u(t) are
-    read at the probes, which must be nodes of the grid.
+    only, so earlier times of the series are skipped. The probes must be
+    nodes of the grid, and the series is read there, with
+    ``airy_pointwise_read(u0.grid, probes)``.
     """
     u0 = series.u0
     if u0.kind != "real":
         raise ValueError("the Airy pointwise bound is for real data")
-    probes = np.asarray(probes, dtype=float)
-    lo, hi = u0.grid.bounds()
-    if np.any(probes < lo[0]) or np.any(probes > hi[0]):
-        raise ValueError("probes must lie inside the grid")
-    x = u0.grid.axis(0)
-    nodes = np.minimum(np.searchsorted(x, probes), x.size - 1)
-    if np.any(x[nodes] != probes):
-        raise ValueError("probes must be grid nodes")
+    probes = u0.grid.axis(0)[_probe_nodes(u0.grid, probes)]
     rhs = _airy_data_constant(u0)
-    samples = []
-    for t, ut in series.clean:
-        if t >= 0.0:
-            u, du = ut.values[nodes], spectral_derivative(ut, 1).values[nodes]
-            samples.append((t, float(np.max(3.0 * t * du**2 + probes * u**2)), rhs))
+    samples = [
+        (t, float(np.max(3.0 * t * du**2 + probes * u**2)), rhs) for t, (u, du) in series.clean if t >= 0.0
+    ]
     excluded = tuple(e for e in series.excluded if e[0] >= 0.0)
     return _report("airy-pointwise-weighted", samples, bound=1.0, excluded=excluded)
+
+
+def _energy_weight(grid: GridSpec, eps: float) -> np.ndarray:
+    return (1.0 + grid.axis(0) ** 2) ** (-0.5 - eps)
+
+
+def local_energy_read(grid: GridSpec, eps: float) -> Callable:
+    """The read ``check_airy_local_energy`` takes: t, u -> ||<x>^(-1/2-eps) d_x u||^2."""
+    weight, cell = _energy_weight(grid, eps), grid.cell_volume
+    return lambda t, u: float(np.sum(weight * spectral_derivative(u, 1).values ** 2) * cell)
 
 
 def check_airy_local_energy(series: Series, eps: float) -> InequalityReport:
@@ -348,29 +412,36 @@ def check_airy_local_energy(series: Series, eps: float) -> InequalityReport:
 
     Integrating the pointwise bound against <x>^(-1-2eps) gives
     3 t E(t) <= I_eps * C0 + ||u0||^2 with I_eps the weight mass and
-    C0 = 2 ||d_x u0|| ||x u0|| + ||u0||^2, so the declared bound is 1.
+    C0 = 2 ||d_x u0|| ||x u0|| + ||u0||^2, so the declared bound is 1. The
+    series is read with ``local_energy_read(u0.grid, eps)``, which gives E(t).
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     u0 = series.u0
     rhs0 = _airy_data_constant(u0)
-    x = u0.grid.axis(0)
-    weight = (1.0 + x**2) ** (-0.5 - eps)
-    i_eps = float(weight.sum() * u0.grid.cell_volume)
+    i_eps = float(_energy_weight(u0.grid, eps).sum() * u0.grid.cell_volume)
     rhs = (i_eps * rhs0 + l2_norm(u0) ** 2) / 3.0
-    samples = []
-    for t, ut in series.clean:
-        du = spectral_derivative(ut, 1)
-        energy = float(np.sum(weight * du.values**2) * u0.grid.cell_volume)
-        samples.append((t, abs(t) * energy, rhs))
+    samples = [(t, abs(t) * energy, rhs) for t, energy in series.clean]
     return _report(f"airy-local-energy-eps{eps:g}", samples, bound=1.0, excluded=series.excluded)
+
+
+def monomial_read(k: int) -> Callable:
+    """The read ``check_monomial_estimate`` takes at ``k``: t, u -> (sup |v|, ||v||_2), v = d^(2k-2) u(t)."""
+    order = 2 * k - 2
+
+    def read(t, u):
+        v = spectral_derivative(u, order)
+        return linf_norm(v), l2_norm(v)
+
+    return read
 
 
 def check_monomial_estimate(k: int, series: Series) -> InequalityReport:
     """t |d^(2k-2) u(t, x)|^2 at the spatial max against conserved products.
 
     The series evolves i d_t u + d^(2k) u = 0 (``even_order(k)``); k = 1
-    reproduces the Schrodinger-type structure.
+    reproduces the Schrodinger-type structure. It is read with
+    ``monomial_read(k)``.
     """
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
@@ -378,10 +449,5 @@ def check_monomial_estimate(k: int, series: Series) -> InequalityReport:
     x = u0.grid.axis(0)
     xu0 = SampledField(u0.grid, x * u0.as_complex(), "complex")
     xnorm0 = l2_norm(xu0)
-    samples = []
-    for t, ut in series.clean:
-        dm = spectral_derivative(ut, 2 * k - 2)
-        lhs = t * linf_norm(dm) ** 2
-        rhs = l2_norm(dm) * xnorm0
-        samples.append((t, lhs, rhs))
+    samples = [(t, t * sup**2, norm * xnorm0) for t, (sup, norm) in series.clean]
     return _report(f"even-order-2k-pointwise-k{k}", samples, excluded=series.excluded)

@@ -10,6 +10,7 @@ it clips is ``DyadicPartition.off_shell_fraction``, read by ``check_local_mass``
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,10 +59,15 @@ class DyadicPartition:
     def k_range(self) -> range:
         return range(self.k_min, self.k_max + 1)
 
+    @functools.cached_property
+    def _off_shell(self) -> np.ndarray:
+        """1 - sum_k phi_k, formed once per partition."""
+        return 1.0 - self.bumps.sum(axis=0)
+
     def off_shell_fraction(self, f: SampledField) -> float:
         """||(1 - sum_k phi_k) f||_2 / ||f||_2, the share of f an X norm clips; 0 for f = 0."""
         total = l2_norm(f)
-        return l2_norm(f.with_values((1.0 - self.bumps.sum(axis=0)) * f.values)) / total if total else 0.0
+        return l2_norm(f.with_values(self._off_shell * f.values)) / total if total else 0.0
 
 
 def _check_window(grid: GridSpec, k_min: int, k_max: int) -> None:
@@ -87,9 +93,12 @@ def build_dyadic_partition(grid: GridSpec, k_min: int, k_max: int) -> DyadicPart
     """
     _check_window(grid, k_min, k_max)
     r = np.sqrt(sum(x**2 for x in grid.meshgrid()))
-    bumps = np.stack(
-        [_radial_cutoff(r / 2.0**k) - _radial_cutoff(r / 2.0 ** (k - 1)) for k in range(k_min, k_max + 1)]
-    )
+    bumps = np.empty((k_max - k_min + 1, *r.shape))
+    inner = _radial_cutoff(r / 2.0 ** (k_min - 1))  # each of the K + 1 cutoffs is evaluated once
+    for bump, k in zip(bumps, range(k_min, k_max + 1)):
+        outer = _radial_cutoff(r / 2.0**k)
+        np.subtract(outer, inner, out=bump)
+        inner = outer
     return DyadicPartition(grid, k_min, k_max, bumps)
 
 

@@ -310,7 +310,8 @@ def test_run_passes_when_the_runner_check_every_slope_and_every_report_pass(
     assert result["passed"] is (code == 0)
     assert [q["passed"] for q in result["inequalities"]] == [report]
     (fit,) = result["fits"]
-    assert (fit["target_slope"], fit["slope_tolerance"]) == (-1.0, 0.1)
+    assert (fit["target_slope"], fit["slope_tolerance"], fit["passed"]) == (-1.0, 0.1, slope)
+    assert f"  fit decay: slope {fit['slope']:+.4f} over [1.0, 16.0] -> {'ok' if slope else 'VIOLATED'}" in out
     (check,) = result["checks"]
     own_passed = value <= 1.0
     assert (check["name"], check["relation"], check["bound"], check["passed"]) == ("own", "<=", 1.0, own_passed)
@@ -363,18 +364,26 @@ def test_one_sided_fits_pass_outside_their_reported_tolerance(tmp_path, exp_id, 
     assert _fit_passes(fit) is report["passed"] is True
 
 
-def test_airy_local_energy_fails_above_its_energy_slope(tmp_path):
+def test_airy_local_energy_fails_above_its_energy_slope(tmp_path, capsys):
     text = "[experiment]\nid = airy-local-energy\n[tolerances]\nenergy_slope = -1.3\n"
     assert _run(tmp_path, text) == 1
-    assert _report(tmp_path, "airy-local-energy")["passed"] is False
+    report = _report(tmp_path, "airy-local-energy")
+    (fit,) = report["fits"]
+    assert report["passed"] is fit["passed"] is _fit_passes(fit) is False
+    out = capsys.readouterr().out
+    assert "airy-local-energy: FAIL" in out
+    assert f"  fit weighted-energy-decay: slope {fit['slope']:+.4f} over {fit['window']} -> VIOLATED" in out
 
 
 @pytest.mark.parametrize("exp_id", IDS)
 def test_every_verdict_of_a_default_report_recomputes_from_its_json(exp_id, monkeypatch):
     monkeypatch.delenv(experiments.OUTPUT_DIR_ENV, raising=False)
     report = json.loads(experiments.run(default_config(exp_id)).to_json())
-    assert report["schema_version"] == 3
-    verdicts = [_fit_passes(fit) for fit in report["fits"]]
+    assert report["schema_version"] == 4
+    verdicts = []
+    for fit in report["fits"]:
+        assert _fit_passes(fit) is fit["passed"]
+        verdicts.append(_fit_passes(fit))
     for ineq in report["inequalities"]:
         assert _inequality_passes(ineq) is ineq["passed"]
         verdicts.append(_inequality_passes(ineq))
@@ -459,6 +468,8 @@ def test_airy_decay_rows_are_the_clean_samples(tmp_path):
     [
         ("vlasov-decay", "[experiment]\nid = vlasov-decay\n[times]\nt_max = 100.0\n"),
         ("counterexample", "[experiment]\nid = counterexample\n"),
+        # the sup of every time runs on a thread pool at 2 threads
+        ("transport-degenerate", "[experiment]\nid = transport-degenerate\n[times]\nt_max = 100.0\n"),
         # the five cases run on a thread pool at 2 threads
         ("conservation", "[experiment]\nid = conservation\n"),
         # a spectral entry, pinned before --threads reaches the spectral runners

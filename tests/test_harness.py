@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from decaylab.experiments import parse_config, run
-from decaylab.fields import Gaussian, GridSpec, SampledField, linf_norm, sample, spectral_derivative
+from decaylab.fields import Gaussian, GridSpec, SampledField, l2_norm, linf_norm, sample, spectral_derivative
 from decaylab.norms import build_dyadic_partition
 from decaylab.operators import boost_norms
 from decaylab.propagators import Evolution, airy, edge_mass_fraction, even_order, schrodinger
@@ -21,21 +21,20 @@ def complex_sample(datum, grid):
     return f.with_values(f.values.astype(np.complex128), "complex")
 
 
-def schrodinger_series(u0, times, read=None):
+def schrodinger_series(u0, times, read):
     return hz.Series.evolve(u0, schrodinger(), times, read)
 
 
-def airy_series(u0, times):
-    return hz.Series.evolve(u0, airy(), times)
+def airy_series(u0, times, read):
+    return hz.Series.evolve(u0, airy(), times, read)
 
 
-def ks_read(d):
-    """The (sup, boost-norm table) reader ``check_ks_schrodinger`` takes, to order d."""
-    return lambda t, u: (linf_norm(u), boost_norms(u, t, d))
+def monomial_series(k, u0, times):
+    return hz.Series.evolve(u0, even_order(k), times, hz.monomial_read(k))
 
 
 def ks_check(u0, times):
-    return hz.check_ks_schrodinger(schrodinger_series(u0, times, ks_read(u0.grid.dim)))
+    return hz.check_ks_schrodinger(schrodinger_series(u0, times, hz.ks_read(u0.grid.dim)))
 
 
 class TestFitDecay:
@@ -71,7 +70,7 @@ class TestSeries:
         # a small box: by t = 100 the packet has wrapped around, at t <= 1 it has not
         grid = GridSpec.centered(40.0, 1024, dim=1)
         u0 = complex_sample(Gaussian(2.2, 0.25), grid)
-        series = schrodinger_series(u0, [100.0, 1.0, 0.5, 1.0])
+        series = schrodinger_series(u0, [100.0, 1.0, 0.5, 1.0], hz.sup_read())
         assert [t for t, _ in series.clean] == [0.5, 1.0]
         assert [t for t, _ in series.excluded] == [100.0]
         assert series.excluded[0][1].startswith("wrap-around edge mass")
@@ -81,13 +80,21 @@ class TestSeries:
         with pytest.raises(ValueError, match="not in the series"):
             series.restrict([2.0])
 
+    def test_map_replaces_each_clean_read_and_keeps_the_rest(self):
+        grid = GridSpec.centered(40.0, 1024, dim=1)
+        u0 = complex_sample(Gaussian(2.2, 0.25), grid)
+        series = schrodinger_series(u0, [100.0, 1.0, 0.5], lambda t, u: (t, linf_norm(u)))
+        mapped = series.map(lambda read: read[1])
+        assert mapped.clean == tuple((t, sup) for t, (_, sup) in series.clean)
+        assert mapped.excluded == series.excluded and mapped.evolution is series.evolution
+
 
 class TestRatioRule:
     def test_lhs_above_a_zero_rhs_fails(self):
         # the datum samples to the one node x = 0, so ||x u0|| = 0 while d^2 u(t) is not 0
         grid = GridSpec.centered(4300.0, 64, dim=1)
         u0 = complex_sample(Gaussian(0.0, 2.0), grid)
-        rep = hz.check_monomial_estimate(2, hz.Series.evolve(u0, even_order(2), [1.0, 2.0]))
+        rep = hz.check_monomial_estimate(2, monomial_series(2, u0, [1.0, 2.0]))
         assert all(lhs > 0.0 == rhs for _, lhs, rhs in rep.samples)
         assert rep.max_ratio == math.inf and rep.bound == 0.0 and not rep.passed
 
@@ -104,13 +111,13 @@ class TestDispersiveCheck:
     def test_zero_datum_passes(self, shell_setup):
         grid, part, _ = shell_setup
         zero = complex_sample(Gaussian(2.2, 0.25, amplitude=0.0), grid)
-        rep = hz.check_dispersive_schrodinger(schrodinger_series(zero, [1.0, 2.0]), part)
+        rep = hz.check_dispersive_schrodinger(schrodinger_series(zero, [1.0, 2.0], hz.sup_read()), part)
         assert rep.passed and rep.max_ratio == 0.0
 
     def test_ratio_stable(self, shell_setup):
         _, part, u0 = shell_setup
         times = [1.0, 2.0, 4.0, 8.0, 16.0]
-        rep = hz.check_dispersive_schrodinger(schrodinger_series(u0, times), part)
+        rep = hz.check_dispersive_schrodinger(schrodinger_series(u0, times, hz.sup_read()), part)
         ratios = [l / r for (_, l, r) in rep.samples]
         assert rep.passed
         assert max(ratios) <= 2.0 * min(ratios)
@@ -119,7 +126,7 @@ class TestDispersiveCheck:
         # lhs at t matches sqrt(t) * w (w^4 + 4 t^2)^(-1/4) for the shifted Gaussian
         _, part, u0 = shell_setup
         t, w = 16.0, 0.25
-        rep = hz.check_dispersive_schrodinger(schrodinger_series(u0, [t]), part)
+        rep = hz.check_dispersive_schrodinger(schrodinger_series(u0, [t], hz.sup_read()), part)
         lhs = rep.samples[0][1]
         assert lhs == pytest.approx(math.sqrt(t) * w * (w**4 + 4 * t * t) ** -0.25, rel=1e-6)
 
@@ -154,24 +161,52 @@ class TestKsCheck:
         assert (lhs2 / rhs2) == pytest.approx(lhs1**2 / predicted_rhs2, rel=0.10)
 
 
+# the catalog runners that evolve a datum through a ``Series``
+SERIES_RUNNERS = [
+    "schrodinger-decay",
+    "schrodinger-ks",
+    "schrodinger-xnorm",
+    "lp-decay",
+    "local-mass",
+    "airy-pointwise",
+    "airy-local-energy",
+    "airy-decay",
+    "monomial-2k",
+]
+
+
+def _holds_field(read, shape):
+    if isinstance(read, SampledField):
+        return True
+    if isinstance(read, np.ndarray):
+        return read.shape == shape
+    if isinstance(read, dict):
+        return any(_holds_field(v, shape) for v in read.values())
+    if isinstance(read, (tuple, list)):
+        return any(_holds_field(v, shape) for v in read)
+    return False
+
+
 class TestSeriesRead:
     def test_read_keeps_the_guard_and_the_ks_report(self):
         # the 2-d packet wraps around this box by t = 16, as in the schrodinger-ks contamination test
         u0 = complex_sample(Gaussian((0.0, 0.0), (1.3, 1.3)), GridSpec.centered(40.0, 256, dim=2))
-        read = ks_read(2)
-        fields = schrodinger_series(u0, [1.0, 4.0, 16.0])
+        read = hz.ks_read(2)
         reads = schrodinger_series(u0, [1.0, 4.0, 16.0], read)
-        assert [t for t, _ in reads.clean] == [t for t, _ in fields.clean] == [1.0, 4.0]
-        assert reads.excluded == fields.excluded
-        assert [t for t, _ in reads.excluded] == [16.0]
-        # the same report, bit for bit, as reading the held fields after the fact
-        held = replace(fields, clean=tuple((t, read(t, ut)) for t, ut in fields.clean))
+        evolution = Evolution(u0, schrodinger())
+        fields = {t: evolution.at(t) for t in (1.0, 4.0, 16.0)}
+        fractions = {t: edge_mass_fraction(ut) for t, ut in fields.items()}
+        assert [t for t, _ in reads.clean] == [t for t, f in fractions.items() if f <= hz.CONTAMINATION_THRESHOLD]
+        assert reads.excluded == ((16.0, f"wrap-around edge mass {fractions[16.0]:.2e}"),)
+        # the same report, bit for bit, as reading fields formed apart from the series
+        held = replace(reads, clean=tuple((t, read(t, fields[t])) for t in (1.0, 4.0)))
         assert hz.check_ks_schrodinger(reads) == hz.check_ks_schrodinger(held)
 
-    def test_schrodinger_ks_keeps_one_evolved_field_alive(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("exp_id", SERIES_RUNNERS)
+    def test_runner_keeps_one_evolved_field_alive(self, exp_id, tmp_path, monkeypatch):
         # every field Evolution.at forms is watched; once it is formed, no earlier one of its datum remains
-        watched, alive = {}, []
-        at = Evolution.at
+        watched, alive, built = {}, [], []
+        at, evolve = Evolution.at, hz.Series.evolve.__func__
 
         def watched_at(evolution, t):
             field = at(evolution, t)
@@ -180,11 +215,24 @@ class TestSeriesRead:
             alive.append(sum(ref() is not None for ref in refs))
             return field
 
+        def recorded_evolve(cls, *args, **kwargs):
+            built.append(evolve(cls, *args, **kwargs))
+            return built[-1]
+
         monkeypatch.setattr(Evolution, "at", watched_at)
-        text = "[experiment]\nid = schrodinger-ks\n[grid]\nhalf_width_2d = 40.0\npoints_2d = 256\n"
+        monkeypatch.setattr(hz.Series, "evolve", classmethod(recorded_evolve))
+        text = f"[experiment]\nid = {exp_id}\n"
+        if exp_id == "schrodinger-ks":
+            text += "[grid]\nhalf_width_2d = 40.0\npoints_2d = 256\n"
         run(parse_config(text), out_dir=str(tmp_path))
-        assert len(watched) == 2 and len(alive) == 16 + 5  # d1: 14 checkpoints, drift 10 and 100; d2: 5
+        assert built and len(watched) >= len(built)
         assert max(alive) == 1
+        # a series holds per-time numbers: no field, and no array of a field's shape
+        for series in built:
+            for _, read in series.clean:
+                assert not _holds_field(read, series.u0.values.shape), (exp_id, read)
+        if exp_id == "schrodinger-ks":
+            assert len(watched) == 2 and len(alive) == 16 + 5  # d1: 14 checkpoints, drift 10 and 100; d2: 5
 
 
 def square_and_factor(half_width, points):
@@ -193,18 +241,13 @@ def square_and_factor(half_width, points):
     return square, complex_sample(Gaussian(0.0, 1.3), GridSpec.centered(half_width, points))
 
 
-def power_read(d):
-    """``ks_read`` of the square of a 1-d factor: sup and boost norms of the product, read from the factor."""
-    return lambda t, u: (linf_norm(u) ** 2, boost_norms(u, t, d, power=2))
-
-
 class TestTensorPower:
     def test_square_of_the_factor_reads_as_the_formed_field(self):
         # the datum wraps around this box by t = 8, as in the schrodinger-ks contamination test
         square, factor = square_and_factor(40.0, 256)
         times = [1.0, 2.0, 4.0, 8.0, 16.0]
-        formed = schrodinger_series(square, times, ks_read(2))
-        product = hz.Series.evolve(factor, schrodinger(), times, power_read(2), power=2)
+        formed = schrodinger_series(square, times, hz.ks_read(2))
+        product = hz.Series.evolve(factor, schrodinger(), times, hz.ks_read(2, power=2), power=2)
         assert product.dim == formed.dim == 2
         assert [t for t, _ in product.clean] == [t for t, _ in formed.clean] == [1.0, 2.0, 4.0]
         assert product.excluded == formed.excluded  # the same times, reason strings and all
@@ -260,7 +303,7 @@ class TestTensorPower:
 class TestLpAndLocalMass:
     def test_theta_zero_is_mass_conservation(self, shell_setup):
         _, _, u0 = shell_setup
-        rep = hz.check_lp_decay(schrodinger_series(u0, [1.0, 3.0, 9.0]), 0.0)
+        rep = hz.check_lp_decay(schrodinger_series(u0, [1.0, 3.0, 9.0], hz.lp_read(0.0)), 0.0)
         assert rep.passed
         for _, lhs, rhs in rep.samples:
             assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -268,7 +311,7 @@ class TestLpAndLocalMass:
     def test_theta_half_rate(self, shell_setup):
         _, part, u0 = shell_setup
         times = [5.0 * 2 ** (0.5 * k) for k in range(8)]
-        rep = hz.check_lp_decay(schrodinger_series(u0, times), 0.5, part)
+        rep = hz.check_lp_decay(schrodinger_series(u0, times, hz.lp_read(0.5)), 0.5, part)
         assert rep.passed
         l4 = [l / t**0.25 for (t, l, _) in rep.samples]
         fit = hz.fit_decay([s[0] for s in rep.samples], l4)
@@ -277,14 +320,14 @@ class TestLpAndLocalMass:
     def test_theta_guard(self, shell_setup):
         _, part, u0 = shell_setup
         with pytest.raises(ValueError):
-            hz.check_lp_decay(schrodinger_series(u0, [1.0]), 1.0, part)
+            hz.check_lp_decay(schrodinger_series(u0, [1.0], hz.lp_read(0.0)), 1.0, part)
 
     def test_local_mass_sigma_zero_sandwich(self, shell_setup):
         _, part, u0 = shell_setup
         # The estimate is an upper bound. From sum phi_k^2 >= (sum phi_k)^2 / 2,
         # ||u(t)|| = ||u0|| and X(u0) <= ||u0||, the ratio is at least
         # 2^(-1/2) (1 - ofs(t)), ofs the mass fraction that has left the shell.
-        rep = hz.check_local_mass(schrodinger_series(u0, [1.0, 4.0, 16.0]), 0.0, part)
+        rep = hz.check_local_mass(schrodinger_series(u0, [1.0, 4.0, 16.0], hz.local_mass_read(0.0, part)), 0.0, part)
         assert rep.passed
         assert dict(rep.detail)["window_truncated"]
         for t, lhs, rhs in rep.samples:
@@ -298,21 +341,28 @@ class TestLpAndLocalMass:
         part = build_dyadic_partition(grid, 0, 2)
         u0 = complex_sample(Gaussian(2.2, 0.25), grid)
         with pytest.raises(hz.ContaminationError, match="all 2 samples excluded"):
-            hz.check_local_mass(schrodinger_series(u0, [100.0, 200.0]), 0.25, part)
+            hz.check_local_mass(schrodinger_series(u0, [100.0, 200.0], hz.local_mass_read(0.25, part)), 0.25, part)
 
     def test_local_mass_sigma_guard(self, shell_setup):
         _, part, u0 = shell_setup
         with pytest.raises(ValueError):
-            hz.check_local_mass(schrodinger_series(u0, [1.0]), 0.6, part)
+            hz.check_local_mass(schrodinger_series(u0, [1.0], hz.local_mass_read(0.6, part)), 0.6, part)
 
 
 AIRY_GRID = GridSpec.centered(1500.0, 32768, dim=1)
 
 
 def _nodes(grid, wanted):
-    """The grid nodes nearest the wanted probe points."""
-    x = grid.axis(0)
-    return x[np.abs(x[:, None] - np.asarray(wanted)).argmin(axis=0)]
+    """The grid nodes nearest the wanted probe points; on a tie the lower node, as argmin picks."""
+    x, wanted = grid.axis(0), np.asarray(wanted)
+    above = np.clip(np.searchsorted(x, wanted), 1, x.size - 1)
+    below = above - 1
+    return x[np.where(np.abs(x[below] - wanted) <= np.abs(x[above] - wanted), below, above)]
+
+
+def airy_checked(u0, times, probes):
+    """``check_airy_pointwise`` of the Airy series of u0, read at the probes."""
+    return hz.check_airy_pointwise(airy_series(u0, times, hz.airy_pointwise_read(u0.grid, probes)), probes)
 
 
 class TestAiryChecks:
@@ -322,7 +372,7 @@ class TestAiryChecks:
 
     def test_pointwise_constant_free_bound(self, airy_u0):
         probes = _nodes(AIRY_GRID, np.linspace(-50, 50, 21))
-        rep = hz.check_airy_pointwise(airy_series(airy_u0, [0.0, 1.0, 4.0, 16.0]), probes)
+        rep = airy_checked(airy_u0, [0.0, 1.0, 4.0, 16.0], probes)
         assert rep.passed and rep.bound == 1.0
         # rhs = 2 sqrt(pi/2) from the Gaussian moments
         assert rep.samples[0][2] == pytest.approx(2.0 * math.sqrt(math.pi / 2.0), rel=1e-8)
@@ -330,7 +380,7 @@ class TestAiryChecks:
     def test_pointwise_t_zero_from_calculus(self, airy_u0):
         # at t = 0 the left side is x u0(x)^2 = x exp(-2 x^2), largest at the probed nodes nearest x = 1/2
         probes = _nodes(AIRY_GRID, np.linspace(-50, 50, 2001))
-        rep = hz.check_airy_pointwise(airy_series(airy_u0, [0.0]), probes)
+        rep = airy_checked(airy_u0, [0.0], probes)
         lhs0 = rep.samples[0][1]
         assert lhs0 == pytest.approx(np.max(probes * np.exp(-2.0 * probes**2)), rel=1e-12)
 
@@ -339,7 +389,7 @@ class TestAiryChecks:
         x = AIRY_GRID.axis(0)
         idx = np.abs(x[:, None] - np.linspace(-50, 50, 41)).argmin(axis=0)
         times = [0.0, 1.0, 4.0, 20.0]
-        rep = hz.check_airy_pointwise(airy_series(airy_u0, times), x[idx])
+        rep = airy_checked(airy_u0, times, x[idx])
         for t, (ts, lhs, _) in zip(times, rep.samples):
             ut = Evolution(airy_u0, airy()).at(t)
             du = spectral_derivative(ut, 1)
@@ -348,12 +398,13 @@ class TestAiryChecks:
             assert lhs == pytest.approx(node, rel=1e-12)
 
     def test_local_energy_bound(self, airy_u0):
-        rep = hz.check_airy_local_energy(airy_series(airy_u0, [1.0, 4.0, 16.0]), 0.5)
+        series = airy_series(airy_u0, [1.0, 4.0, 16.0], hz.local_energy_read(AIRY_GRID, 0.5))
+        rep = hz.check_airy_local_energy(series, 0.5)
         assert rep.passed and rep.bound == 1.0
 
     def test_sup_decay_rate(self, airy_u0):
-        series = airy_series(airy_u0, [2.0 * 2 ** (0.25 * k) for k in range(14)])
-        fit = hz.fit_decay([t for t, _ in series.clean], [linf_norm(ut) for _, ut in series.clean])
+        series = airy_series(airy_u0, [2.0 * 2 ** (0.25 * k) for k in range(14)], hz.sup_read())
+        fit = hz.fit_decay([t for t, _ in series.clean], [sup for _, sup in series.clean])
         assert fit.slope == pytest.approx(-1.0 / 3.0, abs=0.1)
 
     def test_contamination_excludes_and_still_passes(self):
@@ -362,7 +413,7 @@ class TestAiryChecks:
         grid = GridSpec.centered(150.0, 4096, dim=1)
         u0 = sample(Gaussian(0.0, 1.0 / math.sqrt(2.0)), grid)
         probes = _nodes(grid, np.linspace(-20, 20, 11))
-        rep = hz.check_airy_pointwise(airy_series(u0, [0.5, 1.0, 2.0, 30.0, 60.0]), probes)
+        rep = airy_checked(u0, [0.5, 1.0, 2.0, 30.0, 60.0], probes)
         assert len(rep.excluded) >= 1
         assert rep.passed
 
@@ -370,40 +421,49 @@ class TestAiryChecks:
         grid = GridSpec.centered(150.0, 4096, dim=1)
         u0 = sample(Gaussian(0.0, 1.0 / math.sqrt(2.0)), grid)
         with pytest.raises(ValueError, match="inside the grid"):
-            hz.check_airy_pointwise(airy_series(u0, [0.0]), [0.0, 151.0])
+            airy_checked(u0, [0.0], [0.0, 151.0])
 
     @pytest.mark.parametrize("probe", [0.01, 150.0])  # between two nodes, and the right end of the box
     def test_probes_off_the_nodes_rejected(self, probe):
         grid = GridSpec.centered(150.0, 4096, dim=1)
         u0 = sample(Gaussian(0.0, 1.0 / math.sqrt(2.0)), grid)
         with pytest.raises(ValueError, match="probes must be grid nodes"):
-            hz.check_airy_pointwise(airy_series(u0, [0.0]), [0.0, probe])
+            airy_checked(u0, [0.0], [0.0, probe])
 
     def test_insufficient_window_raises(self):
         grid = GridSpec.centered(150.0, 4096, dim=1)
         u0 = sample(Gaussian(0.0, 1.0 / math.sqrt(2.0)), grid)
-        series = airy_series(u0, [20.0, 40.0, 80.0, 160.0, 320.0])
+        series = airy_series(u0, [20.0, 40.0, 80.0, 160.0, 320.0], hz.sup_read())
         with pytest.raises(ValueError, match="insufficient"):
-            hz.fit_decay(
-                [t for t, _ in series.clean], [linf_norm(ut) for _, ut in series.clean], excluded=series.excluded
-            )
+            hz.fit_decay([t for t, _ in series.clean], [sup for _, sup in series.clean], excluded=series.excluded)
 
 
 class TestMonomialCheck:
     def test_k1_matches_schrodinger_structure(self):
         grid = GridSpec.centered(320.0, 4096, dim=1)
         u0 = complex_sample(Gaussian(0.0, 1.0), grid)
-        rep = hz.check_monomial_estimate(1, hz.Series.evolve(u0, even_order(1), [1.0, 2.0, 4.0, 8.0]))
+        rep = hz.check_monomial_estimate(1, monomial_series(1, u0, [1.0, 2.0, 4.0, 8.0]))
         assert rep.passed
 
     def test_k2_band_limited_bump(self):
         grid = GridSpec.centered(4300.0, 16384, dim=1)
         u0 = complex_sample(Gaussian(0.0, 2.0), grid)
-        rep = hz.check_monomial_estimate(2, hz.Series.evolve(u0, even_order(2), [1.0, 2.0, 4.0, 8.0, 16.0]))
+        rep = hz.check_monomial_estimate(2, monomial_series(2, u0, [1.0, 2.0, 4.0, 8.0, 16.0]))
         assert rep.passed
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_samples_read_the_derivative_of_order_2k_minus_2(self, k):
+        grid = GridSpec.centered(320.0, 4096, dim=1)
+        u0 = complex_sample(Gaussian(0.0, 1.0), grid)
+        times = [1.0, 2.0]
+        rep = hz.check_monomial_estimate(k, monomial_series(k, u0, times))
+        xnorm0 = l2_norm(u0.with_values(grid.axis(0) * u0.values))
+        for t, (ts, lhs, rhs) in zip(times, rep.samples):
+            v = spectral_derivative(Evolution(u0, even_order(k)).at(t), 2 * k - 2)
+            assert (ts, lhs, rhs) == (t, t * linf_norm(v) ** 2, l2_norm(v) * xnorm0)
 
     def test_k_guard(self):
         grid = GridSpec.centered(320.0, 4096, dim=1)
         u0 = complex_sample(Gaussian(0.0, 1.0), grid)
         with pytest.raises(ValueError):
-            hz.check_monomial_estimate(3, hz.Series.evolve(u0, even_order(2), [1.0]))
+            hz.check_monomial_estimate(3, monomial_series(2, u0, [1.0]))

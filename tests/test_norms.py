@@ -56,6 +56,26 @@ class TestPartition:
         part = nm.build_dyadic_partition(grid, 0, 0)
         assert part.bumps.shape[0] == 1
 
+    @pytest.mark.parametrize("dim, k_min, k_max", [(1, -2, 4), (2, 0, 3)])
+    def test_kernels_equal_their_per_bump_formulas(self, dim, k_min, k_max):
+        # the bumps from K + 1 cutoffs, the off-shell weight formed once per partition, and
+        # x_norm are the per-bump formulas bit for bit
+        grid = GridSpec.centered(32.0, 4096 if dim == 1 else 256, dim=dim)
+        part = nm.build_dyadic_partition(grid, k_min, k_max)
+        r = np.sqrt(sum(x**2 for x in grid.meshgrid()))
+        cutoff = nm._radial_cutoff
+        bumps = np.stack([cutoff(r / 2.0**k) - cutoff(r / 2.0 ** (k - 1)) for k in part.k_range])
+        assert np.array_equal(part.bumps, bumps)
+        f = sample(Gaussian((3.0,) * dim, (0.5,) * dim, (1.5,) * dim), grid)
+        assert f.kind == "complex"
+        for field in (f, f.with_values(f.values.real, "real")):
+            pieces = np.array([l2_norm(field.with_values(bump * field.values)) for bump in bumps])
+            seq = 2.0 ** (0.5 * np.array(part.k_range)) * pieces
+            assert nm.x_norm(field, 0.5, 2, part) == float(np.sum(seq**2.0) ** 0.5)
+            assert nm.x_norm(field, 0.5, math.inf, part) == float(seq.max())
+            clipped = l2_norm(field.with_values((1.0 - bumps.sum(axis=0)) * field.values))
+            assert part.off_shell_fraction(field) == clipped / l2_norm(field)
+
 
 class TestXNorm:
     def test_zero_field(self, grid, partition):
