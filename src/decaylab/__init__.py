@@ -51,7 +51,6 @@ from .norms import (
     hs_norm,
     lp_norm,
     translated_xnorm_inf,
-    weighted_l2,
     x_norm,
 )
 from .harness import DecayFit, InequalityReport, fit_decay

@@ -15,8 +15,9 @@ Exit codes:
    (found at load time; indicator data have no feature scale and are not
    checked); no report is written.
 3  numerical contamination: wrap-around excluded every sample of a check,
-   left a decay fit fewer than 5 samples, or left a boost-norm drift of
-   ``schrodinger-ks`` fewer than 2 clean times; no report is written.
+   left a decay fit fewer than 5 samples, left a boost-norm drift of
+   ``schrodinger-ks`` fewer than 2 clean times, or reached the field that
+   ``schrodinger-xnorm`` cross-checks at ``times.cross_check_t``; no report is written.
 """
 
 from __future__ import annotations

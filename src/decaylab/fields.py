@@ -4,8 +4,9 @@ Everything downstream (transport solutions, Fourier propagators, dyadic
 norms) consumes the containers defined here: ``GridSpec`` describes a
 uniform periodic grid in one or two dimensions, ``SampledField`` holds
 complex or real samples on such a grid, and ``AnalyticField`` subclasses
-are initial data that carry their own value/gradient/moment oracles so
-transported solutions never need interpolation.
+are initial data that carry their own closed-form value oracle (and, where
+transport differentiates them, a gradient oracle), so transported solutions
+never need interpolation.
 
 An analytic datum is evaluated one way: ``value(*x)`` and ``gradient(*x)``
 take one coordinate array per axis, and the arrays broadcast together, so a
@@ -218,37 +219,19 @@ def spectral_derivative(field: SampledField, order: int, axis: int = 0) -> Sampl
 
 
 class AnalyticField:
-    """Closed-form datum with value/gradient oracles.
-
-    ``value(*x)`` and ``gradient(*x)`` take ``ndim`` coordinate arrays, one
-    per axis, that broadcast together; the value has their broadcast shape
-    and ``gradient`` returns a tuple of ``ndim`` such arrays, the partial
-    derivatives in axis order.
+    """Base of the closed-form data. Each subclass defines ``ndim``, ``value(*x)``,
+    ``support_bounds(tol)``, the per-axis (lo, hi) box holding all but ~tol of
+    the datum, and ``feature_scale()``, the smallest length over which it varies
+    (``OracleUnavailable`` if it jumps). ``value(*x)`` and, where transport needs
+    it, ``gradient(*x)`` take ``ndim`` coordinate arrays that broadcast together;
+    ``gradient`` returns the ``ndim`` partial derivatives in axis order.
     """
 
-    ndim: int = 1
     kind: str = "real"
-
-    def value(self, *x) -> np.ndarray:
-        raise NotImplementedError
-
-    def gradient(self, *x) -> tuple:
-        raise OracleUnavailable(f"{type(self).__name__} has no gradient oracle")
-
-    def support_bounds(self, tol: float = 1e-12):
-        """Per-axis (lo, hi) box containing all but ~tol of the datum."""
-        raise NotImplementedError
-
-    def feature_scale(self) -> float:
-        """Smallest length scale over which the datum varies appreciably."""
-        raise NotImplementedError
 
     def phase_pair_factors(self, d: int):
         """Factorisation into (q_i, p_i) pair fields, or None."""
         return None
-
-    def mass(self):
-        raise OracleUnavailable(f"{type(self).__name__} has no mass oracle")
 
 
 @dataclass(frozen=True)

@@ -26,14 +26,14 @@ exclusions, it raises ``ContaminationError`` instead of reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import product as _iter_product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .fields import GridSpec, SampledField, l2_norm, linf_norm, spectral_derivative
-from .norms import DyadicPartition, hs_norm, lp_norm, weighted_l2, x_norm
+from .norms import DyadicPartition, lp_norm, x_norm
 from .operators import boost_norms
 from .propagators import DispersionPolynomial, Evolution, edge_mass_fraction
 
@@ -80,8 +80,10 @@ class Series:
     ``clean`` holds the (t, read(t, u(t))) entries in time order: the
     per-time numbers a runner takes from u(t), never the field, which is
     freed before the next is formed. ``excluded`` holds the (t, reason)
-    entries whose edge mass exceeds ``CONTAMINATION_THRESHOLD``.
-    ``evolution`` gives u and its spectrum at any other time.
+    entries whose edge mass exceeds ``CONTAMINATION_THRESHOLD``. u(t) is
+    formed only at the series' own times, so a runner that needs one more
+    time, such as a cross-check, puts it in the series and ``restrict``s each
+    use to its times.
 
     With ``power`` = k > 1 the series stands for the k-fold tensor power
     u0 (x) ... (x) u0 in ``dim`` dimensions, which the Schrodinger evolution
@@ -90,7 +92,6 @@ class Series:
     """
 
     u0: SampledField
-    evolution: Evolution
     clean: tuple
     excluded: tuple
     power: int = 1
@@ -125,7 +126,7 @@ class Series:
             else:
                 clean.append((t, read(t, ut)))
             del ut  # the next field is formed with this one freed
-        return cls(u0, evolution, tuple(clean), tuple(excluded), power)
+        return cls(u0, tuple(clean), tuple(excluded), power)
 
     def restrict(self, times) -> "Series":
         """The sub-series at ``times``, each of which must be a time of this series."""
@@ -162,16 +163,26 @@ class DecayFit:
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """Sampled lhs/rhs pairs for one estimate, with the worst ratio."""
+    """Sampled lhs/rhs pairs for one estimate, with the worst ratio.
+
+    It passes on max_ratio <= bound + tolerance; every bound is finite, so an
+    inf ratio fails.
+    """
 
     name: str
     samples: tuple  # ((t, lhs, rhs), ...)
     max_ratio: float
     bound: float
     tolerance: float
-    passed: bool
     detail: tuple = ()
     excluded: tuple = ()
+
+    @property
+    def passed(self) -> bool:
+        return self.max_ratio <= self.bound + self.tolerance
+
+    def as_dict(self) -> dict:
+        return {**asdict(self), "passed": self.passed}
 
 
 def fit_decay(times, values, excluded: tuple = ()) -> DecayFit:
@@ -225,14 +236,12 @@ def _report(name, samples, bound=None, tolerance=INEQUALITY_SLACK, detail=(), ex
     if bound is None:  # stability-style bound: constant may wobble by x2
         bound = STABILITY_FACTOR * min((r for r in ratios if r < math.inf), default=0.0)
         detail = detail + (("bound_style", "stability"),)
-    passed = max_ratio <= bound + tolerance  # every bound is finite, so an inf ratio fails
     return InequalityReport(
         name=name,
         samples=tuple(samples),
         max_ratio=float(max_ratio),
         bound=float(bound),
         tolerance=float(tolerance),
-        passed=bool(passed),
         detail=tuple(detail),
         excluded=tuple(excluded),
     )
@@ -290,10 +299,10 @@ def lp_read(theta: float) -> Callable:
 def check_lp_decay(
     series: Series, theta: float, partition: Optional[DyadicPartition] = None
 ) -> InequalityReport:
-    """|t|^(theta d/2) L^p decay, p = 2/(1-theta), against dyadic/Sobolev data norms.
+    """|t|^s ||u(t)||_p, p = 2/(1-theta), against the dyadic X^{s,2} norm of the datum, s = theta d/2.
 
     The series is read with ``lp_read(theta)``. theta = 0 degenerates to mass
-    conservation with ratio identically 1.
+    conservation with ratio identically 1, and needs no partition.
     """
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
@@ -309,14 +318,9 @@ def check_lp_decay(
     s = theta * d / 2.0
     if partition is None:
         raise ValueError("theta > 0 needs a dyadic partition for the data norm")
-    rhs_large_t = x_norm(u0, s, 2, partition)
-    rhs_all_t = weighted_l2(u0, s) + hs_norm(u0, s)
-    samples, detail_rows = [], []
-    for t, lpv in series.clean:
-        samples.append((t, abs(t) ** s * lpv, rhs_large_t))
-        detail_rows.append(((1.0 + t * t) ** (s / 2.0) * lpv) / rhs_all_t)
-    detail = (("truncated_ratio_max", max(detail_rows) if detail_rows else 0.0),)
-    return _report(f"schrodinger-L{p:g}-decay", samples, detail=detail, excluded=series.excluded)
+    rhs = x_norm(u0, s, 2, partition)
+    samples = [(t, abs(t) ** s * lpv, rhs) for t, lpv in series.clean]
+    return _report(f"schrodinger-L{p:g}-decay", samples, excluded=series.excluded)
 
 
 def local_mass_read(sigma: float, partition: DyadicPartition) -> Callable:

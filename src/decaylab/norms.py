@@ -25,7 +25,6 @@ __all__ = [
     "x_norm",
     "lp_norm",
     "hs_norm",
-    "weighted_l2",
     "translated_xnorm_inf",
 ]
 
@@ -144,34 +143,6 @@ def hs_norm(f: SampledField, s: float) -> float:
     weight = (1.0 + ksq) ** s
     n_total = float(np.prod(f.grid.points))
     return math.sqrt(float(np.sum(weight * np.abs(fhat) ** 2)) * f.grid.cell_volume / n_total)
-
-
-def weighted_l2(f: SampledField, power: float) -> float:
-    """|| |x|^power f ||_L2.
-
-    For power < 0 the weight is singular at x = 0, and a grid node there is
-    treated by this rule:
-
-    - nodes where f = 0 contribute 0;
-    - for -d/2 < power < 0 the origin node carries the mean of |x|^(2 power)
-      over the ball with the cell's volume, d/(d + 2 power) R^(2 power);
-    - for power <= -d/2 the weight is not locally integrable, so if f(0) != 0
-      the value is inf.
-    """
-    rsq = sum(x**2 for x in f.grid.meshgrid())
-    if power >= 0.0:
-        w = rsq ** (power / 2.0)
-    else:
-        d = f.grid.dim
-        origin = rsq == 0.0
-        if power <= -d / 2.0 and np.any(f.values[origin] != 0):
-            return math.inf
-        w = np.zeros(rsq.shape)
-        w[~origin] = rsq[~origin] ** (power / 2.0)
-        if power > -d / 2.0:
-            radius = (f.grid.cell_volume * math.gamma(d / 2.0 + 1.0) / math.pi ** (d / 2.0)) ** (1.0 / d)
-            w[origin] = math.sqrt(d / (d + 2.0 * power)) * radius**power
-    return l2_norm(f.with_values(w * np.abs(f.values), "real"))
 
 
 def translated_xnorm_inf(datum: AnalyticField, theta: float, q: float, partition: DyadicPartition) -> float:

@@ -1,6 +1,7 @@
 """Config parsing and the command line: round trips, rejections, exit codes, thread-stable tables."""
 
 import dataclasses
+import functools
 import json
 import math
 import operator
@@ -278,13 +279,22 @@ class TestExitCodes:
         assert "0 clean boost-norm drift times in d2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_3_when_the_cross_check_time_is_contaminated(self, tmp_path, capsys):
+        # the packet has wrapped around the box by t = 2000 (edge mass 5e-2), while
+        # every time of the inequality stays clean: the cross-check is not a violation
+        text = "[experiment]\nid = schrodinger-xnorm\n[times]\ncross_check_t = 2000.0\n"
+        assert _run(tmp_path, text) == 3
+        out, err = capsys.readouterr()
+        assert err.startswith("numerical contamination: times.cross_check_t = 2000: wrap-around edge mass")
+        assert out == "" and not (tmp_path / "out").exists()
+
 
 def _verdict_report(value, slope, report):
     """A runner report whose own check (``value`` <= 1), one fitted slope and one inequality report
     pass or fail as given."""
     fit = DecayFit(slope=-1.0 if slope else -2.0, intercept=0.0, max_abs_residual=0.0, window=(1.0, 16.0), n_samples=5)
     ratio = 0.5 if report else 2.0
-    rep = InequalityReport("bound", ((1.0, ratio, 1.0),), ratio, 1.0, 0.0, report)
+    rep = InequalityReport("bound", ((1.0, ratio, 1.0),), ratio, 1.0, 0.0)
     check = experiments._Check("own", value, "<=", 1.0)
     return experiments.Report(("t",), ((1.0,),), (experiments._Slope("decay", fit, -1.0, 0.1),), (rep,), (check,))
 
@@ -375,10 +385,16 @@ def test_airy_local_energy_fails_above_its_energy_slope(tmp_path, capsys):
     assert f"  fit weighted-energy-decay: slope {fit['slope']:+.4f} over {fit['window']} -> VIOLATED" in out
 
 
+@functools.cache
+def _default_run(exp_id):
+    """The report of the entry's default config, run once for every test that reads it."""
+    return experiments.run(default_config(exp_id))
+
+
 @pytest.mark.parametrize("exp_id", IDS)
 def test_every_verdict_of_a_default_report_recomputes_from_its_json(exp_id, monkeypatch):
     monkeypatch.delenv(experiments.OUTPUT_DIR_ENV, raising=False)
-    report = json.loads(experiments.run(default_config(exp_id)).to_json())
+    report = json.loads(_default_run(exp_id).to_json())
     assert report["schema_version"] == 4
     verdicts = []
     for fit in report["fits"]:
@@ -392,6 +408,35 @@ def test_every_verdict_of_a_default_report_recomputes_from_its_json(exp_id, monk
         assert _check_passes(check) is check["passed"]
         verdicts.append(_check_passes(check))
     assert verdicts and report["passed"] is all(verdicts) is True
+
+
+GRID_RTOL = 1e-4  # relative move of a max ratio, and absolute move of a slope, on doubling every points* key
+
+SPECTRAL_IDS = [exp_id for exp_id in IDS if "grid" in default_config(exp_id).as_dict()]
+SNAPPED_PROBES = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the 41 probes snap to other grid nodes on the refined grid: the max ratio moves "
+    "by 1.5e-3 relative and the half-line slope by 3.9e-4",
+)
+
+
+@pytest.mark.parametrize(
+    "exp_id", [pytest.param(e, marks=SNAPPED_PROBES if e == "airy-pointwise" else ()) for e in SPECTRAL_IDS]
+)
+def test_default_report_is_converged_in_the_grid(exp_id, monkeypatch):
+    monkeypatch.delenv(experiments.OUTPUT_DIR_ENV, raising=False)
+    grid = default_config(exp_id).as_dict()["grid"]
+    doubled = "".join(f"{key} = {2 * value}\n" for key, value in grid.items() if key.startswith("points"))
+    fine = experiments.run(parse_config(f"[experiment]\nid = {exp_id}\n[grid]\n{doubled}"))
+    coarse = _default_run(exp_id)
+    assert fine.passed
+    assert [q.name for q in fine.inequalities] == [q.name for q in coarse.inequalities]
+    for q_fine, q in zip(fine.inequalities, coarse.inequalities):
+        assert q_fine.max_ratio == pytest.approx(q.max_ratio, rel=GRID_RTOL, abs=0.0), q.name
+    assert [f.name for f in fine.fits] == [f.name for f in coarse.fits]
+    for f_fine, f in zip(fine.fits, coarse.fits):
+        assert f_fine.fit.slope == pytest.approx(f.fit.slope, rel=0.0, abs=GRID_RTOL), f.name
 
 
 def test_cube_translation_gates_the_center_farthest_from_the_origin(tmp_path):

@@ -244,11 +244,6 @@ def test_bump_plateau_and_support():
     assert bump.value(1.1, 0.0) == 0.0  # outside radius 2/lam
 
 
-def test_cube_has_no_gradient_oracle():
-    with pytest.raises(OracleUnavailable):
-        CubeIndicator(0.0, 1.0).gradient(np.zeros(1))
-
-
 def test_product_gaussian_phase_factors():
     datum = product_gaussian_phase(0.5, 1.5, d=2)
     assert datum.ndim == 4
