@@ -32,7 +32,7 @@ import numpy as np
 
 from . import transport as tr
 from .fields import BUMP_PROFILE_ID, BumpLambda, CubeIndicator, Gaussian, GridSpec, product_gaussian_phase
-from .fields import OracleUnavailable, SupportOverflowError, _check_support, l2_norm, linf_norm
+from .fields import SupportOverflowError, _check_support, l2_norm, linf_norm
 from .fields import sample, spectral_derivative
 from .harness import (
     ContaminationError,
@@ -230,9 +230,8 @@ def _check_boxes(config: ExperimentConfig) -> None:
             _check_support(datum, spec)
         except SupportOverflowError as err:
             raise ConfigError(f"{err}; widen grid.half_width{suffix}") from None
-        try:
-            scale = datum.feature_scale()
-        except OracleUnavailable:
+        scale = datum.feature_scale()
+        if scale is None:
             continue
         spacing = max(spec.spacing)
         if scale < 2.0 * spacing:
@@ -404,7 +403,7 @@ def _ratio_rows(rep: InequalityReport, *label) -> tuple:
 
 
 def _complexify(f):
-    return f.with_values(f.values.astype(np.complex128), "complex")
+    return f.with_values(f.values.astype(np.complex128))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 Everything downstream (transport solutions, Fourier propagators, dyadic
 norms) consumes the containers defined here: ``GridSpec`` describes a
 uniform periodic grid in one or two dimensions, ``SampledField`` holds
-complex or real samples on such a grid, and ``AnalyticField`` subclasses
-are initial data that carry their own closed-form value oracle (and, where
-transport differentiates them, a gradient oracle), so transported solutions
-never need interpolation.
+samples on such a grid, complex or real as their values are, and
+``AnalyticField`` subclasses are initial data that carry their own
+closed-form value oracle (and, where transport differentiates them, a
+gradient oracle), so transported solutions never need interpolation.
 
 An analytic datum is evaluated one way: ``value(*x)`` and ``gradient(*x)``
 take one coordinate array per axis, and the arrays broadcast together, so a
@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "SupportOverflowError",
-    "OracleUnavailable",
     "GridSpec",
     "SampledField",
     "AnalyticField",
@@ -46,10 +45,6 @@ __all__ = [
 
 class SupportOverflowError(Exception):
     """A datum's essential support is not covered by the requested grid."""
-
-
-class OracleUnavailable(Exception):
-    """The analytic family does not admit the requested closed-form oracle."""
 
 
 def _as_tuple(value, dim: int, cast=float) -> tuple:
@@ -105,10 +100,6 @@ class GridSpec:
     def meshgrid(self) -> tuple:
         return tuple(np.meshgrid(*self.axes(), indexing="ij"))
 
-    def nodes(self) -> np.ndarray:
-        """All grid nodes stacked along a trailing coordinate axis."""
-        return np.stack(self.meshgrid(), axis=-1)
-
     def wavenumbers(self, i: int) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.points[i], d=self.spacing[i])
 
@@ -127,17 +118,17 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SampledField:
-    """Complex or real samples on a periodic grid.
+    """Samples on a periodic grid, complex or real as their values are.
 
-    The field takes the ``values`` array it is given and freezes it: an
-    array that is already C-contiguous of the kind's dtype (float64 or
-    complex128) is kept as it is, shared and made read-only, so a caller must
-    not write to it afterwards; any other input is copied once.
+    The field takes the ``values`` array it is given and freezes it: complex
+    input as complex128, any other as float64. An array that is already
+    C-contiguous of that dtype is kept as it is, shared and made read-only,
+    so a caller must not write to it afterwards; any other input is copied
+    once. ``kind`` reads the dtype back: "complex" or "real".
     """
 
     grid: GridSpec
     values: np.ndarray
-    kind: str  # "real" or "complex"
 
     def __post_init__(self):
         vals = np.asarray(self.values)
@@ -145,22 +136,16 @@ class SampledField:
             raise ValueError(
                 f"value shape {vals.shape} does not match grid points {self.grid.points}"
             )
-        if self.kind == "real":
-            if np.iscomplexobj(vals):
-                if np.max(np.abs(vals.imag)) > 1e-12 * max(1.0, np.max(np.abs(vals.real))):
-                    raise ValueError("real-kind field has a non-negligible imaginary part")
-                vals = vals.real
-            dtype = np.float64
-        elif self.kind == "complex":
-            dtype = np.complex128
-        else:
-            raise ValueError("kind must be 'real' or 'complex'")
-        vals = np.ascontiguousarray(vals, dtype)
+        vals = np.ascontiguousarray(vals, np.complex128 if np.iscomplexobj(vals) else np.float64)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def with_values(self, values, kind: Optional[str] = None) -> "SampledField":
-        return SampledField(self.grid, values, self.kind if kind is None else kind)
+    @property
+    def kind(self) -> str:
+        return "complex" if np.iscomplexobj(self.values) else "real"
+
+    def with_values(self, values) -> "SampledField":
+        return SampledField(self.grid, values)
 
     def as_complex(self) -> np.ndarray:
         """The samples as complex128: the frozen ``values`` themselves for a
@@ -183,7 +168,7 @@ def sample(datum: "AnalyticField", grid: GridSpec) -> SampledField:
     if datum.ndim != grid.dim:
         raise ValueError(f"datum dimension {datum.ndim} != grid dimension {grid.dim}")
     _check_support(datum, grid)
-    return SampledField(grid, datum.value(*grid.meshgrid()), datum.kind)
+    return SampledField(grid, datum.value(*grid.meshgrid()))
 
 
 def l2_norm(field: SampledField) -> float:
@@ -209,9 +194,7 @@ def spectral_derivative(field: SampledField, order: int, axis: int = 0) -> Sampl
     spec = np.fft.fft(field.as_complex(), axis=axis)
     spec *= mult
     out = np.fft.ifft(spec, axis=axis, out=spec)
-    if field.kind == "real":
-        return field.with_values(out.real)
-    return field.with_values(out)
+    return field.with_values(out.real if field.kind == "real" else out)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +204,11 @@ def spectral_derivative(field: SampledField, order: int, axis: int = 0) -> Sampl
 class AnalyticField:
     """Base of the closed-form data. Each subclass defines ``ndim``, ``value(*x)``,
     ``support_bounds(tol)``, the per-axis (lo, hi) box holding all but ~tol of
-    the datum, and ``feature_scale()``, the smallest length over which it varies
-    (``OracleUnavailable`` if it jumps). ``value(*x)`` and, where transport needs
-    it, ``gradient(*x)`` take ``ndim`` coordinate arrays that broadcast together;
-    ``gradient`` returns the ``ndim`` partial derivatives in axis order.
+    the datum, and ``feature_scale()``, the smallest length over which it varies,
+    or None if it jumps and no length resolves it. ``value(*x)`` and, where
+    transport needs it, ``gradient(*x)`` take ``ndim`` coordinate arrays that
+    broadcast together; ``gradient`` returns the ``ndim`` partial derivatives
+    in axis order.
     """
 
     kind: str = "real"
@@ -439,8 +423,8 @@ class CubeIndicator(AnalyticField):
         h = 0.5 * self.side
         return c - h, c + h
 
-    def feature_scale(self) -> float:
-        raise OracleUnavailable("cube indicator is discontinuous")
+    def feature_scale(self) -> None:
+        return None  # it jumps; no length resolves it
 
     def mass(self) -> float:
         return self.side**self.ndim

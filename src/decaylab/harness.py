@@ -353,7 +353,7 @@ def check_local_mass(series: Series, sigma: float, partition: DyadicPartition) -
 def _airy_data_constant(u0: SampledField) -> float:
     du0 = spectral_derivative(u0, 1)
     x = u0.grid.axis(0)
-    xu0 = SampledField(u0.grid, x * u0.values, u0.kind)
+    xu0 = SampledField(u0.grid, x * u0.values)
     return 2.0 * l2_norm(du0) * l2_norm(xu0) + l2_norm(u0) ** 2
 
 
@@ -451,7 +451,7 @@ def check_monomial_estimate(k: int, series: Series) -> InequalityReport:
         raise ValueError("k must be 1 or 2")
     u0 = series.u0
     x = u0.grid.axis(0)
-    xu0 = SampledField(u0.grid, x * u0.as_complex(), "complex")
+    xu0 = SampledField(u0.grid, x * u0.as_complex())
     xnorm0 = l2_norm(xu0)
     samples = [(t, t * sup**2, norm * xnorm0) for t, (sup, norm) in series.clean]
     return _report(f"even-order-2k-pointwise-k{k}", samples, excluded=series.excluded)

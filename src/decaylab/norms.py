@@ -173,7 +173,7 @@ def translated_xnorm_inf(datum: AnalyticField, theta: float, q: float, partition
         for y in mesh:
             if np.any(lo - y < glo) or np.any(hi - y > ghi):
                 continue
-            fy = SampledField(grid, datum.value(*(x + yi for x, yi in zip(nodes, y))), datum.kind)
+            fy = SampledField(grid, datum.value(*(x + yi for x, yi in zip(nodes, y))))
             val = x_norm(fy, theta, q, partition)
             if val < best_val:
                 best_val, best_shift = val, y.copy()

@@ -7,8 +7,10 @@ is its case m = 2, (a, b) = (1, i/2); other degrees act in one dimension.
 
 ``derive_commuting_operator`` does not look coefficients up in a table: it
 solves the linear symbol-side condition  a (i xi)^(m-1) + i b sigma'(xi) = 0
-(with the normalization a = m) and verifies that the residual vanishes
-identically in xi, which pins the sign conventions of the propagators.
+(with the normalization a = m) from the symbol of the propagator. What pins
+the sign conventions is the commutation suite: its physical-space residuals
+of the derived boosts, and its checks that boosts with a perturbed
+coefficient leave a visible residual.
 
 The Schrodinger boost is t d_j conjugated by the chirp M = exp(i |x|^2 / (4t)):
 d_j (M u) = M (d_j u + (i x_j / (2t)) u), so W_j = conj(M) t d_j M and
@@ -51,7 +53,7 @@ __all__ = [
 
 
 class NoCommutingOperatorError(Exception):
-    """The symbol-side commutation condition has no solution (normalization bug)."""
+    """The symbol-side commutation condition has no solution (a degenerate symbol)."""
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,8 @@ def derive_commuting_operator(disp: DispersionPolynomial) -> CommutingOperator:
     commutation with exp(t sigma(xi)) demands
         a (i xi)^(m-1) + i b sigma'(xi) = 0   for all xi.
     Both sides are multiples of xi^(m-1), so with a = m this is a single
-    linear equation for b; the residual is then checked on a xi-grid and a
-    nonzero value signals an inconsistent normalization.
+    linear equation for b, solved at xi = 1. The commutation suite checks
+    the result against the evolution in physical space.
     """
     m = disp.degree
     s = disp.monomial_coefficient
@@ -92,13 +94,6 @@ def derive_commuting_operator(disp: DispersionPolynomial) -> CommutingOperator:
     if lhs_b == 0:
         raise NoCommutingOperatorError("degenerate symbol derivative")
     b = -a * lhs_a / lhs_b
-    xi = np.linspace(0.25, 4.0, 257)
-    residual = np.abs(a * (1j * xi) ** (m - 1) + 1j * b * m * s * xi ** (m - 1))
-    scale = np.abs(a * xi ** (m - 1)).max()
-    if residual.max() > 1e-12 * scale:
-        raise NoCommutingOperatorError(
-            f"symbol condition inconsistent for degree {m}: residual {residual.max():.3e}"
-        )
     return monomial_boost(m, a, b)
 
 
@@ -116,11 +111,11 @@ def apply_operator(op: CommutingOperator, u: SampledField, t: float) -> SampledF
     """
     if op.degree != 2 and u.grid.dim != 1:
         raise ValueError("monomial boosts of degree other than 2 act on one-dimensional fields")
-    v = u if u.kind == "complex" else SampledField(u.grid, u.as_complex(), "complex")
+    v = u.with_values(u.as_complex())  # shares the values of a complex u
     # the sum is formed in place, so a boost of a large field keeps two fewer full-size temporaries alive
     vals = op.a * t * spectral_derivative(v, op.degree - 1, axis=op.axis).values
     vals += op.b * _coordinate(u, op.axis) * v.values
-    return SampledField(u.grid, vals, "complex")
+    return SampledField(u.grid, vals)
 
 
 # Share of the transformed chirped field's mass allowed outside the inner 3/4 band
@@ -319,4 +314,4 @@ def random_wave_packets(grid, rng) -> SampledField:
             for x, c, w in zip(axes, g.center, g.width)
         )
         vals[window] += coefficient * g.value(*np.ix_(*(x[s] for x, s in zip(axes, window))))
-    return SampledField(grid, vals, "complex")
+    return SampledField(grid, vals)

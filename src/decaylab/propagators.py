@@ -6,10 +6,13 @@ Sign conventions (with the transform u^(xi) = int u(x) exp(-i xi x) dx):
 * Airy,            d_t u - d_xxx u = 0      -> multiplier exp(-i t xi^3)
 * even order 2k,   i d_t u + d^{2k} u = 0   -> multiplier exp(i (-1)^k t xi^2k)
 
-All multipliers have unit modulus, so mass and every Fourier-side norm are
-conserved exactly; the only numerical error sources are spatial truncation
-and wrap-around, which the guard below monitors. The commutation tests in
-the operators module pin these conventions.
+A ``DispersionPolynomial`` is the symbol sigma(xi) = s xi^m itself: its
+monomial coefficient s, nonzero and purely imaginary, and its degree m >= 2.
+So every multiplier exp(t sigma) has unit modulus, mass and every
+Fourier-side norm are conserved exactly, and the only numerical error
+sources are spatial truncation and wrap-around, which the guard below
+monitors. The commutation suite (``commutation-suite``) pins these
+conventions through its physical-space residuals.
 """
 
 from __future__ import annotations
@@ -32,61 +35,49 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DispersionPolynomial:
-    """Constant-coefficient evolution fixed by a named normalization."""
+    """The 1-d evolution symbol sigma(xi) = monomial_coefficient * xi^degree."""
 
-    normalization: str  # "schrodinger" | "airy" | "even_order"
+    monomial_coefficient: complex
     degree: int
 
     def __post_init__(self):
-        if self.normalization == "schrodinger" and self.degree != 2:
-            raise ValueError("the Schrodinger normalization has degree 2")
-        if self.normalization == "airy" and self.degree != 3:
-            raise ValueError("the Airy normalization has degree 3")
-        if self.normalization == "even_order" and (self.degree < 2 or self.degree % 2):
-            raise ValueError("the even-order family needs degree 2k >= 2")
         if self.degree < 2:
             raise ValueError("dispersion degree must be >= 2")
-
-    @property
-    def monomial_coefficient(self) -> complex:
-        """s such that the 1-d evolution symbol is sigma(xi) = s * xi^degree."""
-        if self.normalization == "schrodinger":
-            return 1j
-        if self.normalization == "airy":
-            return -1j
-        k = self.degree // 2
-        return 1j * (-1.0) ** k
+        s = complex(self.monomial_coefficient)
+        if s.real != 0.0 or s.imag == 0.0:
+            raise ValueError("the monomial coefficient must be nonzero and purely imaginary")
 
     def symbol_1d(self, xi: np.ndarray) -> np.ndarray:
         return self.monomial_coefficient * xi**self.degree
 
 
 def schrodinger() -> DispersionPolynomial:
-    return DispersionPolynomial("schrodinger", 2)
+    return DispersionPolynomial(1j, 2)
 
 
 def airy() -> DispersionPolynomial:
-    return DispersionPolynomial("airy", 3)
+    return DispersionPolynomial(-1j, 3)
 
 
 def even_order(k: int) -> DispersionPolynomial:
-    return DispersionPolynomial("even_order", 2 * int(k))
+    return DispersionPolynomial(1j * (-1.0) ** int(k), 2 * int(k))
 
 
 class Evolution:
     """u(t) = U(t) u0 through the unit-modulus multiplier, from one transform of u0.
 
-    Real Airy data keep the half spectrum of ``rfft``: sigma(-xi) is the
-    conjugate of sigma(xi), so u(t) stays real. All other data keep the full
-    ``fftn`` spectrum. ``wavenumbers`` holds one array per axis, shaped to
-    broadcast against ``spectrum(t)``.
+    Real data under an odd degree keep the half spectrum of ``rfft``:
+    sigma(-xi) is the conjugate of sigma(xi), so u(t) stays real. All other
+    data keep the full ``fftn`` spectrum. Only ``schrodinger()`` evolves
+    fields of more than one dimension. ``wavenumbers`` holds one array per
+    axis, shaped to broadcast against ``spectrum(t)``.
     """
 
     def __init__(self, u0: SampledField, disp: DispersionPolynomial):
         grid = self.grid = u0.grid
-        if grid.dim > 1 and disp.normalization != "schrodinger":
-            raise ValueError(f"{disp.normalization} propagation is one-dimensional only")
-        self.real = disp.normalization == "airy" and u0.kind == "real"
+        if grid.dim > 1 and disp != schrodinger():
+            raise ValueError("propagation other than schrodinger() is one-dimensional only")
+        self.real = disp.degree % 2 == 1 and u0.kind == "real"
         if self.real:
             self.wavenumbers = (2.0 * np.pi * np.fft.rfftfreq(grid.points[0], d=grid.spacing[0]),)
             self._hat = np.fft.rfft(u0.values)
@@ -115,8 +106,8 @@ class Evolution:
     def at(self, t: float) -> SampledField:
         spec = self.spectrum(t)
         if self.real:
-            return SampledField(self.grid, np.fft.irfft(spec, n=self.grid.points[0]), "real")
-        return SampledField(self.grid, np.fft.ifftn(spec, out=spec), "complex")
+            return SampledField(self.grid, np.fft.irfft(spec, n=self.grid.points[0]))
+        return SampledField(self.grid, np.fft.ifftn(spec, out=spec))
 
 
 def edge_mass_fraction(field: SampledField) -> float:

@@ -20,11 +20,8 @@ quadrature, a quarter of the nodes of the reported one, and reports the
 reported sup misses the best 513-node value over the scored q by at most
 2 max |F_129 - F_513| over those q (measured in ``_pair_sup``).
 
-Positions q and momenta p of ``TransportSolution.evaluate`` are points of
-R^d stacked on a trailing axis of length d, the form the dispersion maps
-w(p) read. ``TransportSolution._foot`` is the one place that splits them
-into the per-axis coordinate arrays the analytic data take; the pair
-quadratures pass their (q, p) axes to the datum directly.
+Points are never stacked: ``TransportSolution.evaluate`` takes positions
+and momenta as per-axis coordinate arrays, as the analytic data do.
 """
 
 from __future__ import annotations
@@ -84,11 +81,6 @@ class DispersionMap:
     def dim(self) -> int:
         return len(self.axis_maps)
 
-    def w(self, p) -> np.ndarray:
-        """w(p) for momenta stacked on a trailing axis of length d."""
-        p = np.asarray(p, dtype=float)
-        return np.stack([smap.w(p[..., i]) for i, smap in enumerate(self.axis_maps)], axis=-1)
-
 
 _IDENTITY = ScalarDispersion(
     "identity", lambda p: np.asarray(p, float), lambda p: np.ones_like(np.asarray(p, float)),
@@ -144,20 +136,16 @@ class TransportSolution:
     def dim(self) -> int:
         return self.dispersion.dim
 
-    def _foot(self, t: float, q, p) -> tuple:
-        """Per-axis coordinates of (q - t w(p), p), where the characteristics start."""
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        if self.dim == 1 and q.shape[-1:] != (1,):
-            q = q[..., np.newaxis]
-        if self.dim == 1 and p.shape[-1:] != (1,):
-            p = p[..., np.newaxis]
-        start = q - t * self.dispersion.w(p)
-        return (*np.moveaxis(start, -1, 0), *np.moveaxis(p, -1, 0))
-
     def evaluate(self, t: float, q, p) -> np.ndarray:
-        """nu(t,q,p) = nu0(q - t w(p), p), exact up to round-off."""
-        return self.datum.value(*self._foot(t, q, p))
+        """nu(t,q,p) = nu0(q - t w(p), p), exact up to round-off.
+
+        ``q`` and ``p`` each hold d per-axis coordinate arrays that broadcast
+        together, as ``value(*x)`` takes them. Each foot q_i - t w_i(p_i) is
+        formed with the axis's own ``ScalarDispersion``.
+        """
+        axis_maps = self.dispersion.axis_maps
+        feet = [qi - t * smap.w(pi) for qi, pi, smap in zip(q, p, axis_maps, strict=True)]
+        return self.datum.value(*feet, *p)
 
 
 # ---------------------------------------------------------------------------

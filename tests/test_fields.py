@@ -10,7 +10,6 @@ from decaylab.fields import (
     CubeIndicator,
     Gaussian,
     GridSpec,
-    OracleUnavailable,
     SampledField,
     SupportOverflowError,
     l2_norm,
@@ -34,9 +33,8 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(1, 0.0, -1.0, 64)
 
-    def test_axes_and_nodes(self):
+    def test_axes(self):
         g = GridSpec.centered(2.0, 16, dim=2)
-        assert g.nodes().shape == (16, 16, 2)
         assert g.axis(0)[0] == -2.0
 
 
@@ -61,12 +59,12 @@ class TestSample:
 class TestSampledField:
     def test_as_complex_shares_complex_values_and_copies_real_ones(self):
         g = GridSpec.centered(5.0, 16, dim=1)
-        z = SampledField(g, np.arange(16) + 1j, "complex")
+        z = SampledField(g, np.arange(16) + 1j)
         shared = z.as_complex()
         assert shared is z.values and not shared.flags.writeable
         with pytest.raises(ValueError):
             shared[0] = 0.0
-        r = SampledField(g, np.arange(16.0), "real")
+        r = SampledField(g, np.arange(16.0))
         fresh = r.as_complex()
         assert fresh.dtype == np.complex128 and fresh.flags.writeable
         fresh[0] = 5.0
@@ -75,24 +73,48 @@ class TestSampledField:
     def test_takes_a_contiguous_array_of_its_dtype_and_freezes_it(self):
         g = GridSpec.centered(5.0, 16, dim=1)
         vals = np.exp(1j * g.axis(0))
-        z = SampledField(g, vals, "complex")
+        z = SampledField(g, vals)
         assert np.shares_memory(z.values, vals) and not vals.flags.writeable
 
     @pytest.mark.parametrize(
-        "dim, vals, kind",
+        "dim, vals",
         [
-            (1, (np.arange(32) + 1j)[::2], "complex"),  # strided
-            (2, np.arange(256.0).reshape(16, 16).T + 0j, "complex"),  # Fortran order
-            (1, np.arange(16.0) + 0j, "real"),  # real part of a complex array
-            (1, np.arange(16, dtype=np.float32), "real"),  # another dtype
+            (1, (np.arange(32) + 1j)[::2]),  # strided
+            (2, np.arange(256.0).reshape(16, 16).T + 0j),  # Fortran order
+            (1, np.arange(16, dtype=np.complex64)),  # another complex dtype
+            (1, np.arange(16, dtype=np.float32)),  # another real dtype
         ],
     )
-    def test_copies_other_input_into_a_contiguous_array(self, dim, vals, kind):
-        f = SampledField(GridSpec.centered(5.0, 16, dim=dim), vals, kind)
+    def test_copies_other_input_into_a_contiguous_array(self, dim, vals):
+        f = SampledField(GridSpec.centered(5.0, 16, dim=dim), vals)
         assert f.values.flags.c_contiguous and not f.values.flags.writeable
-        assert f.values.dtype == (np.complex128 if kind == "complex" else np.float64)
         assert not np.shares_memory(f.values, vals) and vals.flags.writeable
-        np.testing.assert_array_equal(f.values, vals if kind == "complex" else vals.real)
+        np.testing.assert_array_equal(f.values, vals)
+
+    @pytest.mark.parametrize(
+        "vals, kind, dtype",
+        [
+            (np.arange(16.0), "real", np.float64),
+            (np.arange(16), "real", np.float64),
+            (np.arange(16) % 2 == 0, "real", np.float64),
+            (np.arange(16) + 0j, "complex", np.complex128),
+        ],
+    )
+    def test_kind_and_dtype_follow_the_values(self, vals, kind, dtype):
+        f = SampledField(GridSpec.centered(5.0, 16, dim=1), vals)
+        assert (f.kind, f.values.dtype) == (kind, dtype)
+
+    @pytest.mark.parametrize(
+        "datum, dim",
+        [
+            (Gaussian(0.2, 0.8), 1),
+            (Gaussian(0.0, 1.0, wavevector=(1.5,)), 1),
+            (CubeIndicator((0.2, -0.1), 1.3), 2),
+            (BumpLambda(2.0), 2),
+        ],
+    )
+    def test_sample_kind_is_the_datum_kind(self, datum, dim):
+        assert sample(datum, GridSpec.centered(8.0, 64, dim=dim)).kind == datum.kind
 
 
 class TestSpectralDerivative:
@@ -100,7 +122,7 @@ class TestSpectralDerivative:
         g = GridSpec.centered(math.pi, 64, dim=1)
         k0 = g.wavenumbers(0)[3]
         x = g.axis(0)
-        f = SampledField(g, np.exp(1j * k0 * x), "complex")
+        f = SampledField(g, np.exp(1j * k0 * x))
         df = spectral_derivative(f, 1)
         np.testing.assert_allclose(df.values, 1j * k0 * f.values, rtol=1e-12, atol=1e-12)
 
@@ -165,11 +187,7 @@ def test_gradient_matches_finite_differences(datum):
     lo, hi = datum.support_bounds(1e-6)
     lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
     x = [rng.uniform(a + 0.1 * (b - a), b - 0.1 * (b - a), size=64) for a, b in zip(lo, hi)]
-    try:
-        scale = datum.feature_scale()
-    except OracleUnavailable:
-        scale = 1.0
-    step = 1e-5 * scale
+    step = 1e-5 * datum.feature_scale()
     grad = datum.gradient(*x)
     assert len(grad) == datum.ndim and all(g.shape == (64,) for g in grad)
     ref_scale = max(np.max(np.abs(g)) for g in grad)
@@ -252,12 +270,6 @@ def test_product_gaussian_phase_factors():
     q1, q2, p1, p2 = 0.3, -0.2, 0.7, 0.1
     split = pairs[0].value(q1, p1) * pairs[1].value(q2, p2)
     assert split == pytest.approx(float(datum.value(q1, q2, p1, p2)), rel=1e-14)
-
-
-def test_real_kind_rejects_complex_values():
-    g = GridSpec.centered(5.0, 64, dim=1)
-    with pytest.raises(ValueError):
-        SampledField(g, np.full(64, 1.0 + 1.0j), "real")
 
 
 def test_field_values_immutable():

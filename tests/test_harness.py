@@ -18,7 +18,7 @@ from decaylab import operators as ops
 
 def complex_sample(datum, grid):
     f = sample(datum, grid)
-    return f.with_values(f.values.astype(np.complex128), "complex")
+    return f.with_values(f.values.astype(np.complex128))
 
 
 def schrodinger_series(u0, times, read):
@@ -281,7 +281,7 @@ class TestTensorPower:
         fractions = []
         for t in (8.0, 16.0):
             u1 = evolution.at(t)
-            outer = SampledField(square.grid, np.multiply.outer(u1.values, u1.values), "complex")
+            outer = SampledField(square.grid, np.multiply.outer(u1.values, u1.values))
             fractions.append(edge_mass_fraction(outer))
             assert hz._edge_mass(u1, 2) == pytest.approx(fractions[-1], rel=1e-12, abs=0.0)
         assert fractions == pytest.approx([2.33e-05, 1.98e-02], rel=1e-2)

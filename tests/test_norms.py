@@ -69,7 +69,7 @@ class TestPartition:
         assert np.array_equal(part.bumps, bumps)
         f = sample(Gaussian((3.0,) * dim, (0.5,) * dim, (1.5,) * dim), grid)
         assert f.kind == "complex"
-        for field in (f, f.with_values(f.values.real, "real")):
+        for field in (f, f.with_values(f.values.real)):
             pieces = np.array([l2_norm(field.with_values(bump * field.values)) for bump in bumps])
             seq = 2.0 ** (0.5 * np.array(part.k_range)) * pieces
             assert nm.x_norm(field, 0.5, 2, part) == float(np.sum(seq**2.0) ** 0.5)
@@ -80,7 +80,7 @@ class TestPartition:
 
 class TestXNorm:
     def test_zero_field(self, grid, partition):
-        f = SampledField(grid, np.zeros(grid.points[0]), "real")
+        f = SampledField(grid, np.zeros(grid.points[0]))
         assert nm.x_norm(f, 0.5, 1, partition) == 0.0
         assert partition.off_shell_fraction(f) == 0.0
 
@@ -136,7 +136,7 @@ class TestClassicalNorms:
         assert nm.lp_norm(f, 2) == pytest.approx(math.pi**0.25, abs=1e-10)
 
     def test_constant_linf(self, grid):
-        f = SampledField(grid, np.full(grid.points[0], 2.5), "real")
+        f = SampledField(grid, np.full(grid.points[0], 2.5))
         assert linf_norm(f) == 2.5  # the sup; lp_norm takes finite p only
         with pytest.raises(ValueError):
             nm.lp_norm(f, math.inf)

@@ -13,7 +13,7 @@ from decaylab import propagators as pr
 
 def complex_sample(datum, grid):
     f = sample(datum, grid)
-    return f.with_values(f.values.astype(np.complex128), "complex")
+    return f.with_values(f.values.astype(np.complex128))
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +100,7 @@ class TestCommutationResidual:
         assert res >= 0.1
 
     def test_zero_denominator_gives_the_absolute_residual(self, packet_grid):
-        zero = SampledField(packet_grid, np.zeros(packet_grid.points[0], dtype=complex), "complex")
+        zero = SampledField(packet_grid, np.zeros(packet_grid.points[0], dtype=complex))
         op = ops.derive_commuting_operator(pr.airy())
         ((res,),) = ops.commutation_residual(op, pr.airy(), [zero], [1.0])
         assert res == 0.0
@@ -274,7 +274,7 @@ class TestBoostNorms:
             weight = np.ones(u.grid.points)
             for j, power in enumerate(alpha):
                 weight = weight * (ops._coordinate(u, j) / 2.0) ** power
-            expected = l2_norm(SampledField(u.grid, weight * u.values, "complex"))
+            expected = l2_norm(SampledField(u.grid, weight * u.values))
             assert norms[alpha] == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
@@ -305,7 +305,7 @@ class TestConservedOperatorNorm:
         evolution = pr.Evolution(u0, pr.airy())
         series = np.array([l2_norm(ops.apply_operator(w, evolution.at(t), t)) for t in (0.0, 1.0, 5.0, 10.0)])
         x = fine_grid.axis(0)
-        xu0 = SampledField(fine_grid, x * u0.values, "complex")
+        xu0 = SampledField(fine_grid, x * u0.values)
         assert series[0] == pytest.approx(l2_norm(xu0), rel=1e-12)
         assert (series.max() - series.min()) / series[0] <= 1e-9
 

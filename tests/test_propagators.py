@@ -12,7 +12,7 @@ from decaylab import propagators as pr
 
 def complex_sample(datum, grid):
     f = sample(datum, grid)
-    return f.with_values(f.values.astype(np.complex128), "complex")
+    return f.with_values(f.values.astype(np.complex128))
 
 
 @pytest.fixture(scope="module")
@@ -62,12 +62,6 @@ class TestPropagate:
         u0 = sample(Gaussian(0.0, 1.0), grid)
         ut = pr.Evolution(u0, pr.airy()).at(2.0)
         assert ut.kind == "real"
-
-    def test_airy_needs_one_dimension(self):
-        grid = GridSpec.centered(30.0, 64, dim=2)
-        u0 = complex_sample(Gaussian((0.0, 0.0), (1.0, 1.0)), grid)
-        with pytest.raises(ValueError):
-            pr.Evolution(u0, pr.airy())
 
 
 class TestEvolution:
@@ -176,12 +170,32 @@ def test_even_order_symbol_signs():
     # degree 2k symbol is i(-1)^k xi^(2k)
     assert pr.even_order(1).monomial_coefficient == -1j
     assert pr.even_order(2).monomial_coefficient == 1j
-    with pytest.raises(ValueError):
-        pr.DispersionPolynomial("even_order", 3)
 
 
-def test_normalization_guards():
+@pytest.mark.parametrize(
+    "disp, complex_data, real",
+    [
+        (pr.schrodinger(), False, False),
+        (pr.schrodinger(), True, False),
+        (pr.airy(), False, True),
+        (pr.airy(), True, False),
+        (pr.even_order(1), False, False),
+        (pr.even_order(2), False, False),
+    ],
+)
+def test_evolution_keeps_the_half_spectrum_only_for_real_data_under_an_odd_degree(disp, complex_data, real):
+    u0 = sample(Gaussian(0.0, 1.0, wavevector=0.5 if complex_data else None), GridSpec.centered(30.0, 64))
+    assert pr.Evolution(u0, disp).real is real
+
+
+@pytest.mark.parametrize("disp", [pr.airy(), pr.even_order(1), pr.even_order(2)])
+def test_evolution_refuses_two_dimensions_for_all_but_schrodinger(disp):
+    u0 = complex_sample(Gaussian((0.0, 0.0), (1.0, 1.0)), GridSpec.centered(30.0, 64, dim=2))
+    with pytest.raises(ValueError, match="one-dimensional only"):
+        pr.Evolution(u0, disp)
+
+
+@pytest.mark.parametrize("coefficient, degree", [(1.0, 2), (0.0, 2), (1.0 + 1.0j, 3), (1j, 1)])
+def test_a_symbol_without_unit_modulus_multipliers_is_refused(coefficient, degree):
     with pytest.raises(ValueError):
-        pr.DispersionPolynomial("schrodinger", 3)
-    with pytest.raises(ValueError):
-        pr.DispersionPolynomial("airy", 2)
+        pr.DispersionPolynomial(coefficient, degree)

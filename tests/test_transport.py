@@ -26,7 +26,7 @@ class TestEvaluateDensity:
     def test_time_zero_is_datum(self, gaussian_solution):
         rng = np.random.default_rng(0)
         q, p = rng.normal(size=8), rng.normal(size=8)
-        got = gaussian_solution.evaluate(0.0, q, p)
+        got = gaussian_solution.evaluate(0.0, [q], [p])
         np.testing.assert_allclose(got, np.exp(-(q**2) - p**2), rtol=1e-14)
 
     def test_characteristics_value(self, gaussian_solution):
@@ -419,17 +419,15 @@ def test_velocity_average_against_scipy_quadrature(gaussian_solution):
     assert ours == pytest.approx(ref, rel=1e-10)
 
 
-@pytest.mark.parametrize(
-    "dmap, closed_form",
-    [
-        (tr.relativistic_map(), lambda p: p / np.sqrt(1.0 + p**2)),
-        (tr.mixed_map(), lambda p: np.stack([p[..., 0], p[..., 1] ** 2], axis=-1)),
-        (tr.identity_map(2), lambda p: p),
-    ],
-)
-def test_map_velocity_is_read_axis_by_axis(dmap, closed_form):
-    p = np.random.default_rng(11).normal(size=(7, dmap.dim)) * 3.0
-    np.testing.assert_array_equal(dmap.w(p), closed_form(p))
+def test_mixed_map_feet_are_formed_axis_by_axis():
+    # each axis reads its own scalar map: the feet are (q1 - t p1, q2 - t p2^2)
+    datum = Gaussian((0.1, -0.2, 0.3, -0.4), (1.0, 1.5, 0.8, 1.2))
+    sol = tr.TransportSolution(datum, tr.mixed_map())
+    rng = np.random.default_rng(11)
+    q1, q2, p1, p2 = rng.normal(size=(4, 7)) * 3.0
+    for t in (0.0, 0.7, 4.0):
+        expected = datum.value(q1 - t * p1, q2 - t * p2**2, p1, p2)
+        np.testing.assert_array_equal(sol.evaluate(t, (q1, q2), (p1, p2)), expected)
 
 
 def test_sup_needs_a_pair_factored_datum():

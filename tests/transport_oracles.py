@@ -13,9 +13,13 @@ from decaylab.fields import GridSpec, SupportOverflowError
 
 
 def check_q_coverage(sol: tr.TransportSolution, qgrid: GridSpec, t: float, qlo, qhi, momenta):
-    """The q-grid must hold the q-support carried to time t at every sampled momentum."""
-    travel = t * sol.dispersion.w(momenta)
-    lo_req, hi_req = qlo + travel.min(axis=0), qhi + travel.max(axis=0)
+    """The q-grid must hold the q-support carried to time t at every sampled momentum.
+
+    ``momenta`` holds the sampled momenta of each axis, one array per axis.
+    """
+    travel = [t * smap.w(p) for smap, p in zip(sol.dispersion.axis_maps, momenta, strict=True)]
+    lo_req = qlo + np.array([x.min() for x in travel])
+    hi_req = qhi + np.array([x.max() for x in travel])
     if not qgrid.contains_box(lo_req, hi_req):
         raise SupportOverflowError(
             f"q-grid {qgrid.bounds()} does not cover the transported support [{lo_req}, {hi_req}] at t={t}"
@@ -36,20 +40,22 @@ def check_p_coverage(sol: tr.TransportSolution, pgrid: GridSpec):
 def velocity_average(sol: tr.TransportSolution, t: float, q, pgrid: GridSpec):
     """Quadrature of nu(t, q, .) over the momentum grid.
 
-    ``q`` is one point of R^d, giving a float, or an array of points with a
-    trailing axis of length d, giving an array of averages (chunked over q).
+    ``q`` holds d per-axis coordinate arrays (or numbers) that broadcast
+    together. The result has their broadcast shape, a float for numbers, and
+    is summed in chunks of positions.
     """
     check_p_coverage(sol, pgrid)
-    q = np.asarray(q, dtype=float)
-    qpoints = q.reshape(-1, sol.dim)
-    pmesh = pgrid.nodes().reshape(-1, sol.dim)
-    out = np.empty(qpoints.shape[0])
-    rows = max(1, (1 << 22) // pmesh.shape[0])
-    for start in range(0, qpoints.shape[0], rows):
-        qc = qpoints[start : start + rows]
-        vals = sol.evaluate(t, qc[:, None, :], pmesh[None, :, :])
+    qaxes = np.broadcast_arrays(*(np.asarray(qi, dtype=float) for qi in q))
+    shape = qaxes[0].shape
+    qaxes = [qi.ravel() for qi in qaxes]
+    paxes = [pi.ravel()[None, :] for pi in pgrid.meshgrid()]
+    out = np.empty(qaxes[0].size)
+    rows = max(1, (1 << 22) // paxes[0].size)
+    for start in range(0, out.size, rows):
+        qc = [qi[start : start + rows, None] for qi in qaxes]
+        vals = sol.evaluate(t, qc, paxes)
         out[start : start + rows] = vals.sum(axis=1) * pgrid.cell_volume
-    return float(out[0]) if q.ndim <= 1 else out.reshape(q.shape[:-1])
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def grid_sup(sol: tr.TransportSolution, t: float, qgrid: GridSpec, pgrid: GridSpec) -> float:
@@ -61,12 +67,9 @@ def grid_sup(sol: tr.TransportSolution, t: float, qgrid: GridSpec, pgrid: GridSp
     lo, hi = sol.datum.support_bounds(1e-10)
     d = sol.dim
     qlo, qhi, plo, phi = lo[:d], hi[:d], lo[d:], hi[d:]
-    psample = np.stack(
-        np.meshgrid(*[np.linspace(plo[i], phi[i], 65) for i in range(d)], indexing="ij"),
-        axis=-1,
-    ).reshape(-1, d)
+    psample = [np.linspace(plo[i], phi[i], 65) for i in range(d)]
     check_q_coverage(sol, qgrid, t, qlo, qhi, psample)
-    return float(velocity_average(sol, t, qgrid.nodes().reshape(-1, d), pgrid).max())
+    return float(velocity_average(sol, t, qgrid.meshgrid(), pgrid).max())
 
 
 def apply_transport_boost(sol: tr.TransportSolution, t: float, axis: int, q, p) -> np.ndarray:
@@ -78,4 +81,5 @@ def apply_transport_boost(sol: tr.TransportSolution, t: float, axis: int, q, p) 
     d = sol.dim
     if axis < 0 or axis >= d:
         raise ValueError("axis out of range")
-    return sol.datum.gradient(*sol._foot(t, q, p))[d + axis]
+    feet = [qi - t * smap.w(pi) for qi, pi, smap in zip(q, p, sol.dispersion.axis_maps, strict=True)]
+    return sol.datum.gradient(*feet, *p)[d + axis]
