@@ -106,7 +106,9 @@ def main(argv=None) -> int:
     for fit in report.fits:
         print(f"  fit {fit.name}: slope {fit.fit.slope:+.4f} over {list(fit.fit.window)} -> {_verdict(fit)}")
     for ineq in report.inequalities:
-        print(f"  {ineq.name}: max ratio {ineq.max_ratio:.4g} vs bound {ineq.bound:.4g} -> {_verdict(ineq)}")
+        dim = dict(ineq.detail).get("dim")  # tells apart the reports of one estimate in several dimensions
+        name = ineq.name if dim is None else f"{ineq.name} (dim {dim})"
+        print(f"  {name}: max ratio {ineq.max_ratio:.4g} vs bound {ineq.bound:.4g} -> {_verdict(ineq)}")
     for check in report.checks:
         print(f"  check {check.name}: {check.value:.4g} {check.relation} {check.bound:.4g} -> {_verdict(check)}")
     return 0 if report.passed else 1

@@ -4,11 +4,13 @@ A runner evolves each datum once: its ``Series`` forms u(t) = U(t) u0 once
 at every time its checks and fits read, and guards each time once for
 wrap-around, carrying a contaminated time as (t, reason) instead of a
 sample. A clean time holds only the per-time numbers the runner's
-``read(t, u)`` takes from u(t), never the field, so one evolved field is
-alive at a time. Each check consumes the read that the ``*_read`` factory
-beside it makes from the check's own parameters; a runner that feeds several
-checks or a fit reads for all of them in one pass and hands each its part
-(``Series.map``), restricted to its own times.
+``read(t, u)`` takes from u(t), never the field: every u(t) of a series is
+formed in one buffer (``Evolution.stream``), so one evolved field is alive
+at a time, and a read that keeps one is an error. Each check consumes the
+read that the ``*_read`` factory beside it makes from the check's own
+parameters; a runner that feeds several checks or a fit reads for all of
+them in one pass and hands each its part (``Series.map``), restricted to
+its own times.
 
 Every check records (t, lhs, rhs) rows and reports the largest ratio.
 Estimates with an explicit constant declare it as the bound: 1 for the Airy
@@ -78,8 +80,8 @@ class Series:
     """u(t) = U(t) u0 at a set of times, evolved, guarded and read once.
 
     ``clean`` holds the (t, read(t, u(t))) entries in time order: the
-    per-time numbers a runner takes from u(t), never the field, which is
-    freed before the next is formed. ``excluded`` holds the (t, reason)
+    per-time numbers a runner takes from u(t), never the field, whose
+    buffer the next time overwrites. ``excluded`` holds the (t, reason)
     entries whose edge mass exceeds ``CONTAMINATION_THRESHOLD``. u(t) is
     formed only at the series' own times, so a runner that needs one more
     time, such as a cross-check, puts it in the series and ``restrict``s each
@@ -111,21 +113,22 @@ class Series:
     ) -> "Series":
         """Transform u0 once, then form, guard and read u(t) once at each distinct time.
 
+        The fields come from ``Evolution.stream``: ``read`` must keep neither
+        the field nor a view of its values, or the next time raises.
+
         A tensor power is guarded as the formed field would be: the interior
         of the product grid's edge strips is the product of the factors'
         interiors, so its edge-mass fraction is 1 - (1 - f)^power, f the
         factor's, node by node.
         """
-        evolution = Evolution(u0, disp)
         clean, excluded = [], []
-        for t in sorted({float(t) for t in times}):
-            ut = evolution.at(t)
+        for t, ut in Evolution(u0, disp).stream(sorted({float(t) for t in times})):
             frac = _edge_mass(ut, power)
             if frac > CONTAMINATION_THRESHOLD:
                 excluded.append((t, f"wrap-around edge mass {frac:.2e}"))
             else:
                 clean.append((t, read(t, ut)))
-            del ut  # the next field is formed with this one freed
+            del ut  # the stream forms the next field in this one's buffer
         return cls(u0, tuple(clean), tuple(excluded), power)
 
     def restrict(self, times) -> "Series":
@@ -287,7 +290,7 @@ def check_ks_schrodinger(series: Series) -> InequalityReport:
     for t, (sup, norms) in series.clean:
         rhs = sum(norms[a] * norms[b] for a in alphas for b in alphas if sum(a) + sum(b) == d)
         samples.append((t, abs(t) ** d * sup**2, rhs))
-    return _report("schrodinger-weighted-sup", samples, excluded=series.excluded)
+    return _report("schrodinger-weighted-sup", samples, detail=(("dim", d),), excluded=series.excluded)
 
 
 def lp_read(theta: float) -> Callable:

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import Gaussian, SampledField, l2_norm, spectral_derivative
-from .propagators import DispersionPolynomial
+from .propagators import DispersionPolynomial, _phase
 
 __all__ = [
     "NoCommutingOperatorError",
@@ -155,9 +155,16 @@ def boost_norms(u: SampledField, t: float, order: int, power: int = 1) -> dict:
     if t == 0.0:
         return _power_walk(u, t, order, power)  # the chirp would divide by t
     grid = u.grid
-    # one chirp factor exp(i x_j^2 / (4t)) per axis, as Evolution.spectrum applies its phase
-    chirps = [np.exp(1j * _coordinate(u, j) ** 2 / (4.0 * t)) for j in range(grid.dim)]
-    h = u.as_complex() * chirps[0]
+    # one chirp factor exp(i x_j^2 / (4t)) per axis, taken as Evolution.spectrum takes its phase: cos
+    # and sin of the real angle (1 / (4t)) x_j^2, the angle np.exp(1j * x_j**2 / (4t)) forms by complex
+    # division, so the bits are the same; a factor of h's shape is formed in h itself
+    h = np.empty(grid.points, complex)
+    chirps = []
+    for j in range(grid.dim):
+        x = _coordinate(u, j)
+        chirp = h if x.shape == h.shape else np.empty(x.shape, complex)
+        chirps.append(_phase(1.0 / (4.0 * t), np.square(x, out=chirp.real), chirp))
+    np.multiply(u.as_complex(), chirps[0], out=h)
     for chirp in chirps[1:]:
         h *= chirp
     np.fft.fftn(h, out=h)
@@ -167,9 +174,14 @@ def boost_norms(u: SampledField, t: float, order: int, power: int = 1) -> dict:
     p = np.add(h.real, h.imag)
     weights = []
     for j in range(grid.dim):
+        # the Parseval weights (t xi)^(2k), k = 0..order, then the inner-band indicator, one column each
         xi = grid.wavenumbers(j)
-        inner = np.abs(xi) <= 0.75 * np.pi / grid.spacing[j]
-        weights.append(np.column_stack([_powers((t * xi) ** 2, order), inner]))
+        s = (t * xi) ** 2
+        w = np.empty((xi.size, order + 2))
+        for k in range(order + 1):
+            w[:, k] = s**k
+        w[:, -1] = np.abs(xi) <= 0.75 * np.pi / grid.spacing[j]
+        weights.append(w)
     table = functools.reduce(np.multiply.outer, [_weighted_sums(p, weights)] * power)
     dim = grid.dim * power
     total, resolved = table[(0,) * dim], table[(order + 1,) * dim]
@@ -191,11 +203,6 @@ def _power_walk(u: SampledField, t: float, order: int, power: int) -> dict:
         return norms
     slices = itertools.product(norms, repeat=power)
     return {sum(s, ()): math.prod(norms[a] for a in s) for s in slices if sum(map(sum, s)) <= order}
-
-
-def _powers(s: np.ndarray, order: int) -> np.ndarray:
-    """Columns s^0, s^1, ..., s^order."""
-    return np.column_stack([s**k for k in range(order + 1)])
 
 
 def _weighted_sums(p: np.ndarray, weights: list) -> np.ndarray:

@@ -477,6 +477,16 @@ def test_a_small_value_exits_with_a_verdict_not_a_traceback(tmp_path, capsys, ex
     assert code in (0, 2, 3) or (code == 1 and f"{exp_id}: FAIL" in out)
 
 
+def test_run_tells_the_weighted_sup_reports_of_schrodinger_ks_apart_by_dimension(tmp_path, capsys):
+    assert _run(tmp_path, "[experiment]\nid = schrodinger-ks\n") == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "schrodinger-weighted-sup" in line]
+    names = [line.split(":")[0].strip() for line in lines]
+    assert names == ["schrodinger-weighted-sup (dim 1)", "schrodinger-weighted-sup (dim 2)"]
+    reports = _report(tmp_path, "schrodinger-ks")["inequalities"]
+    assert [q["name"] for q in reports] == ["schrodinger-weighted-sup"] * 2  # the names reference.json keys on
+    assert [dict(map(tuple, q["detail"]))["dim"] for q in reports] == [1, 2]
+
+
 def test_schrodinger_ks_drift_does_not_need_the_checkpoints(tmp_path):
     # the drift times 1, 4, 16 are evolved even when checkpoints_2d omits them
     default, other = tmp_path / "default", tmp_path / "other"

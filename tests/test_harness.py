@@ -204,22 +204,23 @@ class TestSeriesRead:
 
     @pytest.mark.parametrize("exp_id", SERIES_RUNNERS)
     def test_runner_keeps_one_evolved_field_alive(self, exp_id, tmp_path, monkeypatch):
-        # every field Evolution.at forms is watched; once it is formed, no earlier one of its datum remains
+        # every field Evolution.stream yields is watched; once it is yielded, no earlier one of its datum remains
         watched, alive, built = {}, [], []
-        at, evolve = Evolution.at, hz.Series.evolve.__func__
+        stream, evolve = Evolution.stream, hz.Series.evolve.__func__
 
-        def watched_at(evolution, t):
-            field = at(evolution, t)
+        def watched_stream(evolution, times):
             refs = watched.setdefault(evolution, [])
-            refs.append(weakref.ref(field.values))
-            alive.append(sum(ref() is not None for ref in refs))
-            return field
+            for t, field in stream(evolution, times):
+                refs.append(weakref.ref(field.values))
+                alive.append(sum(ref() is not None for ref in refs))
+                yield t, field
+                del field  # the stream checks, before it reuses its buffer, that nothing holds the field
 
         def recorded_evolve(cls, *args, **kwargs):
             built.append(evolve(cls, *args, **kwargs))
             return built[-1]
 
-        monkeypatch.setattr(Evolution, "at", watched_at)
+        monkeypatch.setattr(Evolution, "stream", watched_stream)
         monkeypatch.setattr(hz.Series, "evolve", classmethod(recorded_evolve))
         text = f"[experiment]\nid = {exp_id}\n"
         if exp_id == "schrodinger-ks":
@@ -233,6 +234,37 @@ class TestSeriesRead:
                 assert not _holds_field(read, series.u0.values.shape), (exp_id, read)
         if exp_id == "schrodinger-ks":
             assert len(watched) == 2 and len(alive) == 16 + 5  # d1: 14 checkpoints, drift 10 and 100; d2: 5
+
+
+class TestStream:
+    @pytest.mark.parametrize("disp", [schrodinger(), airy()], ids=["complex-buffer", "real-buffer"])
+    @pytest.mark.parametrize("keep", [lambda t, u: u, lambda t, u: u.values[2:6]], ids=["field", "slice"])
+    def test_a_read_that_keeps_its_field_or_a_view_raises(self, disp, keep):
+        u0 = sample(Gaussian(0.0, 1.0), GridSpec.centered(30.0, 256))
+        with pytest.raises(RuntimeError, match=r"u\(t\) at t = 0.5 is still referenced"):
+            hz.Series.evolve(u0, disp, [0.5, 1.0, 2.0], keep)
+
+    @pytest.mark.parametrize("disp", [schrodinger(), airy()], ids=["complex-buffer", "real-buffer"])
+    def test_streamed_fields_are_the_fields_at_forms(self, disp):
+        u0 = sample(Gaussian(0.0, 1.0), GridSpec.centered(30.0, 256))
+        evolution = Evolution(u0, disp)
+        times, formed = [0.5, 1.0, 2.0], []
+        for t, ut in evolution.stream(times):
+            formed.append(np.array_equal(ut.values, evolution.at(t).values) and ut.kind == evolution.at(t).kind)
+            del ut
+        assert formed == [True] * len(times)
+        # a read that copies what it keeps passes
+        series = hz.Series.evolve(u0, disp, times, lambda t, u: u.values.copy())
+        for t, values in series.clean:
+            assert np.array_equal(values, evolution.at(t).values)
+
+    def test_two_at_calls_return_independent_fields(self):
+        evolution = Evolution(complex_sample(Gaussian(0.0, 1.0), GridSpec.centered(30.0, 256)), schrodinger())
+        first, second = evolution.at(1.0), evolution.at(1.0)
+        assert not np.shares_memory(first.values, second.values)
+        kept = first.values.copy()
+        evolution.at(2.0)
+        assert np.array_equal(first.values, kept) and np.array_equal(second.values, kept)
 
 
 def square_and_factor(half_width, points):

@@ -98,6 +98,39 @@ class TestEvolution:
         spectrum = pr.Evolution(schrodinger_gaussian, pr.schrodinger()).spectrum(16.0)
         assert np.array_equal(spectrum, hat * np.exp(16.0 * sigma))
 
+    @pytest.mark.parametrize("n", [4096, 4095])
+    def test_degree_2_mirror_is_hat_times_the_multiplier_on_even_and_odd_grids(self, n):
+        # the phase is evaluated on the first n//2 + 1 entries and mirrored; on an odd grid
+        # the mirrored ranges differ, as there is no Nyquist entry
+        u0 = complex_sample(Gaussian(0.0, 1.0), GridSpec.centered(400.0, n))
+        sigma = pr.schrodinger().symbol_1d(u0.grid.wavenumbers(0))
+        evolution = pr.Evolution(u0, pr.schrodinger())
+        out = np.empty(n, complex)
+        assert evolution.spectrum(16.0, out=out) is out
+        assert np.array_equal(out, np.fft.fftn(u0.values) * np.exp(16.0 * sigma))
+
+    @pytest.mark.parametrize("n", [4096, 4095])
+    def test_rfft_layout_at_degree_3_is_hat_times_the_multiplier(self, n):
+        grid = GridSpec.centered(300.0, n)
+        u0 = sample(Gaussian(0.0, 1.0), grid)
+        sigma = pr.airy().symbol_1d(2.0 * np.pi * np.fft.rfftfreq(n, d=grid.spacing[0]))
+        expected = np.fft.rfft(u0.values) * np.exp(2.0 * sigma)
+        if n % 2 == 0:
+            expected[-1] = expected[-1].real
+        assert np.array_equal(pr.Evolution(u0, pr.airy()).spectrum(2.0), expected)
+
+    @pytest.mark.parametrize("n", [1024, 1025])
+    @pytest.mark.parametrize("t", [0.5, 10.0, 100.0])
+    def test_degree_4_mirror_is_within_one_rounding_of_the_angle(self, n, t):
+        # xi**4 is not always the same bits at xi and -xi; the mirror takes the angle of +xi for
+        # both, so each entry moves by at most 2 eps (t |theta| + 1) |hat|: the angle's last bit
+        u0 = complex_sample(Gaussian(0.0, 1.0, wavevector=0.5), GridSpec.centered(30.0, n))
+        sigma = pr.even_order(2).symbol_1d(u0.grid.wavenumbers(0))
+        hat = np.fft.fftn(u0.values)
+        moved = np.abs(pr.Evolution(u0, pr.even_order(2)).spectrum(t) - hat * np.exp(t * sigma))
+        bound = 2.0 * np.finfo(float).eps * (t * np.abs(sigma.imag) + 1.0) * np.abs(hat)
+        assert np.all(moved <= bound)
+
     def test_two_dimensional_spectrum_matches_the_summed_phase(self):
         # the schrodinger-ks spacing: at t = 16 the summed phase t(k0^2 + k1^2) reaches 2e3 rad,
         # and the per-axis factors must agree with its exponential to rounding
@@ -165,6 +198,21 @@ class TestWrapGuard:
         ut = pr.Evolution(u0, pr.schrodinger()).at(10.0)  # travel >> box
         assert pr.edge_mass_fraction(ut) > 1e-6
 
+
+    @pytest.mark.parametrize("dim, disp", [(1, pr.schrodinger()), (1, pr.airy()), (2, pr.schrodinger())])
+    def test_edge_mass_is_the_masked_sum(self, dim, disp):
+        # the strips are summed by dot products of their own samples; the full-grid mask is the oracle
+        grid = GridSpec.centered(20.0, 256 if dim == 1 else 128, dim=dim)
+        ut = pr.Evolution(sample(Gaussian((0.0,) * dim, (1.0,) * dim), grid), disp).at(4.0)
+        w = np.abs(ut.values) ** 2
+        mask = np.zeros(w.shape, dtype=bool)
+        for ax, n in enumerate(grid.points):
+            edge = max(1, int(round(0.025 * n)))
+            mask[(slice(None),) * ax + (slice(0, edge),)] = True
+            mask[(slice(None),) * ax + (slice(n - edge, n),)] = True
+        expected = float(w[mask].sum()) / float(w.sum())
+        assert expected > 1e-6
+        assert pr.edge_mass_fraction(ut) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 def test_even_order_symbol_signs():
     # degree 2k symbol is i(-1)^k xi^(2k)
