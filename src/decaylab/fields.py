@@ -241,6 +241,17 @@ class AnalyticField:
         return None
 
 
+def _scaled_square(x, c: float, w: float, out=None):
+    """((x - c) / w)^2 formed in place, in ``out`` if given; x - 0 is x exactly, so a zero c is not subtracted."""
+    if c == 0.0:
+        term = np.divide(x, w, out=out)
+    else:
+        term = np.subtract(x, c, out=out)
+        term /= w
+    term *= term
+    return term
+
+
 @dataclass(frozen=True)
 class Gaussian(AnalyticField):
     """amplitude * exp(-sum (x_i-c_i)^2 / (2 w_i^2)) * exp(i k.x).
@@ -276,14 +287,17 @@ class Gaussian(AnalyticField):
         return "complex" if self.wavevector is not None else "real"
 
     def value(self, *x):
-        # One array of the broadcast shape takes the axis terms in place, left
-        # to right, so the sum rounds as a chained sum would, without temporaries.
-        out = np.zeros(np.broadcast_shapes(*(np.shape(xi) for xi in x)))
-        for xi, c, w in zip(x, self.center, self.width, strict=True):
-            out += ((xi - c) / w) ** 2
+        # The first axis term is formed in the output array, each later one in one
+        # temporary of its own shape and added in place, left to right: the sum
+        # rounds as a chained sum would, with no zero fill.
+        out = np.empty(np.broadcast(*x).shape)
+        _scaled_square(x[0], self.center[0], self.width[0], out)
+        for xi, c, w in zip(x[1:], self.center[1:], self.width[1:], strict=True):
+            out += _scaled_square(xi, c, w)
         out *= -0.5
         np.exp(out, out=out)
-        out *= self.amplitude
+        if self.amplitude != 1.0:
+            out *= self.amplitude
         if self.wavevector is not None:
             out = out * np.exp(1j * sum(k * xi for k, xi in zip(self.wavevector, x)))
         return out

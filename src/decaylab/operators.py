@@ -10,7 +10,11 @@ solves the linear symbol-side condition  a (i xi)^(m-1) + i b sigma'(xi) = 0
 (with the normalization a = m) from the symbol of the propagator. What pins
 the sign conventions is the commutation suite: its physical-space residuals
 of the derived boosts, and its checks that boosts with a perturbed
-coefficient leave a visible residual.
+coefficient leave a visible residual. ``commutation_residual`` takes one
+operator per datum, so the suite scores a degree's packets under the
+derived boost and its first packet under both perturbed boosts in one
+call: two forward transforms and two inverse ones per time, into buffers
+that every time reuses.
 
 The Schrodinger boost is t d_j conjugated by the chirp M = exp(i |x|^2 / (4t)):
 d_j (M u) = M (d_j u + (i x_j / (2t)) u), so W_j = conj(M) t d_j M and
@@ -36,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import Gaussian, SampledField, l2_norm, spectral_derivative
+from .fields import SampledField, l2_norm, spectral_derivative
 from .propagators import DispersionPolynomial, _phase
 
 __all__ = [
@@ -239,43 +243,71 @@ def _boost_walk(u: SampledField, t: float, order: int) -> dict:
 
 
 def commutation_residual(
-    op: CommutingOperator, disp: DispersionPolynomial, data: Sequence[SampledField], times: Sequence[float]
+    ops: Sequence[CommutingOperator],
+    disp: DispersionPolynomial,
+    data: Sequence[SampledField],
+    times: Sequence[float],
 ) -> np.ndarray:
     """|| A(t) U(t) u0 - U(t) A(0) u0 ||_2 relative to || A(0) u0 ||_2, per datum u0 and time t.
 
-    ``data`` are one-dimensional fields on one grid, and the result has
-    shape (len(data), len(times)): row i holds the residuals of data[i].
+    ``ops[i]`` is the operator A scored on ``data[i]``, one per datum and all
+    of one degree, so one call scores a datum under several operators (the
+    derived boost and perturbed ones). ``data`` are one-dimensional fields on
+    one grid, and the result has shape (len(data), len(times)): row i holds
+    the residuals of A_i on data[i], and does not depend on the other rows.
     With A(t) = a t d^(m-1) + b x and U(t) the multiplier exp(t sigma(xi)),
         A(t) U(t) u0 - U(t) A(0) u0
-            = F^-1[a t (i xi)^(m-1) e^(t sigma) u0^ - e^(t sigma) F(b x u0)] + b x u(t),
+            = F^-1[e^(t sigma) (t a (i xi)^(m-1) u0^ - F(b x u0))] + b x u(t),
     where u(t) = F^-1[e^(t sigma) u0^]. The data are stacked, so a call
     makes two forward transforms (of u0 and of b x u0) and two inverse ones
     per time, whatever the number of data. The x-multiplications stay in
     physical space, so an (a, b) that does not commute leaves a visible
     residual. A row whose || A(0) u0 ||_2 is 0 holds absolute residuals.
+
+    Per time the multiplier is cos + i sin of the real angle t Im sigma(xi),
+    formed in one vector as ``Evolution`` forms it, the two products go into
+    two (data x points) buffers reused at every time, transformed back in
+    place, and each row's squared norm is a dot product of its float view.
     """
+    if not data or len(ops) != len(data):
+        raise ValueError(f"commutation residuals take one operator per datum, got {len(ops)} for {len(data)}")
+    degree = ops[0].degree
+    if any(op.degree != degree for op in ops):
+        raise ValueError("commutation residuals take operators of one degree")
     grid = data[0].grid
     if grid.dim != 1 or any(u.grid != grid for u in data):
         raise ValueError("commutation residuals take one-dimensional fields on one grid")
-    bx = op.b * grid.axis(0)
-    u0 = np.stack([u.as_complex() for u in data])
-    a0 = bx * u0  # A(0) u0: the derivative term carries the factor t = 0
-    hat, a0_hat = np.fft.fft(u0), np.fft.fft(a0)
-    xi = grid.wavenumbers(0)
-    symbol, derivative = disp.symbol_1d(xi), op.a * (1j * xi) ** (op.degree - 1)
+    bx = np.multiply.outer([op.b for op in ops], grid.axis(0))
+    hat = np.stack([u.as_complex() for u in data])
+    a0_hat = bx * hat  # A(0) u0: the derivative term carries the factor t = 0
 
     def norms(v: np.ndarray) -> np.ndarray:
-        """The grid L2 norm of each row, as ``l2_norm`` forms it."""
-        return np.sqrt(np.sum(np.abs(v) ** 2, axis=-1) * grid.cell_volume)
+        """The grid L2 norm of each row, from the dot product of its float view with itself."""
+        f = v.view(np.float64)
+        return np.sqrt(np.einsum("ij,ij->i", f, f) * grid.cell_volume)
 
+    denom = norms(a0_hat)
+    np.fft.fft(hat, out=hat)
+    np.fft.fft(a0_hat, out=a0_hat)
+    xi = grid.wavenumbers(0)
+    # a (i xi)^(m-1) u0^ per datum, and the real angle Im sigma(xi) of the unit-modulus multiplier
+    derived = np.multiply.outer([op.a for op in ops], (1j * xi) ** (degree - 1))
+    derived *= hat
+    angle = disp.monomial_coefficient.imag * xi**disp.degree
+    phase = np.empty(xi.shape, complex)
+    evolved, diff = np.empty_like(hat), np.empty_like(hat)
     out = np.empty((len(data), len(times)))
     for j, t in enumerate(times):
-        phase = np.exp(t * symbol)
-        evolved = hat * phase
-        diff = np.fft.ifft(t * derivative * evolved - phase * a0_hat)
-        diff += bx * np.fft.ifft(evolved)
+        _phase(t, angle, phase, mirrored=disp.degree % 2 == 0)
+        np.multiply(derived, t, out=diff)
+        diff -= a0_hat
+        diff *= phase
+        np.fft.ifft(diff, out=diff)
+        np.multiply(hat, phase, out=evolved)
+        np.fft.ifft(evolved, out=evolved)
+        evolved *= bx
+        diff += evolved
         out[:, j] = norms(diff)
-    denom = norms(a0)
     return out / np.where(denom == 0.0, 1.0, denom)[:, None]
 
 
@@ -292,33 +324,53 @@ def commutator_norm(
 _PACKET_REACH = 40.0
 
 
+def _packet_factors(x: np.ndarray, centers: np.ndarray, widths: np.ndarray, waves: np.ndarray) -> np.ndarray:
+    """exp(-((x - c)/w)^2 / 2) exp(i k x) on one axis, one row per packet, as ``Gaussian.value`` rounds it.
+
+    The modulation is cos + i sin of the real angle k x, the bits ``np.exp(1j * k x)`` gives.
+    """
+    envelope = np.subtract(x, centers[:, None])
+    envelope /= widths[:, None]
+    np.square(envelope, out=envelope)
+    envelope *= -0.5
+    np.exp(envelope, out=envelope)
+    return envelope * _phase(1.0, np.multiply.outer(waves, x))
+
+
 def random_wave_packets(grid, rng) -> SampledField:
     """Random localized band-limited data for the commutation suites.
 
     A sum of five complex Gaussian wave packets with widths in [3, 4], centers in
     [-5, 5] and modulations |k0| <= 0.5: effectively band-limited (spectral
     tails below 1e-10) while staying far from the box boundary, so the
-    coordinate-multiplication operators see no periodic sawtooth.
+    coordinate-multiplication operators see no periodic sawtooth. The rng
+    draws (center, width, modulation, then the coefficient, packet by packet)
+    keep their order.
 
-    Each packet is evaluated only on the nodes within ``_PACKET_REACH`` = 40
-    widths of its center along every axis. Beyond 38.6 widths exp(-z^2/2)
-    underflows to exactly 0, so every node left out would add an exact zero,
-    and the samples are the bytes an evaluation at every node gives. The rng
-    draws (center, width, modulation, then the coefficient) do not depend on
-    the window and keep their order.
+    In one dimension the five packets are evaluated in one pass over their
+    common window, the nodes within ``_PACKET_REACH`` = 40 widths of some
+    center, and added in packet order. Beyond 38.6 widths exp(-z^2/2)
+    underflows to exactly 0, so every node left out, and every node of the
+    window outside a packet's own reach, adds an exact zero: the samples are
+    the bytes an evaluation of each packet at every node gives. In two
+    dimensions each packet is the outer product of its two per-axis factors,
+    and the field is one matrix product of the coefficient-weighted factors
+    of axis 0 with those of axis 1, so no full-grid exponential is formed;
+    it differs from the every-node evaluation by rounding.
     """
-    axes = grid.axes()
+    draws = [
+        (rng.uniform(-5.0, 5.0, grid.dim), rng.uniform(3.0, 4.0, grid.dim), rng.uniform(-0.5, 0.5, grid.dim),
+         rng.normal() + 1j * rng.normal())
+        for _ in range(5)
+    ]
+    centers, widths, waves, coefficients = (np.array(column) for column in zip(*draws))
+    if grid.dim == 2:
+        axes = [_packet_factors(x, centers[:, j], widths[:, j], waves[:, j]) for j, x in enumerate(grid.axes())]
+        return SampledField(grid, (coefficients[:, None] * axes[0]).T @ axes[1])
+    x, (c, w, k) = grid.axis(0), (centers[:, 0], widths[:, 0], waves[:, 0])
+    lo, hi = (c - _PACKET_REACH * w).min(), (c + _PACKET_REACH * w).max()
+    window = slice(np.searchsorted(x, lo), np.searchsorted(x, hi, "right"))
     vals = np.zeros(grid.points, dtype=complex)
-    for _ in range(5):
-        g = Gaussian(
-            tuple(rng.uniform(-5.0, 5.0, grid.dim)),
-            tuple(rng.uniform(3.0, 4.0, grid.dim)),
-            tuple(rng.uniform(-0.5, 0.5, grid.dim)),
-        )
-        coefficient = rng.normal() + 1j * rng.normal()
-        window = tuple(
-            slice(np.searchsorted(x, c - _PACKET_REACH * w), np.searchsorted(x, c + _PACKET_REACH * w, "right"))
-            for x, c, w in zip(axes, g.center, g.width)
-        )
-        vals[window] += coefficient * g.value(*np.ix_(*(x[s] for x, s in zip(axes, window))))
+    for coefficient, packet in zip(coefficients, _packet_factors(x[window], c, w, k)):
+        vals[window] += coefficient * packet
     return SampledField(grid, vals)

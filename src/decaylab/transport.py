@@ -18,7 +18,11 @@ The sup search ranks its candidate positions with a 129-node window
 quadrature, a quarter of the nodes of the reported one, and reports the
 513-node quadrature at the winner. With F_n(q) the n-node average, the
 reported sup misses the best 513-node value over the scored q by at most
-2 max |F_129 - F_513| over those q (measured in ``_pair_sup``).
+2 max |F_129 - F_513| over those q (measured in ``_pair_sup``). A window
+quadrature takes its q-nodes in row blocks of at most 8192 samples (64 KiB,
+below glibc's 128 KiB mmap threshold) through p-node and foot arrays that
+the call allocates once, so a sup search maps no fresh pages; each row sums
+as it would over the whole table, so the blocks move no bit.
 
 Points are never stacked: ``TransportSolution.evaluate`` takes positions
 and momenta as per-axis coordinate arrays, as the analytic data do.
@@ -26,6 +30,7 @@ and momenta as per-axis coordinate arrays, as the analytic data do.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -162,11 +167,12 @@ def _monotone_pieces(smap: ScalarDispersion, lo: float, hi: float):
     return pieces
 
 
-def _invert_monotone(smap: ScalarDispersion, piece: tuple, targets: np.ndarray) -> np.ndarray:
-    """The p in [a, b] with w(p) = target, targets clipped to w([a, b]) first."""
-    a, b, inverse = piece
-    wa, wb = smap.w(np.array([a, b]))
-    return np.clip(inverse(np.clip(targets, min(wa, wb), max(wa, wb))), a, b)
+def _pair_windows(datum: AnalyticField, smap: ScalarDispersion) -> tuple:
+    """(lo, hi, pieces) of a (q, p) pair: its support box at 1e-14, and (a, b, inverse, w(a), w(b))
+    for each monotone piece of the scalar map over the box's p-range."""
+    lo, hi = datum.support_bounds(1e-14)
+    pieces = tuple((a, b, inverse, *smap.w(np.array([a, b]))) for a, b, inverse in _monotone_pieces(smap, lo[1], hi[1]))
+    return lo, hi, pieces
 
 
 # uniform p-nodes per preimage window: the reported quadrature, and the one the
@@ -176,9 +182,25 @@ def _invert_monotone(smap: ScalarDispersion, piece: tuple, targets: np.ndarray) 
 _REPORT_NODES = 513
 _SEARCH_NODES = 129
 
+# Samples per row block of ``_pair_profile`` (why 8192: see its docstring).
+_BLOCK = 8192
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_nodes(n: int) -> np.ndarray:
+    """linspace(0, 1, n), read-only, made once per node count."""
+    s = np.linspace(0.0, 1.0, n)
+    s.setflags(write=False)
+    return s
+
 
 def _pair_profile(
-    datum: AnalyticField, smap: ScalarDispersion, t: float, qnodes: np.ndarray, nloc: int = _REPORT_NODES
+    datum: AnalyticField,
+    smap: ScalarDispersion,
+    t: float,
+    qnodes: np.ndarray,
+    nloc: int = _REPORT_NODES,
+    windows: tuple | None = None,
 ) -> np.ndarray:
     """Velocity average of a 2-dim (q, p) datum, axis by axis.
 
@@ -187,15 +209,30 @@ def _pair_profile(
     uniform grid of ``nloc`` nodes whose ends the piece's branch inverse gives.
     This keeps the quadrature resolved at any t (the integrand concentrates on
     p-scales ~ 1/t). At t = 0 it is a fixed 4097-node grid over the p-support.
+    ``windows`` is the pair's ``_pair_windows``, computed here when not given.
+
+    The q-nodes go through in row blocks of at most ``_BLOCK`` = 8192 samples:
+    64 KiB of float64, half of glibc's default 128 KiB mmap threshold, so every
+    array of a block comes from the heap and reuses its pages, where a whole
+    (q-nodes x p-nodes) table was mapped and page-faulted in afresh at each
+    call. The p-node and foot arrays are allocated once per call and reused by
+    every block; no call shares them, so threads may call concurrently. Each
+    row is the trapezoid sum it was over the whole table, so no bit depends on
+    the block size.
     """
     qnodes = np.atleast_1d(np.asarray(qnodes, dtype=float))
-    lo, hi = datum.support_bounds(1e-14)
+    lo, hi, pieces = _pair_windows(datum, smap) if windows is None else windows
     qlo, qhi, plo, phi = lo[0], hi[0], lo[1], hi[1]
     if qhi <= qlo or phi <= plo:
         return np.zeros(qnodes.shape)
     if t == 0.0:
         p = np.linspace(plo, phi, 4097)
-        return datum.value(qnodes[:, None], p[None, :]).sum(axis=1) * (p[1] - p[0])
+        sums = np.empty(qnodes.shape)
+        block = max(1, _BLOCK // p.size)
+        for start in range(0, qnodes.size, block):
+            rows = slice(start, start + block)
+            sums[rows] = datum.value(qnodes[rows, None], p).sum(axis=1)
+        return sums * (p[1] - p[0])
 
     out = np.zeros(qnodes.shape)
     # targets: w(p) must lie in [(q - qhi)/t, (q - qlo)/t] (t > 0; swapped if t < 0)
@@ -203,23 +240,39 @@ def _pair_profile(
     u2 = (qnodes - qlo) / t
     ulo = np.minimum(u1, u2)
     uhi = np.maximum(u1, u2)
-    for piece in _monotone_pieces(smap, plo, phi):
-        a, b, _ = piece
-        wa, wb = smap.w(np.array([a, b]))
-        active = (uhi >= min(wa, wb)) & (ulo <= max(wa, wb))
-        if not np.any(active):
+    s = _unit_nodes(nloc)
+    # the p-nodes and feet of one row block, reused by every block of every piece
+    block = max(1, _BLOCK // nloc)
+    pnodes = np.empty((min(block, qnodes.size), nloc))
+    feet = np.empty_like(pnodes)
+    for a, b, inverse, wa, wb in pieces:
+        wlo, whi = min(wa, wb), max(wa, wb)
+        (active,) = ((uhi >= wlo) & (ulo <= whi)).nonzero()
+        if not active.size:
             continue
-        ends = _invert_monotone(smap, piece, np.stack([ulo[active], uhi[active]]))
-        pa, pb = ends.min(axis=0), ends.max(axis=0)
+        # the p in [a, b] with w(p) = target, the targets clipped to w([a, b]) first (np.maximum
+        # then np.minimum clip as np.clip does, with less overhead on these short arrays)
+        targets = np.minimum(np.maximum(np.stack([ulo[active], uhi[active]]), wlo), whi)
+        ends = np.minimum(np.maximum(inverse(targets), a), b)
+        pa, pb = np.minimum(*ends), np.maximum(*ends)
         margin = 0.02 * (pb - pa) + 1e-3 * (b - a) / nloc
         pa = np.maximum(pa - margin, a)
         pb = np.minimum(pb + margin, b)
-        s = np.linspace(0.0, 1.0, nloc)
-        pnodes = pa[:, None] + (pb - pa)[:, None] * s[None, :]
-        vals = datum.value(qnodes[active][:, None] - t * smap.w(pnodes), pnodes)
-        h = (pb - pa) / (nloc - 1)
-        contrib = (vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1])) * h
-        out[active] += contrib
+        dp = pb - pa
+        q = qnodes[active]
+        # per row: the sum of its samples and of its two end samples, for the trapezoid rule below
+        sums, edges = np.empty(active.size), np.empty(active.size)
+        for start in range(0, active.size, block):
+            j = slice(start, start + block)
+            p, f = pnodes[: q[j].size], feet[: q[j].size]
+            np.multiply(dp[j, None], s, out=p)
+            p += pa[j, None]
+            np.multiply(smap.w(p), t, out=f)
+            np.subtract(q[j, None], f, out=f)
+            vals = datum.value(f, p)
+            np.add.reduce(vals, axis=1, out=sums[j])
+            np.add(vals[:, 0], vals[:, -1], out=edges[j])
+        out[active] += (sums - 0.5 * edges) * (dp / (nloc - 1))
     return out
 
 
@@ -258,11 +311,12 @@ def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, t: float):
     evaluates the datum at a quarter of the points (186k against 736k for
     the square axis at t = 640).
     """
-    lo, hi = datum.support_bounds(1e-14)
-    qlo, qhi, plo, phi = lo[0], hi[0], lo[1], hi[1]
-    # w is monotone on each piece, so the piece ends carry its extremes as well as its critical points
-    ends = np.unique([e for a, b, _ in _monotone_pieces(smap, plo, phi) for e in (a, b)])
-    images = t * smap.w(ends) if ends.size else np.zeros(1)
+    windows = _pair_windows(datum, smap)
+    lo, hi, pieces = windows
+    qlo, qhi = lo[0], hi[0]
+    # w is monotone on each piece, so the piece ends carry its extremes as well as its critical points;
+    # an end shared by two pieces gives one image twice, and np.unique drops the repeated candidates
+    images = t * np.array([w for *_, wa, wb in pieces for w in (wa, wb)]) if pieces else np.zeros(1)
     offsets = np.linspace(qlo, qhi, 33)
     cand = np.unique(
         np.concatenate(
@@ -272,7 +326,7 @@ def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, t: float):
             ]
         )
     )
-    vals = _pair_profile(datum, smap, t, cand, _SEARCH_NODES)
+    vals = _pair_profile(datum, smap, t, cand, _SEARCH_NODES, windows)
     top = np.argsort(vals)[::-1][:3]
     centers = cand[top]
     best, qat = float(vals[top[0]]), float(centers[0])
@@ -281,14 +335,14 @@ def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, t: float):
     s = np.linspace(-1.0, 1.0, 33)
     for _ in range(4):
         nodes = centers[:, None] + spans[:, None] * s[None, :]
-        lv = _pair_profile(datum, smap, t, nodes.ravel(), _SEARCH_NODES).reshape(nodes.shape)
+        lv = _pair_profile(datum, smap, t, nodes.ravel(), _SEARCH_NODES, windows).reshape(nodes.shape)
         centers = np.take_along_axis(nodes, np.argmax(lv, axis=1)[:, None], axis=1)[:, 0]
         peaks = lv.max(axis=1)
         j = int(np.argmax(peaks))
         if peaks[j] > best:
             best, qat = float(peaks[j]), float(centers[j])
         spans = spans / 16.0
-    return float(_pair_profile(datum, smap, t, [qat])[0]), qat
+    return float(_pair_profile(datum, smap, t, [qat], windows=windows)[0]), qat
 
 
 def _separable_parts(sol: TransportSolution):

@@ -6,6 +6,7 @@ import json
 import math
 import operator
 
+import numpy as np
 import pytest
 
 from decaylab import cli, experiments
@@ -539,6 +540,33 @@ def test_samples_table_identical_at_one_and_two_threads(tmp_path, exp_id, text):
         assert cli.main(["run", "--config", path, "--out", str(out), "--threads", str(threads)]) == 0
         tables.append((out / f"{exp_id}_samples.tsv").read_bytes())
     assert tables[0] == tables[1]
+
+
+def test_commutation_suite_makes_24_transforms_for_its_residuals(tmp_path, monkeypatch):
+    # one call per degree over its 20 packets and the two perturbed rows: 2 forward transforms and
+    # 2 inverse ones at each of the 3 times, so 3 x 8 one-axis transforms (72 in three calls per degree)
+    calls, scoring = [], []
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft"):
+        transform = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _transform=transform, **kwargs):
+            if scoring:
+                calls.append(_name)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    residual = experiments.commutation_residual
+
+    def scored(*args):
+        scoring.append(True)
+        try:
+            return residual(*args)
+        finally:
+            scoring.pop()
+
+    monkeypatch.setattr(experiments, "commutation_residual", scored)
+    assert _run(tmp_path, "[experiment]\nid = commutation-suite\n") == 0
+    assert calls == (["fft", "fft"] + ["ifft", "ifft"] * 3) * 3
 
 
 def test_commutation_suite_report_does_not_depend_on_how_many_packets_one_call_scores(tmp_path, monkeypatch):

@@ -191,6 +191,50 @@ class TestPairSupSearch:
         assert pair.points[0] <= 190_000
 
 
+class TestRowBlocks:
+    """``_pair_profile`` sums every row as one trapezoid, so its row block size moves no bit."""
+
+    @staticmethod
+    def results():
+        pair = Gaussian((0.0, 0.0), (W, W))
+        sups = [tr._pair_sup(pair, smap, t) for smap in SCALAR_MAPS.values() for t in (0.0, 10.0, 640.0)]
+        profiles = [tr.counterexample_profile(lam, t) for lam, t in ((4.0, 0.0), (4.0, 4.0), (16.0, 64.0))]
+        return repr((sups, profiles))  # a float's repr round-trips, so equal reprs are equal bits
+
+    def test_sups_and_counterexample_rows_do_not_depend_on_the_block_size(self, monkeypatch):
+        default = self.results()
+        for block in (1, 10**9):  # one row per block; one block per call
+            monkeypatch.setattr(tr, "_BLOCK", block)
+            assert self.results() == default
+
+
+def chained_gaussian(datum, *x):
+    """``Gaussian.value`` written out: amplitude * exp(-0.5 * chained sum) * exp(i k.x)."""
+    terms = zip(x, datum.center, datum.width, strict=True)
+    out = datum.amplitude * np.exp(-0.5 * sum(((xi - c) / w) ** 2 for xi, c, w in terms))
+    if datum.wavevector is not None:
+        out = out * np.exp(1j * sum(k * xi for k, xi in zip(datum.wavevector, x)))
+    return out
+
+
+_AXES = np.random.default_rng(13).uniform(-2.0, 2.0, (4, 5, 6))
+GAUSSIAN_VALUE_CASES = {
+    "scalar": (Gaussian((0.1, -0.3), (0.7, 1.2)), (0.4, -0.2)),
+    "broadcast-2d-axes": (Gaussian((0.1, -0.3), (0.7, 1.2)), (_AXES[0, :, :1], _AXES[1, :1, :])),
+    "product-gaussian-phase-4-axes": (product_gaussian_phase(0.5, 1.5, 2), tuple(_AXES)),
+    "complex-wavevector": (Gaussian((0.1, -0.3), (0.7, 1.2), (1.5, -0.4)), (_AXES[0], _AXES[1, :1, :])),
+    "amplitude": (Gaussian((0.1, -0.3), (0.7, 1.2), amplitude=2.3), (_AXES[0], _AXES[1])),
+}
+
+
+@pytest.mark.parametrize("case", GAUSSIAN_VALUE_CASES)
+def test_gaussian_value_is_the_chained_formula_bit_for_bit(case):
+    datum, x = GAUSSIAN_VALUE_CASES[case]
+    got, expected = np.asarray(datum.value(*x)), np.asarray(chained_gaussian(datum, *x))
+    assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+    assert got.tobytes() == expected.tobytes()
+
+
 class TestDispersionBranches:
     @pytest.mark.parametrize("name", SCALAR_MAPS)
     def test_branches_tile_the_line(self, name):
