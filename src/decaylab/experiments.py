@@ -365,6 +365,12 @@ def _ordered_map(fn: Callable, items, threads: int = 1) -> list:
         return list(pool.map(fn, items))
 
 
+def _sups(sol: tr.TransportSolution, times: list, threads: int) -> list:
+    """``tr.sup_velocity_average`` at each time: one batch of contiguous times per thread."""
+    chunks = [c for c in np.array_split(times, max(1, threads)) if c.size]
+    return [v for sups in _ordered_map(lambda c: tr.sup_velocity_average(sol, c), chunks, threads) for v in sups]
+
+
 def geometric_times(t_min: float, t_max: float, ratio: float = ROOT2) -> list:
     if t_min <= 0 or t_max < t_min or ratio <= 1.0:
         raise ConfigError("times need 0 < t_min <= t_max and ratio > 1")
@@ -446,7 +452,7 @@ def _run_vlasov_decay(cfg: ExperimentConfig, threads: int):
     times = _fit_times(cfg)
     datum = Gaussian((0.0,) * 2 * d, (width,) * 2 * d)
     sol = tr.TransportSolution(datum, tr.identity_map(d))
-    values = _ordered_map(lambda t: tr.sup_velocity_average(sol, t), times, threads)
+    values = _sups(sol, times, threads)
     rows = tuple((t, v) for t, v in zip(times, values))
     fits = (_Slope("sup-decay", fit_decay(times, values), -float(d), cfg.get("tolerances", "slope")),)
     return Report(("t", "sup_velocity_average"), rows, fits=fits)
@@ -461,7 +467,7 @@ def _run_transport_degenerate(cfg: ExperimentConfig, threads: int):
         sol = tr.TransportSolution(product_gaussian_phase(width, width, 2), tr.mixed_map())
     else:
         sol = tr.TransportSolution(Gaussian((0.0, 0.0), (width, width)), tr.relativistic_map())
-    values = _ordered_map(lambda t: tr.sup_velocity_average(sol, t), times, threads)
+    values = _sups(sol, times, threads)
     tol = cfg.get("tolerances", "slope")
     slope = _Slope("sup-decay", fit_decay(times, values), -1.0, tol, upper=-1.0 + tol if one_sided else None)
     rows = tuple((t, v) for t, v in zip(times, values))
@@ -689,9 +695,11 @@ def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
     checkpoints, fit_times = cfg.get("times", "checkpoints"), _fit_times(cfg)
 
     def read(t, ut):
-        # the check's read at checkpoints, and the sup of |d_x u| on x >= 0 at fit times
-        probed = pointwise(t, ut) if t in checkpoints else None
-        du_max = float(np.max(np.abs(spectral_derivative(ut, 1).values[half_line]))) if t in fit_times else None
+        # the check's read at checkpoints, and the sup of |d_x u| on x >= 0 at fit times; every time of
+        # the series is one or both, and a time that is both (t = 2) differentiates u(t) once
+        du = spectral_derivative(ut, 1)
+        probed = pointwise(t, ut, du) if t in checkpoints else None
+        du_max = float(np.max(np.abs(du.values[half_line]))) if t in fit_times else None
         return probed, du_max
 
     series = Series.evolve(u0, airy(), (*checkpoints, *fit_times), read)

@@ -377,10 +377,12 @@ def _probe_nodes(grid: GridSpec, probes: Sequence[float]) -> np.ndarray:
 def airy_pointwise_read(grid: GridSpec, probes: Sequence[float]) -> Callable:
     """The read ``check_airy_pointwise`` takes: t, u -> (u(t), d_x u(t)) at the probes.
 
-    The probes must be nodes of the 1-d grid, as the check requires.
+    The probes must be nodes of the 1-d grid, as the check requires. A caller
+    that has formed d_x u(t) passes it as a third argument, and it is not
+    formed again.
     """
     nodes = _probe_nodes(grid, probes)
-    return lambda t, u: (u.values[nodes], spectral_derivative(u, 1).values[nodes])
+    return lambda t, u, du=None: (u.values[nodes], (spectral_derivative(u, 1) if du is None else du).values[nodes])
 
 
 def check_airy_pointwise(series: Series, probes: Sequence[float]) -> InequalityReport:

@@ -14,15 +14,18 @@ rhs sum over q-windows that ride the characteristics on one global lattice
 branches with their closed-form inverses, so a window's ends are read off
 directly.
 
-The sup search ranks its candidate positions with a 129-node window
-quadrature, a quarter of the nodes of the reported one, and reports the
-513-node quadrature at the winner. With F_n(q) the n-node average, the
-reported sup misses the best 513-node value over the scored q by at most
-2 max |F_129 - F_513| over those q (measured in ``_pair_sup``). A window
-quadrature takes its q-nodes in row blocks of at most 8192 samples (64 KiB,
+The sup search takes a sequence of times and runs them in lockstep: each of
+its six rounds scores the candidates of every time in one ``_pair_profile``
+call, whose rows are (t, q) pairs. It ranks its candidate positions with a
+129-node window quadrature, a quarter of the nodes of the reported one, and
+reports the 513-node quadrature at the winner. With F_n(q) the n-node
+average, the reported sup misses the best 513-node value over the scored q
+by at most 2 max |F_129 - F_513| over those q (measured in ``_pair_sup``).
+A window quadrature takes its rows in blocks of at most 8192 samples (64 KiB,
 below glibc's 128 KiB mmap threshold) through p-node and foot arrays that
-the call allocates once, so a sup search maps no fresh pages; each row sums
-as it would over the whole table, so the blocks move no bit.
+the call allocates once, so a sup search maps no fresh pages. Each row does
+its own elementwise arithmetic and sums as it would over the whole table, so
+neither the blocks nor the other times of a batch move a bit.
 
 Points are never stacked: ``TransportSolution.evaluate`` takes positions
 and momenta as per-axis coordinate arrays, as the analytic data do.
@@ -33,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -197,44 +200,54 @@ def _unit_nodes(n: int) -> np.ndarray:
 def _pair_profile(
     datum: AnalyticField,
     smap: ScalarDispersion,
-    t: float,
+    t: float | np.ndarray,
     qnodes: np.ndarray,
     nloc: int = _REPORT_NODES,
     windows: tuple | None = None,
 ) -> np.ndarray:
-    """Velocity average of a 2-dim (q, p) datum, axis by axis.
+    """Velocity average of a 2-dim (q, p) datum, axis by axis, at each (t, q), shaped as ``qnodes``.
 
-    For t != 0 the p-integral at each q runs over the preimage of the datum's
-    q-support under p -> q - t w(p), one monotone piece at a time, on a local
-    uniform grid of ``nloc`` nodes whose ends the piece's branch inverse gives.
-    This keeps the quadrature resolved at any t (the integrand concentrates on
-    p-scales ~ 1/t). At t = 0 it is a fixed 4097-node grid over the p-support.
-    ``windows`` is the pair's ``_pair_windows``, computed here when not given.
+    ``t`` broadcasts against ``qnodes``: a row is one q-node and its time,
+    so one call scores the candidates of many times. For t != 0 the
+    p-integral at q runs over the preimage of the datum's q-support under
+    p -> q - t w(p), one monotone piece at a time, on a local uniform grid
+    of ``nloc`` nodes whose ends the piece's branch inverse gives. This
+    keeps the quadrature resolved at any t (the integrand concentrates on
+    p-scales ~ 1/t). Rows with t = 0 take a fixed 4097-node grid over the
+    p-support. ``windows`` is the pair's ``_pair_windows``, computed here
+    when not given.
 
-    The q-nodes go through in row blocks of at most ``_BLOCK`` = 8192 samples:
-    64 KiB of float64, half of glibc's default 128 KiB mmap threshold, so every
-    array of a block comes from the heap and reuses its pages, where a whole
+    The rows go through in blocks of at most ``_BLOCK`` = 8192 samples: 64 KiB
+    of float64, half of glibc's default 128 KiB mmap threshold, so every array
+    of a block comes from the heap and reuses its pages, where a whole
     (q-nodes x p-nodes) table was mapped and page-faulted in afresh at each
     call. The p-node and foot arrays are allocated once per call and reused by
     every block; no call shares them, so threads may call concurrently. Each
-    row is the trapezoid sum it was over the whole table, so no bit depends on
-    the block size.
+    row does its own elementwise arithmetic and trapezoid sum, so no bit
+    depends on the block size or on which rows share a call.
     """
-    qnodes = np.atleast_1d(np.asarray(qnodes, dtype=float))
+    shape = np.shape(qnodes) or (1,)
+    qnodes = np.asarray(qnodes, dtype=float).ravel()
+    t = np.broadcast_to(np.asarray(t, dtype=float), shape).ravel()
     lo, hi, pieces = _pair_windows(datum, smap) if windows is None else windows
     qlo, qhi, plo, phi = lo[0], hi[0], lo[1], hi[1]
-    if qhi <= qlo or phi <= plo:
-        return np.zeros(qnodes.shape)
-    if t == 0.0:
-        p = np.linspace(plo, phi, 4097)
-        sums = np.empty(qnodes.shape)
-        block = max(1, _BLOCK // p.size)
-        for start in range(0, qnodes.size, block):
-            rows = slice(start, start + block)
-            sums[rows] = datum.value(qnodes[rows, None], p).sum(axis=1)
-        return sums * (p[1] - p[0])
-
     out = np.zeros(qnodes.shape)
+    if qhi <= qlo or phi <= plo:
+        return out.reshape(shape)
+    still = t == 0.0
+    if still.any():
+        p = np.linspace(plo, phi, 4097)
+        q = qnodes[still]
+        sums = np.empty(q.shape)
+        block = max(1, _BLOCK // p.size)
+        for start in range(0, q.size, block):
+            rows = slice(start, start + block)
+            sums[rows] = datum.value(q[rows, None], p).sum(axis=1)
+        out[still] = sums * (p[1] - p[0])
+
+    moving = ~still
+    qnodes, t = qnodes[moving], t[moving]
+    prof = np.zeros(qnodes.shape)
     # targets: w(p) must lie in [(q - qhi)/t, (q - qlo)/t] (t > 0; swapped if t < 0)
     u1 = (qnodes - qhi) / t
     u2 = (qnodes - qlo) / t
@@ -259,7 +272,7 @@ def _pair_profile(
         pa = np.maximum(pa - margin, a)
         pb = np.minimum(pb + margin, b)
         dp = pb - pa
-        q = qnodes[active]
+        q, tq = qnodes[active], t[active]
         # per row: the sum of its samples and of its two end samples, for the trapezoid rule below
         sums, edges = np.empty(active.size), np.empty(active.size)
         for start in range(0, active.size, block):
@@ -267,17 +280,18 @@ def _pair_profile(
             p, f = pnodes[: q[j].size], feet[: q[j].size]
             np.multiply(dp[j, None], s, out=p)
             p += pa[j, None]
-            np.multiply(smap.w(p), t, out=f)
+            np.multiply(smap.w(p), tq[j, None], out=f)
             np.subtract(q[j, None], f, out=f)
             vals = datum.value(f, p)
             np.add.reduce(vals, axis=1, out=sums[j])
             np.add(vals[:, 0], vals[:, -1], out=edges[j])
-        out[active] += (sums - 0.5 * edges) * (dp / (nloc - 1))
-    return out
+        prof[active] += (sums - 0.5 * edges) * (dp / (nloc - 1))
+    out[moving] = prof
+    return out.reshape(shape)
 
 
-def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, t: float):
-    """Sup over q of the pair velocity average, and the q where it is taken.
+def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, times: Sequence[float]) -> tuple:
+    """Sup over q of the pair velocity average at each time, and the q where each is taken.
 
     Three steps, each scored by the ``_SEARCH_NODES`` quadrature of
     ``_pair_profile``:
@@ -292,10 +306,16 @@ def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, t: float):
       alone misses the peak (1.65e-7 low at t = 640 on the square map);
     - 4 rounds of bracketed refinement around the 3 best candidates: each
       bracket is its best node plus or minus one spacing of the candidate
-      set (of the previous round's 33-node bracket afterwards), and one
-      ``_pair_profile`` call scores the 3 x 33 nodes of a round.
+      set (of the previous round's 33-node bracket afterwards).
 
-    About 750 q-nodes in all. Against the dense search it replaced (513
+    The times run in lockstep: each step, and the final report quadrature,
+    scores the nodes of every time in one ``_pair_profile`` call with a
+    time per row, so a batch makes 6 calls whatever its length. The
+    candidate set, its ranking and each round's best stay per time, and a
+    row's value does not depend on the other rows of its call, so no bit
+    depends on which times share a batch.
+
+    About 750 q-nodes per time. Against the dense search it replaced (513
     images t w(p) x 9 offsets, then 2 rounds of 129-node refinement, about
     4.7k nodes), the sups at the fit times t = 10 * 2^(k/2) moved by at most
     2.3e-9 relative on the square map (t <= 3000, never lower), 2.7e-12 on
@@ -314,35 +334,40 @@ def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, t: float):
     windows = _pair_windows(datum, smap)
     lo, hi, pieces = windows
     qlo, qhi = lo[0], hi[0]
+    times = np.asarray(times, dtype=float)
     # w is monotone on each piece, so the piece ends carry its extremes as well as its critical points;
     # an end shared by two pieces gives one image twice, and np.unique drops the repeated candidates
-    images = t * np.array([w for *_, wa, wb in pieces for w in (wa, wb)]) if pieces else np.zeros(1)
+    ends = np.array([w for *_, wa, wb in pieces for w in (wa, wb)])
     offsets = np.linspace(qlo, qhi, 33)
-    cand = np.unique(
-        np.concatenate(
-            [
-                np.linspace(images.min() + qlo, images.max() + qhi, 257),
-                (images[:, None] + offsets[None, :]).ravel(),
-            ]
-        )
-    )
-    vals = _pair_profile(datum, smap, t, cand, _SEARCH_NODES, windows)
-    top = np.argsort(vals)[::-1][:3]
-    centers = cand[top]
-    best, qat = float(vals[top[0]]), float(centers[0])
-    gaps = np.diff(cand, prepend=cand[0], append=cand[-1])  # gaps[i], gaps[i + 1]: both sides of cand[i]
-    spans = np.maximum(np.maximum(gaps[top], gaps[top + 1]), 1e-9 * (1.0 + np.abs(centers)))
+    cands = []
+    for t in times:
+        images = t * ends if pieces else np.zeros(1)
+        coarse = np.linspace(images.min() + qlo, images.max() + qhi, 257)
+        cands.append(np.unique(np.concatenate([coarse, (images[:, None] + offsets[None, :]).ravel()])))
+    sizes = [c.size for c in cands]
+    vals = _pair_profile(datum, smap, np.repeat(times, sizes), np.concatenate(cands), _SEARCH_NODES, windows)
+    best, centers, spans = [], [], []
+    for cand, v in zip(cands, np.split(vals, np.cumsum(sizes)[:-1])):
+        top = np.argsort(v)[::-1][:3]
+        gaps = np.diff(cand, prepend=cand[0], append=cand[-1])  # gaps[i], gaps[i + 1]: both sides of cand[i]
+        best.append(v[top[0]])
+        centers.append(cand[top])
+        spans.append(np.maximum(np.maximum(gaps[top], gaps[top + 1]), 1e-9 * (1.0 + np.abs(cand[top]))))
+    # (time, candidate) from here on
+    best, centers, spans = np.array(best), np.stack(centers), np.stack(spans)
+    qat, rows = centers[:, 0], np.arange(times.size)
     s = np.linspace(-1.0, 1.0, 33)
     for _ in range(4):
-        nodes = centers[:, None] + spans[:, None] * s[None, :]
-        lv = _pair_profile(datum, smap, t, nodes.ravel(), _SEARCH_NODES, windows).reshape(nodes.shape)
-        centers = np.take_along_axis(nodes, np.argmax(lv, axis=1)[:, None], axis=1)[:, 0]
-        peaks = lv.max(axis=1)
-        j = int(np.argmax(peaks))
-        if peaks[j] > best:
-            best, qat = float(peaks[j]), float(centers[j])
+        nodes = centers[..., None] + spans[..., None] * s  # (time, candidate, node)
+        lv = _pair_profile(datum, smap, times[:, None, None], nodes, _SEARCH_NODES, windows)
+        centers = np.take_along_axis(nodes, np.argmax(lv, axis=2)[..., None], axis=2)[..., 0]
+        peaks = lv.max(axis=2)
+        j = np.argmax(peaks, axis=1)
+        better = peaks[rows, j] > best
+        best = np.where(better, peaks[rows, j], best)
+        qat = np.where(better, centers[rows, j], qat)
         spans = spans / 16.0
-    return float(_pair_profile(datum, smap, t, [qat], windows=windows)[0]), qat
+    return _pair_profile(datum, smap, times, qat, windows=windows), qat
 
 
 def _separable_parts(sol: TransportSolution):
@@ -353,12 +378,14 @@ def _separable_parts(sol: TransportSolution):
     return list(zip(pairs, sol.dispersion.axis_maps))
 
 
-def sup_velocity_average(sol: TransportSolution, t: float) -> float:
-    """Max over position of the velocity average at time t.
+def sup_velocity_average(sol: TransportSolution, times: Sequence[float]) -> list:
+    """Max over position of the velocity average, one float per time of ``times``.
 
-    The datum must split into (q_i, p_i) pair factors, and the sup is the
-    product of the pair sups found by ``_pair_sup``: a 257-node coarse scan
-    of the reachable q-range, 33 candidates across the datum's q-width at
+    The datum must split into (q_i, p_i) pair factors, and each sup is the
+    product of the pair sups found by ``_pair_sup``. It searches all the
+    times at once, one ``_pair_profile`` call per pair and round, and no
+    time's sup depends on the others. Per time: a 257-node coarse scan of
+    the reachable q-range, 33 candidates across the datum's q-width at
     the image of every critical point of w (the fold caustics, where
     degenerate maps concentrate the average), and 4 rounds of 33-node
     bracketed refinement around the 3 best, each node ranked by a 129-node
@@ -370,11 +397,11 @@ def sup_velocity_average(sol: TransportSolution, t: float) -> float:
     search (20001 nodes, then 2001 around the best) the square-map sup
     agrees to 2.2e-12 relative at t = 640, 905 and 3000.
     """
-    total = 1.0
+    total = np.ones(len(times))
     for pair_datum, smap in _separable_parts(sol):
-        sup, _ = _pair_sup(pair_datum, smap, t)
-        total *= sup
-    return total
+        sups, _ = _pair_sup(pair_datum, smap, times)
+        total *= sups
+    return total.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +471,8 @@ def _pair_abs_p_derivative_integral(pair: AnalyticField, t: float) -> float:
     return float(np.abs(grad).sum() * h * (p[1] - p[0]))
 
 
-def ks_vlasov_check(sol: TransportSolution, t: float) -> tuple:
-    """Weighted sup bound for free transport: returns (lhs, rhs).
+def ks_vlasov_check(sol: TransportSolution, times: Sequence[float]) -> list:
+    """Weighted sup bound for free transport: one (lhs, rhs) per time of ``times``.
 
     lhs = |t|^d * sup_q velocity average; rhs = phase-space L1 norm of the
     fully boosted density W_1...W_d nu at time t. The estimate asserts
@@ -453,11 +480,13 @@ def ks_vlasov_check(sol: TransportSolution, t: float) -> tuple:
     """
     if sol.dispersion.tag != "identity":
         raise ValueError("the weighted sup bound is for the identity dispersion map")
-    lhs = abs(t) ** sol.dim * sup_velocity_average(sol, t)
-    rhs = 1.0
-    for pair, _ in _separable_parts(sol):
-        rhs *= _pair_abs_p_derivative_integral(pair, t)
-    return lhs, rhs
+    out = []
+    for t, sup in zip(times, sup_velocity_average(sol, times), strict=True):
+        rhs = 1.0
+        for pair, _ in _separable_parts(sol):
+            rhs *= _pair_abs_p_derivative_integral(pair, t)
+        out.append((abs(t) ** sol.dim * sup, rhs))
+    return out
 
 
 @dataclass(frozen=True)

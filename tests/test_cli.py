@@ -520,26 +520,31 @@ def test_airy_decay_rows_are_the_clean_samples(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "exp_id, text",
+    "exp_id, text, thread_counts",
     [
-        ("vlasov-decay", "[experiment]\nid = vlasov-decay\n[times]\nt_max = 100.0\n"),
-        ("counterexample", "[experiment]\nid = counterexample\n"),
-        # the sup of every time runs on a thread pool at 2 threads
-        ("transport-degenerate", "[experiment]\nid = transport-degenerate\n[times]\nt_max = 100.0\n"),
+        # one batch of contiguous times per thread: the 7 times 10 * 2^(k/2) <= 100 make one batch at
+        # 1 thread, 4 + 3 at 2 and 3 + 2 + 2 at 3
+        ("vlasov-decay", "[experiment]\nid = vlasov-decay\n[times]\nt_max = 100.0\n", (1, 2, 3)),
+        ("counterexample", "[experiment]\nid = counterexample\n", (1, 2)),
+        ("transport-degenerate", "[experiment]\nid = transport-degenerate\n[times]\nt_max = 100.0\n", (1, 2, 3)),
         # the five cases run on a thread pool at 2 threads
-        ("conservation", "[experiment]\nid = conservation\n"),
+        ("conservation", "[experiment]\nid = conservation\n", (1, 2)),
         # a spectral entry, pinned before --threads reaches the spectral runners
-        ("schrodinger-ks", "[experiment]\nid = schrodinger-ks\n[grid]\nhalf_width_2d = 40.0\npoints_2d = 256\n"),
+        (
+            "schrodinger-ks",
+            "[experiment]\nid = schrodinger-ks\n[grid]\nhalf_width_2d = 40.0\npoints_2d = 256\n",
+            (1, 2),
+        ),
     ],
 )
-def test_samples_table_identical_at_one_and_two_threads(tmp_path, exp_id, text):
+def test_samples_table_identical_at_one_and_two_threads(tmp_path, exp_id, text, thread_counts):
     path = _write(tmp_path, text)
     tables = []
-    for threads in (1, 2):
+    for threads in thread_counts:
         out = tmp_path / f"threads{threads}"
         assert cli.main(["run", "--config", path, "--out", str(out), "--threads", str(threads)]) == 0
         tables.append((out / f"{exp_id}_samples.tsv").read_bytes())
-    assert tables[0] == tables[1]
+    assert all(table == tables[0] for table in tables[1:])
 
 
 def test_commutation_suite_makes_24_transforms_for_its_residuals(tmp_path, monkeypatch):
@@ -567,6 +572,50 @@ def test_commutation_suite_makes_24_transforms_for_its_residuals(tmp_path, monke
     monkeypatch.setattr(experiments, "commutation_residual", scored)
     assert _run(tmp_path, "[experiment]\nid = commutation-suite\n") == 0
     assert calls == (["fft", "fft"] + ["ifft", "ifft"] * 3) * 3
+
+
+@pytest.mark.parametrize("exp_id, calls", [("vlasov-decay", 6), ("transport-degenerate", 12)])
+def test_sup_search_scores_all_times_in_six_profile_calls_per_pair(tmp_path, monkeypatch, exp_id, calls):
+    # per pair, the coarse scan, the 4 refinements and the report quadrature each score every time in one call
+    from decaylab import transport
+
+    made, profile = [], transport._pair_profile
+
+    def counted(*args, **kwargs):
+        made.append(True)
+        return profile(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "_pair_profile", counted)
+    assert _run(tmp_path, f"[experiment]\nid = {exp_id}\n") == 0
+    assert len(made) == calls
+
+
+def test_airy_pointwise_differentiates_each_clean_time_once(tmp_path, monkeypatch):
+    # t = 2 is both a checkpoint and a fit time: the pointwise read and the fit share one d_x u(t)
+    from decaylab import harness
+
+    reading, calls, clean = [], [], []
+    derivative, evolve = harness.spectral_derivative, harness.Series.evolve.__func__
+
+    def counted(*args, **kwargs):
+        if reading:
+            calls.append(True)
+        return derivative(*args, **kwargs)
+
+    def evolving(cls, *args, **kwargs):
+        reading.append(True)
+        try:
+            series = evolve(cls, *args, **kwargs)
+        finally:
+            reading.pop()
+        clean.append(len(series.clean))
+        return series
+
+    for module in (harness, experiments):
+        monkeypatch.setattr(module, "spectral_derivative", counted)
+    monkeypatch.setattr(harness.Series, "evolve", classmethod(evolving))
+    assert _run(tmp_path, "[experiment]\nid = airy-pointwise\n") == 0
+    assert clean and len(calls) == clean[0]
 
 
 def test_commutation_suite_report_does_not_depend_on_how_many_packets_one_call_scores(tmp_path, monkeypatch):

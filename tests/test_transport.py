@@ -77,23 +77,20 @@ class TestVelocityAverage:
 class TestSupVelocityAverage:
     def test_gaussian_closed_form(self, gaussian_solution):
         # sup_q of the average is sqrt(pi / (1 + t^2))
-        assert tr.sup_velocity_average(gaussian_solution, 3.0) == pytest.approx(
-            math.sqrt(math.pi / 10.0), abs=1e-8
-        )
-        assert tr.sup_velocity_average(gaussian_solution, 0.0) == pytest.approx(
-            math.sqrt(math.pi), abs=1e-10
-        )
+        at3, at0 = tr.sup_velocity_average(gaussian_solution, [3.0, 0.0])
+        assert at3 == pytest.approx(math.sqrt(math.pi / 10.0), abs=1e-8)
+        assert at0 == pytest.approx(math.sqrt(math.pi), abs=1e-10)
 
     def test_zero_datum(self):
         sol = tr.TransportSolution(Gaussian((0.0, 0.0), (W, W), amplitude=0.0), tr.identity_map(1))
-        assert tr.sup_velocity_average(sol, 2.0) == 0.0
+        assert tr.sup_velocity_average(sol, [2.0]) == [0.0]
 
     def test_explicit_grids_agree_with_adaptive(self, gaussian_solution):
         t = 2.0
         qg = GridSpec.centered(20.0, 4096, dim=1)
         pg = GridSpec.centered(8.0, 512, dim=1)
         explicit = oracle.grid_sup(gaussian_solution, t, qg, pg)
-        adaptive = tr.sup_velocity_average(gaussian_solution, t)
+        (adaptive,) = tr.sup_velocity_average(gaussian_solution, [t])
         assert explicit == pytest.approx(adaptive, rel=1e-5)
 
     def test_qgrid_coverage_guard(self, gaussian_solution):
@@ -106,7 +103,7 @@ class TestSupVelocityAverage:
         # characteristics pile up near |q| = t w(1/sqrt(2)); the sup must see it
         sol = tr.TransportSolution(Gaussian((0.0, 0.0), (W, W)), tr.relativistic_map())
         t = 50.0
-        sup = tr.sup_velocity_average(sol, t)
+        (sup,) = tr.sup_velocity_average(sol, [t])
         pg = GridSpec.centered(8.0, 4096, dim=1)
         at_peak = oracle.velocity_average(sol, t, [t * (1 / math.sqrt(3))], pg)
         assert sup >= at_peak - 1e-10
@@ -114,8 +111,8 @@ class TestSupVelocityAverage:
     @pytest.mark.parametrize("t", [1000.0, 1e4])
     def test_identity_sup_equals_closed_form(self, gaussian_solution, t):
         # the coarse scan plus refinement finds the peak sqrt(pi / (1 + t^2)) at q = 0
-        assert tr.sup_velocity_average(gaussian_solution, t) == pytest.approx(
-            math.sqrt(math.pi / (1.0 + t * t)), rel=1e-10
+        assert tr.sup_velocity_average(gaussian_solution, [t]) == pytest.approx(
+            [math.sqrt(math.pi / (1.0 + t * t))], rel=1e-10
         )
 
     @pytest.mark.parametrize(
@@ -128,7 +125,7 @@ class TestSupVelocityAverage:
         # the average peaks within the datum's q-width of the caustic t w(0) = 0;
         # without the candidates forced there the sup comes out 1.65e-7 low at t = 640
         pair = product_gaussian_phase(W, W, 2).phase_pair_factors(2)[1]
-        sup, _ = tr._pair_sup(pair, tr.mixed_map().axis_maps[1], t)
+        (sup,), _ = tr._pair_sup(pair, tr.mixed_map().axis_maps[1], [t])
         assert sup == pytest.approx(dense_sup, rel=1e-8)
 
 
@@ -167,16 +164,16 @@ class TestPairSupSearch:
     @pytest.mark.parametrize("name", SCALAR_MAPS)
     def test_sup_is_the_report_quadrature_at_its_position(self, name, t):
         pair = Gaussian((0.0, 0.0), (W, W))
-        sup, qat = tr._pair_sup(pair, SCALAR_MAPS[name], t)
+        (sup,), qat = tr._pair_sup(pair, SCALAR_MAPS[name], [t])
         # qat's sign is not pinned: the relativistic average has two mirror peaks
-        assert sup == tr._pair_profile(pair, SCALAR_MAPS[name], t, [qat])[0]
+        assert sup == tr._pair_profile(pair, SCALAR_MAPS[name], t, qat)[0]
 
     @pytest.mark.parametrize("t", [10.0, 640.0])
     @pytest.mark.parametrize("name", SCALAR_MAPS)
     def test_no_report_quadrature_near_the_peak_beats_the_sup(self, name, t):
         smap = SCALAR_MAPS[name]
         pair = Gaussian((0.0, 0.0), (W, W))
-        sup, qat = tr._pair_sup(pair, smap, t)
+        (sup,), (qat,) = tr._pair_sup(pair, smap, [t])
         lo, hi = pair.support_bounds(1e-14)
         ends = np.array([e for a, b, _ in tr._monotone_pieces(smap, lo[1], hi[1]) for e in (a, b)])
         images = t * smap.w(ends)
@@ -187,7 +184,7 @@ class TestPairSupSearch:
     def test_square_axis_sup_evaluates_a_quarter_of_the_report_points(self):
         # 186,012 points; with every candidate scored at 513 nodes it was 735,642
         pair = CountingGaussian((0.0, 0.0), (W, W))
-        tr._pair_sup(pair, SCALAR_MAPS["square"], 640.0)
+        tr._pair_sup(pair, SCALAR_MAPS["square"], [640.0])
         assert pair.points[0] <= 190_000
 
 
@@ -197,7 +194,7 @@ class TestRowBlocks:
     @staticmethod
     def results():
         pair = Gaussian((0.0, 0.0), (W, W))
-        sups = [tr._pair_sup(pair, smap, t) for smap in SCALAR_MAPS.values() for t in (0.0, 10.0, 640.0)]
+        sups = [tr._pair_sup(pair, smap, [0.0, 10.0, 640.0]) for smap in SCALAR_MAPS.values()]
         profiles = [tr.counterexample_profile(lam, t) for lam, t in ((4.0, 0.0), (4.0, 4.0), (16.0, 64.0))]
         return repr((sups, profiles))  # a float's repr round-trips, so equal reprs are equal bits
 
@@ -206,6 +203,19 @@ class TestRowBlocks:
         for block in (1, 10**9):  # one row per block; one block per call
             monkeypatch.setattr(tr, "_BLOCK", block)
             assert self.results() == default
+
+    @pytest.mark.parametrize(
+        "pair, smap",
+        [(Gaussian((0.0, 0.0), (W, W)), smap) for smap in SCALAR_MAPS.values()]
+        + list(zip(product_gaussian_phase(W, W, 2).phase_pair_factors(2), tr.mixed_map().axis_maps)),
+        ids=[*SCALAR_MAPS, "mixed-axis0", "mixed-axis1"],
+    )
+    def test_sups_of_one_batch_equal_those_of_single_time_batches(self, pair, smap):
+        # a row of a _pair_profile call does its own arithmetic, so no sup depends on the other times
+        times = (0.0, 10.0, 640.0, 3000.0)
+        alone = [np.concatenate(part).tolist() for part in zip(*(tr._pair_sup(pair, smap, [t]) for t in times))]
+        batch = [part.tolist() for part in tr._pair_sup(pair, smap, times)]  # (sups, positions)
+        assert repr(batch) == repr(alone)
 
 
 def chained_gaussian(datum, *x):
@@ -368,36 +378,33 @@ class TestTransportBoost:
 class TestKsVlasov:
     def test_rhs_matches_gaussian_moment(self, gaussian_solution):
         # int |d_p exp(-q^2-p^2)| dq dp = 2 sqrt(pi), independent of t
-        for t in (0.5, 4.0):
-            lhs, rhs = tr.ks_vlasov_check(gaussian_solution, t)
+        for lhs, rhs in tr.ks_vlasov_check(gaussian_solution, [0.5, 4.0]):
             assert rhs == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-4)
             assert lhs <= rhs + 1e-9
 
     def test_t_zero_lhs_vanishes(self, gaussian_solution):
-        lhs, rhs = tr.ks_vlasov_check(gaussian_solution, 0.0)
+        ((lhs, rhs),) = tr.ks_vlasov_check(gaussian_solution, [0.0])
         assert lhs == 0.0 and rhs > 0.0
 
     def test_zero_datum(self):
         sol = tr.TransportSolution(Gaussian((0.0, 0.0), (W, W), amplitude=0.0), tr.identity_map(1))
-        lhs, rhs = tr.ks_vlasov_check(sol, 1.0)
+        ((lhs, rhs),) = tr.ks_vlasov_check(sol, [1.0])
         assert lhs == 0.0 and rhs == 0.0
 
     def test_holds_across_times(self, gaussian_solution):
-        for t in (0.5, 1.0, 2.0, 5.0, 10.0, 100.0):
-            lhs, rhs = tr.ks_vlasov_check(gaussian_solution, t)
+        for lhs, rhs in tr.ks_vlasov_check(gaussian_solution, [0.5, 1.0, 2.0, 5.0, 10.0, 100.0]):
             assert lhs <= rhs + 1e-9
 
     def test_holds_in_two_dimensions(self):
         sol = tr.TransportSolution(product_gaussian_phase(W, W, 2), tr.identity_map(2))
-        for t in (1.0, 5.0):
-            lhs, rhs = tr.ks_vlasov_check(sol, t)
+        for lhs, rhs in tr.ks_vlasov_check(sol, [1.0, 5.0]):
             assert rhs == pytest.approx(4.0 * math.pi, rel=1e-3)
             assert lhs <= rhs + 1e-9
 
     def test_rejects_other_maps(self):
         sol = tr.TransportSolution(Gaussian((0.0, 0.0), (W, W)), tr.square_map())
         with pytest.raises(ValueError):
-            tr.ks_vlasov_check(sol, 1.0)
+            tr.ks_vlasov_check(sol, [1.0])
 
 
 class TestCounterexample:
@@ -439,7 +446,7 @@ class TestCounterexample:
 class TestDecayExperiment:
     def test_identity_slope_short_window(self, gaussian_solution):
         times = [10.0 * 2 ** (0.5 * k) for k in range(11)]
-        values = [tr.sup_velocity_average(gaussian_solution, t) for t in times]
+        values = tr.sup_velocity_average(gaussian_solution, times)
         fit = fit_decay(times, values)
         assert fit.slope == pytest.approx(-1.0, abs=0.02)
 
@@ -477,7 +484,7 @@ def test_mixed_map_feet_are_formed_axis_by_axis():
 def test_sup_needs_a_pair_factored_datum():
     sol = tr.TransportSolution(CubeIndicator((0.0, 0.0), 1.0), tr.identity_map(1))
     with pytest.raises(ValueError, match="pair factors"):
-        tr.sup_velocity_average(sol, 1.0)
+        tr.sup_velocity_average(sol, [1.0])
 
 
 def test_conserved_functional_needs_a_pair_factored_datum():
