@@ -34,7 +34,7 @@ from .experiments import (
     run,
 )
 from .fields import SupportOverflowError
-from .harness import ContaminationError
+from .harness import ContaminationError, _exclusion_note
 
 
 def _thread_count(text: str) -> int:
@@ -105,10 +105,14 @@ def main(argv=None) -> int:
         print(f"  {note}")
     for fit in report.fits:
         print(f"  fit {fit.name}: slope {fit.fit.slope:+.4f} over {list(fit.fit.window)} -> {_verdict(fit)}")
+        if summary := _exclusion_note(fit.fit.excluded):
+            print(f"    {summary}")
     for ineq in report.inequalities:
         dim = dict(ineq.detail).get("dim")  # tells apart the reports of one estimate in several dimensions
         name = ineq.name if dim is None else f"{ineq.name} (dim {dim})"
         print(f"  {name}: max ratio {ineq.max_ratio:.4g} vs bound {ineq.bound:.4g} -> {_verdict(ineq)}")
+        if summary := _exclusion_note(ineq.excluded):
+            print(f"    {summary}")
     for check in report.checks:
         print(f"  check {check.name}: {check.value:.4g} {check.relation} {check.bound:.4g} -> {_verdict(check)}")
     return 0 if report.passed else 1

@@ -87,6 +87,7 @@ __all__ = [
 SCHEMA_VERSION = 4
 OUTPUT_DIR_ENV = "DECAYLAB_REPORT_DIR"
 ROOT2 = math.sqrt(2.0)
+MAX_TIMES = 10_000  # the most times ``geometric_times`` lists; a range that gives more is refused
 GAUSS_W = 1.0 / ROOT2  # width of exp(-x^2)-style data per axis
 
 
@@ -130,23 +131,21 @@ def _format_value(value) -> str:
 
 
 def _parse_value(text: str, template):
-    text = text.strip()
-    try:
-        if isinstance(template, bool):
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
-        if isinstance(template, int):
-            return int(text)
-        if isinstance(template, float):
-            return float(text)
-        if isinstance(template, tuple):
-            return tuple(float(v) for v in text.split(","))
+    """The value of ``text`` in the type of ``template``; floats must be finite. ValueError if not."""
+    if isinstance(template, bool):
+        if text.lower() in ("true", "1", "yes"):
+            return True
+        if text.lower() in ("false", "0", "no"):
+            return False
+        raise ValueError(text)
+    if isinstance(template, int):
+        return int(text)
+    if not isinstance(template, (float, tuple)):
         return text
-    except ValueError as err:
-        raise ConfigError(f"cannot parse value {text!r}: {err}") from err
+    values = tuple(float(v) for v in (text.split(",") if isinstance(template, tuple) else (text,)))
+    if not all(map(math.isfinite, values)):
+        raise ValueError("not a finite number")
+    return values if isinstance(template, tuple) else values[0]
 
 
 def emit_config(config: ExperimentConfig) -> str:
@@ -177,7 +176,10 @@ def parse_config(text: str) -> ExperimentConfig:
         for key, value in parser.items(section):
             if key not in resolved[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
-            resolved[section][key] = _parse_value(value, resolved[section][key])
+            try:
+                resolved[section][key] = _parse_value(value.strip(), resolved[section][key])
+            except ValueError as err:
+                raise ConfigError(f"{section}.{key}: cannot parse value {value.strip()!r}: {err}") from None
     if resolved["experiment"]["id"] != exp_id:
         raise ConfigError("experiment.id mismatch")
     _check_ranges(entry, resolved)
@@ -374,6 +376,8 @@ def _sups(sol: tr.TransportSolution, times: list, threads: int) -> list:
 def geometric_times(t_min: float, t_max: float, ratio: float = ROOT2) -> list:
     if t_min <= 0 or t_max < t_min or ratio <= 1.0:
         raise ConfigError("times need 0 < t_min <= t_max and ratio > 1")
+    if math.log(t_max) - math.log(t_min) > (MAX_TIMES - 1) * math.log(ratio):
+        raise ConfigError(f"times from t_min to t_max at this ratio number more than {MAX_TIMES}")
     out = [t_min]
     while out[-1] * ratio <= t_max * (1.0 + 1e-12):
         out.append(out[-1] * ratio)

@@ -5,14 +5,16 @@ norms) consumes the containers defined here: ``GridSpec`` describes a
 uniform periodic grid in one or two dimensions, ``SampledField`` holds
 samples on such a grid, complex or real as their values are, and
 ``AnalyticField`` subclasses are initial data that carry their own
-closed-form value oracle (and, where transport differentiates them, a
-gradient oracle), so transported solutions never need interpolation.
+closed-form value oracle, so transported solutions never need
+interpolation. ``BumpLambda`` alone also carries a gradient oracle, for the
+gradient norm of the concentration counterexample.
 
-An analytic datum is evaluated one way: ``value(*x)`` and ``gradient(*x)``
-take one coordinate array per axis, and the arrays broadcast together, so a
-caller passes ``grid.meshgrid()``, or axes shaped to broadcast, and never
-stacks points. ``gradient`` returns one array per axis. Sums over axes run
-left to right, the order ``np.sum`` uses over a short last axis.
+An analytic datum is evaluated one way: ``value(*x)`` (and
+``BumpLambda.gradient(q, p)``) take one coordinate array per axis, and the
+arrays broadcast together, so a caller passes ``grid.meshgrid()``, or axes
+shaped to broadcast, and never stacks points. ``gradient`` returns one array
+per axis. Sums over axes run left to right, the order ``np.sum`` uses over a
+short last axis.
 
 All objects are immutable after construction and every operation is a pure
 function; fields may be shared freely across threads.
@@ -23,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -228,13 +229,9 @@ class AnalyticField:
     """Base of the closed-form data. Each subclass defines ``ndim``, ``value(*x)``,
     ``support_bounds(tol)``, the per-axis (lo, hi) box holding all but ~tol of
     the datum, and ``feature_scale()``, the smallest length over which it varies,
-    or None if it jumps and no length resolves it. ``value(*x)`` and, where
-    transport needs it, ``gradient(*x)`` take ``ndim`` coordinate arrays that
-    broadcast together; ``gradient`` returns the ``ndim`` partial derivatives
-    in axis order.
+    or None if it jumps and no length resolves it. ``value(*x)`` takes ``ndim``
+    coordinate arrays that broadcast together.
     """
-
-    kind: str = "real"
 
     def phase_pair_factors(self, d: int):
         """Factorisation into (q_i, p_i) pair fields, or None."""
@@ -254,37 +251,21 @@ def _scaled_square(x, c: float, w: float, out=None):
 
 @dataclass(frozen=True)
 class Gaussian(AnalyticField):
-    """amplitude * exp(-sum (x_i-c_i)^2 / (2 w_i^2)) * exp(i k.x).
-
-    The wavevector modulates the datum (making it complex); with the default
-    None the field is real. ``amplitude=0`` gives the zero field.
-    """
+    """exp(-sum (x_i-c_i)^2 / (2 w_i^2)), a real datum."""
 
     center: tuple
     width: tuple
-    wavevector: Optional[tuple] = None
-    amplitude: float = 1.0
 
-    def __init__(self, center, width, wavevector=None, amplitude=1.0):
+    def __init__(self, center, width):
         center = (center,) if np.isscalar(center) else tuple(float(c) for c in center)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "width", _as_tuple(width, len(center)))
-        if wavevector is not None:
-            wavevector = _as_tuple(wavevector, len(center))
-            if not any(wavevector):
-                wavevector = None
-        object.__setattr__(self, "wavevector", wavevector)
-        object.__setattr__(self, "amplitude", float(amplitude))
         if any(w <= 0 for w in self.width):
             raise ValueError("Gaussian widths must be positive")
 
     @property
     def ndim(self) -> int:
         return len(self.center)
-
-    @property
-    def kind(self) -> str:
-        return "complex" if self.wavevector is not None else "real"
 
     def value(self, *x):
         # The first axis term is formed in the output array, each later one in one
@@ -296,59 +277,21 @@ class Gaussian(AnalyticField):
             out += _scaled_square(xi, c, w)
         out *= -0.5
         np.exp(out, out=out)
-        if self.amplitude != 1.0:
-            out *= self.amplitude
-        if self.wavevector is not None:
-            out = out * np.exp(1j * sum(k * xi for k, xi in zip(self.wavevector, x)))
         return out
-
-    def gradient(self, *x):
-        v = self.value(*x)
-        out = []
-        for i, (xi, c, w) in enumerate(zip(x, self.center, self.width)):
-            factor = -(xi - c) / w**2
-            if self.wavevector is not None:
-                factor = factor + 1j * self.wavevector[i]
-            out.append(v * factor)
-        return tuple(out)
 
     def support_bounds(self, tol: float = 1e-12):
         c = np.array(self.center)
-        if self.amplitude == 0.0:
-            return c, c
         r = np.array(self.width) * math.sqrt(2.0 * math.log(1.0 / tol))
         return c - r, c + r
 
     def feature_scale(self) -> float:
         return min(self.width)
 
-    def mass(self):
-        out = self.amplitude * np.prod([w * math.sqrt(2 * math.pi) for w in self.width])
-        if self.wavevector is not None:
-            k = np.array(self.wavevector)
-            w = np.array(self.width)
-            c = np.array(self.center)
-            out = out * np.exp(-0.5 * np.sum(k**2 * w**2)) * np.exp(1j * np.sum(k * c))
-            return complex(out)
-        return float(out)
-
-    def subfield(self, axes: Sequence[int], amplitude: Optional[float] = None) -> "Gaussian":
-        k = None
-        if self.wavevector is not None:
-            k = tuple(self.wavevector[a] for a in axes)
-        return Gaussian(
-            tuple(self.center[a] for a in axes),
-            tuple(self.width[a] for a in axes),
-            k,
-            self.amplitude if amplitude is None else amplitude,
-        )
-
     def phase_pair_factors(self, d: int):
         if self.ndim != 2 * d:
             return None
-        factors = [self.subfield((i, d + i), amplitude=1.0) for i in range(d)]
-        factors[0] = self.subfield((0, d), amplitude=self.amplitude)
-        return factors
+        c, w = self.center, self.width
+        return [Gaussian((c[i], c[d + i]), (w[i], w[d + i])) for i in range(d)]
 
 
 def product_gaussian_phase(q_width: float, p_width: float, d: int = 1) -> Gaussian:

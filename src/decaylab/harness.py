@@ -145,6 +145,15 @@ class Series:
         return replace(self, clean=tuple((t, fn(r)) for t, r in self.clean))
 
 
+def _exclusion_note(excluded: tuple) -> str:
+    """The count, times and largest edge mass of excluded (t, reason) samples, "" for none; every
+    reason ``Series.evolve`` gives ends in its edge mass."""
+    if not excluded:
+        return ""
+    worst = max(excluded, key=lambda entry: float(entry[1].rsplit(" ", 1)[-1]))[1]
+    return f"{len(excluded)} excluded at t = {', '.join(f'{t:g}' for t, _ in excluded)}; largest {worst}"
+
+
 def _edge_mass(u: SampledField, power: int) -> float:
     """``edge_mass_fraction`` of the ``power``-fold tensor power of u, 1 - (1 - f)^power
     taken through log1p and expm1 so that a small fraction keeps its digits."""

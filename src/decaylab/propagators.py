@@ -51,9 +51,6 @@ class DispersionPolynomial:
         if s.real != 0.0 or s.imag == 0.0:
             raise ValueError("the monomial coefficient must be nonzero and purely imaginary")
 
-    def symbol_1d(self, xi: np.ndarray) -> np.ndarray:
-        return self.monomial_coefficient * xi**self.degree
-
 
 def schrodinger() -> DispersionPolynomial:
     return DispersionPolynomial(1j, 2)
@@ -95,7 +92,7 @@ class Evolution:
             axes = (grid.wavenumbers(i) for i in range(grid.dim))
             wavenumbers = np.meshgrid(*axes, indexing="ij", sparse=True)
             self._hat = np.fft.fftn(u0.as_complex())
-        # theta_j = Im sigma_j(xi_j), the bits symbol_1d gives, without a complex array
+        # theta_j = Im sigma_j(xi_j) = Im(s) xi_j^m, without a complex array
         self._angles = [disp.monomial_coefficient.imag * k**disp.degree for k in wavenumbers]
 
     def spectrum(self, t: float, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -114,11 +111,6 @@ class Evolution:
         if self.real and self.grid.points[0] % 2 == 0:
             out[-1] = out[-1].real  # real data have a real Nyquist mode; irfft reads only that
         return out
-
-    def at(self, t: float) -> SampledField:
-        """u(t), a fresh field at every call: the field of a stream of its own."""
-        ((_, ut),) = self.stream([t])
-        return ut
 
     def stream(self, times: Iterable[float]) -> Iterator[tuple]:
         """(t, u(t)) at each of ``times``, every u(t) a view of one buffer that the next time overwrites.

@@ -4,13 +4,13 @@ The transport equation d_t nu + w(p) . d_q nu = 0 is solved exactly by
 nu(t, q, p) = nu0(q - t w(p), p), so this module never time-steps: it
 evaluates the characteristics formula on analytic data and quadratures it.
 Every dispersion map acts separately on each momentum axis, through one
-scalar map per axis. The sup, the conserved functionals and the Vlasov
-check need a datum that splits into (q_i, p_i) pair factors: each composes
-1-d quadratures of the pairs, each pair under its own axis map. Velocity averages at large times concentrate
-on p-scales ~ 1/t, so the sup integrates over preimage windows of the datum
-support instead of a fixed p-grid; the conserved functionals and the Vlasov
-rhs sum over q-windows that ride the characteristics on one global lattice
-(``_foot_window``). Each scalar dispersion map declares its monotone
+scalar map per axis. The sup and the conserved functionals need a datum
+that splits into (q_i, p_i) pair factors: each composes 1-d quadratures of
+the pairs, each pair under its own axis map. Velocity averages at large
+times concentrate on p-scales ~ 1/t, so the sup integrates over preimage
+windows of the datum support instead of a fixed p-grid; the conserved
+functionals sum over q-windows that ride the characteristics on one global
+lattice (``_foot_window``). Each scalar dispersion map declares its monotone
 branches with their closed-form inverses, so a window's ends are read off
 directly.
 
@@ -52,7 +52,6 @@ __all__ = [
     "TransportSolution",
     "sup_velocity_average",
     "conserved_functional",
-    "ks_vlasov_check",
     "CounterexampleProfile",
     "counterexample_profile",
 ]
@@ -137,8 +136,6 @@ class TransportSolution:
             raise ValueError(
                 f"datum lives on R^{self.datum.ndim} but the map needs phase space R^{2 * self.dispersion.dim}"
             )
-        if self.datum.kind != "real":
-            raise ValueError("transport densities must be real")
 
     @property
     def dim(self) -> int:
@@ -232,8 +229,6 @@ def _pair_profile(
     lo, hi, pieces = _pair_windows(datum, smap) if windows is None else windows
     qlo, qhi, plo, phi = lo[0], hi[0], lo[1], hi[1]
     out = np.zeros(qnodes.shape)
-    if qhi <= qlo or phi <= plo:
-        return out.reshape(shape)
     still = t == 0.0
     if still.any():
         p = np.linspace(plo, phi, 4097)
@@ -341,7 +336,7 @@ def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, times: Sequence[floa
     offsets = np.linspace(qlo, qhi, 33)
     cands = []
     for t in times:
-        images = t * ends if pieces else np.zeros(1)
+        images = t * ends
         coarse = np.linspace(images.min() + qlo, images.max() + qhi, 257)
         cands.append(np.unique(np.concatenate([coarse, (images[:, None] + offsets[None, :]).ravel()])))
     sizes = [c.size for c in cands]
@@ -451,42 +446,6 @@ def conserved_functional(sol: TransportSolution, t: float) -> tuple:
     masses = [m[0] for m in moments]
     kinetic = sum(m[2] * math.prod(masses[:i] + masses[i + 1 :]) for i, m in enumerate(moments))
     return math.prod(masses), math.prod(m[1] for m in moments), kinetic
-
-
-# ---------------------------------------------------------------------------
-# inequality material
-
-
-def _pair_abs_p_derivative_integral(pair: AnalyticField, t: float) -> float:
-    """Integral of |d_p nu0|(q - t p, p) dq dp for one (q, p) pair factor.
-
-    Quadratured honestly at time t: windows ride the characteristics of the
-    identity axis map on a global lattice, so the value is t-dependent
-    through quadrature only.
-    """
-    lo, hi = pair.support_bounds(1e-14)
-    h = pair.feature_scale() / 3.0
-    p = np.linspace(lo[1], hi[1], 2049)
-    _, grad = pair.gradient(_foot_window(lo[0], hi[0], h, t * p), p[:, None])
-    return float(np.abs(grad).sum() * h * (p[1] - p[0]))
-
-
-def ks_vlasov_check(sol: TransportSolution, times: Sequence[float]) -> list:
-    """Weighted sup bound for free transport: one (lhs, rhs) per time of ``times``.
-
-    lhs = |t|^d * sup_q velocity average; rhs = phase-space L1 norm of the
-    fully boosted density W_1...W_d nu at time t. The estimate asserts
-    lhs <= rhs.
-    """
-    if sol.dispersion.tag != "identity":
-        raise ValueError("the weighted sup bound is for the identity dispersion map")
-    out = []
-    for t, sup in zip(times, sup_velocity_average(sol, times), strict=True):
-        rhs = 1.0
-        for pair, _ in _separable_parts(sol):
-            rhs *= _pair_abs_p_derivative_integral(pair, t)
-        out.append((abs(t) ** sol.dim * sup, rhs))
-    return out
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ import functools
 import json
 import math
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +116,23 @@ def test_out_of_range_values_rejected(exp_id, section, key, value):
         parse_config(_one_key(exp_id, section, key, value))
 
 
+def test_geometric_times_is_the_cumulative_product_up_to_near_the_cap():
+    ratio = 1.001
+    times = experiments.geometric_times(1.0, ratio**9000.5, ratio)
+    assert len(times) == 9001 < experiments.MAX_TIMES
+    assert times[0] == 1.0 and all(b == a * ratio for a, b in zip(times, times[1:]))
+
+
+@pytest.mark.parametrize(
+    "t_min, t_max, ratio",
+    [(1.0, 1.001 ** (experiments.MAX_TIMES + 1), 1.001), (1.0, 1e12, 1.0000000001)],
+    ids=["just-over-the-cap", "far-over-the-cap"],
+)
+def test_geometric_times_refuses_a_range_of_more_than_max_times(t_min, t_max, ratio):
+    with pytest.raises(ConfigError, match=f"number more than {experiments.MAX_TIMES}"):
+        experiments.geometric_times(t_min, t_max, ratio)
+
+
 class TestExitCodes:
     def test_0_when_every_check_passes(self, tmp_path, capsys):
         assert _run(tmp_path, "[experiment]\nid = schrodinger-decay\n") == 0
@@ -172,6 +193,30 @@ class TestExitCodes:
         assert _run(tmp_path, text) == 2
         err = capsys.readouterr().err
         assert err.count("config error: ") == 2 and err.count(keys) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, keys",
+        [
+            # validate never returned: the time list grew without end
+            ("[experiment]\nid = airy-decay\n[times]\nt_max = inf\n", "times.t_max: cannot parse value 'inf'"),
+            (
+                "[experiment]\nid = airy-decay\n[times]\nt_max = 1e12\nratio = 1.0000000001\n",
+                "times.t_min, times.t_max, times.ratio: times from t_min to t_max at this ratio number more than",
+            ),
+            # a NaN time made a drift of NaN, and a FAIL of max-drift
+            (
+                "[experiment]\nid = conservation\n[times]\ncheckpoints = 0.0, nan, 2.0\n",
+                "times.checkpoints: cannot parse value '0.0, nan, 2.0'",
+            ),
+            ("[experiment]\nid = vlasov-decay\n[datum]\nwidth = abc\n", "datum.width: cannot parse value 'abc'"),
+        ],
+    )
+    def test_2_for_a_value_that_does_not_parse_or_lists_too_many_times(self, tmp_path, capsys, text, keys):
+        assert cli.main(["validate", "--config", _write(tmp_path, text)]) == 2
+        assert _run(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"config error: {keys}") == 2 and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_2_when_the_box_is_too_small_for_the_datum(self, tmp_path, capsys):
@@ -488,6 +533,21 @@ def test_run_tells_the_weighted_sup_reports_of_schrodinger_ks_apart_by_dimension
     assert [dict(map(tuple, q["detail"]))["dim"] for q in reports] == [1, 2]
 
 
+@pytest.mark.parametrize("t_max, excluded", [(80.0, 0), (25600.0, 16)])
+def test_run_prints_the_samples_each_fit_and_inequality_left_out(tmp_path, capsys, t_max, excluded):
+    # at t_max = 25600, 16 of the 25 times wrap around the box: the PASS stands on the other 9
+    assert _run(tmp_path, f"[experiment]\nid = lp-decay\n[times]\nt_max = {t_max}\n") == 0
+    lines = capsys.readouterr().out.splitlines()
+    notes = [i for i, line in enumerate(lines) if " excluded at t = " in line]
+    assert len(notes) == (3 if excluded else 0)  # the L4 fit and both inequalities, each under its own line
+    assert [lines[i - 1].split(":")[0] for i in notes] == (
+        ["  fit L4-decay", "  schrodinger-L4-decay", "  schrodinger-mass-conservation"] if excluded else []
+    )
+    for i in notes:
+        assert lines[i].startswith(f"    {excluded} excluded at t = 113.137, 160, 226.274, ")
+        assert lines[i].endswith(", 20480; largest wrap-around edge mass 5.01e-02")
+
+
 def test_schrodinger_ks_drift_does_not_need_the_checkpoints(tmp_path):
     # the drift times 1, 4, 16 are evolved even when checkpoints_2d omits them
     default, other = tmp_path / "default", tmp_path / "other"
@@ -631,3 +691,70 @@ def test_commutation_suite_report_does_not_depend_on_how_many_packets_one_call_s
         reports.append((table, report["checks"], report["notes"]))
     assert reports[0] == reports[1]
     assert len(reports[0][1]) == 10  # worst residual and perturbed a/b per degree, and the 2-d commutator
+
+
+# The src functions that ``list`` and ``validate`` and ``run --threads 1`` of every default config never
+# execute, each with the reason it stays. A function that leaves the catalog's reach either gets a reason
+# here or is deleted; one that the catalog comes to reach leaves this list.
+CATALOG_UNREACHED = {
+    "fields.py AnalyticField.phase_pair_factors": "its None default refuses data that do not split into pairs",
+    "operators.py _power_walk": "the boost-norm fallback; only the guard that measures the field can choose it",
+    "operators.py _boost_walk": "the same fallback for mixed boosts; no default field needs it",
+    "operators.py _boost_walk.<locals>.walk": "the recursion of _boost_walk",
+    "transport.py TransportSolution.evaluate": "the characteristics formula that the transport oracles check",
+}
+
+# run in a child process, so that module and class bodies execute under the tracer too
+_REACH_SCRIPT = r"""
+import contextlib, importlib.util, inspect, io, os, sys, tempfile, threading, types
+
+src = importlib.util.find_spec("decaylab").submodule_search_locations[0]
+called = set()
+
+
+def on_call(frame, event, arg):
+    if frame.f_code.co_filename.startswith(src):
+        called.add(frame.f_code)
+
+
+def functions(code, prefix=""):
+    # (qualified name, code) of every function and class body nested in code; co_qualname is new in 3.11
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            name = prefix + const.co_name
+            yield name, const
+            yield from functions(const, name + (".<locals>." if const.co_flags & inspect.CO_OPTIMIZED else "."))
+
+
+sys.settrace(on_call)
+threading.settrace(on_call)
+from decaylab import cli
+from decaylab.experiments import OUTPUT_DIR_ENV, list_catalog
+
+os.environ.pop(OUTPUT_DIR_ENV, None)
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["list"]) == 0
+    for row in list_catalog():
+        path = os.path.join(tmp, row["id"] + ".ini")
+        with open(path, "w") as fh:
+            fh.write("[experiment]\nid = " + row["id"] + "\n")
+        assert cli.main(["validate", "--config", path]) == 0
+        assert cli.main(["run", "--config", path, "--out", tmp, "--threads", "1"]) == 0
+sys.settrace(None)
+threading.settrace(None)
+for name in sorted(os.listdir(src)):
+    if name.endswith(".py"):
+        path = os.path.join(src, name)
+        with open(path) as fh:
+            module = compile(fh.read(), path, "exec")
+        for qualname, code in functions(module):  # lambdas and comprehensions (<...>) are left out
+            if code not in called and not code.co_name.startswith("<"):
+                print(name, qualname)
+"""
+
+
+def test_the_catalog_reaches_every_src_function_but_the_named_ones():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    child = subprocess.run([sys.executable, "-c", _REACH_SCRIPT], env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert sorted(child.stdout.splitlines()) == sorted(CATALOG_UNREACHED)

@@ -15,10 +15,7 @@ from decaylab.propagators import Evolution, airy, edge_mass_fraction, even_order
 from decaylab import harness as hz
 from decaylab import operators as ops
 
-
-def complex_sample(datum, grid):
-    f = sample(datum, grid)
-    return f.with_values(f.values.astype(np.complex128))
+from spectral_oracles import complex_sample, field_at
 
 
 def schrodinger_series(u0, times, read):
@@ -110,7 +107,7 @@ def shell_setup():
 class TestDispersiveCheck:
     def test_zero_datum_passes(self, shell_setup):
         grid, part, _ = shell_setup
-        zero = complex_sample(Gaussian(2.2, 0.25, amplitude=0.0), grid)
+        zero = SampledField(grid, np.zeros(grid.points, complex))
         rep = hz.check_dispersive_schrodinger(schrodinger_series(zero, [1.0, 2.0], hz.sup_read()), part)
         assert rep.passed and rep.max_ratio == 0.0
 
@@ -153,7 +150,7 @@ class TestKsCheck:
         u1 = complex_sample(Gaussian(0.0, 1.3), grid1)
         rep1 = ks_check(u1, [2.0])
         _, lhs1, rhs1 = rep1.samples[0]
-        norms = boost_norms(Evolution(u1, schrodinger()).at(2.0), 2.0, 2)
+        norms = boost_norms(field_at(Evolution(u1, schrodinger()), 2.0), 2.0, 2)
         n = [norms[(k,)] for k in (0, 1, 2)]
         predicted_rhs2 = 4 * n[0] ** 3 * n[2] + 6 * n[0] ** 2 * n[1] ** 2
         assert lhs2 == pytest.approx(lhs1**2, rel=1e-6)
@@ -194,7 +191,7 @@ class TestSeriesRead:
         read = hz.ks_read(2)
         reads = schrodinger_series(u0, [1.0, 4.0, 16.0], read)
         evolution = Evolution(u0, schrodinger())
-        fields = {t: evolution.at(t) for t in (1.0, 4.0, 16.0)}
+        fields = {t: field_at(evolution, t) for t in (1.0, 4.0, 16.0)}
         fractions = {t: edge_mass_fraction(ut) for t, ut in fields.items()}
         assert [t for t, _ in reads.clean] == [t for t, f in fractions.items() if f <= hz.CONTAMINATION_THRESHOLD]
         assert reads.excluded == ((16.0, f"wrap-around edge mass {fractions[16.0]:.2e}"),)
@@ -245,25 +242,27 @@ class TestStream:
             hz.Series.evolve(u0, disp, [0.5, 1.0, 2.0], keep)
 
     @pytest.mark.parametrize("disp", [schrodinger(), airy()], ids=["complex-buffer", "real-buffer"])
-    def test_streamed_fields_are_the_fields_at_forms(self, disp):
+    def test_streamed_fields_are_the_fields_of_one_time_streams(self, disp):
         u0 = sample(Gaussian(0.0, 1.0), GridSpec.centered(30.0, 256))
         evolution = Evolution(u0, disp)
         times, formed = [0.5, 1.0, 2.0], []
         for t, ut in evolution.stream(times):
-            formed.append(np.array_equal(ut.values, evolution.at(t).values) and ut.kind == evolution.at(t).kind)
-            del ut
+            alone = field_at(evolution, t)
+            formed.append(np.array_equal(ut.values, alone.values) and ut.kind == alone.kind)
+            del ut, alone
         assert formed == [True] * len(times)
         # a read that copies what it keeps passes
         series = hz.Series.evolve(u0, disp, times, lambda t, u: u.values.copy())
         for t, values in series.clean:
-            assert np.array_equal(values, evolution.at(t).values)
+            assert np.array_equal(values, field_at(evolution, t).values)
 
-    def test_two_at_calls_return_independent_fields(self):
+    def test_two_streams_return_independent_fields(self):
+        # each stream owns its buffer: a field of one stream survives the next stream's writes
         evolution = Evolution(complex_sample(Gaussian(0.0, 1.0), GridSpec.centered(30.0, 256)), schrodinger())
-        first, second = evolution.at(1.0), evolution.at(1.0)
+        first, second = field_at(evolution, 1.0), field_at(evolution, 1.0)
         assert not np.shares_memory(first.values, second.values)
         kept = first.values.copy()
-        evolution.at(2.0)
+        field_at(evolution, 2.0)
         assert np.array_equal(first.values, kept) and np.array_equal(second.values, kept)
 
 
@@ -296,7 +295,7 @@ class TestTensorPower:
     @pytest.mark.parametrize("t", [0.0, 0.5])
     def test_aliased_chirp_walks_on_both_paths(self, t, monkeypatch):
         # on 128 points the sampled chirp aliases at t = 0.5, and t = 0 always walks
-        u2, u1 = (Evolution(u0, schrodinger()).at(t) for u0 in square_and_factor(40.0, 128))
+        u2, u1 = (field_at(Evolution(u0, schrodinger()), t) for u0 in square_and_factor(40.0, 128))
         calls = []
         walk = ops._boost_walk
         monkeypatch.setattr(ops, "_boost_walk", lambda u, *args: calls.append(u.grid.dim) or walk(u, *args))
@@ -312,7 +311,7 @@ class TestTensorPower:
         evolution = Evolution(factor, schrodinger())
         fractions = []
         for t in (8.0, 16.0):
-            u1 = evolution.at(t)
+            u1 = field_at(evolution, t)
             outer = SampledField(square.grid, np.multiply.outer(u1.values, u1.values))
             fractions.append(edge_mass_fraction(outer))
             assert hz._edge_mass(u1, 2) == pytest.approx(fractions[-1], rel=1e-12, abs=0.0)
@@ -363,7 +362,7 @@ class TestLpAndLocalMass:
         assert rep.passed
         assert dict(rep.detail)["window_truncated"]
         for t, lhs, rhs in rep.samples:
-            ut = Evolution(u0, schrodinger()).at(t)
+            ut = field_at(Evolution(u0, schrodinger()), t)
             ofs = part.off_shell_fraction(ut)
             assert 2**-0.5 * (1.0 - ofs) - 1e-9 <= lhs / rhs <= 2**0.5 + 1e-9
 
@@ -423,7 +422,7 @@ class TestAiryChecks:
         times = [0.0, 1.0, 4.0, 20.0]
         rep = airy_checked(airy_u0, times, x[idx])
         for t, (ts, lhs, _) in zip(times, rep.samples):
-            ut = Evolution(airy_u0, airy()).at(t)
+            ut = field_at(Evolution(airy_u0, airy()), t)
             du = spectral_derivative(ut, 1)
             node = np.max(3.0 * t * du.values[idx] ** 2 + x[idx] * ut.values[idx] ** 2)
             assert ts == t
@@ -491,7 +490,7 @@ class TestMonomialCheck:
         rep = hz.check_monomial_estimate(k, monomial_series(k, u0, times))
         xnorm0 = l2_norm(u0.with_values(grid.axis(0) * u0.values))
         for t, (ts, lhs, rhs) in zip(times, rep.samples):
-            v = spectral_derivative(Evolution(u0, even_order(k)).at(t), 2 * k - 2)
+            v = spectral_derivative(field_at(Evolution(u0, even_order(k)), t), 2 * k - 2)
             assert (ts, lhs, rhs) == (t, t * linf_norm(v) ** 2, l2_norm(v) * xnorm0)
 
     def test_k_guard(self):

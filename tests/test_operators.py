@@ -10,10 +10,7 @@ from decaylab.fields import Gaussian, GridSpec, SampledField, l2_norm, sample
 from decaylab import operators as ops
 from decaylab import propagators as pr
 
-
-def complex_sample(datum, grid):
-    f = sample(datum, grid)
-    return f.with_values(f.values.astype(np.complex128))
+from spectral_oracles import complex_sample, field_at, modulation
 
 
 @pytest.fixture(scope="module")
@@ -178,12 +175,9 @@ def packets_on_every_node(grid, rng):
     nodes = grid.meshgrid()
     vals = np.zeros(grid.points, dtype=complex)
     for _ in range(5):
-        g = Gaussian(
-            tuple(rng.uniform(-5.0, 5.0, grid.dim)),
-            tuple(rng.uniform(3.0, 4.0, grid.dim)),
-            tuple(rng.uniform(-0.5, 0.5, grid.dim)),
-        )
-        vals += (rng.normal() + 1j * rng.normal()) * g.value(*nodes)
+        g = Gaussian(tuple(rng.uniform(-5.0, 5.0, grid.dim)), tuple(rng.uniform(3.0, 4.0, grid.dim)))
+        packet = g.value(*nodes) * modulation(tuple(rng.uniform(-0.5, 0.5, grid.dim)), *nodes)
+        vals += (rng.normal() + 1j * rng.normal()) * packet
     return vals
 
 
@@ -318,7 +312,7 @@ class TestBoostNorms:
 def schrodinger_boost_series(u0, power, times):
     """|| W_0^power u(t) ||_2 at each time, read from ``boost_norms``."""
     evolution = pr.Evolution(u0, pr.schrodinger())
-    return np.array([ops.boost_norms(evolution.at(t), t, power)[(power,)] for t in times])
+    return np.array([ops.boost_norms(field_at(evolution, t), t, power)[(power,)] for t in times])
 
 
 class TestConservedOperatorNorm:
@@ -340,7 +334,7 @@ class TestConservedOperatorNorm:
         u0 = complex_sample(Gaussian(0.0, 1.0), fine_grid)
         w = ops.derive_commuting_operator(pr.airy())
         evolution = pr.Evolution(u0, pr.airy())
-        series = np.array([l2_norm(ops.apply_operator(w, evolution.at(t), t)) for t in (0.0, 1.0, 5.0, 10.0)])
+        series = np.array([l2_norm(ops.apply_operator(w, field_at(evolution, t), t)) for t in (0.0, 1.0, 5.0, 10.0)])
         x = fine_grid.axis(0)
         xu0 = SampledField(fine_grid, x * u0.values)
         assert series[0] == pytest.approx(l2_norm(xu0), rel=1e-12)

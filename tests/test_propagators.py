@@ -9,10 +9,7 @@ from decaylab.fields import Gaussian, GridSpec, SampledField, l2_norm, sample
 from decaylab.norms import hs_norm
 from decaylab import propagators as pr
 
-
-def complex_sample(datum, grid):
-    f = sample(datum, grid)
-    return f.with_values(f.values.astype(np.complex128))
+from spectral_oracles import complex_sample, field_at, modulated_sample, symbol
 
 
 @pytest.fixture(scope="module")
@@ -23,13 +20,13 @@ def schrodinger_gaussian():
 
 class TestPropagate:
     def test_time_zero_is_identity(self, schrodinger_gaussian):
-        out = pr.Evolution(schrodinger_gaussian, pr.schrodinger()).at(0.0)
+        out = field_at(pr.Evolution(schrodinger_gaussian, pr.schrodinger()), 0.0)
         np.testing.assert_allclose(out.values, schrodinger_gaussian.values, atol=1e-14)
 
     @pytest.mark.parametrize("t", [1.0, 5.0, 25.0])
     def test_gaussian_amplitude_oracle(self, schrodinger_gaussian, t):
         # |u(t,x)| = (1+4t^2)^(-1/4) exp(-x^2/(2(1+4t^2))) for exp(-x^2/2) data
-        ut = pr.Evolution(schrodinger_gaussian, pr.schrodinger()).at(t)
+        ut = field_at(pr.Evolution(schrodinger_gaussian, pr.schrodinger()), t)
         x = schrodinger_gaussian.grid.axis(0)
         i0 = int(np.argmin(np.abs(x)))
         assert abs(ut.values[i0]) == pytest.approx((1 + 4 * t * t) ** -0.25, rel=1e-8)
@@ -45,7 +42,7 @@ class TestPropagate:
         # most 3 * 7.5^2 ~ 170 by t = 1, inside the box, and Nyquist is 16
         grid = GridSpec.centered(200.0, 2048, dim=1)
         u0 = sample(datum, grid)
-        ut = pr.Evolution(u0, pr.airy()).at(1.0)
+        ut = field_at(pr.Evolution(u0, pr.airy()), 1.0)
         xi = np.linspace(-40.0, 40.0, 80001)
         dxi = xi[1] - xi[0]
         hat = math.sqrt(2 * math.pi) * np.exp(-(xi**2) / 2.0)
@@ -60,17 +57,17 @@ class TestPropagate:
     def test_airy_keeps_real_data_real(self):
         grid = GridSpec.centered(300.0, 4096, dim=1)
         u0 = sample(Gaussian(0.0, 1.0), grid)
-        ut = pr.Evolution(u0, pr.airy()).at(2.0)
+        ut = field_at(pr.Evolution(u0, pr.airy()), 2.0)
         assert ut.kind == "real"
 
 
 class TestEvolution:
     def test_spectrum_is_the_transform_of_u_t(self, schrodinger_gaussian):
         ev = pr.Evolution(schrodinger_gaussian, pr.schrodinger())
-        np.testing.assert_allclose(ev.spectrum(3.0), np.fft.fft(ev.at(3.0).values), atol=1e-12)
+        np.testing.assert_allclose(ev.spectrum(3.0), np.fft.fft(field_at(ev, 3.0).values), atol=1e-12)
         grid = GridSpec.centered(300.0, 4096, dim=1)
         airy_ev = pr.Evolution(sample(Gaussian(0.0, 1.0), grid), pr.airy())
-        np.testing.assert_allclose(airy_ev.spectrum(2.0), np.fft.rfft(airy_ev.at(2.0).values), atol=1e-12)
+        np.testing.assert_allclose(airy_ev.spectrum(2.0), np.fft.rfft(field_at(airy_ev, 2.0).values), atol=1e-12)
 
     def test_real_airy_datum_is_transformed_once(self, monkeypatch):
         grid = GridSpec.centered(300.0, 4096, dim=1)
@@ -88,12 +85,12 @@ class TestEvolution:
             monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
         ev = pr.Evolution(u0, pr.airy())
         for t in (0.5, 1.0, 2.0):
-            ev.at(t)
+            field_at(ev, t)
             ev.spectrum(t)
         assert forward == ["rfft"]
 
     def test_one_dimensional_spectrum_is_hat_times_the_multiplier(self, schrodinger_gaussian):
-        sigma = pr.schrodinger().symbol_1d(schrodinger_gaussian.grid.wavenumbers(0))
+        sigma = symbol(pr.schrodinger(), schrodinger_gaussian.grid.wavenumbers(0))
         hat = np.fft.fftn(schrodinger_gaussian.values)
         spectrum = pr.Evolution(schrodinger_gaussian, pr.schrodinger()).spectrum(16.0)
         assert np.array_equal(spectrum, hat * np.exp(16.0 * sigma))
@@ -103,7 +100,7 @@ class TestEvolution:
         # the phase is evaluated on the first n//2 + 1 entries and mirrored; on an odd grid
         # the mirrored ranges differ, as there is no Nyquist entry
         u0 = complex_sample(Gaussian(0.0, 1.0), GridSpec.centered(400.0, n))
-        sigma = pr.schrodinger().symbol_1d(u0.grid.wavenumbers(0))
+        sigma = symbol(pr.schrodinger(), u0.grid.wavenumbers(0))
         evolution = pr.Evolution(u0, pr.schrodinger())
         out = np.empty(n, complex)
         assert evolution.spectrum(16.0, out=out) is out
@@ -113,7 +110,7 @@ class TestEvolution:
     def test_rfft_layout_at_degree_3_is_hat_times_the_multiplier(self, n):
         grid = GridSpec.centered(300.0, n)
         u0 = sample(Gaussian(0.0, 1.0), grid)
-        sigma = pr.airy().symbol_1d(2.0 * np.pi * np.fft.rfftfreq(n, d=grid.spacing[0]))
+        sigma = symbol(pr.airy(), 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.spacing[0]))
         expected = np.fft.rfft(u0.values) * np.exp(2.0 * sigma)
         if n % 2 == 0:
             expected[-1] = expected[-1].real
@@ -124,8 +121,8 @@ class TestEvolution:
     def test_degree_4_mirror_is_within_one_rounding_of_the_angle(self, n, t):
         # xi**4 is not always the same bits at xi and -xi; the mirror takes the angle of +xi for
         # both, so each entry moves by at most 2 eps (t |theta| + 1) |hat|: the angle's last bit
-        u0 = complex_sample(Gaussian(0.0, 1.0, wavevector=0.5), GridSpec.centered(30.0, n))
-        sigma = pr.even_order(2).symbol_1d(u0.grid.wavenumbers(0))
+        u0 = modulated_sample(Gaussian(0.0, 1.0), GridSpec.centered(30.0, n), (0.5,))
+        sigma = symbol(pr.even_order(2), u0.grid.wavenumbers(0))
         hat = np.fft.fftn(u0.values)
         moved = np.abs(pr.Evolution(u0, pr.even_order(2)).spectrum(t) - hat * np.exp(t * sigma))
         bound = 2.0 * np.finfo(float).eps * (t * np.abs(sigma.imag) + 1.0) * np.abs(hat)
@@ -137,7 +134,7 @@ class TestEvolution:
         grid = GridSpec.centered(50.0, 256, dim=2)
         u0 = complex_sample(Gaussian((0.0, 0.0), (1.3, 1.3)), grid)
         k0, k1 = np.meshgrid(grid.wavenumbers(0), grid.wavenumbers(1), indexing="ij", sparse=True)
-        sigma = pr.schrodinger().symbol_1d(k0) + pr.schrodinger().symbol_1d(k1)
+        sigma = symbol(pr.schrodinger(), k0) + symbol(pr.schrodinger(), k1)
         assert 16.0 * np.abs(sigma).max() > 2e3
         expected = np.fft.fftn(u0.values) * np.exp(16.0 * sigma)
         spectrum = pr.Evolution(u0, pr.schrodinger()).spectrum(16.0)
@@ -147,16 +144,16 @@ class TestEvolution:
         # exp(-|x|^2/2) evolves as the product of two one-dimensional solutions
         grid1 = GridSpec.centered(40.0, 256, dim=1)
         grid2 = GridSpec.centered(40.0, 256, dim=2)
-        u1 = pr.Evolution(complex_sample(Gaussian(0.0, 1.0), grid1), pr.schrodinger()).at(2.0).values
-        u2 = pr.Evolution(complex_sample(Gaussian((0.0, 0.0), (1.0, 1.0)), grid2), pr.schrodinger()).at(2.0)
+        u1 = field_at(pr.Evolution(complex_sample(Gaussian(0.0, 1.0), grid1), pr.schrodinger()), 2.0).values
+        u2 = field_at(pr.Evolution(complex_sample(Gaussian((0.0, 0.0), (1.0, 1.0)), grid2), pr.schrodinger()), 2.0)
         np.testing.assert_allclose(u2.values, np.outer(u1, u1), atol=1e-13)
 
 
 def group_defect(u0, disp, s, t):
     """|| U(s+t) u0 - U(t) U(s) u0 ||_2 / || u0 ||_2 from two composed evolutions."""
     evolution = pr.Evolution(u0, disp)
-    direct = evolution.at(s + t).as_complex()
-    stepped = pr.Evolution(evolution.at(s), disp).at(t).as_complex()
+    direct = field_at(evolution, s + t).as_complex()
+    stepped = field_at(pr.Evolution(field_at(evolution, s), disp), t).as_complex()
     return math.sqrt(float(np.sum(np.abs(direct - stepped) ** 2)) * u0.grid.cell_volume) / l2_norm(u0)
 
 
@@ -177,14 +174,14 @@ class TestGroupProperty:
 class TestConservation:
     @pytest.mark.parametrize("t", [0.5, 3.0, 17.0])
     def test_unitarity(self, schrodinger_gaussian, t):
-        ut = pr.Evolution(schrodinger_gaussian, pr.schrodinger()).at(t)
+        ut = field_at(pr.Evolution(schrodinger_gaussian, pr.schrodinger()), t)
         assert l2_norm(ut) == pytest.approx(l2_norm(schrodinger_gaussian), rel=1e-12)
 
     @pytest.mark.parametrize("s", [0.25, 0.5, 1.0])
     def test_sobolev_norms_constant(self, schrodinger_gaussian, s):
         ref = hs_norm(schrodinger_gaussian, s)
         for t in (1.0, 5.0, 20.0):
-            ut = pr.Evolution(schrodinger_gaussian, pr.schrodinger()).at(t)
+            ut = field_at(pr.Evolution(schrodinger_gaussian, pr.schrodinger()), t)
             assert hs_norm(ut, s) == pytest.approx(ref, rel=1e-12)
 
 
@@ -195,7 +192,7 @@ class TestWrapGuard:
     def test_wrapped_field_is_flagged(self):
         grid = GridSpec.centered(20.0, 512, dim=1)
         u0 = complex_sample(Gaussian(0.0, 1.0), grid)
-        ut = pr.Evolution(u0, pr.schrodinger()).at(10.0)  # travel >> box
+        ut = field_at(pr.Evolution(u0, pr.schrodinger()), 10.0)  # travel >> box
         assert pr.edge_mass_fraction(ut) > 1e-6
 
 
@@ -203,7 +200,7 @@ class TestWrapGuard:
     def test_edge_mass_is_the_masked_sum(self, dim, disp):
         # the strips are summed by dot products of their own samples; the full-grid mask is the oracle
         grid = GridSpec.centered(20.0, 256 if dim == 1 else 128, dim=dim)
-        ut = pr.Evolution(sample(Gaussian((0.0,) * dim, (1.0,) * dim), grid), disp).at(4.0)
+        ut = field_at(pr.Evolution(sample(Gaussian((0.0,) * dim, (1.0,) * dim), grid), disp), 4.0)
         w = np.abs(ut.values) ** 2
         mask = np.zeros(w.shape, dtype=bool)
         for ax, n in enumerate(grid.points):
@@ -232,7 +229,8 @@ def test_even_order_symbol_signs():
     ],
 )
 def test_evolution_keeps_the_half_spectrum_only_for_real_data_under_an_odd_degree(disp, complex_data, real):
-    u0 = sample(Gaussian(0.0, 1.0, wavevector=0.5 if complex_data else None), GridSpec.centered(30.0, 64))
+    grid = GridSpec.centered(30.0, 64)
+    u0 = modulated_sample(Gaussian(0.0, 1.0), grid, (0.5,)) if complex_data else sample(Gaussian(0.0, 1.0), grid)
     assert pr.Evolution(u0, disp).real is real
 
 
