@@ -41,7 +41,6 @@ from .harness import (
     MIN_FIT_SAMPLES,
     Series,
     _ratio,
-    airy_pointwise_read,
     check_airy_local_energy,
     check_airy_pointwise,
     check_dispersive_schrodinger,
@@ -50,16 +49,11 @@ from .harness import (
     check_lp_decay,
     check_monomial_estimate,
     fit_decay,
-    ks_read,
-    local_energy_read,
-    local_mass_read,
-    lp_read,
-    monomial_read,
-    sup_read,
 )
 from .norms import PARTITION_PROFILE_ID, _check_window, build_dyadic_partition, hs_norm
 from .norms import translated_xnorm_inf, x_norm
 from .operators import (
+    boost_norms,
     commutation_residual,
     commutator_norm,
     derive_commuting_operator,
@@ -571,22 +565,23 @@ def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
 def _ks_dimension(u0, check_times, drift_times, drift_alphas, label, power=1):
     """Weighted sup report, boost-norm drifts and notes of one datum.
 
-    One guarded series over the check and drift times feeds both. It reads
-    the sup and the boost-norm table once at each clean time, to order d at
-    check times and to the drift's order at drift times, so only one evolved
-    field is alive at a time. The drift is read at clean drift times only,
-    and fewer than two of them raise. With ``power`` = k > 1 the datum is
-    the k-fold tensor power of the 1-d ``u0``, read from the factor alone.
+    One guarded series over the check and drift times feeds both. It forms the
+    boost-norm table once at each clean time, to the drift's order at drift
+    times (the check reads that one too) and to order d at the others, so only
+    one evolved field is alive at a time. The drift is read at clean drift
+    times only, and fewer than two of them raise. With ``power`` = k > 1 the
+    datum is the k-fold tensor power of the 1-d ``u0``, read from the factor.
     """
     d = u0.grid.dim * power
     drift_order = max(d, *(sum(alpha) for alpha in drift_alphas))
-    check_read, drift_read = ks_read(d, power), ks_read(drift_order, power)
+    check_read, check_report = check_ks_schrodinger(d, power)
 
     def read(t, ut):
-        return (drift_read if t in drift_times else check_read)(t, ut)
+        norms = boost_norms(ut, t, drift_order, power) if t in drift_times else None
+        return (check_read(t, ut, norms) if t in check_times else None), norms
 
     series = Series.evolve(u0, schrodinger(), (*check_times, *drift_times), read, power)
-    report = check_ks_schrodinger(series.restrict(check_times))
+    report = check_report(series.restrict(check_times).map(operator.itemgetter(0)))
     drifted = series.restrict(drift_times)
     notes = tuple(f"{label} drift time t={t:g} excluded: {why}" for t, why in drifted.excluded)
     if len(drifted.clean) < 2:
@@ -619,7 +614,7 @@ def _shell_setup(cfg: ExperimentConfig):
     ((_, datum),) = _shell_gaussian(cfg)
     grid = _grid(cfg)
     part = build_dyadic_partition(grid, cfg.get("grid", "k_min"), cfg.get("grid", "k_max"))
-    return grid, part, _complexify(sample(datum, grid))
+    return part, _complexify(sample(datum, grid))
 
 
 def _reads(*reads: Callable) -> Callable:
@@ -628,15 +623,20 @@ def _reads(*reads: Callable) -> Callable:
 
 
 def _run_schrodinger_xnorm(cfg: ExperimentConfig, threads: int):
-    grid, part, u0 = _shell_setup(cfg)
+    part, u0 = _shell_setup(cfg)
     times, t_star = _times(cfg), cfg.get("times", "cross_check_t")
-    series = Series.evolve(u0, schrodinger(), [*times, t_star], sup_read())
-    rep = check_dispersive_schrodinger(series.restrict(times), part)
+    check_read, check_report = check_dispersive_schrodinger(u0, part)
+
+    def read(t, ut):
+        return (check_read(t, ut) if t in times else None), (linf_norm(ut) if t == t_star else None)
+
+    series = Series.evolve(u0, schrodinger(), [*times, t_star], read)
+    rep = check_report(series.restrict(times).map(operator.itemgetter(0)))
     # closed-form amplitude cross-check at one more time, guarded as every time of the series is
     cross = series.restrict([t_star])
     if cross.excluded:
         raise ContaminationError(f"times.cross_check_t = {t_star:g}: {cross.excluded[0][1]}")
-    ((_, sup),) = cross.clean
+    ((_, (_, sup)),) = cross.clean
     w = cfg.get("datum", "width")
     oracle = w * (w**4 + 4.0 * t_star**2) ** -0.25
     check = _Check(f"amplitude-error-t={t_star:g}", abs(sup / oracle - 1.0), "<=", cfg.get("tolerances", "oracle"))
@@ -644,10 +644,11 @@ def _run_schrodinger_xnorm(cfg: ExperimentConfig, threads: int):
 
 
 def _run_lp_decay(cfg: ExperimentConfig, threads: int):
-    grid, part, u0 = _shell_setup(cfg)
-    series = Series.evolve(u0, schrodinger(), _fit_times(cfg), _reads(lp_read(0.5), lp_read(0.0)))
-    rep_half = check_lp_decay(series.map(operator.itemgetter(0)), 0.5, part)
-    rep_zero = check_lp_decay(series.map(operator.itemgetter(1)), 0.0)
+    part, u0 = _shell_setup(cfg)
+    (read_half, report_half), (read_zero, report_zero) = check_lp_decay(u0, 0.5, part), check_lp_decay(u0, 0.0)
+    series = Series.evolve(u0, schrodinger(), _fit_times(cfg), _reads(read_half, read_zero))
+    rep_half = report_half(series.map(operator.itemgetter(0)))
+    rep_zero = report_zero(series.map(operator.itemgetter(1)))
     l4 = [l / t**0.25 for (t, l, _) in rep_half.samples]
     fit = fit_decay([s[0] for s in rep_half.samples], l4, excluded=rep_half.excluded)
     rows = _ratio_rows(rep_half, "theta=1/2") + _ratio_rows(rep_zero, "theta=0")
@@ -657,10 +658,10 @@ def _run_lp_decay(cfg: ExperimentConfig, threads: int):
 
 
 def _run_local_mass(cfg: ExperimentConfig, threads: int):
-    grid, part, u0 = _shell_setup(cfg)
-    sigmas = cfg.get("datum", "sigmas")
-    series = Series.evolve(u0, schrodinger(), _times(cfg), _reads(*(local_mass_read(s, part) for s in sigmas)))
-    reports = tuple(check_local_mass(series.map(operator.itemgetter(i)), s, part) for i, s in enumerate(sigmas))
+    part, u0 = _shell_setup(cfg)
+    checks = [check_local_mass(u0, sigma, part) for sigma in cfg.get("datum", "sigmas")]
+    series = Series.evolve(u0, schrodinger(), _times(cfg), _reads(*(read for read, _ in checks)))
+    reports = tuple(report(series.map(operator.itemgetter(i))) for i, (_, report) in enumerate(checks))
     rows = sum((_ratio_rows(rep, rep.name) for rep in reports), ())
     return Report(("series", "t", "lhs", "rhs", "ratio"), rows, inequalities=reports)
 
@@ -695,7 +696,7 @@ def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
     # the check reads u(t) at nodes, the ones nearest the evenly spaced points.
     x = u0.grid.axis(0)
     probes = x[[int(np.argmin(np.abs(x - p))) for p in wanted]]
-    pointwise, half_line = airy_pointwise_read(u0.grid, probes), x >= 0.0
+    (pointwise, report), half_line = check_airy_pointwise(u0, probes), x >= 0.0
     checkpoints, fit_times = cfg.get("times", "checkpoints"), _fit_times(cfg)
 
     def read(t, ut):
@@ -707,7 +708,7 @@ def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
         return probed, du_max
 
     series = Series.evolve(u0, airy(), (*checkpoints, *fit_times), read)
-    rep = check_airy_pointwise(series.restrict(checkpoints).map(operator.itemgetter(0)), probes)
+    rep = report(series.restrict(checkpoints).map(operator.itemgetter(0)))
     # the decay of d_x u(t) on the half line x >= 0
     fitted = series.restrict(fit_times)
     du_max = [du for _, (_, du) in fitted.clean]
@@ -718,11 +719,10 @@ def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
 
 def _run_airy_local_energy(cfg: ExperimentConfig, threads: int):
     u0 = _airy_field(cfg)
-    fit_times = _fit_times(cfg)
-    eps = cfg.get("datum", "eps")
-    series = Series.evolve(u0, airy(), _times(cfg), local_energy_read(u0.grid, eps))
-    rep = check_airy_local_energy(series, eps)
-    fitted, lhs = series.restrict(fit_times), {t: l for t, l, _ in rep.samples}
+    read, report = check_airy_local_energy(u0, cfg.get("datum", "eps"))
+    series = Series.evolve(u0, airy(), _times(cfg), read)
+    rep = report(series)
+    fitted, lhs = series.restrict(_fit_times(cfg)), {t: l for t, l, _ in rep.samples}
     energies = [lhs[t] / t for t, _ in fitted.clean]
     fit = fit_decay([t for t, _ in fitted.clean], energies, excluded=fitted.excluded)
     # reported against the rate -1 +- 0.1, gated one-sided on tolerances.energy_slope
@@ -732,7 +732,7 @@ def _run_airy_local_energy(cfg: ExperimentConfig, threads: int):
 
 def _run_airy_decay(cfg: ExperimentConfig, threads: int):
     u0 = _airy_field(cfg)
-    series = Series.evolve(u0, airy(), _fit_times(cfg), sup_read())
+    series = Series.evolve(u0, airy(), _fit_times(cfg), lambda t, ut: linf_norm(ut))
     rows = series.clean
     sup_fit = fit_decay([t for t, _ in rows], [v for _, v in rows], excluded=series.excluded)
     fits = (_Slope("sup-decay", sup_fit, -1.0 / 3.0, cfg.get("tolerances", "slope")),)
@@ -740,14 +740,13 @@ def _run_airy_decay(cfg: ExperimentConfig, threads: int):
 
 
 def _run_monomial_2k(cfg: ExperimentConfig, threads: int):
-    reports, rows = [], []
+    reports = []
     for k, (suffix, datum) in enumerate(_monomial_gaussians(cfg), start=1):
         u0 = _complexify(sample(datum, _grid(cfg, suffix)))
-        rep = check_monomial_estimate(k, Series.evolve(u0, even_order(k), _times(cfg), monomial_read(k)))
-        reports.append(rep)
-        rows.extend(_ratio_rows(rep, f"k={k}"))
-    cols = ("series", "t", "lhs", "rhs", "ratio")
-    return Report(cols, tuple(rows), inequalities=tuple(reports))
+        read, report = check_monomial_estimate(u0, k)
+        reports.append(report(Series.evolve(u0, even_order(k), _times(cfg), read)))
+    rows = sum((_ratio_rows(rep, f"k={k}") for k, rep in enumerate(reports, start=1)), ())
+    return Report(("series", "t", "lhs", "rhs", "ratio"), rows, inequalities=tuple(reports))
 
 
 # Packets scored by one ``commutation_residual`` call. It holds six (rows x points)
@@ -1006,6 +1005,8 @@ _ENTRIES = _by_id(
                 lambda v, s: 0.0 <= v <= s["grid"]["half_width"],
                 "must lie in [0, grid.half_width]",
             ),
+            # the estimate holds for t >= 0 only, and the check skips earlier times
+            ("times", "checkpoints", lambda v, s: max(v) >= 0.0, "must hold a time >= 0"),
         ),
         fit=("fit_", None),
     ),

@@ -97,8 +97,8 @@ class TestPartition:
         f = shell.with_values(shell.values + math.sqrt(share) * l2_norm(shell) / l2_norm(piece) * piece.values)
         clipped = l2_norm(f.with_values((1.0 - partition.bumps.sum(axis=0)) * f.values)) / l2_norm(f)
         assert partition.off_shell_fraction(f) == pytest.approx(clipped, rel=KERNEL_REL)
-        series = hz.Series(f, ((1.0, hz.local_mass_read(0.25, partition)(1.0, f)),), ())
-        assert dict(hz.check_local_mass(series, 0.25, partition).detail)["window_truncated"] is truncated
+        read, report = hz.check_local_mass(f, 0.25, partition)
+        assert dict(report(hz.Series(((1.0, read(1.0, f)),), ())).detail)["window_truncated"] is truncated
 
 
 class TestXNorm:

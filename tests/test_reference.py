@@ -4,7 +4,17 @@
 under a second at their default configs and between them go through the pair
 quadrature, the gradient oracles, the translated X norm and ``sample``. The
 fits, inequality ratios and sample rows of these three must equal
-``perfbench/reference.json`` bit for bit.
+``perfbench/reference.json`` bit for bit, and so must those of
+``schrodinger-xnorm`` and ``lp-decay``, the dispersive-sup and L^p checks.
+
+``local-mass``, ``airy-pointwise``, ``airy-local-energy``, ``airy-decay`` and
+``monomial-2k`` are compared within the same 1e-13 relative as
+``schrodinger-ks`` below. The per-time spectral kernels were rewritten after
+the reference was recorded, and moved their rows in the last bits: the
+degree-4 phase is mirrored across +-xi (``monomial-2k``), real fields are
+evolved and differentiated through ``rfft``/``irfft`` (the Airy entries), and
+each dyadic norm is read from one matrix-vector product (``local-mass``). The
+largest move is 1.5e-14 relative (``airy-pointwise``; ``monomial-2k`` 9.3e-15).
 
 ``schrodinger-ks`` is compared within 1e-13 relative. Three changes since the
 reference was recorded move its rows in the last bits. The multiplier is
@@ -44,7 +54,8 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 # The benchmark's correctness gate, |value - ref| <= 1e-6 * |ref| + 1e-12,
 # restated from perfbench/workloads.py (REFERENCE_REL_TOL, REFERENCE_ABS_TOL).
 GATE_REL, GATE_ABS = 1e-6, 1e-12
-# schrodinger-ks: rounding of the per-axis multiplier and of the Parseval sums, with room above the 1e-15 seen
+# schrodinger-ks: rounding of the per-axis multiplier and of the Parseval sums, with room above the 1e-15 seen;
+# the rewritten per-time kernels of five more entries, with room above the 1.5e-14 seen
 KS_REL = 1e-13
 
 
@@ -63,7 +74,9 @@ def _report(exp_id, monkeypatch):
     return json.loads(run(default_config(exp_id)).to_json())
 
 
-@pytest.mark.parametrize("exp_id", ["counterexample", "cube-translation", "schrodinger-decay"])
+@pytest.mark.parametrize(
+    "exp_id", ["counterexample", "cube-translation", "schrodinger-decay", "schrodinger-xnorm", "lp-decay"]
+)
 def test_rows_equal_reference(exp_id, reference, monkeypatch):
     ref = reference[exp_id]
     assert _numbers(_report(exp_id, monkeypatch)) == (ref["samples"], ref["fits"], ref["inequalities"])
@@ -86,6 +99,13 @@ def test_schrodinger_ks_rows_within_rounding(reference, monkeypatch):
     monkeypatch.setattr(operators, "_boost_walk", walk)
     ref = reference["schrodinger-ks"]
     got = _numbers(_report("schrodinger-ks", monkeypatch))
+    assert _within(got, (ref["samples"], ref["fits"], ref["inequalities"]), KS_REL, 0.0)
+
+
+@pytest.mark.parametrize("exp_id", ["local-mass", "airy-pointwise", "airy-local-energy", "airy-decay", "monomial-2k"])
+def test_spectral_rows_within_rounding(exp_id, reference, monkeypatch):
+    ref = reference[exp_id]
+    got = _numbers(_report(exp_id, monkeypatch))
     assert _within(got, (ref["samples"], ref["fits"], ref["inequalities"]), KS_REL, 0.0)
 
 
