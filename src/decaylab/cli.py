@@ -5,9 +5,10 @@ Exit codes:
 0  ``list`` or ``validate`` succeeded, or ``run`` finished and every check passed.
 1  ``run`` finished and a fit, inequality or check record failed; the report
    is written. An unexpected exception also exits 1, with a traceback.
-2  bad input: a bad command line, or a config that cannot be read or parsed,
-   names an unknown section or key, or holds an out-of-range value (found at
-   load time, so by ``validate`` too; no runner raises ``ConfigError``, and one
+2  bad input: a bad command line, or a config that cannot be read (a missing
+   file, or one that is not UTF-8 text) or parsed, names an unknown section
+   or key, or holds an out-of-range value (found at load time, so by
+   ``validate`` too; no runner raises ``ConfigError``, and one
    that did would also exit 2), or whose grid box is too small for its datum
    (found at load time, so by ``validate`` too; a ``SupportOverflowError``
    from a runner also maps here), or whose grid spacing is above half the

@@ -53,11 +53,11 @@ from .harness import (
 from .norms import PARTITION_PROFILE_ID, _check_window, build_dyadic_partition, hs_norm
 from .norms import translated_xnorm_inf, x_norm
 from .operators import (
+    CommutingOperator,
     boost_norms,
     commutation_residual,
     commutator_norm,
     derive_commuting_operator,
-    monomial_boost,
     random_wave_packets,
     schrodinger_boost,
 )
@@ -174,8 +174,6 @@ def parse_config(text: str) -> ExperimentConfig:
                 resolved[section][key] = _parse_value(value.strip(), resolved[section][key])
             except ValueError as err:
                 raise ConfigError(f"{section}.{key}: cannot parse value {value.strip()!r}: {err}") from None
-    if resolved["experiment"]["id"] != exp_id:
-        raise ConfigError("experiment.id mismatch")
     _check_ranges(entry, resolved)
     config = ExperimentConfig(exp_id, _freeze_sections(resolved))
     _check_boxes(config)
@@ -239,7 +237,11 @@ def _check_boxes(config: ExperimentConfig) -> None:
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}: not UTF-8 text: {err}") from None
+    return parse_config(text)
 
 
 def default_config(exp_id: str) -> ExperimentConfig:
@@ -406,10 +408,6 @@ def _ratio_rows(rep: InequalityReport, *label) -> tuple:
     return tuple((*label, t, l, r, _ratio(l, r)) for (t, l, r) in rep.samples)
 
 
-def _complexify(f):
-    return f.with_values(f.values.astype(np.complex128))
-
-
 # ---------------------------------------------------------------------------
 # sampled data: each function lists (grid key suffix, datum) for every datum a
 # runner samples on a [grid] box; the runner and ``_check_boxes`` both read it
@@ -528,7 +526,7 @@ def _run_conservation(cfg: ExperimentConfig, threads: int):
 def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
     ((_, datum),) = _centered_gaussian(cfg)
     grid = _grid(cfg)
-    u0 = _complexify(sample(datum, grid))
+    u0 = sample(datum, grid)
     x0 = int(np.argmin(np.abs(grid.axis(0))))
     checkpoints, times = cfg.get("times", "checkpoints"), _fit_times(cfg)
     base = {s: hs_norm(u0, s) for s in (0.25, 0.5, 1.0)}
@@ -597,10 +595,10 @@ def _ks_dimension(u0, check_times, drift_times, drift_alphas, label, power=1):
 
 def _run_schrodinger_ks(cfg: ExperimentConfig, threads: int):
     (_, g1), _ = _ks_gaussians(cfg)
-    u1 = _complexify(sample(g1, _grid(cfg, "_1d")))
+    u1 = sample(g1, _grid(cfg, "_1d"))
     rep1, drift1, notes1 = _ks_dimension(u1, _times(cfg), (1.0, 10.0, 100.0), ((0,), (1,), (2,)), "d1")
     # the 2-d datum Gaussian((0, 0), (w, w)) is the square of its 1-d factor at every node of the square grid
-    factor = _complexify(sample(Gaussian(0.0, cfg.get("datum", "width_2d")), _grid(cfg, "_2d")))
+    factor = sample(Gaussian(0.0, cfg.get("datum", "width_2d")), _grid(cfg, "_2d"))
     rep2, drift2, notes2 = _ks_dimension(
         factor, cfg.get("times", "checkpoints_2d"), (1.0, 4.0, 16.0), ((1, 0), (1, 1), (0, 2)), "d2", power=2
     )
@@ -614,7 +612,7 @@ def _shell_setup(cfg: ExperimentConfig):
     ((_, datum),) = _shell_gaussian(cfg)
     grid = _grid(cfg)
     part = build_dyadic_partition(grid, cfg.get("grid", "k_min"), cfg.get("grid", "k_max"))
-    return part, _complexify(sample(datum, grid))
+    return part, sample(datum, grid)
 
 
 def _reads(*reads: Callable) -> Callable:
@@ -637,8 +635,13 @@ def _run_schrodinger_xnorm(cfg: ExperimentConfig, threads: int):
     if cross.excluded:
         raise ContaminationError(f"times.cross_check_t = {t_star:g}: {cross.excluded[0][1]}")
     ((_, (_, sup)),) = cross.clean
-    w = cfg.get("datum", "width")
-    oracle = w * (w**4 + 4.0 * t_star**2) ** -0.25
+    # |u(t, x)| = w s^(-1/4) exp(-(x - c)^2 w^2 / (2 s)) with s = w^4 + 4 t^2 peaks at the centre c, so the
+    # node max is taken at the node nearest c, up to half a cell from it: the oracle is read there too
+    w, c = cfg.get("datum", "width"), cfg.get("datum", "center")
+    x = u0.grid.axis(0)
+    node = x[int(np.argmin(np.abs(x - c)))]
+    s = w**4 + 4.0 * t_star**2
+    oracle = w * s**-0.25 * math.exp(-((node - c) ** 2) * w**2 / (2.0 * s))
     check = _Check(f"amplitude-error-t={t_star:g}", abs(sup / oracle - 1.0), "<=", cfg.get("tolerances", "oracle"))
     return Report(("t", "lhs", "rhs", "ratio"), _ratio_rows(rep), inequalities=(rep,), checks=(check,))
 
@@ -742,7 +745,7 @@ def _run_airy_decay(cfg: ExperimentConfig, threads: int):
 def _run_monomial_2k(cfg: ExperimentConfig, threads: int):
     reports = []
     for k, (suffix, datum) in enumerate(_monomial_gaussians(cfg), start=1):
-        u0 = _complexify(sample(datum, _grid(cfg, suffix)))
+        u0 = sample(datum, _grid(cfg, suffix))
         read, report = check_monomial_estimate(u0, k)
         reports.append(report(Series.evolve(u0, even_order(k), _times(cfg), read)))
     rows = sum((_ratio_rows(rep, f"k={k}") for k, rep in enumerate(reports, start=1)), ())
@@ -766,7 +769,7 @@ def _run_commutation_suite(cfg: ExperimentConfig, threads: int):
     for m, disp in ((2, schrodinger()), (3, airy()), (4, even_order(2))):
         op = derive_commuting_operator(disp)
         # each coefficient 10% off: the first datum alone shows that the boost no longer commutes
-        perturbed = [monomial_boost(m, op.a * 1.1, op.b), monomial_boost(m, op.a, op.b * 1.1)]
+        perturbed = [CommutingOperator(m, op.a * 1.1, op.b), CommutingOperator(m, op.a, op.b * 1.1)]
         rng = np.random.default_rng(seed + m)
         tables = []
         for start in range(0, n_data, _PACKETS_PER_CALL):
@@ -818,6 +821,13 @@ class CatalogEntry:
         return {"experiment": {"id": self.id, "seed": 20260811}, "output": {"dir": ""}, **self.sections}
 
 
+# The transport sup widens each preimage window by an absolute 1e-3 (b - a) / nloc in p, which swamps
+# the window (q_hi - q_lo) / t itself at large t: against the closed form sqrt(2 pi) w / sqrt(1 + t^2)
+# for the identity map the sup is within 4e-15 relative up to t = 5e6, but 7.3e-6 high at 1e7 and 145%
+# high at 5e7, and vlasov-decay fits slope -0.973 (FAIL) with t_max = 1e8.
+_TRANSPORT_T_MAX = ("times", "t_max", lambda v, s: v <= 1e6, "must be at most 1e6")
+
+
 def _by_id(*entries: CatalogEntry) -> dict:
     out = {e.id: e for e in entries}
     if len(out) != len(entries):
@@ -836,7 +846,7 @@ _ENTRIES = _by_id(
             "tolerances": {"slope": 0.02},
         },
         _run_vlasov_decay,
-        ranges=(("datum", "dimension", lambda v, s: v >= 1, "must be at least 1"),),
+        ranges=(("datum", "dimension", lambda v, s: v >= 1, "must be at least 1"), _TRANSPORT_T_MAX),
         fit=("", None),
     ),
     CatalogEntry(
@@ -849,7 +859,10 @@ _ENTRIES = _by_id(
             "tolerances": {"slope": 0.05},
         },
         _run_transport_degenerate,
-        ranges=(("datum", "map", lambda v, s: v in ("relativistic", "mixed"), "must be 'relativistic' or 'mixed'"),),
+        ranges=(
+            ("datum", "map", lambda v, s: v in ("relativistic", "mixed"), "must be 'relativistic' or 'mixed'"),
+            _TRANSPORT_T_MAX,
+        ),
         fit=("", None),
     ),
     CatalogEntry(

@@ -44,20 +44,14 @@ from .fields import SampledField, l2_norm, spectral_derivative
 from .propagators import DispersionPolynomial, _phase
 
 __all__ = [
-    "NoCommutingOperatorError",
     "CommutingOperator",
     "schrodinger_boost",
-    "monomial_boost",
     "derive_commuting_operator",
     "apply_operator",
     "boost_norms",
     "commutation_residual",
     "commutator_norm",
 ]
-
-
-class NoCommutingOperatorError(Exception):
-    """The symbol-side commutation condition has no solution (a degenerate symbol)."""
 
 
 @dataclass(frozen=True)
@@ -73,10 +67,6 @@ class CommutingOperator:
 def schrodinger_boost(axis: int = 0) -> CommutingOperator:
     """W_j = t d_j + (i/2) x_j: the degree-2 monomial boost with (a, b) = (1, i/2)."""
     return CommutingOperator(2, 1.0 + 0.0j, 0.5j, axis)
-
-
-def monomial_boost(degree: int, a: complex, b: complex) -> CommutingOperator:
-    return CommutingOperator(degree, complex(a), complex(b))
 
 
 def derive_commuting_operator(disp: DispersionPolynomial) -> CommutingOperator:
@@ -95,10 +85,8 @@ def derive_commuting_operator(disp: DispersionPolynomial) -> CommutingOperator:
     lhs_a = (1j * xi0) ** (m - 1)
     lhs_b = 1j * m * s * xi0 ** (m - 1)  # i * sigma'(xi0)
     a = complex(m)
-    if lhs_b == 0:
-        raise NoCommutingOperatorError("degenerate symbol derivative")
     b = -a * lhs_a / lhs_b
-    return monomial_boost(m, a, b)
+    return CommutingOperator(m, a, b)
 
 
 def _coordinate(u: SampledField, axis: int) -> np.ndarray:

@@ -10,9 +10,10 @@ the pairs, each pair under its own axis map. Velocity averages at large
 times concentrate on p-scales ~ 1/t, so the sup integrates over preimage
 windows of the datum support instead of a fixed p-grid; the conserved
 functionals sum over q-windows that ride the characteristics on one global
-lattice (``_foot_window``). Each scalar dispersion map declares its monotone
-branches with their closed-form inverses, so a window's ends are read off
-directly.
+lattice (``_foot_window``). A dispersion map is the tuple of its per-axis
+``ScalarDispersion``s, w(p)_i = map[i].w(p_i). Each scalar map declares its
+monotone branches with their closed-form inverses, so a window's ends are
+read off directly.
 
 The sup search takes a sequence of times and runs them in lockstep: each of
 its six rounds scores the candidates of every time in one ``_pair_profile``
@@ -26,9 +27,6 @@ below glibc's 128 KiB mmap threshold) through p-node and foot arrays that
 the call allocates once, so a sup search maps no fresh pages. Each row does
 its own elementwise arithmetic and sums as it would over the whole table, so
 neither the blocks nor the other times of a batch move a bit.
-
-Points are never stacked: ``TransportSolution.evaluate`` takes positions
-and momenta as per-axis coordinate arrays, as the analytic data do.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from .fields import AnalyticField, BumpLambda
 
 __all__ = [
     "ScalarDispersion",
-    "DispersionMap",
     "identity_map",
     "relativistic_map",
     "square_map",
@@ -59,7 +56,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScalarDispersion:
-    """One-dimensional dispersion component u = w(p) with derivative oracle.
+    """One-dimensional dispersion component u = w(p).
 
     ``branches`` covers R with the maximal intervals on which w is strictly
     monotone, in increasing order, as ``(start, end, inverse)`` triples:
@@ -67,90 +64,55 @@ class ScalarDispersion:
     Adjacent branches share their end, a critical point of w.
     """
 
-    name: str
     w: Callable
-    dw: Callable
     branches: tuple
 
 
-@dataclass(frozen=True)
-class DispersionMap:
-    """Velocity map w: R^d -> R^d acting on each momentum axis separately.
-
-    ``axis_maps`` holds one ``ScalarDispersion`` per axis, so that
-    w(p)_i = axis_maps[i].w(p_i) and d is the number of axes.
-    """
-
-    tag: str
-    axis_maps: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.axis_maps)
-
-
-_IDENTITY = ScalarDispersion(
-    "identity", lambda p: np.asarray(p, float), lambda p: np.ones_like(np.asarray(p, float)),
-    ((-math.inf, math.inf, lambda u: np.asarray(u, float)),),
-)
+_IDENTITY = ScalarDispersion(lambda p: np.asarray(p, float), ((-math.inf, math.inf, lambda u: np.asarray(u, float)),))
 _SQUARE = ScalarDispersion(
-    "square", lambda p: np.asarray(p, float) ** 2, lambda p: 2.0 * np.asarray(p, float),
-    ((-math.inf, 0.0, lambda u: -np.sqrt(u)), (0.0, math.inf, np.sqrt)),
+    lambda p: np.asarray(p, float) ** 2, ((-math.inf, 0.0, lambda u: -np.sqrt(u)), (0.0, math.inf, np.sqrt))
 )
 # w(p) = p / sqrt(1 + p^2) maps R onto (-1, 1); (1 - u)(1 + u) keeps 1 - u^2 accurate near |u| = 1
 _RELATIVISTIC = ScalarDispersion(
-    "relativistic",
     lambda p: np.asarray(p, float) / np.sqrt(1.0 + np.asarray(p, float) ** 2),
-    lambda p: (1.0 + np.asarray(p, float) ** 2) ** -1.5,
     ((-math.inf, math.inf, lambda u: u / np.sqrt((1.0 - u) * (1.0 + u))),),
 )
 
 
-def identity_map(dim: int = 1) -> DispersionMap:
-    return DispersionMap("identity", (_IDENTITY,) * dim)
+def identity_map(dim: int = 1) -> tuple:
+    return (_IDENTITY,) * dim
 
 
-def relativistic_map() -> DispersionMap:
+def relativistic_map() -> tuple:
     """d=1 map p / sqrt(1 + p^2)."""
-    return DispersionMap("relativistic", (_RELATIVISTIC,))
+    return (_RELATIVISTIC,)
 
 
-def square_map() -> DispersionMap:
-    return DispersionMap("square", (_SQUARE,))
+def square_map() -> tuple:
+    return (_SQUARE,)
 
 
-def mixed_map() -> DispersionMap:
+def mixed_map() -> tuple:
     """d=2 map (p1, p2^2): full rank in the first axis, degenerate second."""
-    return DispersionMap("mixed", (_IDENTITY, _SQUARE))
+    return (_IDENTITY, _SQUARE)
 
 
 @dataclass(frozen=True)
 class TransportSolution:
-    """Datum transported along characteristics of a dispersion map."""
+    """Datum transported along characteristics of a dispersion map.
+
+    ``axis_maps`` is the map: one ``ScalarDispersion`` per momentum axis, so
+    that w(p)_i = axis_maps[i].w(p_i), and nu(t, q, p) = nu0(q - t w(p), p).
+    """
 
     datum: AnalyticField
-    dispersion: DispersionMap
+    axis_maps: tuple
 
     def __post_init__(self):
-        if self.datum.ndim != 2 * self.dispersion.dim:
+        if self.datum.ndim != 2 * len(self.axis_maps):
             raise ValueError(
-                f"datum lives on R^{self.datum.ndim} but the map needs phase space R^{2 * self.dispersion.dim}"
+                f"datum lives on R^{self.datum.ndim} but the map needs phase space R^{2 * len(self.axis_maps)}"
             )
-
-    @property
-    def dim(self) -> int:
-        return self.dispersion.dim
-
-    def evaluate(self, t: float, q, p) -> np.ndarray:
-        """nu(t,q,p) = nu0(q - t w(p), p), exact up to round-off.
-
-        ``q`` and ``p`` each hold d per-axis coordinate arrays that broadcast
-        together, as ``value(*x)`` takes them. Each foot q_i - t w_i(p_i) is
-        formed with the axis's own ``ScalarDispersion``.
-        """
-        axis_maps = self.dispersion.axis_maps
-        feet = [qi - t * smap.w(pi) for qi, pi, smap in zip(q, p, axis_maps, strict=True)]
-        return self.datum.value(*feet, *p)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +329,10 @@ def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, times: Sequence[floa
 
 def _separable_parts(sol: TransportSolution):
     """(pair factor, scalar map) per axis; ValueError when the datum does not split into pairs."""
-    pairs = sol.datum.phase_pair_factors(sol.dim)
+    pairs = sol.datum.phase_pair_factors(len(sol.axis_maps))
     if pairs is None:
         raise ValueError("transport quadrature needs a datum that splits into (q_i, p_i) pair factors")
-    return list(zip(pairs, sol.dispersion.axis_maps))
+    return list(zip(pairs, sol.axis_maps))
 
 
 def sup_velocity_average(sol: TransportSolution, times: Sequence[float]) -> list:
@@ -453,7 +415,6 @@ class CounterexampleProfile:
     """One row of the concentration counterexample for the square map."""
 
     lam: float
-    t: float
     nu_bar_at_origin: float
     lower_bound: float
     w11_norm_bound: float  # gradient L1 seminorm; scale-invariant part
@@ -468,12 +429,8 @@ def counterexample_profile(lam: float, t: float) -> CounterexampleProfile:
     s0 = (sqrt(4 t^2/lam^2 + 1) - 1) / (2 t^2); the reported bound keeps only
     half of it (one sign of p) and is therefore safe.
     """
-    if lam < 1.0:
-        raise ValueError("lam must be >= 1")
     datum = BumpLambda(lam)
-    sol = TransportSolution(datum, square_map())
-    smap = sol.dispersion.axis_maps[0]
-    nu0 = float(_pair_profile(datum, smap, t, np.array([0.0]))[0])
+    nu0 = float(_pair_profile(datum, _SQUARE, t, np.array([0.0]))[0])
     if t == 0.0:
         lower = 2.0  # plateau of radius 1/lam contributes exactly 2
     else:
@@ -486,5 +443,5 @@ def counterexample_profile(lam: float, t: float) -> CounterexampleProfile:
     gq, gp = datum.gradient(q, p)
     grad_l1 = float(np.sqrt(gq**2 + gp**2).sum() * h * h)
     mass_l1 = float(np.abs(datum.value(q, p)).sum() * h * h)
-    return CounterexampleProfile(lam, t, nu0, lower, grad_l1, mass_l1)
+    return CounterexampleProfile(lam, nu0, lower, grad_l1, mass_l1)
 
