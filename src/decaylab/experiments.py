@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import transport as tr
-from .fields import BUMP_PROFILE_ID, BumpLambda, CubeIndicator, Gaussian, GridSpec, product_gaussian_phase
+from .fields import BUMP_PROFILE_ID, BumpLambda, CubeIndicator, Gaussian, GridSpec
 from .fields import SupportOverflowError, _check_support, l2_norm, linf_norm
 from .fields import sample, spectral_derivative
 from .harness import (
@@ -363,10 +363,10 @@ def _ordered_map(fn: Callable, items, threads: int = 1) -> list:
         return list(pool.map(fn, items))
 
 
-def _sups(sol: tr.TransportSolution, times: list, threads: int) -> list:
+def _sups(pairs: list, times: list, threads: int) -> list:
     """``tr.sup_velocity_average`` at each time: one batch of contiguous times per thread."""
     chunks = [c for c in np.array_split(times, max(1, threads)) if c.size]
-    return [v for sups in _ordered_map(lambda c: tr.sup_velocity_average(sol, c), chunks, threads) for v in sups]
+    return [v for sups in _ordered_map(lambda c: tr.sup_velocity_average(pairs, c), chunks, threads) for v in sups]
 
 
 def geometric_times(t_min: float, t_max: float, ratio: float = ROOT2) -> list:
@@ -426,8 +426,8 @@ def _shell_gaussian(cfg: ExperimentConfig) -> tuple:
 
 
 def _ks_gaussians(cfg: ExperimentConfig) -> tuple:
-    w2 = cfg.get("datum", "width_2d")
-    return (("_1d", Gaussian(0.0, cfg.get("datum", "width_1d"))), ("_2d", Gaussian((0.0, 0.0), (w2, w2))))
+    # the 2-d datum Gaussian((0, 0), (w, w)) is the square of its 1-d factor at every node of the square grid
+    return tuple((f"_{d}d", Gaussian(0.0, cfg.get("datum", f"width_{d}d"))) for d in (1, 2))
 
 
 def _cubes(cfg: ExperimentConfig) -> tuple:
@@ -446,9 +446,8 @@ def _run_vlasov_decay(cfg: ExperimentConfig, threads: int):
     d = cfg.get("datum", "dimension")
     width = cfg.get("datum", "width")
     times = _fit_times(cfg)
-    datum = Gaussian((0.0,) * 2 * d, (width,) * 2 * d)
-    sol = tr.TransportSolution(datum, tr.identity_map(d))
-    values = _sups(sol, times, threads)
+    pairs = [(Gaussian((0.0, 0.0), (width, width)), smap) for smap in tr.identity_map(d)]
+    values = _sups(pairs, times, threads)
     rows = tuple((t, v) for t, v in zip(times, values))
     fits = (_Slope("sup-decay", fit_decay(times, values), -float(d), cfg.get("tolerances", "slope")),)
     return Report(("t", "sup_velocity_average"), rows, fits=fits)
@@ -459,11 +458,8 @@ def _run_transport_degenerate(cfg: ExperimentConfig, threads: int):
     width = cfg.get("datum", "width")
     times = _fit_times(cfg)
     one_sided = tag == "mixed"
-    if one_sided:
-        sol = tr.TransportSolution(product_gaussian_phase(width, width, 2), tr.mixed_map())
-    else:
-        sol = tr.TransportSolution(Gaussian((0.0, 0.0), (width, width)), tr.relativistic_map())
-    values = _sups(sol, times, threads)
+    smaps = tr.mixed_map() if one_sided else tr.relativistic_map()
+    values = _sups([(Gaussian((0.0, 0.0), (width, width)), smap) for smap in smaps], times, threads)
     tol = cfg.get("tolerances", "slope")
     slope = _Slope("sup-decay", fit_decay(times, values), -1.0, tol, upper=-1.0 + tol if one_sided else None)
     rows = tuple((t, v) for t, v in zip(times, values))
@@ -473,7 +469,7 @@ def _run_transport_degenerate(cfg: ExperimentConfig, threads: int):
 
 def _run_counterexample(cfg: ExperimentConfig, threads: int):
     lams = cfg.get("datum", "lams")
-    profiles = _ordered_map(lambda lam: tr.counterexample_profile(lam, lam), lams, threads)
+    profiles = _ordered_map(tr.counterexample_profile, lams, threads)
     growth = [p.nu_bar_at_origin * (1.0 + p.lam**2) ** 0.05 for p in profiles]  # nu * <lam>^0.1 must increase
     rows = tuple(
         (p.lam, p.nu_bar_at_origin, p.lower_bound, p.w11_norm_bound, p.l1_norm, g) for p, g in zip(profiles, growth)
@@ -490,12 +486,12 @@ def _run_counterexample(cfg: ExperimentConfig, threads: int):
     return Report(cols, rows, checks=checks)
 
 
-_CONSERVATION_CASES = {  # name -> (datum, dispersion map) for a width and a bump scale
+_CONSERVATION_CASES = {  # name -> (pair datum, axis maps) for a width and a bump scale: the pair on every axis
     "identity-d1-gaussian": lambda w, lam: (Gaussian((0.0, 0.0), (w, w)), tr.identity_map(1)),
     "relativistic-d1-gaussian": lambda w, lam: (Gaussian((0.0, 0.0), (w, w)), tr.relativistic_map()),
     "square-d1-bump": lambda w, lam: (BumpLambda(lam), tr.square_map()),
-    "identity-d2-product": lambda w, lam: (product_gaussian_phase(w, w, 2), tr.identity_map(2)),
-    "mixed-d2-product": lambda w, lam: (product_gaussian_phase(w, w, 2), tr.mixed_map()),
+    "identity-d2-product": lambda w, lam: (Gaussian((0.0, 0.0), (w, w)), tr.identity_map(2)),
+    "mixed-d2-product": lambda w, lam: (Gaussian((0.0, 0.0), (w, w)), tr.mixed_map()),
 }
 
 
@@ -509,8 +505,8 @@ def _run_conservation(cfg: ExperimentConfig, threads: int):
 
     def one(name):
         # one row per time, one column per functional
-        sol = tr.TransportSolution(*_CONSERVATION_CASES[name](width, lam))
-        return [tr.conserved_functional(sol, t) for t in times]
+        pair, smaps = _CONSERVATION_CASES[name](width, lam)
+        return [tr.conserved_functional([(pair, smap) for smap in smaps], t) for t in times]
 
     tables = _ordered_map(one, _CONSERVATION_CASES, threads)
     rows, drifts = [], []
@@ -594,11 +590,10 @@ def _ks_dimension(u0, check_times, drift_times, drift_alphas, label, power=1):
 
 
 def _run_schrodinger_ks(cfg: ExperimentConfig, threads: int):
-    (_, g1), _ = _ks_gaussians(cfg)
+    (_, g1), (_, g2) = _ks_gaussians(cfg)
     u1 = sample(g1, _grid(cfg, "_1d"))
     rep1, drift1, notes1 = _ks_dimension(u1, _times(cfg), (1.0, 10.0, 100.0), ((0,), (1,), (2,)), "d1")
-    # the 2-d datum Gaussian((0, 0), (w, w)) is the square of its 1-d factor at every node of the square grid
-    factor = sample(Gaussian(0.0, cfg.get("datum", "width_2d")), _grid(cfg, "_2d"))
+    factor = sample(g2, _grid(cfg, "_2d"))
     rep2, drift2, notes2 = _ks_dimension(
         factor, cfg.get("times", "checkpoints_2d"), (1.0, 4.0, 16.0), ((1, 0), (1, 1), (0, 2)), "d2", power=2
     )
@@ -990,8 +985,19 @@ _ENTRIES = _by_id(
         },
         _run_cube_translation,
         _cubes,
-        # one center makes the shared-constant spread 1 whatever the norms are
-        ranges=(("datum", "centers", lambda v, s: len(set(v)) > 1, "must hold 2 or more distinct values"),),
+        ranges=(
+            # one center makes the shared-constant spread 1 whatever the norms are
+            ("datum", "centers", lambda v, s: len(set(v)) > 1, "must hold 2 or more distinct values"),
+            # every dyadic bump is 0 on |x| <= 2^(k_min - 1), where the shift search can hide a smaller cube:
+            # a norm of 0 (side 0.0625 at k_min = -4 divides by zero) or a window-truncated one (side 0.1
+            # reads a spread of 1.414, a false FAIL); a side <= 0 is left to the cube's own error
+            (
+                "datum",
+                "side",
+                lambda v, s: v <= 0.0 or v >= 2.0 ** (s["grid"]["k_min"] + 1),
+                "must be at least 2^(grid.k_min + 1)",
+            ),
+        ),
     ),
     CatalogEntry(
         "airy-pointwise",

@@ -1,6 +1,6 @@
 """Periodic grids, sampled fields, and closed-form initial data.
 
-Everything downstream (transport solutions, Fourier propagators, dyadic
+Everything downstream (transport quadratures, Fourier propagators, dyadic
 norms) consumes the containers defined here: ``GridSpec`` describes a
 uniform periodic grid in one or two dimensions, ``SampledField`` holds
 samples on such a grid, complex or real as their values are, and
@@ -36,7 +36,6 @@ __all__ = [
     "Gaussian",
     "BumpLambda",
     "CubeIndicator",
-    "product_gaussian_phase",
     "sample",
     "spectral_derivative",
     "l2_norm",
@@ -226,16 +225,12 @@ def spectral_derivative(field: SampledField, order: int, axis: int = 0) -> Sampl
 
 
 class AnalyticField:
-    """Base of the closed-form data. Each subclass defines ``ndim``, ``value(*x)``,
-    ``support_bounds(tol)``, the per-axis (lo, hi) box holding all but ~tol of
-    the datum, and ``feature_scale()``, the smallest length over which it varies,
-    or None if it jumps and no length resolves it. ``value(*x)`` takes ``ndim``
-    coordinate arrays that broadcast together.
+    """Base of the closed-form data. Each subclass defines ``value(*x)``, on one
+    coordinate array per axis, the arrays broadcasting together; ``support_bounds(tol)``,
+    the per-axis (lo, hi) box holding all but ~tol of the datum; and ``feature_scale()``,
+    the smallest length over which it varies, or None if it jumps and no length
+    resolves it. Data that ``sample`` puts on a grid also define ``ndim``, their axis count.
     """
-
-    def phase_pair_factors(self, d: int):
-        """Factorisation into (q_i, p_i) pair fields, or None."""
-        return None
 
 
 def _scaled_square(x, c: float, w: float, out=None):
@@ -286,17 +281,6 @@ class Gaussian(AnalyticField):
 
     def feature_scale(self) -> float:
         return min(self.width)
-
-    def phase_pair_factors(self, d: int):
-        if self.ndim != 2 * d:
-            return None
-        c, w = self.center, self.width
-        return [Gaussian((c[i], c[d + i]), (w[i], w[d + i])) for i in range(d)]
-
-
-def product_gaussian_phase(q_width: float, p_width: float, d: int = 1) -> Gaussian:
-    """Phase-space product Gaussian exp(-|q|^2/2qw^2 - |p|^2/2pw^2) over R^{2d}."""
-    return Gaussian((0.0,) * (2 * d), (q_width,) * d + (p_width,) * d)
 
 
 # Bump profile: identically 1 on the unit disc, 0 outside radius 2, with an
@@ -349,10 +333,6 @@ class BumpLambda(AnalyticField):
         if self.lam < 1.0:
             raise ValueError("bump scale must satisfy lam >= 1")
 
-    @property
-    def ndim(self) -> int:
-        return 2
-
     def value(self, q, p):
         r = self.lam * np.sqrt(q**2 + p**2)
         return self.lam * bump_profile(r)
@@ -371,9 +351,6 @@ class BumpLambda(AnalyticField):
         # transition occupies r in (1,2)/lam with peak slope ~2*lam; the
         # exp smoothstep needs a few extra nodes for 1e-8 quadratures
         return 0.075 / self.lam
-
-    def phase_pair_factors(self, d: int):
-        return [self] if d == 1 else None
 
 
 @dataclass(frozen=True)

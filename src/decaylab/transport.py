@@ -4,9 +4,9 @@ The transport equation d_t nu + w(p) . d_q nu = 0 is solved exactly by
 nu(t, q, p) = nu0(q - t w(p), p), so this module never time-steps: it
 evaluates the characteristics formula on analytic data and quadratures it.
 Every dispersion map acts separately on each momentum axis, through one
-scalar map per axis. The sup and the conserved functionals need a datum
-that splits into (q_i, p_i) pair factors: each composes 1-d quadratures of
-the pairs, each pair under its own axis map. Velocity averages at large
+scalar map per axis. A datum is its list of (pair g_i, ``ScalarDispersion``)
+tuples, one per axis, nu0 = prod_i g_i(q_i, p_i): the sup and the conserved
+functionals compose 1-d quadratures of the pairs. Velocity averages at large
 times concentrate on p-scales ~ 1/t, so the sup integrates over preimage
 windows of the datum support instead of a fixed p-grid; the conserved
 functionals sum over q-windows that ride the characteristics on one global
@@ -46,7 +46,6 @@ __all__ = [
     "relativistic_map",
     "square_map",
     "mixed_map",
-    "TransportSolution",
     "sup_velocity_average",
     "conserved_functional",
     "CounterexampleProfile",
@@ -95,24 +94,6 @@ def square_map() -> tuple:
 def mixed_map() -> tuple:
     """d=2 map (p1, p2^2): full rank in the first axis, degenerate second."""
     return (_IDENTITY, _SQUARE)
-
-
-@dataclass(frozen=True)
-class TransportSolution:
-    """Datum transported along characteristics of a dispersion map.
-
-    ``axis_maps`` is the map: one ``ScalarDispersion`` per momentum axis, so
-    that w(p)_i = axis_maps[i].w(p_i), and nu(t, q, p) = nu0(q - t w(p), p).
-    """
-
-    datum: AnalyticField
-    axis_maps: tuple
-
-    def __post_init__(self):
-        if self.datum.ndim != 2 * len(self.axis_maps):
-            raise ValueError(
-                f"datum lives on R^{self.datum.ndim} but the map needs phase space R^{2 * len(self.axis_maps)}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +148,14 @@ def _pair_profile(
     """Velocity average of a 2-dim (q, p) datum, axis by axis, at each (t, q), shaped as ``qnodes``.
 
     ``t`` broadcasts against ``qnodes``: a row is one q-node and its time,
-    so one call scores the candidates of many times. For t != 0 the
-    p-integral at q runs over the preimage of the datum's q-support under
-    p -> q - t w(p), one monotone piece at a time, on a local uniform grid
-    of ``nloc`` nodes whose ends the piece's branch inverse gives. This
-    keeps the quadrature resolved at any t (the integrand concentrates on
-    p-scales ~ 1/t). Rows with t = 0 take a fixed 4097-node grid over the
-    p-support. ``windows`` is the pair's ``_pair_windows``, computed here
-    when not given.
+    so one call scores the candidates of many times. No time may be 0
+    (ValueError): every catalog time is positive. The p-integral at q runs
+    over the preimage of the datum's q-support under p -> q - t w(p), one
+    monotone piece at a time, on a local uniform grid of ``nloc`` nodes
+    whose ends the piece's branch inverse gives. This keeps the quadrature
+    resolved at any t (the integrand concentrates on p-scales ~ 1/t).
+    ``windows`` is the pair's ``_pair_windows``, computed here when not
+    given.
 
     The rows go through in blocks of at most ``_BLOCK`` = 8192 samples: 64 KiB
     of float64, half of glibc's default 128 KiB mmap threshold, so every array
@@ -188,22 +169,10 @@ def _pair_profile(
     shape = np.shape(qnodes) or (1,)
     qnodes = np.asarray(qnodes, dtype=float).ravel()
     t = np.broadcast_to(np.asarray(t, dtype=float), shape).ravel()
+    if not t.all():
+        raise ValueError("the window quadrature needs t != 0")
     lo, hi, pieces = _pair_windows(datum, smap) if windows is None else windows
-    qlo, qhi, plo, phi = lo[0], hi[0], lo[1], hi[1]
-    out = np.zeros(qnodes.shape)
-    still = t == 0.0
-    if still.any():
-        p = np.linspace(plo, phi, 4097)
-        q = qnodes[still]
-        sums = np.empty(q.shape)
-        block = max(1, _BLOCK // p.size)
-        for start in range(0, q.size, block):
-            rows = slice(start, start + block)
-            sums[rows] = datum.value(q[rows, None], p).sum(axis=1)
-        out[still] = sums * (p[1] - p[0])
-
-    moving = ~still
-    qnodes, t = qnodes[moving], t[moving]
+    qlo, qhi = lo[0], hi[0]
     prof = np.zeros(qnodes.shape)
     # targets: w(p) must lie in [(q - qhi)/t, (q - qlo)/t] (t > 0; swapped if t < 0)
     u1 = (qnodes - qhi) / t
@@ -243,8 +212,7 @@ def _pair_profile(
             np.add.reduce(vals, axis=1, out=sums[j])
             np.add(vals[:, 0], vals[:, -1], out=edges[j])
         prof[active] += (sums - 0.5 * edges) * (dp / (nloc - 1))
-    out[moving] = prof
-    return out.reshape(shape)
+    return prof.reshape(shape)
 
 
 def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, times: Sequence[float]) -> tuple:
@@ -327,35 +295,27 @@ def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, times: Sequence[floa
     return _pair_profile(datum, smap, times, qat, windows=windows), qat
 
 
-def _separable_parts(sol: TransportSolution):
-    """(pair factor, scalar map) per axis; ValueError when the datum does not split into pairs."""
-    pairs = sol.datum.phase_pair_factors(len(sol.axis_maps))
-    if pairs is None:
-        raise ValueError("transport quadrature needs a datum that splits into (q_i, p_i) pair factors")
-    return list(zip(pairs, sol.axis_maps))
+def sup_velocity_average(pairs: Sequence[tuple], times: Sequence[float]) -> list:
+    """Max over position of the velocity average, one float per (nonzero) time of ``times``.
 
-
-def sup_velocity_average(sol: TransportSolution, times: Sequence[float]) -> list:
-    """Max over position of the velocity average, one float per time of ``times``.
-
-    The datum must split into (q_i, p_i) pair factors, and each sup is the
-    product of the pair sups found by ``_pair_sup``. It searches all the
-    times at once, one ``_pair_profile`` call per pair and round, and no
-    time's sup depends on the others. Per time: a 257-node coarse scan of
-    the reachable q-range, 33 candidates across the datum's q-width at
-    the image of every critical point of w (the fold caustics, where
-    degenerate maps concentrate the average), and 4 rounds of 33-node
-    bracketed refinement around the 3 best, each node ranked by a 129-node
-    preimage-window quadrature, which is accurate uniformly in t; the sup
-    reported is the 513-node quadrature at the winner, within
+    ``pairs`` is the datum, one (pair datum, ``ScalarDispersion``) tuple per
+    axis, and each sup is the product of the pair sups that ``_pair_sup``
+    finds. It searches all the times at once, one ``_pair_profile`` call per
+    pair and round, and no time's sup depends on the others. Per time: a
+    257-node coarse scan of the reachable q-range, 33 candidates across the
+    datum's q-width at the image of every critical point of w (the fold
+    caustics, where degenerate maps concentrate the average), and 4 rounds
+    of 33-node bracketed refinement around the 3 best, each node ranked by a
+    129-node preimage-window quadrature, which is accurate uniformly in t;
+    the sup reported is the 513-node quadrature at the winner, within
     2 max |F_129 - F_513| over the scored q of the best 513-node value
-    there. The windows' ends come in closed form from the branch inverses
-    of the axis maps (``ScalarDispersion.branches``). Against a brute-force
+    there. The windows' ends come in closed form from the branch inverses of
+    the axis maps (``ScalarDispersion.branches``). Against a brute-force
     search (20001 nodes, then 2001 around the best) the square-map sup
     agrees to 2.2e-12 relative at t = 640, 905 and 3000.
     """
     total = np.ones(len(times))
-    for pair_datum, smap in _separable_parts(sol):
+    for pair_datum, smap in pairs:
         sups, _ = _pair_sup(pair_datum, smap, times)
         total *= sups
     return total.tolist()
@@ -396,15 +356,15 @@ def _pair_moments(pair: AnalyticField, smap: ScalarDispersion, t: float) -> tupl
     return tuple(float(f.sum()) * h * hp for f in (g, g * g, p[:, None] ** 2 * g))
 
 
-def conserved_functional(sol: TransportSolution, t: float) -> tuple:
+def conserved_functional(pairs: Sequence[tuple], t: float) -> tuple:
     """(mass, l2, kinetic): the integrals of nu, nu^2 and |p|^2 nu over phase space at time t.
 
-    For nu = prod_i g_i(q_i, p_i) with per-axis maps these are prod_i int g_i,
-    prod_i int g_i^2 and sum_i int p_i^2 g_i * prod_{j != i} int g_j, from
-    the ``_pair_moments`` of each pair under its own axis map. The datum must
-    split into (q_i, p_i) pair factors.
+    For the datum ``pairs``, nu = prod_i g_i(q_i, p_i) with g_i under its own
+    axis map, these are prod_i int g_i, prod_i int g_i^2 and
+    sum_i int p_i^2 g_i * prod_{j != i} int g_j, from the ``_pair_moments`` of
+    each pair.
     """
-    moments = [_pair_moments(pair, smap, t) for pair, smap in _separable_parts(sol)]
+    moments = [_pair_moments(pair, smap, t) for pair, smap in pairs]
     masses = [m[0] for m in moments]
     kinetic = sum(m[2] * math.prod(masses[:i] + masses[i + 1 :]) for i, m in enumerate(moments))
     return math.prod(masses), math.prod(m[1] for m in moments), kinetic
@@ -421,20 +381,17 @@ class CounterexampleProfile:
     l1_norm: float         # mass term, decays like 1/lam
 
 
-def counterexample_profile(lam: float, t: float) -> CounterexampleProfile:
-    """Velocity average at the origin for the square map with a concentrating bump.
+def counterexample_profile(lam: float) -> CounterexampleProfile:
+    """Velocity average at the origin for the square map with a concentrating bump, at t = lam.
 
-    The closed-form lower bound comes from the plateau of the bump: the set
-    {p : t^2 p^4 + p^2 < lam^-2} has measure 2*sqrt(s0) with
-    s0 = (sqrt(4 t^2/lam^2 + 1) - 1) / (2 t^2); the reported bound keeps only
-    half of it (one sign of p) and is therefore safe.
+    t = lam is the paper's diagonal. The closed-form lower bound comes from
+    the plateau of the bump: the set {p : lam^2 p^4 + p^2 < lam^-2} has
+    measure 2*sqrt(s0) with s0 = (sqrt(5) - 1) / (2 lam^2); the reported
+    bound keeps only half of it (one sign of p) and is therefore safe.
     """
     datum = BumpLambda(lam)
-    nu0 = float(_pair_profile(datum, _SQUARE, t, np.array([0.0]))[0])
-    if t == 0.0:
-        lower = 2.0  # plateau of radius 1/lam contributes exactly 2
-    else:
-        lower = lam * math.sqrt((math.sqrt(4.0 * t**2 / lam**2 + 1.0) - 1.0) / (2.0 * t**2))
+    nu0 = float(_pair_profile(datum, _SQUARE, lam, np.array([0.0]))[0])
+    lower = lam * math.sqrt((math.sqrt(5.0) - 1.0) / (2.0 * lam**2))
     # quadrature on a lam-refined grid; the integrand has lam-scale features
     h = 0.05 / lam
     edge = 2.0 / lam + 4 * h

@@ -13,7 +13,6 @@ from decaylab.fields import (
     SampledField,
     SupportOverflowError,
     l2_norm,
-    product_gaussian_phase,
     sample,
     spectral_derivative,
 )
@@ -52,8 +51,7 @@ class TestSample:
 
     def test_bump_max_is_lam_at_origin(self):
         g = GridSpec.centered(2.0, 128, dim=2)
-        f = sample(BumpLambda(4.0), g)
-        assert f.values.max() == pytest.approx(4.0, abs=0)
+        assert BumpLambda(4.0).value(*g.meshgrid()).max() == pytest.approx(4.0, abs=0)
 
 
 class TestSampledField:
@@ -109,8 +107,7 @@ class TestSampledField:
         [
             (Gaussian(0.2, 0.8), 1),
             (CubeIndicator((0.2, -0.1), 1.3), 2),
-            (BumpLambda(2.0), 2),
-            (product_gaussian_phase(0.9, 1.1, d=1), 2),
+            (Gaussian((0.0, 0.0), (0.9, 1.1)), 2),
         ],
     )
     def test_every_analytic_datum_samples_real(self, datum, dim):
@@ -182,9 +179,9 @@ def test_gradient_matches_finite_differences(lam):
     x = [rng.uniform(a + 0.1 * (b - a), b - 0.1 * (b - a), size=64) for a, b in zip(lo, hi)]
     step = 1e-5 * datum.feature_scale()
     grad = datum.gradient(*x)
-    assert len(grad) == datum.ndim and all(g.shape == (64,) for g in grad)
+    assert len(grad) == 2 and all(g.shape == (64,) for g in grad)
     ref_scale = max(np.max(np.abs(g)) for g in grad)
-    for ax in range(datum.ndim):
+    for ax in range(2):
         plus = [xi + step if i == ax else xi for i, xi in enumerate(x)]
         minus = [xi - step if i == ax else xi for i, xi in enumerate(x)]
         fd = (datum.value(*plus) - datum.value(*minus)) / (2 * step)
@@ -197,7 +194,7 @@ def test_gradient_matches_finite_differences(lam):
         Gaussian((0.1, -0.3), (1.0, 0.7)),
         BumpLambda(2.0),
         CubeIndicator((0.2, -0.1), 1.3),
-        product_gaussian_phase(0.9, 1.1, d=1),
+        Gaussian((0.0, 0.0), (0.9, 1.1)),
     ],
 )
 def test_broadcast_axes_equal_dense_mesh(datum):
@@ -255,16 +252,6 @@ def test_bump_plateau_and_support():
     bump = BumpLambda(2.0)
     assert bump.value(0.2, 0.3) == 2.0  # inside radius 1/lam
     assert bump.value(1.1, 0.0) == 0.0  # outside radius 2/lam
-
-
-def test_product_gaussian_phase_factors():
-    datum = product_gaussian_phase(0.5, 1.5, d=2)
-    assert datum.ndim == 4
-    pairs = datum.phase_pair_factors(2)
-    assert len(pairs) == 2 and all(p.ndim == 2 for p in pairs)
-    q1, q2, p1, p2 = 0.3, -0.2, 0.7, 0.1
-    split = pairs[0].value(q1, p1) * pairs[1].value(q2, p2)
-    assert split == pytest.approx(float(datum.value(q1, q2, p1, p2)), rel=1e-14)
 
 
 def test_field_values_immutable():

@@ -1,4 +1,4 @@
-"""Transport solutions: characteristics, averages, conservation, boosts."""
+"""Transport: characteristics, averages, conservation, boosts."""
 
 import math
 from pathlib import Path
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from decaylab.fields import BumpLambda, CubeIndicator, Gaussian, GridSpec, SupportOverflowError, product_gaussian_phase
+from decaylab.fields import BumpLambda, Gaussian, GridSpec, SupportOverflowError
 from decaylab import transport as tr
 from decaylab.experiments import OUTPUT_DIR_ENV, default_config, emit_config, parse_config, run
 from decaylab.harness import fit_decay
@@ -15,84 +15,89 @@ from decaylab.harness import fit_decay
 import transport_oracles as oracle
 
 W = 1.0 / math.sqrt(2.0)  # width so the datum is exp(-q^2 - p^2)
+GAUSSIAN_PAIR = Gaussian((0.0, 0.0), (W, W))
+
+
+def pairs_of(pair, dmap) -> list:
+    """The transport datum with ``pair`` on every axis of the map ``dmap``."""
+    return [(pair, smap) for smap in dmap]
 
 
 @pytest.fixture(scope="module")
-def gaussian_solution():
-    return tr.TransportSolution(Gaussian((0.0, 0.0), (W, W)), tr.identity_map(1))
+def gaussian_datum():
+    return pairs_of(GAUSSIAN_PAIR, tr.identity_map(1))
 
 
 class TestEvaluateDensity:
-    def test_time_zero_is_datum(self, gaussian_solution):
+    def test_time_zero_is_datum(self, gaussian_datum):
         rng = np.random.default_rng(0)
         q, p = rng.normal(size=8), rng.normal(size=8)
-        got = oracle.evaluate(gaussian_solution, 0.0, [q], [p])
+        got = oracle.evaluate(gaussian_datum, 0.0, [q], [p])
         np.testing.assert_allclose(got, np.exp(-(q**2) - p**2), rtol=1e-14)
 
-    def test_characteristics_value(self, gaussian_solution):
+    def test_characteristics_value(self, gaussian_datum):
         # (t,q,p) = (1,0,1): exp(-(0-1)^2 - 1) = e^-2
-        got = oracle.evaluate(gaussian_solution, 1.0, [0.0], [1.0])
+        got = oracle.evaluate(gaussian_datum, 1.0, [0.0], [1.0])
         assert got == pytest.approx(math.exp(-2.0), rel=1e-14)
 
     def test_square_map_bump_plateau(self):
         lam = 3.0
-        sol = tr.TransportSolution(BumpLambda(lam), tr.square_map())
+        sol = pairs_of(BumpLambda(lam), tr.square_map())
         # pick (t,q,p) with (q - t p^2, p) inside the plateau disc of radius 1/lam
         t, p = 2.0, 0.1
         q = t * p**2 + 0.05
         assert oracle.evaluate(sol, t, [q], [p]) == pytest.approx(lam, abs=0)
 
-    def test_exactness_against_independent_reevaluation(self, gaussian_solution):
+    def test_exactness_against_independent_reevaluation(self, gaussian_datum):
         # round-off in the exponent grows with its magnitude, hence the scaled rel tol
         rng = np.random.default_rng(3)
         for _ in range(16):
             t, q, p = rng.uniform(-5, 5, 3)
             expo = (q - t * p) ** 2 + p**2
-            assert oracle.evaluate(gaussian_solution, t, [q], [p]) == pytest.approx(
+            assert oracle.evaluate(gaussian_datum, t, [q], [p]) == pytest.approx(
                 math.exp(-expo), rel=1e-14 * (10.0 + expo), abs=1e-300
             )
 
 
 class TestVelocityAverage:
-    def test_closed_form_at_origin(self, gaussian_solution):
+    def test_closed_form_at_origin(self, gaussian_datum):
         pg = GridSpec.centered(8.0, 128, dim=1)
-        assert oracle.velocity_average(gaussian_solution, 0.0, [0.0], pg) == pytest.approx(
+        assert oracle.velocity_average(gaussian_datum, 0.0, [0.0], pg) == pytest.approx(
             math.sqrt(math.pi), abs=1e-12
         )
-        assert oracle.velocity_average(gaussian_solution, 1.0, [0.0], pg) == pytest.approx(
+        assert oracle.velocity_average(gaussian_datum, 1.0, [0.0], pg) == pytest.approx(
             math.sqrt(math.pi / 2.0), abs=1e-12
         )
 
-    def test_momentum_coverage_guard(self, gaussian_solution):
+    def test_momentum_coverage_guard(self, gaussian_datum):
         small = GridSpec.centered(1.0, 16, dim=1)
         with pytest.raises(SupportOverflowError):
-            oracle.velocity_average(gaussian_solution, 1.0, [0.0], small)
+            oracle.velocity_average(gaussian_datum, 1.0, [0.0], small)
 
 
 class TestSupVelocityAverage:
-    def test_gaussian_closed_form(self, gaussian_solution):
+    def test_gaussian_closed_form(self, gaussian_datum):
         # sup_q of the average is sqrt(pi / (1 + t^2))
-        at3, at0 = tr.sup_velocity_average(gaussian_solution, [3.0, 0.0])
+        (at3,) = tr.sup_velocity_average(gaussian_datum, [3.0])
         assert at3 == pytest.approx(math.sqrt(math.pi / 10.0), abs=1e-8)
-        assert at0 == pytest.approx(math.sqrt(math.pi), abs=1e-10)
 
-    def test_explicit_grids_agree_with_adaptive(self, gaussian_solution):
+    def test_explicit_grids_agree_with_adaptive(self, gaussian_datum):
         t = 2.0
         qg = GridSpec.centered(20.0, 4096, dim=1)
         pg = GridSpec.centered(8.0, 512, dim=1)
-        explicit = oracle.grid_sup(gaussian_solution, t, qg, pg)
-        (adaptive,) = tr.sup_velocity_average(gaussian_solution, [t])
+        explicit = oracle.grid_sup(gaussian_datum, t, qg, pg)
+        (adaptive,) = tr.sup_velocity_average(gaussian_datum, [t])
         assert explicit == pytest.approx(adaptive, rel=1e-5)
 
-    def test_qgrid_coverage_guard(self, gaussian_solution):
+    def test_qgrid_coverage_guard(self, gaussian_datum):
         qg = GridSpec.centered(3.0, 64, dim=1)  # too small for t = 10 travel
         pg = GridSpec.centered(8.0, 128, dim=1)
         with pytest.raises(SupportOverflowError):
-            oracle.grid_sup(gaussian_solution, 10.0, qg, pg)
+            oracle.grid_sup(gaussian_datum, 10.0, qg, pg)
 
     def test_relativistic_peak_off_origin(self):
         # characteristics pile up near |q| = t w(1/sqrt(2)); the sup must see it
-        sol = tr.TransportSolution(Gaussian((0.0, 0.0), (W, W)), tr.relativistic_map())
+        sol = pairs_of(GAUSSIAN_PAIR, tr.relativistic_map())
         t = 50.0
         (sup,) = tr.sup_velocity_average(sol, [t])
         pg = GridSpec.centered(8.0, 4096, dim=1)
@@ -100,9 +105,9 @@ class TestSupVelocityAverage:
         assert sup >= at_peak - 1e-10
 
     @pytest.mark.parametrize("t", [1000.0, 1e4])
-    def test_identity_sup_equals_closed_form(self, gaussian_solution, t):
+    def test_identity_sup_equals_closed_form(self, gaussian_datum, t):
         # the coarse scan plus refinement finds the peak sqrt(pi / (1 + t^2)) at q = 0
-        assert tr.sup_velocity_average(gaussian_solution, [t]) == pytest.approx(
+        assert tr.sup_velocity_average(gaussian_datum, [t]) == pytest.approx(
             [math.sqrt(math.pi / (1.0 + t * t))], rel=1e-10
         )
 
@@ -115,8 +120,7 @@ class TestSupVelocityAverage:
     def test_square_axis_sup_sees_the_fold_caustic(self, t, dense_sup):
         # the average peaks within the datum's q-width of the caustic t w(0) = 0;
         # without the candidates forced there the sup comes out 1.65e-7 low at t = 640
-        pair = product_gaussian_phase(W, W, 2).phase_pair_factors(2)[1]
-        (sup,), _ = tr._pair_sup(pair, tr.mixed_map()[1], [t])
+        (sup,), _ = tr._pair_sup(GAUSSIAN_PAIR, tr.mixed_map()[1], [t])
         assert sup == pytest.approx(dense_sup, rel=1e-8)
 
 
@@ -184,9 +188,8 @@ class TestRowBlocks:
 
     @staticmethod
     def results():
-        pair = Gaussian((0.0, 0.0), (W, W))
-        sups = [tr._pair_sup(pair, smap, [0.0, 10.0, 640.0]) for smap in SCALAR_MAPS.values()]
-        profiles = [tr.counterexample_profile(lam, t) for lam, t in ((4.0, 0.0), (4.0, 4.0), (16.0, 64.0))]
+        sups = [tr._pair_sup(GAUSSIAN_PAIR, smap, [10.0, 640.0]) for smap in SCALAR_MAPS.values()]
+        profiles = [tr.counterexample_profile(lam) for lam in (4.0, 16.0, 64.0)]
         return repr((sups, profiles))  # a float's repr round-trips, so equal reprs are equal bits
 
     def test_sups_and_counterexample_rows_do_not_depend_on_the_block_size(self, monkeypatch):
@@ -197,13 +200,12 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize(
         "pair, smap",
-        [(Gaussian((0.0, 0.0), (W, W)), smap) for smap in SCALAR_MAPS.values()]
-        + list(zip(product_gaussian_phase(W, W, 2).phase_pair_factors(2), tr.mixed_map())),
+        pairs_of(GAUSSIAN_PAIR, SCALAR_MAPS.values()) + pairs_of(GAUSSIAN_PAIR, tr.mixed_map()),
         ids=[*SCALAR_MAPS, "mixed-axis0", "mixed-axis1"],
     )
     def test_sups_of_one_batch_equal_those_of_single_time_batches(self, pair, smap):
         # a row of a _pair_profile call does its own arithmetic, so no sup depends on the other times
-        times = (0.0, 10.0, 640.0, 3000.0)
+        times = (10.0, 640.0, 3000.0)
         alone = [np.concatenate(part).tolist() for part in zip(*(tr._pair_sup(pair, smap, [t]) for t in times))]
         batch = [part.tolist() for part in tr._pair_sup(pair, smap, times)]  # (sups, positions)
         assert repr(batch) == repr(alone)
@@ -219,7 +221,7 @@ _AXES = np.random.default_rng(13).uniform(-2.0, 2.0, (4, 5, 6))
 GAUSSIAN_VALUE_CASES = {
     "scalar": (Gaussian((0.1, -0.3), (0.7, 1.2)), (0.4, -0.2)),
     "broadcast-2d-axes": (Gaussian((0.1, -0.3), (0.7, 1.2)), (_AXES[0, :, :1], _AXES[1, :1, :])),
-    "product-gaussian-phase-4-axes": (product_gaussian_phase(0.5, 1.5, 2), tuple(_AXES)),
+    "product-gaussian-phase-4-axes": (Gaussian((0.0,) * 4, (0.5, 0.5, 1.5, 1.5)), tuple(_AXES)),
     "one-axis": (Gaussian(0.2, 0.9), (_AXES[0],)),
     "broadcast-3d-axes": (Gaussian((0.1, -0.3, 0.5), (0.7, 1.2, 0.4)), (_AXES[0, :, :1], _AXES[1, :1, :], _AXES[2])),
 }
@@ -291,12 +293,11 @@ def test_pair_profile_matches_the_pinned_quadrature(name, t):
 
 # closed-form (mass, l2, kinetic) of exp(-|q|^2 - |p|^2) under each map: per axis int exp(-x^2) = sqrt(pi),
 # int exp(-2x^2) = sqrt(pi/2) and int x^2 exp(-x^2) = sqrt(pi)/2
-GAUSSIAN_D1, GAUSSIAN_D2 = Gaussian((0.0, 0.0), (W, W)), product_gaussian_phase(W, W, 2)
 CONSERVED_CASES = {
-    "identity-d1": (GAUSSIAN_D1, tr.identity_map(1), (math.pi, math.pi / 2, math.pi / 2)),
-    "relativistic-d1": (GAUSSIAN_D1, tr.relativistic_map(), (math.pi, math.pi / 2, math.pi / 2)),
-    "identity-d2": (GAUSSIAN_D2, tr.identity_map(2), (math.pi**2, math.pi**2 / 4, math.pi**2)),
-    "mixed-d2": (GAUSSIAN_D2, tr.mixed_map(), (math.pi**2, math.pi**2 / 4, math.pi**2)),
+    "identity-d1": (tr.identity_map(1), (math.pi, math.pi / 2, math.pi / 2)),
+    "relativistic-d1": (tr.relativistic_map(), (math.pi, math.pi / 2, math.pi / 2)),
+    "identity-d2": (tr.identity_map(2), (math.pi**2, math.pi**2 / 4, math.pi**2)),
+    "mixed-d2": (tr.mixed_map(), (math.pi**2, math.pi**2 / 4, math.pi**2)),
 }
 
 
@@ -304,13 +305,13 @@ class TestConservedFunctional:
     @pytest.mark.parametrize("t", [0.0, 1.0, 5.0, 10.0])
     @pytest.mark.parametrize("case", list(CONSERVED_CASES))
     def test_matches_the_closed_forms(self, case, t):
-        datum, dmap, closed = CONSERVED_CASES[case]
-        got = tr.conserved_functional(tr.TransportSolution(datum, dmap), t)
+        dmap, closed = CONSERVED_CASES[case]
+        got = tr.conserved_functional(pairs_of(GAUSSIAN_PAIR, dmap), t)
         np.testing.assert_allclose(got, closed, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_one_datum_evaluation_per_pair(self, monkeypatch, d):
-        sol = tr.TransportSolution(product_gaussian_phase(W, W, d), tr.identity_map(d))
+        sol = pairs_of(GAUSSIAN_PAIR, tr.identity_map(d))
         calls = []
         value = Gaussian.value
 
@@ -330,7 +331,7 @@ class TestTransportBoost:
         # d_p of lam S(2 - lam rho), rho = |(q, p)|, on the transition 1 < lam rho < 2, with
         # S(a) = e^(-1/a) / (e^(-1/a) + e^(-1/(1 - a))) written out
         lam, q, p = 2.0, 0.45, -0.45
-        sol = tr.TransportSolution(BumpLambda(lam), tr.identity_map(1))
+        sol = pairs_of(BumpLambda(lam), tr.identity_map(1))
         rho = math.hypot(q, p)
         a = 2.0 - lam * rho
         ea, eb = math.exp(-1.0 / a), math.exp(-1.0 / (1.0 - a))
@@ -340,7 +341,7 @@ class TestTransportBoost:
 
     def test_odd_symmetry_zero(self):
         # the bump is even in p, so its p-derivative vanishes at p = 0 wherever the foot lands
-        sol = tr.TransportSolution(BumpLambda(2.0), tr.identity_map(1))
+        sol = pairs_of(BumpLambda(2.0), tr.identity_map(1))
         assert oracle.apply_transport_boost(sol, 2.0, 0, [0.75], [0.0]) == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize(
@@ -349,7 +350,7 @@ class TestTransportBoost:
     def test_matches_finite_differences_of_density(self, dmap):
         # W_i = d_p + t (dw/dp) d_q applied through centered stencils on nu, at points whose
         # feet lie on the bump's transition annulus, where its gradient is nonzero
-        sol = tr.TransportSolution(BumpLambda(1.0), dmap)
+        sol = pairs_of(BumpLambda(1.0), dmap)
         rng = np.random.default_rng(9)
         h = 1e-5
         for _ in range(8):
@@ -372,15 +373,10 @@ class TestTransportBoost:
 class TestCounterexample:
     def test_lower_bound_along_diagonal(self):
         # at t = lam the closed-form floor is sqrt((sqrt(5)-1)/2)
-        r = tr.counterexample_profile(4.0, 4.0)
+        r = tr.counterexample_profile(4.0)
         assert r.lower_bound == pytest.approx(math.sqrt((math.sqrt(5.0) - 1.0) / 2.0), rel=1e-12)
         assert r.lower_bound == pytest.approx(0.78615, abs=5e-6)
         assert r.nu_bar_at_origin >= r.lower_bound - 1e-6
-
-    def test_time_zero_plateau(self):
-        r = tr.counterexample_profile(4.0, 0.0)
-        assert r.nu_bar_at_origin >= 2.0 - 1e-9
-        assert r.lower_bound == 2.0
 
     def test_quadrature_against_independent_oracle(self):
         # independent 1-d quadrature of lam * profile(lam*sqrt(t^2 p^4 + p^2))
@@ -394,11 +390,11 @@ class TestCounterexample:
             limit=200,
             epsabs=1e-12,
         )[0]
-        r = tr.counterexample_profile(lam, t)
+        r = tr.counterexample_profile(lam)
         assert r.nu_bar_at_origin == pytest.approx(oracle, rel=1e-8)
 
     def test_w11_bound_uniform_in_lam(self):
-        rows = [tr.counterexample_profile(lam, lam) for lam in (4.0, 16.0, 64.0)]
+        rows = [tr.counterexample_profile(lam) for lam in (4.0, 16.0, 64.0)]
         w11 = [r.w11_norm_bound for r in rows]
         assert max(w11) / min(w11) - 1.0 < 0.10
         # the mass term decays like 1/lam and is reported separately
@@ -406,53 +402,44 @@ class TestCounterexample:
 
 
 class TestDecayExperiment:
-    def test_identity_slope_short_window(self, gaussian_solution):
+    def test_identity_slope_short_window(self, gaussian_datum):
         times = [10.0 * 2 ** (0.5 * k) for k in range(11)]
-        values = tr.sup_velocity_average(gaussian_solution, times)
+        values = tr.sup_velocity_average(gaussian_datum, times)
         fit = fit_decay(times, values)
         assert fit.slope == pytest.approx(-1.0, abs=0.02)
 
     def test_no_decay_along_counterexample_diagonal(self):
-        vals = [tr.counterexample_profile(lam, lam).nu_bar_at_origin for lam in (4.0, 8.0, 16.0, 32.0, 64.0)]
+        vals = [tr.counterexample_profile(lam).nu_bar_at_origin for lam in (4.0, 8.0, 16.0, 32.0, 64.0)]
         assert min(vals) >= 0.78
         spread = max(vals) / min(vals)
         assert spread < 1.001  # constant along the diagonal
 
 
-def test_datum_dimension_guard():
-    with pytest.raises(ValueError):
-        tr.TransportSolution(Gaussian(0.0, 1.0), tr.identity_map(1))
-
-
-def test_velocity_average_against_scipy_quadrature(gaussian_solution):
+def test_velocity_average_against_scipy_quadrature(gaussian_datum):
     t, q = 1.7, 0.4
     pg = GridSpec.centered(8.0, 256, dim=1)
-    ours = oracle.velocity_average(gaussian_solution, t, [q], pg)
+    ours = oracle.velocity_average(gaussian_datum, t, [q], pg)
     ref = quad(lambda p: math.exp(-((q - t * p) ** 2) - p * p), -8, 8, epsabs=1e-13)[0]
     assert ours == pytest.approx(ref, rel=1e-10)
 
 
 def test_mixed_map_feet_are_formed_axis_by_axis():
     # each axis reads its own scalar map: the feet are (q1 - t p1, q2 - t p2^2)
-    datum = Gaussian((0.1, -0.2, 0.3, -0.4), (1.0, 1.5, 0.8, 1.2))
-    sol = tr.TransportSolution(datum, tr.mixed_map())
+    g1, g2 = Gaussian((0.1, 0.3), (1.0, 0.8)), Gaussian((-0.2, -0.4), (1.5, 1.2))
+    sol = list(zip((g1, g2), tr.mixed_map()))
     rng = np.random.default_rng(11)
     q1, q2, p1, p2 = rng.normal(size=(4, 7)) * 3.0
     for t in (0.0, 0.7, 4.0):
-        expected = datum.value(q1 - t * p1, q2 - t * p2**2, p1, p2)
+        expected = g1.value(q1 - t * p1, p1) * g2.value(q2 - t * p2**2, p2)
         np.testing.assert_array_equal(oracle.evaluate(sol, t, (q1, q2), (p1, p2)), expected)
 
 
-def test_sup_needs_a_pair_factored_datum():
-    sol = tr.TransportSolution(CubeIndicator((0.0, 0.0), 1.0), tr.identity_map(1))
-    with pytest.raises(ValueError, match="pair factors"):
-        tr.sup_velocity_average(sol, [1.0])
-
-
-def test_conserved_functional_needs_a_pair_factored_datum():
-    sol = tr.TransportSolution(CubeIndicator((0.0, 0.0), 1.0), tr.identity_map(1))
-    with pytest.raises(ValueError, match="pair factors"):
-        tr.conserved_functional(sol, 1.0)
+def test_the_window_quadrature_refuses_time_zero(gaussian_datum):
+    # every catalog time is positive; t = 0 has no preimage window
+    with pytest.raises(ValueError, match="t != 0"):
+        tr.sup_velocity_average(gaussian_datum, [1.0, 0.0])
+    with pytest.raises(ValueError, match="t != 0"):
+        tr._pair_profile(GAUSSIAN_PAIR, SCALAR_MAPS["identity"], np.array([1.0, 0.0]), np.zeros(2))
 
 
 REPORTS = Path(__file__).resolve().parent / "reports"
@@ -463,11 +450,14 @@ REPORTS = Path(__file__).resolve().parent / "reports"
     [
         ("conservation", "conservation", None),
         ("transport-degenerate-relativistic", "transport-degenerate", ("map = mixed", "map = relativistic")),
+        ("vlasov-decay", "vlasov-decay", None),
+        ("transport-degenerate", "transport-degenerate", None),
     ],
-    ids=["conservation", "transport-degenerate-relativistic"],
+    ids=["conservation", "transport-degenerate-relativistic", "vlasov-decay", "transport-degenerate"],
 )
 def test_transport_reports_equal_the_recorded_tables(name, exp_id, edit, monkeypatch):
-    # recorded from the default configs before the explicit-grid and non-separable-map paths were removed
+    # recorded from the default configs before the explicit-grid and non-separable-map paths were removed,
+    # and (vlasov-decay, transport-degenerate) before the datum became its list of pair factors
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
     config = default_config(exp_id)
     if edit is not None:
