@@ -19,11 +19,14 @@ Exit codes:
    left a decay fit fewer than 5 samples, left a boost-norm drift of
    ``schrodinger-ks`` fewer than 2 clean times, or reached the field that
    ``schrodinger-xnorm`` cross-checks at ``times.cross_check_t``; no report is written.
+-  a closed stdout, as when a reader such as ``head`` stops early, changes none
+   of the codes above: the output it does not take is dropped, with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .experiments import (
@@ -72,51 +75,56 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    code, out = _command(_build_parser().parse_args(argv))
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed its end: point stdout at the null device, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
+
+def _command(args) -> tuple:
+    """(exit code, stdout text) of a parsed command line; an error is printed to stderr as it is met."""
     if args.command == "list":
         rows = list_catalog()
         width = max(len(r["id"]) for r in rows)
-        for r in rows:
-            print(f"{r['id']:<{width}}  {r['anchor']}")
-            print(f"{'':<{width}}  {r['description']}")
-        return 0
+        return 0, "".join(f"{r['id']:<{width}}  {r['anchor']}\n{'':<{width}}  {r['description']}\n" for r in rows)
 
     try:
         config = load_config(args.config)
     except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
-        return 2
+        return 2, ""
 
     if args.command == "validate":
-        sys.stdout.write(emit_config(config))
-        return 0
+        return 0, emit_config(config)
 
     try:
         report = run(config, out_dir=args.out, threads=args.threads)
     except (ConfigError, SupportOverflowError) as err:
         print(f"config error: {err}", file=sys.stderr)
-        return 2
+        return 2, ""
     except ContaminationError as err:
         print(f"numerical contamination: {err}", file=sys.stderr)
-        return 3
+        return 3, ""
     status = "PASS" if report.passed else "FAIL"
-    print(f"{report.experiment}: {status} ({report.wall_clock_s:.2f} s, {len(report.rows)} sample rows)")
-    for note in report.notes:
-        print(f"  {note}")
+    lines = [f"{report.experiment}: {status} ({report.wall_clock_s:.2f} s, {len(report.rows)} sample rows)"]
+    lines += [f"  {note}" for note in report.notes]
     for fit in report.fits:
-        print(f"  fit {fit.name}: slope {fit.fit.slope:+.4f} over {list(fit.fit.window)} -> {_verdict(fit)}")
+        lines.append(f"  fit {fit.name}: slope {fit.fit.slope:+.4f} over {list(fit.fit.window)} -> {_verdict(fit)}")
         if summary := _exclusion_note(fit.fit.excluded):
-            print(f"    {summary}")
+            lines.append(f"    {summary}")
     for ineq in report.inequalities:
         dim = dict(ineq.detail).get("dim")  # tells apart the reports of one estimate in several dimensions
         name = ineq.name if dim is None else f"{ineq.name} (dim {dim})"
-        print(f"  {name}: max ratio {ineq.max_ratio:.4g} vs bound {ineq.bound:.4g} -> {_verdict(ineq)}")
+        lines.append(f"  {name}: max ratio {ineq.max_ratio:.4g} vs bound {ineq.bound:.4g} -> {_verdict(ineq)}")
         if summary := _exclusion_note(ineq.excluded):
-            print(f"    {summary}")
+            lines.append(f"    {summary}")
     for check in report.checks:
-        print(f"  check {check.name}: {check.value:.4g} {check.relation} {check.bound:.4g} -> {_verdict(check)}")
-    return 0 if report.passed else 1
+        lines.append(f"  check {check.name}: {check.value:.4g} {check.relation} {check.bound:.4g} -> {_verdict(check)}")
+    return (0 if report.passed else 1), "".join(f"{line}\n" for line in lines)
 
 
 if __name__ == "__main__":

@@ -528,16 +528,13 @@ def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
     base = {s: hs_norm(u0, s) for s in (0.25, 0.5, 1.0)}
     mass0 = l2_norm(u0)
 
-    def read(t, ut):
-        # |u(t, 0)| and the conserved norms at checkpoints, the sup for the fit
-        conserved = (l2_norm(ut), *(hs_norm(ut, s) for s in base)) if t in checkpoints else ()
-        return abs(ut.values[x0]), conserved, linf_norm(ut)
+    def conserved(t, ut):
+        return abs(ut.values[x0]), l2_norm(ut), *(hs_norm(ut, s) for s in base)
 
-    # one guarded series serves the oracle rows, the conservation drift and the fit
-    series = Series.evolve(u0, schrodinger(), (*checkpoints, *times), read)
-    checked, fitted = series.restrict(checkpoints), series.restrict(times)
+    # |u(t, 0)| and the conserved norms at checkpoints for the oracle rows and the drift, the sup for the fit
+    checked, fitted = Series.evolve(u0, schrodinger(), (checkpoints, conserved), (times, lambda t, ut: linf_norm(ut)))
     rows, drifts = [], []
-    for t, (value, (mass, *sobolev), _) in checked.clean:
+    for t, (value, mass, *sobolev) in checked.clean:
         oracle = (1.0 + 4.0 * t * t) ** -0.25
         rows.append((t, value, oracle, abs(value / oracle - 1.0)))
         drifts.append(abs(mass / mass0 - 1.0))
@@ -549,8 +546,7 @@ def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
         _Check("max-unitarity-sobolev-drift", float(np.max(drifts)), "<=", cfg.get("tolerances", "conservation")),
     )
     notes = tuple(f"checkpoint t={t:g} excluded: {why}" for t, why in checked.excluded)
-    sup = [s for _, (_, _, s) in fitted.clean]
-    fit = fit_decay([t for t, _ in fitted.clean], sup, excluded=fitted.excluded)
+    fit = fit_decay([t for t, _ in fitted.clean], [s for _, s in fitted.clean], excluded=fitted.excluded)
     cols = ("t", "amplitude_at_origin", "oracle", "relative_error")
     fits = (_Slope("sup-decay", fit, -0.5, cfg.get("tolerances", "slope")),)
     return Report(cols, tuple(rows), fits=fits, checks=checks, notes=notes)
@@ -559,24 +555,23 @@ def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
 def _ks_dimension(u0, check_times, drift_times, drift_alphas, label, power=1):
     """Weighted sup report, boost-norm drifts and notes of one datum.
 
-    One guarded series over the check and drift times feeds both. It forms the
-    boost-norm table once at each clean time, to the drift's order at drift
-    times (the check reads that one too) and to order d at the others, so only
-    one evolved field is alive at a time. The drift is read at clean drift
-    times only, and fewer than two of them raise. With ``power`` = k > 1 the
-    datum is the k-fold tensor power of the 1-d ``u0``, read from the factor.
+    One evolution feeds both: the check reads its boost-norm table to order d
+    at the check times, the drift its own to the drift's order at the drift
+    times. The drift is read at clean drift times only, and fewer than two of
+    them raise. With ``power`` = k > 1 the datum is the k-fold tensor power of
+    the 1-d ``u0``, read from the factor.
     """
     d = u0.grid.dim * power
     drift_order = max(d, *(sum(alpha) for alpha in drift_alphas))
     check_read, check_report = check_ks_schrodinger(d, power)
-
-    def read(t, ut):
-        norms = boost_norms(ut, t, drift_order, power) if t in drift_times else None
-        return (check_read(t, ut, norms) if t in check_times else None), norms
-
-    series = Series.evolve(u0, schrodinger(), (*check_times, *drift_times), read, power)
-    report = check_report(series.restrict(check_times).map(operator.itemgetter(0)))
-    drifted = series.restrict(drift_times)
+    checked, drifted = Series.evolve(
+        u0,
+        schrodinger(),
+        (check_times, check_read),
+        (drift_times, lambda t, ut: boost_norms(ut, t, drift_order, power)),
+        power=power,
+    )
+    report = check_report(checked)
     notes = tuple(f"{label} drift time t={t:g} excluded: {why}" for t, why in drifted.excluded)
     if len(drifted.clean) < 2:
         raise ContaminationError(
@@ -584,7 +579,7 @@ def _ks_dimension(u0, check_times, drift_times, drift_alphas, label, power=1):
         )
     drifts = []
     for alpha in drift_alphas:
-        values = np.array([norms[alpha] for _, (_, norms) in drifted.clean])
+        values = np.array([norms[alpha] for _, norms in drifted.clean])
         drifts.append(float((values.max() - values.min()) / values[0]))
     return report, drifts, notes
 
@@ -610,26 +605,16 @@ def _shell_setup(cfg: ExperimentConfig):
     return part, sample(datum, grid)
 
 
-def _reads(*reads: Callable) -> Callable:
-    """One read for several checks in one pass: t, u -> the tuple of every read's value."""
-    return lambda t, u: tuple(read(t, u) for read in reads)
-
-
 def _run_schrodinger_xnorm(cfg: ExperimentConfig, threads: int):
     part, u0 = _shell_setup(cfg)
     times, t_star = _times(cfg), cfg.get("times", "cross_check_t")
-    check_read, check_report = check_dispersive_schrodinger(u0, part)
-
-    def read(t, ut):
-        return (check_read(t, ut) if t in times else None), (linf_norm(ut) if t == t_star else None)
-
-    series = Series.evolve(u0, schrodinger(), [*times, t_star], read)
-    rep = check_report(series.restrict(times).map(operator.itemgetter(0)))
-    # closed-form amplitude cross-check at one more time, guarded as every time of the series is
-    cross = series.restrict([t_star])
+    read, report = check_dispersive_schrodinger(u0, part)
+    # read(t, u) is sup |u(t)|: the check's, and the closed-form amplitude cross-check's at one more time
+    checked, cross = Series.evolve(u0, schrodinger(), (times, read), ([t_star], read))
+    rep = report(checked)
     if cross.excluded:
         raise ContaminationError(f"times.cross_check_t = {t_star:g}: {cross.excluded[0][1]}")
-    ((_, (_, sup)),) = cross.clean
+    ((_, sup),) = cross.clean
     # |u(t, x)| = w s^(-1/4) exp(-(x - c)^2 w^2 / (2 s)) with s = w^4 + 4 t^2 peaks at the centre c, so the
     # node max is taken at the node nearest c, up to half a cell from it: the oracle is read there too
     w, c = cfg.get("datum", "width"), cfg.get("datum", "center")
@@ -644,9 +629,9 @@ def _run_schrodinger_xnorm(cfg: ExperimentConfig, threads: int):
 def _run_lp_decay(cfg: ExperimentConfig, threads: int):
     part, u0 = _shell_setup(cfg)
     (read_half, report_half), (read_zero, report_zero) = check_lp_decay(u0, 0.5, part), check_lp_decay(u0, 0.0)
-    series = Series.evolve(u0, schrodinger(), _fit_times(cfg), _reads(read_half, read_zero))
-    rep_half = report_half(series.map(operator.itemgetter(0)))
-    rep_zero = report_zero(series.map(operator.itemgetter(1)))
+    times = _fit_times(cfg)
+    half, zero = Series.evolve(u0, schrodinger(), (times, read_half), (times, read_zero))
+    rep_half, rep_zero = report_half(half), report_zero(zero)
     l4 = [l / t**0.25 for (t, l, _) in rep_half.samples]
     fit = fit_decay([s[0] for s in rep_half.samples], l4, excluded=rep_half.excluded)
     rows = _ratio_rows(rep_half, "theta=1/2") + _ratio_rows(rep_zero, "theta=0")
@@ -658,8 +643,9 @@ def _run_lp_decay(cfg: ExperimentConfig, threads: int):
 def _run_local_mass(cfg: ExperimentConfig, threads: int):
     part, u0 = _shell_setup(cfg)
     checks = [check_local_mass(u0, sigma, part) for sigma in cfg.get("datum", "sigmas")]
-    series = Series.evolve(u0, schrodinger(), _times(cfg), _reads(*(read for read, _ in checks)))
-    reports = tuple(report(series.map(operator.itemgetter(i))) for i, (_, report) in enumerate(checks))
+    times = _times(cfg)
+    series = Series.evolve(u0, schrodinger(), *((times, read) for read, _ in checks))
+    reports = tuple(report(one) for (_, report), one in zip(checks, series))
     rows = sum((_ratio_rows(rep, rep.name) for rep in reports), ())
     return Report(("series", "t", "lhs", "rhs", "ratio"), rows, inequalities=reports)
 
@@ -697,20 +683,13 @@ def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
     (pointwise, report), half_line = check_airy_pointwise(u0, probes), x >= 0.0
     checkpoints, fit_times = cfg.get("times", "checkpoints"), _fit_times(cfg)
 
-    def read(t, ut):
-        # the check's read at checkpoints, and the sup of |d_x u| on x >= 0 at fit times; every time of
-        # the series is one or both, and a time that is both (t = 2) differentiates u(t) once
-        du = spectral_derivative(ut, 1)
-        probed = pointwise(t, ut, du) if t in checkpoints else None
-        du_max = float(np.max(np.abs(du.values[half_line]))) if t in fit_times else None
-        return probed, du_max
+    def du_max(t, ut):
+        return float(np.max(np.abs(spectral_derivative(ut, 1).values[half_line])))
 
-    series = Series.evolve(u0, airy(), (*checkpoints, *fit_times), read)
-    rep = report(series.restrict(checkpoints).map(operator.itemgetter(0)))
-    # the decay of d_x u(t) on the half line x >= 0
-    fitted = series.restrict(fit_times)
-    du_max = [du for _, (_, du) in fitted.clean]
-    du_fit = fit_decay([t for t, _ in fitted.clean], du_max, excluded=fitted.excluded)
+    # the check at checkpoints, and the decay of d_x u(t) on the half line x >= 0 at fit times
+    checked, fitted = Series.evolve(u0, airy(), (checkpoints, pointwise), (fit_times, du_max))
+    rep = report(checked)
+    du_fit = fit_decay([t for t, _ in fitted.clean], [du for _, du in fitted.clean], excluded=fitted.excluded)
     fits = (_Slope("dx-half-line-decay", du_fit, -0.5, cfg.get("tolerances", "slope")),)
     return Report(("t", "lhs", "rhs", "ratio"), _ratio_rows(rep), fits=fits, inequalities=(rep,))
 
@@ -718,11 +697,12 @@ def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
 def _run_airy_local_energy(cfg: ExperimentConfig, threads: int):
     u0 = _airy_field(cfg)
     read, report = check_airy_local_energy(u0, cfg.get("datum", "eps"))
-    series = Series.evolve(u0, airy(), _times(cfg), read)
+    (series,) = Series.evolve(u0, airy(), (_times(cfg), read))
     rep = report(series)
-    fitted, lhs = series.restrict(_fit_times(cfg)), {t: l for t, l, _ in rep.samples}
-    energies = [lhs[t] / t for t, _ in fitted.clean]
-    fit = fit_decay([t for t, _ in fitted.clean], energies, excluded=fitted.excluded)
+    t_min = cfg.get("times", "fit_t_min")
+    fitted = [(t, lhs / t) for t, lhs, _ in rep.samples if t >= t_min]
+    excluded = tuple(e for e in rep.excluded if e[0] >= t_min)
+    fit = fit_decay([t for t, _ in fitted], [e for _, e in fitted], excluded=excluded)
     # reported against the rate -1 +- 0.1, gated one-sided on tolerances.energy_slope
     fits = (_Slope("weighted-energy-decay", fit, -1.0, 0.1, upper=cfg.get("tolerances", "energy_slope")),)
     return Report(("t", "lhs", "rhs", "ratio"), _ratio_rows(rep), fits=fits, inequalities=(rep,))
@@ -730,7 +710,7 @@ def _run_airy_local_energy(cfg: ExperimentConfig, threads: int):
 
 def _run_airy_decay(cfg: ExperimentConfig, threads: int):
     u0 = _airy_field(cfg)
-    series = Series.evolve(u0, airy(), _fit_times(cfg), lambda t, ut: linf_norm(ut))
+    (series,) = Series.evolve(u0, airy(), (_fit_times(cfg), lambda t, ut: linf_norm(ut)))
     rows = series.clean
     sup_fit = fit_decay([t for t, _ in rows], [v for _, v in rows], excluded=series.excluded)
     fits = (_Slope("sup-decay", sup_fit, -1.0 / 3.0, cfg.get("tolerances", "slope")),)
@@ -742,7 +722,8 @@ def _run_monomial_2k(cfg: ExperimentConfig, threads: int):
     for k, (suffix, datum) in enumerate(_monomial_gaussians(cfg), start=1):
         u0 = sample(datum, _grid(cfg, suffix))
         read, report = check_monomial_estimate(u0, k)
-        reports.append(report(Series.evolve(u0, even_order(k), _times(cfg), read)))
+        (series,) = Series.evolve(u0, even_order(k), (_times(cfg), read))
+        reports.append(report(series))
     rows = sum((_ratio_rows(rep, f"k={k}") for k, rep in enumerate(reports, start=1)), ())
     return Report(("series", "t", "lhs", "rhs", "ratio"), rows, inequalities=tuple(reports))
 

@@ -1,20 +1,20 @@
 """Decay-rate fitting and the inequality verification suites.
 
-A runner evolves each datum once: its ``Series`` forms u(t) = U(t) u0 once
-at every time its checks and fits read, and guards each time once for
+A runner evolves each datum once: ``Series.evolve`` forms u(t) = U(t) u0
+once at every time its checks and fits read, and guards each time once for
 wrap-around, carrying a contaminated time as (t, reason) instead of a
-sample. A clean time holds only the per-time numbers the runner's
-``read(t, u)`` takes from u(t), never the field: every u(t) of a series is
-formed in one buffer (``Evolution.stream``), so one evolved field is alive
-at a time, and a read that keeps one is an error.
+sample. A clean time holds only the per-time numbers a ``read(t, u)`` takes
+from u(t), never the field: every u(t) of a datum is formed in one buffer
+(``Evolution.stream``), so one evolved field is alive at a time, and a read
+that keeps one is an error.
 
 Each estimate is one function of the data side: ``check_*(u0, ...)``
 computes its constants once, from the datum and its own parameters, and
 returns a pair (read, report). ``read(t, u)`` takes the estimate's
 per-time numbers from u(t); ``report(series)`` makes the
 ``InequalityReport`` of a series read with it. A runner that feeds several
-checks or a fit builds one joint read for a single pass and hands each
-report its part (``Series.map``), restricted to its own times.
+checks or a fit from one datum hands ``Series.evolve`` one (times, read)
+part for each, and gets one series per part, read at that part's times only.
 
 Every check records (t, lhs, rhs) rows and reports the largest ratio.
 Estimates with an explicit constant declare it as the bound: 1 for the Airy
@@ -33,9 +33,9 @@ exclusions, it raises ``ContaminationError`` instead of reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import product as _iter_product
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -75,64 +75,46 @@ class ContaminationError(ValueError):
 
 @dataclass(frozen=True)
 class Series:
-    """u(t) = U(t) u0 at a set of times, evolved, guarded and read once.
+    """One read of u(t) = U(t) u0 at its own times, each evolved and guarded once.
 
     ``clean`` holds the (t, read(t, u(t))) entries in time order: the
     per-time numbers a runner takes from u(t), never the field, whose
     buffer the next time overwrites. ``excluded`` holds the (t, reason)
-    entries whose edge mass exceeds ``CONTAMINATION_THRESHOLD``. u(t) is
-    formed only at the series' own times, so a runner that needs one more
-    time, such as a cross-check, puts it in the series and ``restrict``s each
-    use to its times.
+    entries whose edge mass exceeds ``CONTAMINATION_THRESHOLD``.
     """
 
     clean: tuple
     excluded: tuple
 
     @classmethod
-    def evolve(
-        cls,
-        u0: SampledField,
-        disp: DispersionPolynomial,
-        times: Sequence[float],
-        read: Callable,
-        power: int = 1,
-    ) -> "Series":
-        """Transform u0 once, then form, guard and read u(t) once at each distinct time.
+    def evolve(cls, u0: SampledField, disp: DispersionPolynomial, *parts, power: int = 1) -> tuple:
+        """One series per (times, read) part: u0 is transformed once, and u(t) formed and guarded once
+        at each distinct time of all the parts, then read by every part that holds t.
 
-        The fields come from ``Evolution.stream``: ``read`` must keep neither
+        The fields come from ``Evolution.stream``: a read must keep neither
         the field nor a view of its values, or the next time raises.
 
-        With ``power`` = k > 1 the series stands for the k-fold tensor power
+        With ``power`` = k > 1 the series stand for the k-fold tensor power
         u0 (x) ... (x) u0, which the Schrodinger evolution keeps a product:
-        ``read`` gets the factor's u(t), and no product field is formed. The
+        a read gets the factor's u(t), and no product field is formed. The
         power is guarded as the formed field would be: the interior of the
         product grid's edge strips is the product of the factors' interiors,
         so its edge-mass fraction is 1 - (1 - f)^power, f the factor's, node
         by node.
         """
-        clean, excluded = [], []
-        for t, ut in Evolution(u0, disp).stream(sorted({float(t) for t in times})):
+        wanted = [{float(t) for t in times} for times, _ in parts]
+        entries = [([], []) for _ in parts]
+        for t, ut in Evolution(u0, disp).stream(sorted(set().union(*wanted))):
             frac = _edge_mass(ut, power)
-            if frac > CONTAMINATION_THRESHOLD:
-                excluded.append((t, f"wrap-around edge mass {frac:.2e}"))
-            else:
-                clean.append((t, read(t, ut)))
+            for own, (_, read), (clean, excluded) in zip(wanted, parts, entries):
+                if t not in own:
+                    continue
+                if frac > CONTAMINATION_THRESHOLD:
+                    excluded.append((t, f"wrap-around edge mass {frac:.2e}"))
+                else:
+                    clean.append((t, read(t, ut)))
             del ut  # the stream forms the next field in this one's buffer
-        return cls(tuple(clean), tuple(excluded))
-
-    def restrict(self, times) -> "Series":
-        """The sub-series at ``times``, each of which must be a time of this series."""
-        keep = {float(t) for t in times}
-        missing = keep.difference(t for t, _ in self.clean + self.excluded)
-        if missing:
-            raise ValueError(f"times {sorted(missing)} are not in the series")
-        clean, excluded = (tuple(e for e in part if e[0] in keep) for part in (self.clean, self.excluded))
-        return replace(self, clean=clean, excluded=excluded)
-
-    def map(self, fn: Callable) -> "Series":
-        """The series with each clean read r replaced by fn(r): one check's part of a joint read."""
-        return replace(self, clean=tuple((t, fn(r)) for t, r in self.clean))
+        return tuple(cls(tuple(clean), tuple(excluded)) for clean, excluded in entries)
 
 
 def _exclusion_note(excluded: tuple) -> str:
@@ -271,14 +253,13 @@ def check_ks_schrodinger(d: int, power: int = 1) -> tuple:
     |a| + |b| = d, all norms evaluated honestly at time t. Returns (read,
     report); read(t, u) is (sup |u| ** power, the boost-norm table of u(t) to
     order d). On a ``power``-fold tensor power u is the factor, whose sup to
-    the power is the sup of the product. A runner that has formed the table to
-    a higher order passes it as a third argument, and it is not formed again.
+    the power is the sup of the product.
     """
     alphas = [alpha for alpha in _iter_product(range(d + 1), repeat=d) if sum(alpha) <= d]
     pairs = [(a, b) for a in alphas for b in alphas if sum(a) + sum(b) == d]
 
-    def read(t, u, norms=None):
-        return linf_norm(u) ** power, boost_norms(u, t, d, power) if norms is None else norms
+    def read(t, u):
+        return linf_norm(u) ** power, boost_norms(u, t, d, power)
 
     def report(series: Series) -> InequalityReport:
         samples = [
@@ -350,9 +331,7 @@ def check_airy_pointwise(u0: SampledField, probes: Sequence[float]) -> tuple:
     conserved); the estimate holds with constant exactly 1 and for t >= 0
     only, so earlier times of the series are skipped. The probes must be
     nodes of the 1-d grid, or the error is a ``ValueError``. Returns (read,
-    report); read(t, u) is (u(t), d_x u(t)) at the probes, and a runner that
-    has formed d_x u(t) passes it as a third argument, so it is not formed
-    again.
+    report); read(t, u) is (u(t), d_x u(t)) at the probes.
     """
     if u0.kind != "real":
         raise ValueError("the Airy pointwise bound is for real data")
@@ -365,8 +344,8 @@ def check_airy_pointwise(u0: SampledField, probes: Sequence[float]) -> tuple:
         raise ValueError("probes must be grid nodes")
     rhs = _airy_data_constant(u0)
 
-    def read(t, u, du=None):
-        return u.values[nodes], (spectral_derivative(u, 1) if du is None else du).values[nodes]
+    def read(t, u):
+        return u.values[nodes], spectral_derivative(u, 1).values[nodes]
 
     def report(series: Series) -> InequalityReport:
         samples = [

@@ -350,6 +350,33 @@ class TestExitCodes:
         assert err.startswith("numerical contamination: times.cross_check_t = 2000: wrap-around edge mass")
         assert out == "" and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, text, code",
+        [
+            ("list", None, 0),
+            ("validate", "[experiment]\nid = cube-translation\n", 0),
+            ("run", "[experiment]\nid = cube-translation\n", 0),
+            # the three cubes' constants spread by more than a factor 1
+            ("run", "[experiment]\nid = cube-translation\n[tolerances]\nshared_constant_spread = 1.0\n", 1),
+        ],
+    )
+    def test_a_closed_stdout_keeps_the_code_and_prints_no_traceback(self, tmp_path, command, text, code):
+        # the read end of the child's stdout pipe is closed before the child starts: its first write fails
+        args = [command] if text is None else [command, "--config", _write(tmp_path, text)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            cmd = [sys.executable, "-m", "decaylab.cli", *args]
+            child = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (code, "")
+        if command == "run":
+            assert _report(tmp_path, "cube-translation")["passed"] is (code == 0)
+
 
 def _verdict_report(value, slope, report):
     """A runner report whose own check (``value`` <= 1), one fitted slope and one inequality report
@@ -673,34 +700,6 @@ def test_sup_search_scores_all_times_in_six_profile_calls_per_pair(tmp_path, mon
     monkeypatch.setattr(transport, "_pair_profile", counted)
     assert _run(tmp_path, f"[experiment]\nid = {exp_id}\n") == 0
     assert len(made) == calls
-
-
-def test_airy_pointwise_differentiates_each_clean_time_once(tmp_path, monkeypatch):
-    # t = 2 is both a checkpoint and a fit time: the pointwise read and the fit share one d_x u(t)
-    from decaylab import harness
-
-    reading, calls, clean = [], [], []
-    derivative, evolve = harness.spectral_derivative, harness.Series.evolve.__func__
-
-    def counted(*args, **kwargs):
-        if reading:
-            calls.append(True)
-        return derivative(*args, **kwargs)
-
-    def evolving(cls, *args, **kwargs):
-        reading.append(True)
-        try:
-            series = evolve(cls, *args, **kwargs)
-        finally:
-            reading.pop()
-        clean.append(len(series.clean))
-        return series
-
-    for module in (harness, experiments):
-        monkeypatch.setattr(module, "spectral_derivative", counted)
-    monkeypatch.setattr(harness.Series, "evolve", classmethod(evolving))
-    assert _run(tmp_path, "[experiment]\nid = airy-pointwise\n") == 0
-    assert clean and len(calls) == clean[0]
 
 
 def test_commutation_suite_report_does_not_depend_on_how_many_packets_one_call_scores(tmp_path, monkeypatch):

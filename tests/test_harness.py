@@ -19,11 +19,13 @@ from spectral_oracles import complex_sample, field_at
 
 
 def schrodinger_series(u0, times, read):
-    return hz.Series.evolve(u0, schrodinger(), times, read)
+    (series,) = hz.Series.evolve(u0, schrodinger(), (times, read))
+    return series
 
 
 def airy_series(u0, times, read):
-    return hz.Series.evolve(u0, airy(), times, read)
+    (series,) = hz.Series.evolve(u0, airy(), (times, read))
+    return series
 
 
 def sup(t, u):
@@ -33,7 +35,8 @@ def sup(t, u):
 def reported(check, u0, times, disp=schrodinger()):
     """The report of a check's (read, report) pair on the series of u0 under ``disp``, read with its read."""
     read, report = check
-    return report(hz.Series.evolve(u0, disp, times, read))
+    (series,) = hz.Series.evolve(u0, disp, (times, read))
+    return report(series)
 
 
 def monomial_check(k, u0, times):
@@ -73,27 +76,37 @@ class TestFitDecay:
 
 
 class TestSeries:
-    def test_restrict_splits_clean_and_excluded_times(self):
+    def test_parts_share_each_formed_time_and_read_their_own(self, monkeypatch):
         # a small box: by t = 100 the packet has wrapped around, at t <= 1 it has not
         grid = GridSpec.centered(40.0, 1024, dim=1)
         u0 = complex_sample(Gaussian(2.2, 0.25), grid)
-        series = schrodinger_series(u0, [100.0, 1.0, 0.5, 1.0], sup)
-        assert [t for t, _ in series.clean] == [0.5, 1.0]
-        assert [t for t, _ in series.excluded] == [100.0]
-        assert series.excluded[0][1].startswith("wrap-around edge mass")
-        sub = series.restrict([1.0, 100.0])
-        assert [t for t, _ in sub.clean] == [1.0] and sub.excluded == series.excluded
-        assert sub.clean[0][1] is series.clean[1][1]
-        with pytest.raises(ValueError, match="not in the series"):
-            series.restrict([2.0])
+        formed, read_at, stream = [], {"first": [], "second": []}, Evolution.stream
 
-    def test_map_replaces_each_clean_read_and_keeps_the_rest(self):
-        grid = GridSpec.centered(40.0, 1024, dim=1)
-        u0 = complex_sample(Gaussian(2.2, 0.25), grid)
-        series = schrodinger_series(u0, [100.0, 1.0, 0.5], lambda t, u: (t, linf_norm(u)))
-        mapped = series.map(lambda read: read[1])
-        assert mapped.clean == tuple((t, sup) for t, (_, sup) in series.clean)
-        assert mapped.excluded == series.excluded
+        def counted(evolution, times):
+            for t, field in stream(evolution, times):
+                formed.append(t)
+                yield t, field
+                del field  # the stream checks, before it reuses its buffer, that nothing holds the field
+
+        def reader(name):
+            def read(t, u):
+                read_at[name].append(t)
+                return linf_norm(u)
+
+            return read
+
+        monkeypatch.setattr(Evolution, "stream", counted)
+        first, second = hz.Series.evolve(
+            u0, schrodinger(), ([100.0, 1.0, 0.5, 1.0], reader("first")), ([0.25, 1.0, 100.0], reader("second"))
+        )
+        # one field per distinct time of all the parts; t = 1 is formed once and read by both
+        assert formed == [0.25, 0.5, 1.0, 100.0]
+        assert read_at == {"first": [0.5, 1.0], "second": [0.25, 1.0]}
+        # each part lists its own clean times once, and the wrap-around time in each part that holds it
+        assert [t for t, _ in first.clean] == [0.5, 1.0] and [t for t, _ in second.clean] == [0.25, 1.0]
+        assert first.clean[1] == second.clean[1]
+        assert first.excluded == second.excluded and [t for t, _ in first.excluded] == [100.0]
+        assert first.excluded[0][1].startswith("wrap-around edge mass")
 
 
 class TestRatioRule:
@@ -231,9 +244,12 @@ class TestSeriesRead:
                 yield t, field
                 del field  # the stream checks, before it reuses its buffer, that nothing holds the field
 
-        def recorded_evolve(cls, u0, *args, **kwargs):
-            built.append((u0.values.shape, evolve(cls, u0, *args, **kwargs)))
-            return built[-1][1]
+        def recorded_evolve(cls, u0, disp, *parts, **kwargs):
+            before = len(alive)
+            series = evolve(cls, u0, disp, *parts, **kwargs)
+            distinct = len({float(t) for times, _ in parts for t in times})
+            built.append((u0.values.shape, series, len(alive) - before, distinct))
+            return series
 
         monkeypatch.setattr(Evolution, "stream", watched_stream)
         monkeypatch.setattr(hz.Series, "evolve", classmethod(recorded_evolve))
@@ -243,12 +259,18 @@ class TestSeriesRead:
         run(parse_config(text), out_dir=str(tmp_path))
         assert built and len(watched) >= len(built)
         assert max(alive) == 1
+        # one field per distinct time over all the parts of a datum
+        assert [formed for _, _, formed, _ in built] == [distinct for _, _, _, distinct in built]
         # a series holds per-time numbers: no field, and no array of a field's shape
-        for shape, series in built:
-            for _, read in series.clean:
-                assert not _holds_field(read, shape), (exp_id, read)
+        for shape, parts, _, _ in built:
+            for series in parts:
+                for _, read in series.clean:
+                    assert not _holds_field(read, shape), (exp_id, read)
         if exp_id == "schrodinger-ks":
-            assert len(watched) == 2 and len(alive) == 16 + 5  # d1: 14 checkpoints, drift 10 and 100; d2: 5
+            assert [formed for _, _, formed, _ in built] == [16, 5]  # d1: 14 checkpoints, drift 10 and 100; d2: 5
+        if exp_id == "airy-pointwise":
+            # 9 checkpoints and 14 fit times 2 * 2^(k/4); of 2, 4, 8 and 16, only 2 is in both to the bit
+            assert [formed for _, _, formed, _ in built] == [22]
 
 
 class TestStream:
@@ -257,7 +279,7 @@ class TestStream:
     def test_a_read_that_keeps_its_field_or_a_view_raises(self, disp, keep):
         u0 = sample(Gaussian(0.0, 1.0), GridSpec.centered(30.0, 256))
         with pytest.raises(RuntimeError, match=r"u\(t\) at t = 0.5 is still referenced"):
-            hz.Series.evolve(u0, disp, [0.5, 1.0, 2.0], keep)
+            hz.Series.evolve(u0, disp, ([0.5, 1.0, 2.0], keep))
 
     @pytest.mark.parametrize("disp", [schrodinger(), airy()], ids=["complex-buffer", "real-buffer"])
     def test_streamed_fields_are_the_fields_of_one_time_streams(self, disp):
@@ -270,7 +292,7 @@ class TestStream:
             del ut, alone
         assert formed == [True] * len(times)
         # a read that copies what it keeps passes
-        series = hz.Series.evolve(u0, disp, times, lambda t, u: u.values.copy())
+        (series,) = hz.Series.evolve(u0, disp, (times, lambda t, u: u.values.copy()))
         for t, values in series.clean:
             assert np.array_equal(values, field_at(evolution, t).values)
 
@@ -297,7 +319,7 @@ class TestTensorPower:
         times = [1.0, 2.0, 4.0, 8.0, 16.0]
         (read, report), (read2, report2) = hz.check_ks_schrodinger(2, power=2), hz.check_ks_schrodinger(2)
         formed = schrodinger_series(square, times, read2)
-        product = hz.Series.evolve(factor, schrodinger(), times, read, power=2)
+        (product,) = hz.Series.evolve(factor, schrodinger(), (times, read), power=2)
         assert [t for t, _ in product.clean] == [t for t, _ in formed.clean] == [1.0, 2.0, 4.0]
         assert product.excluded == formed.excluded  # the same times, reason strings and all
         assert [t for t, _ in product.excluded] == [8.0, 16.0]

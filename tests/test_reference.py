@@ -16,7 +16,7 @@ evolved and differentiated through ``rfft``/``irfft`` (the Airy entries), and
 each dyadic norm is read from one matrix-vector product (``local-mass``). The
 largest move is 1.5e-14 relative (``airy-pointwise``; ``monomial-2k`` 9.3e-15).
 
-``schrodinger-ks`` is compared within 1e-13 relative. Three changes since the
+``schrodinger-ks`` is compared within 1e-13 relative. Four changes since the
 reference was recorded move its rows in the last bits. The multiplier is
 applied as one factor exp(t sigma_j(xi_j)) per axis, not as the exponential
 of the summed full-grid phase (at t = 16 the 2-d phase reached about 2e3 rad).
@@ -26,7 +26,11 @@ transform is resolved, so no boost walk runs. Its 2-d datum, the square of a
 1-d Gaussian on a square grid, is evolved as that 1-d factor: the sup, the
 wrap-around guard and the boost norms of the square are read from the
 factor's, node by node, and no 2-d field is formed. Together they move rows
-and ratios by up to 1e-15 relative.
+and ratios by up to 1e-15 relative. Last, the d1 check forms its own
+boost-norm table to order 1 at t = 1, which is also a drift time, where it
+once read the drift's table to order 2: the other column count rounds the
+sums differently, and moved the t = 1 rhs by 1.1e-15 relative, and its ratio
+and the stability bound by 9.3e-16.
 
 ``vlasov-decay`` and ``transport-degenerate`` (under a second each) guard the
 adaptive sup search. Its refinement finds each sup to about 1e-12, so their
