@@ -20,7 +20,8 @@ Exit codes:
    ``schrodinger-ks`` fewer than 2 clean times, or reached the field that
    ``schrodinger-xnorm`` cross-checks at ``times.cross_check_t``; no report is written.
 -  a closed stdout, as when a reader such as ``head`` stops early, changes none
-   of the codes above: the output it does not take is dropped, with no traceback.
+   of the codes above, nor the 0 of ``--help`` at any level: the output it does
+   not take is dropped, with no traceback.
 """
 
 from __future__ import annotations
@@ -75,13 +76,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    code, out = _command(_build_parser().parse_args(argv))
+    out = ""
     try:
-        sys.stdout.write(out)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed its end: point stdout at the null device, so the flush at exit cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code, out = _command(_build_parser().parse_args(argv))
+    finally:  # also when argparse exits after writing its help
+        try:
+            sys.stdout.write(out)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed its end: point stdout at the null device, so the flush at exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

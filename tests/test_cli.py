@@ -350,22 +350,29 @@ class TestExitCodes:
         assert err.startswith("numerical contamination: times.cross_check_t = 2000: wrap-around edge mass")
         assert out == "" and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("buffering", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
-        "command, text, code",
+        "args, text, code",
         [
-            ("list", None, 0),
-            ("validate", "[experiment]\nid = cube-translation\n", 0),
-            ("run", "[experiment]\nid = cube-translation\n", 0),
+            (["--help"], None, 0),
+            (["run", "--help"], None, 0),
+            (["list"], None, 0),
+            (["validate"], "[experiment]\nid = cube-translation\n", 0),
+            (["run"], "[experiment]\nid = cube-translation\n", 0),
             # the three cubes' constants spread by more than a factor 1
-            ("run", "[experiment]\nid = cube-translation\n[tolerances]\nshared_constant_spread = 1.0\n", 1),
+            (["run"], "[experiment]\nid = cube-translation\n[tolerances]\nshared_constant_spread = 1.0\n", 1),
         ],
+        ids=["help", "run-help", "list", "validate", "run-pass", "run-fail"],
     )
-    def test_a_closed_stdout_keeps_the_code_and_prints_no_traceback(self, tmp_path, command, text, code):
-        # the read end of the child's stdout pipe is closed before the child starts: its first write fails
-        args = [command] if text is None else [command, "--config", _write(tmp_path, text)]
-        if command == "run":
-            args += ["--out", str(tmp_path / "out")]
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    def test_a_closed_stdout_keeps_the_code_and_prints_no_traceback(self, tmp_path, args, text, code, buffering):
+        # the read end of the child's stdout pipe is closed before the child starts: its first write fails, or,
+        # with stdout block-buffered (PYTHONUNBUFFERED unset), the flush of what it wrote
+        if text is not None:
+            args = [*args, "--config", _write(tmp_path, text)]
+            if args[0] == "run":
+                args += ["--out", str(tmp_path / "out")]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), **buffering)
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -374,7 +381,7 @@ class TestExitCodes:
         finally:
             os.close(write_end)
         assert (child.returncode, child.stderr) == (code, "")
-        if command == "run":
+        if "--out" in args:
             assert _report(tmp_path, "cube-translation")["passed"] is (code == 0)
 
 

@@ -1,7 +1,6 @@
 """Transport: characteristics, averages, conservation, boosts."""
 
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from scipy.integrate import quad
 
 from decaylab.fields import BumpLambda, Gaussian, GridSpec, SupportOverflowError
 from decaylab import transport as tr
-from decaylab.experiments import OUTPUT_DIR_ENV, default_config, emit_config, parse_config, run
 from decaylab.harness import fit_decay
 
 import transport_oracles as oracle
@@ -440,26 +438,3 @@ def test_the_window_quadrature_refuses_time_zero(gaussian_datum):
         tr.sup_velocity_average(gaussian_datum, [1.0, 0.0])
     with pytest.raises(ValueError, match="t != 0"):
         tr._pair_profile(GAUSSIAN_PAIR, SCALAR_MAPS["identity"], np.array([1.0, 0.0]), np.zeros(2))
-
-
-REPORTS = Path(__file__).resolve().parent / "reports"
-
-
-@pytest.mark.parametrize(
-    "name, exp_id, edit",
-    [
-        ("conservation", "conservation", None),
-        ("transport-degenerate-relativistic", "transport-degenerate", ("map = mixed", "map = relativistic")),
-        ("vlasov-decay", "vlasov-decay", None),
-        ("transport-degenerate", "transport-degenerate", None),
-    ],
-    ids=["conservation", "transport-degenerate-relativistic", "vlasov-decay", "transport-degenerate"],
-)
-def test_transport_reports_equal_the_recorded_tables(name, exp_id, edit, monkeypatch):
-    # recorded from the default configs before the explicit-grid and non-separable-map paths were removed,
-    # and (vlasov-decay, transport-degenerate) before the datum became its list of pair factors
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
-    config = default_config(exp_id)
-    if edit is not None:
-        config = parse_config(emit_config(config).replace(*edit))
-    assert run(config).samples_table() == (REPORTS / f"{name}.tsv").read_text()
