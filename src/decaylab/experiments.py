@@ -797,10 +797,9 @@ class CatalogEntry:
         return {"experiment": {"id": self.id, "seed": 20260811}, "output": {"dir": ""}, **self.sections}
 
 
-# The transport sup widens each preimage window by an absolute 1e-3 (b - a) / nloc in p, which swamps
-# the window (q_hi - q_lo) / t itself at large t: against the closed form sqrt(2 pi) w / sqrt(1 + t^2)
-# for the identity map the sup is within 4e-15 relative up to t = 5e6, but 7.3e-6 high at 1e7 and 145%
-# high at 5e7, and vlasov-decay fits slope -0.973 (FAIL) with t_max = 1e8.
+# Tier-1 checks the transport sup at large t only on the identity map, whose sup matches the closed form
+# sqrt(2 pi) w / sqrt(1 + t^2) up to t = 1e9. No test checks the square map's fold-caustic sup against a
+# brute-force q-scan beyond t = 1e4, so t_max stays at most 1e6.
 _TRANSPORT_T_MAX = ("times", "t_max", lambda v, s: v <= 1e6, "must be at most 1e6")
 
 

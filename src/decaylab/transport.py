@@ -17,16 +17,23 @@ read off directly.
 
 The sup search takes a sequence of times and runs them in lockstep: each of
 its six rounds scores the candidates of every time in one ``_pair_profile``
-call, whose rows are (t, q) pairs. It ranks its candidate positions with a
-129-node window quadrature, a quarter of the nodes of the reported one, and
-reports the 513-node quadrature at the winner. With F_n(q) the n-node
-average, the reported sup misses the best 513-node value over the scored q
-by at most 2 max |F_129 - F_513| over those q (measured in ``_pair_sup``).
-A window quadrature takes its rows in blocks of at most 8192 samples (64 KiB,
-below glibc's 128 KiB mmap threshold) through p-node and foot arrays that
-the call allocates once, so a sup search maps no fresh pages. Each row does
-its own elementwise arithmetic and sums as it would over the whole table, so
-neither the blocks nor the other times of a batch move a bit.
+call, whose rows are (t, q) pairs. Per time it scans the reachable q-range,
+forces candidates only at the fold caustics (the images of the critical
+points of w), refines the 3 best candidates once and then only the bracket
+of the best node, 456 to 488 q-nodes in all. It ranks its candidate
+positions with a 129-node window quadrature, a quarter of the nodes of the
+reported one, and reports the 513-node quadrature at the winner. With F_n(q)
+the n-node average, the reported sup misses the best 513-node value over the
+scored q by at most 2 max |F_129 - F_513| over those q (measured in
+``_pair_sup``). Each preimage window is widened by a margin relative to its
+own width, so the quadrature stays resolved at any t: the identity-map sup
+matches its closed form to 5.6e-16, a few ulp, at 107 times from t = 10 to
+1e9. A window quadrature takes its rows in blocks of at most 8192 samples
+(64 KiB, below glibc's 128 KiB mmap threshold) through p-node and foot
+arrays that the call allocates once, so a sup search maps no fresh pages.
+Each row does its own elementwise arithmetic and sums as it would over the
+whole table, so neither the blocks nor the other times of a batch move a
+bit.
 """
 
 from __future__ import annotations
@@ -152,7 +159,8 @@ def _pair_profile(
     (ValueError): every catalog time is positive. The p-integral at q runs
     over the preimage of the datum's q-support under p -> q - t w(p), one
     monotone piece at a time, on a local uniform grid of ``nloc`` nodes
-    whose ends the piece's branch inverse gives. This keeps the quadrature
+    whose ends the piece's branch inverse gives, widened on each side by
+    0.02 + 1e-3/nloc of the window's own width. This keeps the quadrature
     resolved at any t (the integrand concentrates on p-scales ~ 1/t).
     ``windows`` is the pair's ``_pair_windows``, computed here when not
     given.
@@ -194,7 +202,7 @@ def _pair_profile(
         targets = np.minimum(np.maximum(np.stack([ulo[active], uhi[active]]), wlo), whi)
         ends = np.minimum(np.maximum(inverse(targets), a), b)
         pa, pb = np.minimum(*ends), np.maximum(*ends)
-        margin = 0.02 * (pb - pa) + 1e-3 * (b - a) / nloc
+        margin = 0.02 * (pb - pa) + 1e-3 * (pb - pa) / nloc
         pa = np.maximum(pa - margin, a)
         pb = np.minimum(pb + margin, b)
         dp = pb - pa
@@ -224,14 +232,18 @@ def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, times: Sequence[floa
     - a coarse scan of 257 nodes over [min t w + q_lo, max t w + q_hi], the
       q-range the transported support can reach;
     - forced candidates t w(e) + 33 offsets across [q_lo, q_hi] for every
-      endpoint e of the monotone pieces of w. The inner endpoints are the
-      critical points of w; their images are the fold caustics, where the
-      pushforward of the p-marginal is singular and the average peaks on a
-      q-scale of the datum's q-width however large t is, so a coarse scan
-      alone misses the peak (1.65e-7 low at t = 640 on the square map);
-    - 4 rounds of bracketed refinement around the 3 best candidates: each
-      bracket is its best node plus or minus one spacing of the candidate
-      set (of the previous round's 33-node bracket afterwards).
+      inner endpoint e of the monotone pieces of w. These are the critical
+      points of w; their images are the fold caustics, where the pushforward
+      of the p-marginal is singular and the average peaks on a q-scale of
+      the datum's q-width however large t is, so a coarse scan alone misses
+      the peak (1.65e-7 low at t = 640 on the square map). The outer
+      endpoints bound the datum's p-support at 1e-14, where the average is
+      about 0, and force nothing;
+    - 4 rounds of 33-node bracketed refinement. Round 1 refines the 3 best
+      candidates, each bracket its candidate plus or minus one spacing of
+      the candidate set. Rounds 2 to 4 refine one bracket, centred on the
+      best node so far with a sixteenth of the span of the bracket that
+      found it.
 
     The times run in lockstep: each step, and the final report quadrature,
     scores the nodes of every time in one ``_pair_profile`` call with a
@@ -240,35 +252,48 @@ def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, times: Sequence[floa
     row's value does not depend on the other rows of its call, so no bit
     depends on which times share a batch.
 
-    About 750 q-nodes per time. Against the dense search it replaced (513
+    456 q-nodes per time on a map without critical points, 488 on the
+    square map. Against the dense search the refined one replaced (513
     images t w(p) x 9 offsets, then 2 rounds of 129-node refinement, about
     4.7k nodes), the sups at the fit times t = 10 * 2^(k/2) moved by at most
     2.3e-9 relative on the square map (t <= 3000, never lower), 2.7e-12 on
     the relativistic map (t <= 1000) and 4.7e-16 on the identity map
-    (t <= 10^4).
+    (t <= 10^4). Against the search that refined 3 brackets in every round
+    and forced candidates at the outer endpoints too (about 750 q-nodes per
+    time), the sups of the Gaussian pair exp(-q^2 - p^2) at the 80 times
+    t = 10 * 2^(k/8) <= 10^4 moved by at most 3.7e-16 on the identity
+    map, 1.1e-13 on the relativistic map (which of its two mirror peaks
+    wins) and 1.6e-12 on the square map (t = 47.6, lower); at the fit times
+    the square-map sups moved by at most 2.0e-16. Against a nested dense
+    scan of the 513-node average around the winner, both searches fall
+    short by at most 3.7e-12 on the square map and 4.6e-13 on the
+    relativistic map over those times.
 
     The returned sup is the ``_REPORT_NODES`` quadrature at the winner q. It
     differs from the best report-count value over the scored q by at most
     2 max |F_129 - F_513| over those q (F_n the n-node average). Dense
     2001-node q-scans put that below 5.0e-13 of the sup for t in [10, 10^4]
     on the identity, square and relativistic maps; below t = 10 the
-    relativistic map reaches 2.2e-11 near t = 5.75. Ranking at 129 nodes
-    evaluates the datum at a quarter of the points (186k against 736k for
-    the square axis at t = 640).
+    relativistic map reaches 2.2e-11 near t = 5.75, and at t = 5 the
+    one-bracket refinement gives a square-map sup 3.7e-12 lower than three
+    brackets did. Ranking at 129 nodes evaluates the datum at a quarter of
+    the points, and refining one bracket after round 1 cuts a third more
+    (127k against 186k and 736k for the square axis at t = 640).
     """
     windows = _pair_windows(datum, smap)
     lo, hi, pieces = windows
     qlo, qhi = lo[0], hi[0]
     times = np.asarray(times, dtype=float)
-    # w is monotone on each piece, so the piece ends carry its extremes as well as its critical points;
-    # an end shared by two pieces gives one image twice, and np.unique drops the repeated candidates
+    # w is monotone on each piece, so the outer piece ends carry its extremes and the inner ones its
+    # critical points; an inner end shared by two pieces gives one image twice, and np.unique drops
+    # the repeated candidates
     ends = np.array([w for *_, wa, wb in pieces for w in (wa, wb)])
     offsets = np.linspace(qlo, qhi, 33)
     cands = []
     for t in times:
         images = t * ends
         coarse = np.linspace(images.min() + qlo, images.max() + qhi, 257)
-        cands.append(np.unique(np.concatenate([coarse, (images[:, None] + offsets[None, :]).ravel()])))
+        cands.append(np.unique(np.concatenate([coarse, (images[1:-1, None] + offsets[None, :]).ravel()])))
     sizes = [c.size for c in cands]
     vals = _pair_profile(datum, smap, np.repeat(times, sizes), np.concatenate(cands), _SEARCH_NODES, windows)
     best, centers, spans = [], [], []
@@ -278,20 +303,19 @@ def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, times: Sequence[floa
         best.append(v[top[0]])
         centers.append(cand[top])
         spans.append(np.maximum(np.maximum(gaps[top], gaps[top + 1]), 1e-9 * (1.0 + np.abs(cand[top]))))
-    # (time, candidate) from here on
+    # (time, bracket) from here on: the 3 brackets of round 1, then the one that holds the best node
     best, centers, spans = np.array(best), np.stack(centers), np.stack(spans)
-    qat, rows = centers[:, 0], np.arange(times.size)
+    qat, span, rows = centers[:, 0], spans[:, 0], np.arange(times.size)
     s = np.linspace(-1.0, 1.0, 33)
     for _ in range(4):
-        nodes = centers[..., None] + spans[..., None] * s  # (time, candidate, node)
+        nodes = centers[..., None] + spans[..., None] * s  # (time, bracket, node)
         lv = _pair_profile(datum, smap, times[:, None, None], nodes, _SEARCH_NODES, windows)
-        centers = np.take_along_axis(nodes, np.argmax(lv, axis=2)[..., None], axis=2)[..., 0]
-        peaks = lv.max(axis=2)
-        j = np.argmax(peaks, axis=1)
-        better = peaks[rows, j] > best
-        best = np.where(better, peaks[rows, j], best)
-        qat = np.where(better, centers[rows, j], qat)
-        spans = spans / 16.0
+        j, k = np.divmod(lv.reshape(times.size, -1).argmax(axis=1), s.size)  # the best (bracket, node)
+        better = lv[rows, j, k] > best
+        best = np.where(better, lv[rows, j, k], best)
+        qat = np.where(better, nodes[rows, j, k], qat)
+        span = np.where(better, spans[rows, j], span) / 16.0
+        centers, spans = qat[:, None], span[:, None]
     return _pair_profile(datum, smap, times, qat, windows=windows), qat
 
 
@@ -305,14 +329,18 @@ def sup_velocity_average(pairs: Sequence[tuple], times: Sequence[float]) -> list
     257-node coarse scan of the reachable q-range, 33 candidates across the
     datum's q-width at the image of every critical point of w (the fold
     caustics, where degenerate maps concentrate the average), and 4 rounds
-    of 33-node bracketed refinement around the 3 best, each node ranked by a
-    129-node preimage-window quadrature, which is accurate uniformly in t;
-    the sup reported is the 513-node quadrature at the winner, within
+    of 33-node bracketed refinement, around the 3 best in the first and
+    around the best node in the others, each node ranked by a 129-node
+    preimage-window quadrature whose window margin is relative to the
+    window, so it stays resolved at large t (the identity-map sup is within
+    5.6e-16 of its closed form from t = 10 to 1e9); the sup reported is
+    the 513-node quadrature at the winner, within
     2 max |F_129 - F_513| over the scored q of the best 513-node value
     there. The windows' ends come in closed form from the branch inverses of
     the axis maps (``ScalarDispersion.branches``). Against a brute-force
     search (20001 nodes, then 2001 around the best) the square-map sup
-    agrees to 2.2e-12 relative at t = 640, 905 and 3000.
+    agrees to 2.2e-12 relative at t = 640, 905 and 3000, and a scan of the
+    caustic's q-range [-6, 6] agrees to 2.8e-12 at t = 1e6 to 1e9.
     """
     total = np.ones(len(times))
     for pair_datum, smap in pairs:

@@ -102,11 +102,12 @@ class TestSupVelocityAverage:
         at_peak = oracle.velocity_average(sol, t, [t * (1 / math.sqrt(3))], pg)
         assert sup >= at_peak - 1e-10
 
-    @pytest.mark.parametrize("t", [1000.0, 1e4])
+    @pytest.mark.parametrize("t", [1000.0, 1e4, 1e6, 1e7, 1e9])
     def test_identity_sup_equals_closed_form(self, gaussian_datum, t):
-        # the coarse scan plus refinement finds the peak sqrt(pi / (1 + t^2)) at q = 0
+        # the coarse scan plus refinement finds the peak sqrt(pi / (1 + t^2)) at q = 0; at large t the
+        # window margin must scale with the preimage window, of p-width ~ 1/t, or the sup reads high
         assert tr.sup_velocity_average(gaussian_datum, [t]) == pytest.approx(
-            [math.sqrt(math.pi / (1.0 + t * t))], rel=1e-10
+            [math.sqrt(math.pi / (1.0 + t * t))], rel=1e-12
         )
 
     @pytest.mark.parametrize(
@@ -161,7 +162,7 @@ class TestPairSupSearch:
         # qat's sign is not pinned: the relativistic average has two mirror peaks
         assert sup == tr._pair_profile(pair, SCALAR_MAPS[name], t, qat)[0]
 
-    @pytest.mark.parametrize("t", [10.0, 640.0])
+    @pytest.mark.parametrize("t", [10.0, 100.0, 640.0, 1000.0, 1e4])
     @pytest.mark.parametrize("name", SCALAR_MAPS)
     def test_no_report_quadrature_near_the_peak_beats_the_sup(self, name, t):
         smap = SCALAR_MAPS[name]
@@ -174,11 +175,26 @@ class TestPairSupSearch:
         scan = tr._pair_profile(pair, smap, t, qat + np.linspace(-spacing, spacing, 257))
         assert scan.max() <= sup * (1.0 + 1e-12)
 
-    def test_square_axis_sup_evaluates_a_quarter_of_the_report_points(self):
-        # 186,012 points; with every candidate scored at 513 nodes it was 735,642
+    def test_square_axis_sup_evaluates_fewer_than_130k_datum_points(self):
+        # 126,672 points; refining 3 brackets in every round and forcing candidates at the outer piece
+        # ends too it was 186,012, and with every candidate scored at 513 nodes 735,642
         pair = CountingGaussian((0.0, 0.0), (W, W))
         tr._pair_sup(pair, SCALAR_MAPS["square"], [640.0])
-        assert pair.points[0] <= 190_000
+        assert pair.points[0] <= 130_000
+
+    def test_identity_search_scores_the_coarse_scan_then_3_brackets_then_1(self, monkeypatch):
+        # w(p) = p has no critical point, so no candidate is forced: 257 coarse candidates per time,
+        # 3 brackets of 33 nodes in round 1, one in rounds 2 to 4, and the report quadrature at the winner
+        sizes, profile = [], tr._pair_profile
+
+        def recorded(datum, smap, t, qnodes, *args, **kwargs):
+            sizes.append(np.size(qnodes))
+            return profile(datum, smap, t, qnodes, *args, **kwargs)
+
+        monkeypatch.setattr(tr, "_pair_profile", recorded)
+        times = [10.0, 640.0, 1e4]
+        tr._pair_sup(GAUSSIAN_PAIR, SCALAR_MAPS["identity"], times)
+        assert sizes == [257 * len(times), 3 * 33 * len(times)] + [33 * len(times)] * 3 + [len(times)]
 
 
 class TestRowBlocks:
