@@ -16,19 +16,21 @@ monotone branches with their closed-form inverses, so a window's ends are
 read off directly.
 
 The sup search takes a sequence of times and runs them in lockstep: each of
-its six rounds scores the candidates of every time in one ``_pair_profile``
-call, whose rows are (t, q) pairs. Per time it scans the reachable q-range,
-forces candidates only at the fold caustics (the images of the critical
-points of w), refines the 3 best candidates once and then only the bracket
-of the best node, 456 to 488 q-nodes in all. It ranks its candidate
-positions with a 129-node window quadrature, a quarter of the nodes of the
-reported one, and reports the 513-node quadrature at the winner. With F_n(q)
-the n-node average, the reported sup misses the best 513-node value over the
-scored q by at most 2 max |F_129 - F_513| over those q (measured in
-``_pair_sup``). Each preimage window is widened by a margin relative to its
-own width, so the quadrature stays resolved at any t: the identity-map sup
-matches its closed form to 5.6e-16, a few ulp, at 107 times from t = 10 to
-1e9. A window quadrature takes its rows in blocks of at most 8192 samples
+its eight ``_pair_profile`` calls scores the q-nodes of every time, one
+(t, q) pair per row. Per time it scans the reachable q-range, forces
+candidates only at the fold caustics (the images of the critical points of
+w), refines the 3 best candidates once and then only the bracket of the best
+node. The scan and round 1's 3 brackets, whose nodes lie a candidate gap or
+more apart, rank their 356 nodes (388 on the square map) with a 65-node
+window quadrature and score the 8 best of each at 129 nodes; the 99 nodes of
+the later rounds are scored at 129 nodes, and the reported sup is the
+513-node quadrature at the winner. With F_n(q) the n-node average, the
+reported sup misses the best 513-node value over the scored q by at most
+2 max |F_129 - F_513| over those q, and the local maximum by the gap the
+refinement leaves (both measured in ``_pair_sup``). Each preimage window is
+widened by a margin relative to its own width, so the quadrature stays
+resolved at any t: the identity-map sup matches its closed form to 5.6e-16,
+a few ulp, at 107 times from t = 10 to 1e9. A window quadrature takes its rows in blocks of at most 8192 samples
 (64 KiB, below glibc's 128 KiB mmap threshold) through p-node and foot
 arrays that the call allocates once, so a sup search maps no fresh pages.
 Each row does its own elementwise arithmetic and sums as it would over the
@@ -125,12 +127,20 @@ def _pair_windows(datum: AnalyticField, smap: ScalarDispersion) -> tuple:
     return lo, hi, pieces
 
 
-# uniform p-nodes per preimage window: the reported quadrature, and the one the
-# sup search ranks its candidates with (a quarter of the nodes). At 65 nodes the
-# relativistic profile at t = 5 misses by 8.8e-5 of its max. One count of 257
-# everywhere would move the counterexample rows by 4.5e-15.
+# uniform p-nodes per preimage window: the reported quadrature, the one the sup
+# search scores its nodes with (a quarter of the nodes), and the one it ranks
+# nodes a candidate gap apart with before scoring the ``_SHORTLIST`` best of each
+# time. At 65 nodes the relativistic profile at t = 5 misses by 8.8e-5 of its
+# max, too far to score with but close enough to rank: over 202 times from 1 to
+# 1e9 a shortlist of 4 already gave the sups of the full 129-node ranking on the
+# identity, square and relativistic maps. Ranking at 33 nodes left the
+# relativistic sup 6.1% low at t = 5.4 (7.1e-5 low at t = 13.3 with 16
+# shortlisted). One count of 257 everywhere would move the counterexample rows
+# by 4.5e-15.
 _REPORT_NODES = 513
 _SEARCH_NODES = 129
+_RANK_NODES = 65
+_SHORTLIST = 8
 
 # Samples per row block of ``_pair_profile`` (why 8192: see its docstring).
 _BLOCK = 8192
@@ -223,11 +233,27 @@ def _pair_profile(
     return prof.reshape(shape)
 
 
+def _shortlist(datum: AnalyticField, smap: ScalarDispersion, times: np.ndarray, nodes: list, windows: tuple) -> tuple:
+    """Per time, its ``_SHORTLIST`` q-nodes of highest ``_RANK_NODES`` average, scored at ``_SEARCH_NODES``.
+
+    ``nodes`` holds one array of q-nodes per time. Returns (picks, values):
+    per time, the indices of its shortlisted nodes in increasing order, and
+    their ``_SEARCH_NODES`` averages. Ties at the cut go to the lower index.
+    Two ``_pair_profile`` calls score every time.
+    """
+    sizes = [n.size for n in nodes]
+    ranks = _pair_profile(datum, smap, np.repeat(times, sizes), np.concatenate(nodes), _RANK_NODES, windows)
+    picks = [np.sort(np.argsort(-r, kind="stable")[:_SHORTLIST]) for r in np.split(ranks, np.cumsum(sizes)[:-1])]
+    counts = [p.size for p in picks]
+    shortlisted = np.concatenate([n[p] for n, p in zip(nodes, picks)])
+    vals = _pair_profile(datum, smap, np.repeat(times, counts), shortlisted, _SEARCH_NODES, windows)
+    return picks, np.split(vals, np.cumsum(counts)[:-1])
+
+
 def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, times: Sequence[float]) -> tuple:
     """Sup over q of the pair velocity average at each time, and the q where each is taken.
 
-    Three steps, each scored by the ``_SEARCH_NODES`` quadrature of
-    ``_pair_profile``:
+    Three steps:
 
     - a coarse scan of 257 nodes over [min t w + q_lo, max t w + q_hi], the
       q-range the transported support can reach;
@@ -245,40 +271,57 @@ def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, times: Sequence[floa
       best node so far with a sixteenth of the span of the bracket that
       found it.
 
+    The candidates and the nodes of round 1 lie a candidate gap or more
+    apart, and ``_shortlist`` scores them: it ranks them with the
+    ``_RANK_NODES`` = 65 quadrature of ``_pair_profile`` and scores the
+    ``_SHORTLIST`` = 8 best of each time with the ``_SEARCH_NODES`` = 129
+    one. Rounds 2 to 4 score all their nodes at 129. Every choice reads
+    129-node values only: the 3 brackets and the first best (ties go to the
+    lowest candidate) and each round's best node (ties go to the lowest
+    node). So wherever the 129-node top 3 of the candidates and the 129-node
+    best of round 1 lie among the 8 best at 65 nodes, the sups and their
+    positions are the bits that scoring every node at 129 gives.
+
     The times run in lockstep: each step, and the final report quadrature,
     scores the nodes of every time in one ``_pair_profile`` call with a
-    time per row, so a batch makes 6 calls whatever its length. The
-    candidate set, its ranking and each round's best stay per time, and a
-    row's value does not depend on the other rows of its call, so no bit
-    depends on which times share a batch.
+    time per row, two for a shortlisted step, so a batch makes 8 calls
+    whatever its length. The candidate set, its ranking and each round's
+    best stay per time, and a row's value does not depend on the other rows
+    of its call, so no bit depends on which times share a batch.
 
-    456 q-nodes per time on a map without critical points, 488 on the
-    square map. Against the dense search the refined one replaced (513
-    images t w(p) x 9 offsets, then 2 rounds of 129-node refinement, about
-    4.7k nodes), the sups at the fit times t = 10 * 2^(k/2) moved by at most
-    2.3e-9 relative on the square map (t <= 3000, never lower), 2.7e-12 on
-    the relativistic map (t <= 1000) and 4.7e-16 on the identity map
-    (t <= 10^4). Against the search that refined 3 brackets in every round
-    and forced candidates at the outer endpoints too (about 750 q-nodes per
-    time), the sups of the Gaussian pair exp(-q^2 - p^2) at the 80 times
-    t = 10 * 2^(k/8) <= 10^4 moved by at most 3.7e-16 on the identity
-    map, 1.1e-13 on the relativistic map (which of its two mirror peaks
-    wins) and 1.6e-12 on the square map (t = 47.6, lower); at the fit times
-    the square-map sups moved by at most 2.0e-16. Against a nested dense
-    scan of the 513-node average around the winner, both searches fall
-    short by at most 3.7e-12 on the square map and 4.6e-13 on the
-    relativistic map over those times.
+    Per time: 356 nodes ranked at 65 and 115 scored at 129 on a map without
+    critical points, 388 and 115 on the square map (81k datum points for
+    the square axis at t = 640, against 127k when every node was scored at
+    129). Against that search, which ordered equal values as ``np.argsort``
+    happened to, the sups of the Gaussian pair exp(-q^2 - p^2) at 121 times
+    from 1 to 1e9 and the 80 times t = 10 * 2^(k/8) <= 10^4 are the same
+    bits on the identity and square maps. On the relativistic map 14
+    positions differ, all from ties between its two mirror peaks, whose
+    refinements end apart: the sup moved by at most 7.0e-14 below t = 10^4
+    (t = 3620, higher) and rose by up to 1.4e-10 above (t = 2.2e7). Against
+    the dense search an earlier one replaced (513 images t w(p) x 9
+    offsets, then 2 rounds of 129-node refinement, about 4.7k nodes), the
+    sups at the fit times t = 10 * 2^(k/2) moved by at most 2.3e-9 relative
+    on the square map (t <= 3000, never lower), 2.7e-12 on the relativistic
+    map (t <= 1000) and 4.7e-16 on the identity map (t <= 10^4).
 
-    The returned sup is the ``_REPORT_NODES`` quadrature at the winner q. It
-    differs from the best report-count value over the scored q by at most
-    2 max |F_129 - F_513| over those q (F_n the n-node average). Dense
-    2001-node q-scans put that below 5.0e-13 of the sup for t in [10, 10^4]
-    on the identity, square and relativistic maps; below t = 10 the
-    relativistic map reaches 2.2e-11 near t = 5.75, and at t = 5 the
-    one-bracket refinement gives a square-map sup 3.7e-12 lower than three
-    brackets did. Ranking at 129 nodes evaluates the datum at a quarter of
-    the points, and refining one bracket after round 1 cuts a third more
-    (127k against 186k and 736k for the square axis at t = 640).
+    The returned sup is the ``_REPORT_NODES`` quadrature at the winner q.
+    Two errors separate it from the local maximum of F_513 (F_n the n-node
+    average):
+
+    - the quadrature: it differs from the best 513-node value over the
+      scored q by at most 2 max |F_129 - F_513| over those q. Dense
+      2001-node q-scans put that below 5.0e-13 of the sup for t in
+      [10, 10^4] on the identity, square and relativistic maps; below
+      t = 10 the relativistic map reaches 2.2e-11 near t = 5.75;
+    - the refinement gap: round 4's nodes are h = 1/16^4 of a candidate gap
+      apart, so the best scored q may lie h/2 from the local maximum and
+      the sup fall short of it by up to (h/2)^2 |F''| / (2F) relative.
+      Nested dense scans of F_513 around the winner put that at up to
+      3.7e-12 on the square map (t = 761) and 4.6e-13 on the relativistic
+      map for t in [10, 10^4], and a 20001-node scan of the square map's
+      caustic range at 2.8e-12 for t from 1e4 to 1e9
+      (``test_square_axis_sup_is_not_beaten_by_a_dense_scan``).
     """
     windows = _pair_windows(datum, smap)
     lo, hi, pieces = windows
@@ -294,27 +337,30 @@ def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, times: Sequence[floa
         images = t * ends
         coarse = np.linspace(images.min() + qlo, images.max() + qhi, 257)
         cands.append(np.unique(np.concatenate([coarse, (images[1:-1, None] + offsets[None, :]).ravel()])))
-    sizes = [c.size for c in cands]
-    vals = _pair_profile(datum, smap, np.repeat(times, sizes), np.concatenate(cands), _SEARCH_NODES, windows)
     best, centers, spans = [], [], []
-    for cand, v in zip(cands, np.split(vals, np.cumsum(sizes)[:-1])):
-        top = np.argsort(v)[::-1][:3]
+    for cand, pick, v in zip(cands, *_shortlist(datum, smap, times, cands, windows)):
+        top = pick[np.argsort(-v, kind="stable")[:3]]  # ties go to the lowest candidate
         gaps = np.diff(cand, prepend=cand[0], append=cand[-1])  # gaps[i], gaps[i + 1]: both sides of cand[i]
-        best.append(v[top[0]])
+        best.append(v.max())
         centers.append(cand[top])
         spans.append(np.maximum(np.maximum(gaps[top], gaps[top + 1]), 1e-9 * (1.0 + np.abs(cand[top]))))
     # (time, bracket) from here on: the 3 brackets of round 1, then the one that holds the best node
     best, centers, spans = np.array(best), np.stack(centers), np.stack(spans)
     qat, span, rows = centers[:, 0], spans[:, 0], np.arange(times.size)
     s = np.linspace(-1.0, 1.0, 33)
-    for _ in range(4):
-        nodes = centers[..., None] + spans[..., None] * s  # (time, bracket, node)
-        lv = _pair_profile(datum, smap, times[:, None, None], nodes, _SEARCH_NODES, windows)
-        j, k = np.divmod(lv.reshape(times.size, -1).argmax(axis=1), s.size)  # the best (bracket, node)
-        better = lv[rows, j, k] > best
-        best = np.where(better, lv[rows, j, k], best)
-        qat = np.where(better, nodes[rows, j, k], qat)
-        span = np.where(better, spans[rows, j], span) / 16.0
+    for step in range(4):
+        nodes = (centers[..., None] + spans[..., None] * s).reshape(times.size, -1)  # (time, bracket x node)
+        if step:
+            picks = np.broadcast_to(np.arange(nodes.shape[1]), nodes.shape)
+            lv = _pair_profile(datum, smap, times[:, None], nodes, _SEARCH_NODES, windows)
+        else:  # round 1's brackets are a candidate gap wide: shortlisted as the coarse candidates were
+            picks, lv = map(np.stack, _shortlist(datum, smap, times, list(nodes), windows))
+        k = lv.argmax(axis=1)  # ties go to the lowest node
+        i = picks[rows, k]
+        better = lv[rows, k] > best
+        best = np.where(better, lv[rows, k], best)
+        qat = np.where(better, nodes[rows, i], qat)
+        span = np.where(better, spans[rows, i // s.size], span) / 16.0
         centers, spans = qat[:, None], span[:, None]
     return _pair_profile(datum, smap, times, qat, windows=windows), qat
 
@@ -324,23 +370,26 @@ def sup_velocity_average(pairs: Sequence[tuple], times: Sequence[float]) -> list
 
     ``pairs`` is the datum, one (pair datum, ``ScalarDispersion``) tuple per
     axis, and each sup is the product of the pair sups that ``_pair_sup``
-    finds. It searches all the times at once, one ``_pair_profile`` call per
-    pair and round, and no time's sup depends on the others. Per time: a
-    257-node coarse scan of the reachable q-range, 33 candidates across the
-    datum's q-width at the image of every critical point of w (the fold
-    caustics, where degenerate maps concentrate the average), and 4 rounds
-    of 33-node bracketed refinement, around the 3 best in the first and
-    around the best node in the others, each node ranked by a 129-node
-    preimage-window quadrature whose window margin is relative to the
-    window, so it stays resolved at large t (the identity-map sup is within
-    5.6e-16 of its closed form from t = 10 to 1e9); the sup reported is
-    the 513-node quadrature at the winner, within
-    2 max |F_129 - F_513| over the scored q of the best 513-node value
-    there. The windows' ends come in closed form from the branch inverses of
-    the axis maps (``ScalarDispersion.branches``). Against a brute-force
-    search (20001 nodes, then 2001 around the best) the square-map sup
-    agrees to 2.2e-12 relative at t = 640, 905 and 3000, and a scan of the
-    caustic's q-range [-6, 6] agrees to 2.8e-12 at t = 1e6 to 1e9.
+    finds. It searches all the times at once, 8 ``_pair_profile`` calls per
+    pair, and no time's sup depends on the others. Per time: a 257-node
+    coarse scan of the reachable q-range, 33 candidates across the datum's
+    q-width at the image of every critical point of w (the fold caustics,
+    where degenerate maps concentrate the average), and 4 rounds of 33-node
+    bracketed refinement, around the 3 best in the first and around the
+    best node in the others. The candidates and round 1's nodes are ranked
+    by a 65-node preimage-window quadrature and the 8 best of each scored
+    by a 129-node one, which scores every node of rounds 2 to 4; the window
+    margin is relative to the window, so the quadrature stays resolved at
+    large t (the identity-map sup is within 5.6e-16 of its closed form from
+    t = 10 to 1e9). The sup reported is the 513-node quadrature at the
+    winner, within 2 max |F_129 - F_513| over the scored q of the best
+    513-node value there, and short of the local maximum by at most the
+    refinement gap of ``_pair_sup``. The windows' ends come in closed form
+    from the branch inverses of the axis maps (``ScalarDispersion.branches``).
+    Against a brute-force search (20001 nodes, then 2001 around the best)
+    the square-map sup agrees to 2.2e-12 relative at t = 640, 905 and 3000,
+    and a scan of the caustic's q-range [-6, 6] agrees to 2.8e-12 at t = 1e4
+    to 1e9.
     """
     total = np.ones(len(times))
     for pair_datum, smap in pairs:

@@ -129,6 +129,10 @@ SCALAR_MAPS = {
     "relativistic": tr.relativistic_map()[0],
 }
 BRANCHES = [(name, i) for name, smap in SCALAR_MAPS.items() for i in range(len(smap.branches))]
+# the (pair, scalar map) of each axis the catalog's transport entries search: the three scalar maps, and
+# the two axes of the mixed map
+SEARCHED_PAIRS = pairs_of(GAUSSIAN_PAIR, SCALAR_MAPS.values()) + pairs_of(GAUSSIAN_PAIR, tr.mixed_map())
+SEARCHED_PAIR_IDS = [*SCALAR_MAPS, "mixed-axis0", "mixed-axis1"]
 # |p| at which the (W, W) Gaussian pair drops below the 1e-14 support tolerance
 P_MAX = W * math.sqrt(2.0 * math.log(1e14))
 
@@ -175,26 +179,52 @@ class TestPairSupSearch:
         scan = tr._pair_profile(pair, smap, t, qat + np.linspace(-spacing, spacing, 257))
         assert scan.max() <= sup * (1.0 + 1e-12)
 
-    def test_square_axis_sup_evaluates_fewer_than_130k_datum_points(self):
-        # 126,672 points; refining 3 brackets in every round and forcing candidates at the outer piece
-        # ends too it was 186,012, and with every candidate scored at 513 nodes 735,642
+    def test_square_axis_sup_evaluates_fewer_than_85k_datum_points(self):
+        # 81,136 points; with every node scored at 129 nodes it was 126,672, refining 3 brackets in every
+        # round and forcing candidates at the outer piece ends too 186,012, and scoring at 513 nodes 735,642
         pair = CountingGaussian((0.0, 0.0), (W, W))
         tr._pair_sup(pair, SCALAR_MAPS["square"], [640.0])
-        assert pair.points[0] <= 130_000
+        assert pair.points[0] <= 85_000
 
     def test_identity_search_scores_the_coarse_scan_then_3_brackets_then_1(self, monkeypatch):
-        # w(p) = p has no critical point, so no candidate is forced: 257 coarse candidates per time,
-        # 3 brackets of 33 nodes in round 1, one in rounds 2 to 4, and the report quadrature at the winner
-        sizes, profile = [], tr._pair_profile
+        # w(p) = p has no critical point, so no candidate is forced: 257 coarse candidates per time ranked
+        # at 65 nodes and the 8 best scored at 129, the same for the 3 brackets of 33 nodes of round 1, one
+        # bracket scored at 129 in rounds 2 to 4, and the report quadrature at the winner
+        times, calls, profile = [10.0, 640.0, 1e4], [], tr._pair_profile
 
-        def recorded(datum, smap, t, qnodes, *args, **kwargs):
-            sizes.append(np.size(qnodes))
-            return profile(datum, smap, t, qnodes, *args, **kwargs)
+        def recorded(datum, smap, t, qnodes, nloc=tr._REPORT_NODES, *args, **kwargs):
+            calls.append((np.size(qnodes) // len(times), nloc))  # (nodes per time, p-nodes per window)
+            return profile(datum, smap, t, qnodes, nloc, *args, **kwargs)
 
         monkeypatch.setattr(tr, "_pair_profile", recorded)
-        times = [10.0, 640.0, 1e4]
         tr._pair_sup(GAUSSIAN_PAIR, SCALAR_MAPS["identity"], times)
-        assert sizes == [257 * len(times), 3 * 33 * len(times)] + [33 * len(times)] * 3 + [len(times)]
+        assert calls == [(257, 65), (8, 129), (3 * 33, 65), (8, 129)] + [(33, 129)] * 3 + [(1, 513)]
+
+    @pytest.mark.parametrize("pair, smap", SEARCHED_PAIRS, ids=SEARCHED_PAIR_IDS)
+    def test_shortlisted_search_equals_the_full_129_node_ranking(self, monkeypatch, pair, smap):
+        # every choice of the search reads 129-node values only, so while the 8 best nodes at 65 hold each
+        # choice, it returns the bits of the search that scores every node at 129
+        times = [10.0, 100.0, 640.0, 1000.0, 1e4]
+        shortlisted = repr([part.tolist() for part in tr._pair_sup(pair, smap, times)])  # (sups, positions)
+        monkeypatch.setattr(tr, "_RANK_NODES", tr._SEARCH_NODES)
+        monkeypatch.setattr(tr, "_SHORTLIST", 10**9)  # more than any step's candidates
+        assert repr([part.tolist() for part in tr._pair_sup(pair, smap, times)]) == shortlisted
+
+    def test_square_axis_sup_is_not_beaten_by_a_dense_scan(self):
+        # the fold caustic t w(0) = 0 keeps the peak within the datum's q-width of q = 0 at any t. A
+        # 20001-node scan of q in [-6, 6] finds it, ranked at the search's 129 nodes, and three nested
+        # 201-node scans of the report quadrature, each a hundredth as wide, close in on it. The search's
+        # last refinement leaves a gap to it of at most 2.8e-12 (t = 1e6)
+        smap, times = SCALAR_MAPS["square"], np.array([1e4, 1e6, 1e7, 1e8, 1e9])
+        sups, _ = tr._pair_sup(GAUSSIAN_PAIR, smap, times)
+        q = np.linspace(-6.0, 6.0, 20001)
+        scan = tr._pair_profile(GAUSSIAN_PAIR, smap, times[:, None], np.broadcast_to(q, (times.size, q.size)), 129)
+        best = q[scan.argmax(axis=1)]
+        for width in (q[1] - q[0]) * np.array([1.0, 1e-2, 1e-4]):
+            nodes = best[:, None] + width * np.linspace(-1.0, 1.0, 201)
+            scan = tr._pair_profile(GAUSSIAN_PAIR, smap, times[:, None], nodes)
+            best = nodes[np.arange(times.size), scan.argmax(axis=1)]
+        np.testing.assert_array_less(scan.max(axis=1), sups * (1.0 + 1e-11))
 
 
 class TestRowBlocks:
@@ -212,11 +242,7 @@ class TestRowBlocks:
             monkeypatch.setattr(tr, "_BLOCK", block)
             assert self.results() == default
 
-    @pytest.mark.parametrize(
-        "pair, smap",
-        pairs_of(GAUSSIAN_PAIR, SCALAR_MAPS.values()) + pairs_of(GAUSSIAN_PAIR, tr.mixed_map()),
-        ids=[*SCALAR_MAPS, "mixed-axis0", "mixed-axis1"],
-    )
+    @pytest.mark.parametrize("pair, smap", SEARCHED_PAIRS, ids=SEARCHED_PAIR_IDS)
     def test_sups_of_one_batch_equal_those_of_single_time_batches(self, pair, smap):
         # a row of a _pair_profile call does its own arithmetic, so no sup depends on the other times
         times = (10.0, 640.0, 3000.0)
