@@ -115,8 +115,6 @@ def _freeze_sections(raw: dict) -> tuple:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
@@ -126,12 +124,6 @@ def _format_value(value) -> str:
 
 def _parse_value(text: str, template):
     """The value of ``text`` in the type of ``template``; floats must be finite. ValueError if not."""
-    if isinstance(template, bool):
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(text)
     if isinstance(template, int):
         return int(text)
     if not isinstance(template, (float, tuple)):
@@ -681,7 +673,9 @@ def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
     x = u0.grid.axis(0)
     probes = x[[int(np.argmin(np.abs(x - p))) for p in wanted]]
     (pointwise, report), half_line = check_airy_pointwise(u0, probes), x >= 0.0
-    checkpoints, fit_times = cfg.get("times", "checkpoints"), _fit_times(cfg)
+    checkpoints = cfg.get("times", "checkpoints")
+    # a fit time within 1e-12 of a checkpoint (2 * 2^(k/4) rounds off 4, 8 and 16) reads that checkpoint's field
+    fit_times = [next((c for c in checkpoints if math.isclose(t, c, rel_tol=1e-12)), t) for t in _fit_times(cfg)]
 
     def du_max(t, ut):
         return float(np.max(np.abs(spectral_derivative(ut, 1).values[half_line])))

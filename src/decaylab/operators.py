@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import SampledField, l2_norm, spectral_derivative
+from .fields import Gaussian, SampledField, l2_norm, spectral_derivative
 from .propagators import DispersionPolynomial, _phase
 
 __all__ = [
@@ -313,15 +313,11 @@ _PACKET_REACH = 40.0
 
 
 def _packet_factors(x: np.ndarray, centers: np.ndarray, widths: np.ndarray, waves: np.ndarray) -> np.ndarray:
-    """exp(-((x - c)/w)^2 / 2) exp(i k x) on one axis, one row per packet, as ``Gaussian.value`` rounds it.
+    """``Gaussian(c, w).value(x)`` exp(i k x) on one axis, one row per packet.
 
     The modulation is cos + i sin of the real angle k x, the bits ``np.exp(1j * k x)`` gives.
     """
-    envelope = np.subtract(x, centers[:, None])
-    envelope /= widths[:, None]
-    np.square(envelope, out=envelope)
-    envelope *= -0.5
-    np.exp(envelope, out=envelope)
+    envelope = np.array([Gaussian(c, w).value(x) for c, w in zip(centers, widths)])
     return envelope * _phase(1.0, np.multiply.outer(waves, x))
 
 

@@ -15,27 +15,18 @@ lattice (``_foot_window``). A dispersion map is the tuple of its per-axis
 monotone branches with their closed-form inverses, so a window's ends are
 read off directly.
 
-The sup search takes a sequence of times and runs them in lockstep: each of
-its eight ``_pair_profile`` calls scores the q-nodes of every time, one
-(t, q) pair per row. Per time it scans the reachable q-range, forces
-candidates only at the fold caustics (the images of the critical points of
-w), refines the 3 best candidates once and then only the bracket of the best
-node. The scan and round 1's 3 brackets, whose nodes lie a candidate gap or
-more apart, rank their 356 nodes (388 on the square map) with a 65-node
-window quadrature and score the 8 best of each at 129 nodes; the 99 nodes of
-the later rounds are scored at 129 nodes, and the reported sup is the
-513-node quadrature at the winner. With F_n(q) the n-node average, the
-reported sup misses the best 513-node value over the scored q by at most
-2 max |F_129 - F_513| over those q, and the local maximum by the gap the
-refinement leaves (both measured in ``_pair_sup``). Each preimage window is
-widened by a margin relative to its own width, so the quadrature stays
-resolved at any t: the identity-map sup matches its closed form to 5.6e-16,
-a few ulp, at 107 times from t = 10 to 1e9. A window quadrature takes its rows in blocks of at most 8192 samples
-(64 KiB, below glibc's 128 KiB mmap threshold) through p-node and foot
-arrays that the call allocates once, so a sup search maps no fresh pages.
-Each row does its own elementwise arithmetic and sums as it would over the
-whole table, so neither the blocks nor the other times of a batch move a
-bit.
+The sup search, ``_pair_sup``, runs a sequence of times in lockstep: each
+of its ``_pair_profile`` calls scores the q-nodes of every time, one (t, q)
+pair per row. Its docstring gives the steps, their node counts and the
+errors measured. Each preimage window is widened by a margin relative to
+its own width, so the quadrature stays resolved at any t: the identity-map
+sup matches its closed form to 4.4e-16, a few ulp, at 107 times from
+t = 10 to 1e9. A window quadrature takes its rows in blocks of at most 8192
+samples (64 KiB, below glibc's 128 KiB mmap threshold) through p-node and
+foot arrays that the call allocates once, so a sup search maps no fresh
+pages. Each row does its own elementwise arithmetic and sums as it would
+over the whole table, so neither the blocks nor the other times of a batch
+move a bit.
 """
 
 from __future__ import annotations
@@ -128,13 +119,13 @@ def _pair_windows(datum: AnalyticField, smap: ScalarDispersion) -> tuple:
 
 
 # uniform p-nodes per preimage window: the reported quadrature, the one the sup
-# search scores its nodes with (a quarter of the nodes), and the one it ranks
-# nodes a candidate gap apart with before scoring the ``_SHORTLIST`` best of each
-# time. At 65 nodes the relativistic profile at t = 5 misses by 8.8e-5 of its
-# max, too far to score with but close enough to rank: over 202 times from 1 to
-# 1e9 a shortlist of 4 already gave the sups of the full 129-node ranking on the
+# search scores its nodes with, and the one it ranks its coarse candidates with
+# before scoring the ``_SHORTLIST`` best of each time (the steps: ``_pair_sup``).
+# At 65 nodes the relativistic profile at t = 5 misses by 8.8e-5 of its max, too
+# far to score with but close enough to rank: over 202 times from 1 to 1e9 a
+# shortlist of 4 already gave the sups of the full 129-node ranking on the
 # identity, square and relativistic maps. Ranking at 33 nodes left the
-# relativistic sup 6.1% low at t = 5.4 (7.1e-5 low at t = 13.3 with 16
+# relativistic sup 5.4% low at t = 5.2 (7.5e-5 low at t = 13.2 with 16
 # shortlisted). One count of 257 everywhere would move the counterexample rows
 # by 4.5e-15.
 _REPORT_NODES = 513
@@ -170,7 +161,7 @@ def _pair_profile(
     over the preimage of the datum's q-support under p -> q - t w(p), one
     monotone piece at a time, on a local uniform grid of ``nloc`` nodes
     whose ends the piece's branch inverse gives, widened on each side by
-    0.02 + 1e-3/nloc of the window's own width. This keeps the quadrature
+    0.02 of the window's own width. This keeps the quadrature
     resolved at any t (the integrand concentrates on p-scales ~ 1/t).
     ``windows`` is the pair's ``_pair_windows``, computed here when not
     given.
@@ -212,7 +203,7 @@ def _pair_profile(
         targets = np.minimum(np.maximum(np.stack([ulo[active], uhi[active]]), wlo), whi)
         ends = np.minimum(np.maximum(inverse(targets), a), b)
         pa, pb = np.minimum(*ends), np.maximum(*ends)
-        margin = 0.02 * (pb - pa) + 1e-3 * (pb - pa) / nloc
+        margin = 0.02 * (pb - pa)
         pa = np.maximum(pa - margin, a)
         pb = np.minimum(pb + margin, b)
         dp = pb - pa
@@ -253,57 +244,40 @@ def _shortlist(datum: AnalyticField, smap: ScalarDispersion, times: np.ndarray, 
 def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, times: Sequence[float]) -> tuple:
     """Sup over q of the pair velocity average at each time, and the q where each is taken.
 
-    Three steps:
+    Per time, three steps:
 
-    - a coarse scan of 257 nodes over [min t w + q_lo, max t w + q_hi], the
-      q-range the transported support can reach;
-    - forced candidates t w(e) + 33 offsets across [q_lo, q_hi] for every
-      inner endpoint e of the monotone pieces of w. These are the critical
-      points of w; their images are the fold caustics, where the pushforward
-      of the p-marginal is singular and the average peaks on a q-scale of
-      the datum's q-width however large t is, so a coarse scan alone misses
-      the peak (1.65e-7 low at t = 640 on the square map). The outer
-      endpoints bound the datum's p-support at 1e-14, where the average is
-      about 0, and force nothing;
-    - 4 rounds of 33-node bracketed refinement. Round 1 refines the 3 best
-      candidates, each bracket its candidate plus or minus one spacing of
-      the candidate set. Rounds 2 to 4 refine one bracket, centred on the
-      best node so far with a sixteenth of the span of the bracket that
-      found it.
+    - candidates: a coarse scan of 257 nodes over [min t w + q_lo,
+      max t w + q_hi], the q-range the transported support can reach, and
+      t w(e) + 33 offsets across [q_lo, q_hi] for every inner endpoint e of
+      the monotone pieces of w (289 candidates on the square map). These
+      endpoints are the critical points of w; their images are the fold
+      caustics, where the pushforward of the p-marginal is singular and the
+      average peaks on a q-scale of the datum's q-width however large t is,
+      so a coarse scan alone misses the peak (1.65e-7 low at t = 640 on the
+      square map). The outer endpoints bound the datum's p-support at
+      1e-14, where the average is about 0, and force nothing;
+    - ``_shortlist`` ranks the candidates with the ``_RANK_NODES`` = 65
+      quadrature of ``_pair_profile`` and scores the ``_SHORTLIST`` = 8 best
+      with the ``_SEARCH_NODES`` = 129 one. The best of those is the first
+      best node (ties go to the lowest candidate);
+    - 4 rounds of 33-node refinement, scored at 129 nodes. Each round
+      brackets the best node so far: round 1 by the wider candidate gap
+      beside it, each later round by a sixteenth of the bracket before. A
+      node replaces the best only when it is higher (ties go to the lowest
+      node).
 
-    The candidates and the nodes of round 1 lie a candidate gap or more
-    apart, and ``_shortlist`` scores them: it ranks them with the
-    ``_RANK_NODES`` = 65 quadrature of ``_pair_profile`` and scores the
-    ``_SHORTLIST`` = 8 best of each time with the ``_SEARCH_NODES`` = 129
-    one. Rounds 2 to 4 score all their nodes at 129. Every choice reads
-    129-node values only: the 3 brackets and the first best (ties go to the
-    lowest candidate) and each round's best node (ties go to the lowest
-    node). So wherever the 129-node top 3 of the candidates and the 129-node
-    best of round 1 lie among the 8 best at 65 nodes, the sups and their
-    positions are the bits that scoring every node at 129 gives.
+    Every choice reads 129-node values only. So wherever the 129-node best
+    candidate lies among the 8 best at 65 nodes, the sups and their
+    positions are the bits that scoring every candidate at 129 gives.
 
     The times run in lockstep: each step, and the final report quadrature,
     scores the nodes of every time in one ``_pair_profile`` call with a
-    time per row, two for a shortlisted step, so a batch makes 8 calls
-    whatever its length. The candidate set, its ranking and each round's
-    best stay per time, and a row's value does not depend on the other rows
-    of its call, so no bit depends on which times share a batch.
-
-    Per time: 356 nodes ranked at 65 and 115 scored at 129 on a map without
-    critical points, 388 and 115 on the square map (81k datum points for
-    the square axis at t = 640, against 127k when every node was scored at
-    129). Against that search, which ordered equal values as ``np.argsort``
-    happened to, the sups of the Gaussian pair exp(-q^2 - p^2) at 121 times
-    from 1 to 1e9 and the 80 times t = 10 * 2^(k/8) <= 10^4 are the same
-    bits on the identity and square maps. On the relativistic map 14
-    positions differ, all from ties between its two mirror peaks, whose
-    refinements end apart: the sup moved by at most 7.0e-14 below t = 10^4
-    (t = 3620, higher) and rose by up to 1.4e-10 above (t = 2.2e7). Against
-    the dense search an earlier one replaced (513 images t w(p) x 9
-    offsets, then 2 rounds of 129-node refinement, about 4.7k nodes), the
-    sups at the fit times t = 10 * 2^(k/2) moved by at most 2.3e-9 relative
-    on the square map (t <= 3000, never lower), 2.7e-12 on the relativistic
-    map (t <= 1000) and 4.7e-16 on the identity map (t <= 10^4).
+    time per row (two for the shortlisted candidates), so a batch makes 7
+    calls whatever its length. The choices stay per time, and a row's value
+    does not depend on the other rows of its call, so no bit depends on
+    which times share a batch. Per time, 257 candidates (289 on the square
+    map) are ranked at 65 nodes, 8 + 4 x 33 nodes scored at 129 and the
+    winner at 513: 74,716 datum points for the square axis at t = 640.
 
     The returned sup is the ``_REPORT_NODES`` quadrature at the winner q.
     Two errors separate it from the local maximum of F_513 (F_n the n-node
@@ -313,15 +287,22 @@ def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, times: Sequence[floa
       scored q by at most 2 max |F_129 - F_513| over those q. Dense
       2001-node q-scans put that below 5.0e-13 of the sup for t in
       [10, 10^4] on the identity, square and relativistic maps; below
-      t = 10 the relativistic map reaches 2.2e-11 near t = 5.75;
+      t = 10 the relativistic map reaches 2.2e-11 near t = 5.75. A wider
+      datum parts them further: at width 10 and t = 10^(9/8) the 129-node
+      relativistic average peaks 0.08 from the 513-node one;
     - the refinement gap: round 4's nodes are h = 1/16^4 of a candidate gap
       apart, so the best scored q may lie h/2 from the local maximum and
       the sup fall short of it by up to (h/2)^2 |F''| / (2F) relative.
-      Nested dense scans of F_513 around the winner put that at up to
-      3.7e-12 on the square map (t = 761) and 4.6e-13 on the relativistic
-      map for t in [10, 10^4], and a 20001-node scan of the square map's
-      caustic range at 2.8e-12 for t from 1e4 to 1e9
-      (``test_square_axis_sup_is_not_beaten_by_a_dense_scan``).
+
+    Dense scans ranked at 129 nodes, then nested scans of F_513, measure
+    both together. On the square map the sup falls short by up to 3.7e-12
+    for t in [10, 10^4] (t = 761), and by 2.8e-12 for t from 1e4 to 1e9
+    (``test_square_axis_sup_is_not_beaten_by_a_dense_scan``). On the
+    relativistic map (``test_relativistic_sup_is_not_beaten_by_a_dense_scan``)
+    it falls short by up to 2.0e-13 for t in [10, 10^4], and by up to
+    3.3e-17 t at t = 1e4, 1e6 and 1e8, where the foot q - t w(p) rounds at
+    about 1e-16 t. At width 10 it falls short by 1.8e-5 at t = 10^(9/8)
+    and 7.1e-5 at t = 28.3.
     """
     windows = _pair_windows(datum, smap)
     lo, hi, pieces = windows
@@ -337,31 +318,23 @@ def _pair_sup(datum: AnalyticField, smap: ScalarDispersion, times: Sequence[floa
         images = t * ends
         coarse = np.linspace(images.min() + qlo, images.max() + qhi, 257)
         cands.append(np.unique(np.concatenate([coarse, (images[1:-1, None] + offsets[None, :]).ravel()])))
-    best, centers, spans = [], [], []
+    best, qat, span = [], [], []
     for cand, pick, v in zip(cands, *_shortlist(datum, smap, times, cands, windows)):
-        top = pick[np.argsort(-v, kind="stable")[:3]]  # ties go to the lowest candidate
+        i = pick[v.argmax()]  # ties go to the lowest candidate
         gaps = np.diff(cand, prepend=cand[0], append=cand[-1])  # gaps[i], gaps[i + 1]: both sides of cand[i]
         best.append(v.max())
-        centers.append(cand[top])
-        spans.append(np.maximum(np.maximum(gaps[top], gaps[top + 1]), 1e-9 * (1.0 + np.abs(cand[top]))))
-    # (time, bracket) from here on: the 3 brackets of round 1, then the one that holds the best node
-    best, centers, spans = np.array(best), np.stack(centers), np.stack(spans)
-    qat, span, rows = centers[:, 0], spans[:, 0], np.arange(times.size)
-    s = np.linspace(-1.0, 1.0, 33)
-    for step in range(4):
-        nodes = (centers[..., None] + spans[..., None] * s).reshape(times.size, -1)  # (time, bracket x node)
-        if step:
-            picks = np.broadcast_to(np.arange(nodes.shape[1]), nodes.shape)
-            lv = _pair_profile(datum, smap, times[:, None], nodes, _SEARCH_NODES, windows)
-        else:  # round 1's brackets are a candidate gap wide: shortlisted as the coarse candidates were
-            picks, lv = map(np.stack, _shortlist(datum, smap, times, list(nodes), windows))
+        qat.append(cand[i])
+        span.append(max(gaps[i], gaps[i + 1], 1e-9 * (1.0 + abs(cand[i]))))
+    best, qat, span = np.array(best), np.array(qat), np.array(span)
+    rows, s = np.arange(times.size), np.linspace(-1.0, 1.0, 33)
+    for _ in range(4):
+        nodes = qat[:, None] + span[:, None] * s
+        lv = _pair_profile(datum, smap, times[:, None], nodes, _SEARCH_NODES, windows)
         k = lv.argmax(axis=1)  # ties go to the lowest node
-        i = picks[rows, k]
         better = lv[rows, k] > best
         best = np.where(better, lv[rows, k], best)
-        qat = np.where(better, nodes[rows, i], qat)
-        span = np.where(better, spans[rows, i // s.size], span) / 16.0
-        centers, spans = qat[:, None], span[:, None]
+        qat = np.where(better, nodes[rows, k], qat)
+        span /= 16.0
     return _pair_profile(datum, smap, times, qat, windows=windows), qat
 
 
@@ -370,26 +343,8 @@ def sup_velocity_average(pairs: Sequence[tuple], times: Sequence[float]) -> list
 
     ``pairs`` is the datum, one (pair datum, ``ScalarDispersion``) tuple per
     axis, and each sup is the product of the pair sups that ``_pair_sup``
-    finds. It searches all the times at once, 8 ``_pair_profile`` calls per
-    pair, and no time's sup depends on the others. Per time: a 257-node
-    coarse scan of the reachable q-range, 33 candidates across the datum's
-    q-width at the image of every critical point of w (the fold caustics,
-    where degenerate maps concentrate the average), and 4 rounds of 33-node
-    bracketed refinement, around the 3 best in the first and around the
-    best node in the others. The candidates and round 1's nodes are ranked
-    by a 65-node preimage-window quadrature and the 8 best of each scored
-    by a 129-node one, which scores every node of rounds 2 to 4; the window
-    margin is relative to the window, so the quadrature stays resolved at
-    large t (the identity-map sup is within 5.6e-16 of its closed form from
-    t = 10 to 1e9). The sup reported is the 513-node quadrature at the
-    winner, within 2 max |F_129 - F_513| over the scored q of the best
-    513-node value there, and short of the local maximum by at most the
-    refinement gap of ``_pair_sup``. The windows' ends come in closed form
-    from the branch inverses of the axis maps (``ScalarDispersion.branches``).
-    Against a brute-force search (20001 nodes, then 2001 around the best)
-    the square-map sup agrees to 2.2e-12 relative at t = 640, 905 and 3000,
-    and a scan of the caustic's q-range [-6, 6] agrees to 2.8e-12 at t = 1e4
-    to 1e9.
+    finds; its docstring gives the search and its measured errors. No
+    time's sup depends on the others.
     """
     total = np.ones(len(times))
     for pair_datum, smap in pairs:

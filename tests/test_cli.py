@@ -697,10 +697,10 @@ def test_commutation_suite_makes_24_transforms_for_its_residuals(tmp_path, monke
     assert calls == (["fft", "fft"] + ["ifft", "ifft"] * 3) * 3
 
 
-@pytest.mark.parametrize("exp_id, calls", [("vlasov-decay", 8), ("transport-degenerate", 16)])
-def test_sup_search_scores_all_times_in_eight_profile_calls_per_pair(tmp_path, monkeypatch, exp_id, calls):
-    # per pair, the coarse scan and round 1 (each ranked, then its shortlist scored), rounds 2 to 4 and the
-    # report quadrature each score every time in one call
+@pytest.mark.parametrize("exp_id, calls", [("vlasov-decay", 7), ("transport-degenerate", 14)])
+def test_sup_search_scores_all_times_in_seven_profile_calls_per_pair(tmp_path, monkeypatch, exp_id, calls):
+    # per pair, the coarse scan (ranked, then its shortlist scored), the 4 refinement rounds and the report
+    # quadrature each score every time in one call
     from decaylab import transport
 
     made, profile = [], transport._pair_profile

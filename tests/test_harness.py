@@ -269,8 +269,8 @@ class TestSeriesRead:
         if exp_id == "schrodinger-ks":
             assert [formed for _, _, formed, _ in built] == [16, 5]  # d1: 14 checkpoints, drift 10 and 100; d2: 5
         if exp_id == "airy-pointwise":
-            # 9 checkpoints and 14 fit times 2 * 2^(k/4); of 2, 4, 8 and 16, only 2 is in both to the bit
-            assert [formed for _, _, formed, _ in built] == [22]
+            # 9 checkpoints and 14 fit times 2 * 2^(k/4), of which 2, 4, 8 and 16 are read at checkpoints
+            assert [formed for _, _, formed, _ in built] == [19]
 
 
 class TestStream:

@@ -179,17 +179,18 @@ class TestPairSupSearch:
         scan = tr._pair_profile(pair, smap, t, qat + np.linspace(-spacing, spacing, 257))
         assert scan.max() <= sup * (1.0 + 1e-12)
 
-    def test_square_axis_sup_evaluates_fewer_than_85k_datum_points(self):
-        # 81,136 points; with every node scored at 129 nodes it was 126,672, refining 3 brackets in every
-        # round and forcing candidates at the outer piece ends too 186,012, and scoring at 513 nodes 735,642
+    def test_square_axis_sup_evaluates_fewer_than_76k_datum_points(self):
+        # 74,716 points; with round 1 refining 3 brackets it was 81,136, with every node scored at 129 nodes
+        # 126,672, refining 3 brackets in every round and forcing candidates at the outer piece ends too
+        # 186,012, and scoring at 513 nodes 735,642
         pair = CountingGaussian((0.0, 0.0), (W, W))
         tr._pair_sup(pair, SCALAR_MAPS["square"], [640.0])
-        assert pair.points[0] <= 85_000
+        assert pair.points[0] <= 76_000
 
-    def test_identity_search_scores_the_coarse_scan_then_3_brackets_then_1(self, monkeypatch):
+    def test_identity_search_scores_the_coarse_scan_then_one_bracket_per_round(self, monkeypatch):
         # w(p) = p has no critical point, so no candidate is forced: 257 coarse candidates per time ranked
-        # at 65 nodes and the 8 best scored at 129, the same for the 3 brackets of 33 nodes of round 1, one
-        # bracket scored at 129 in rounds 2 to 4, and the report quadrature at the winner
+        # at 65 nodes and the 8 best scored at 129, one bracket of 33 nodes scored at 129 in each of the 4
+        # rounds, and the report quadrature at the winner
         times, calls, profile = [10.0, 640.0, 1e4], [], tr._pair_profile
 
         def recorded(datum, smap, t, qnodes, nloc=tr._REPORT_NODES, *args, **kwargs):
@@ -198,7 +199,7 @@ class TestPairSupSearch:
 
         monkeypatch.setattr(tr, "_pair_profile", recorded)
         tr._pair_sup(GAUSSIAN_PAIR, SCALAR_MAPS["identity"], times)
-        assert calls == [(257, 65), (8, 129), (3 * 33, 65), (8, 129)] + [(33, 129)] * 3 + [(1, 513)]
+        assert calls == [(257, 65), (8, 129)] + [(33, 129)] * 4 + [(1, 513)]
 
     @pytest.mark.parametrize("pair, smap", SEARCHED_PAIRS, ids=SEARCHED_PAIR_IDS)
     def test_shortlisted_search_equals_the_full_129_node_ranking(self, monkeypatch, pair, smap):
@@ -225,6 +226,35 @@ class TestPairSupSearch:
             scan = tr._pair_profile(GAUSSIAN_PAIR, smap, times[:, None], nodes)
             best = nodes[np.arange(times.size), scan.argmax(axis=1)]
         np.testing.assert_array_less(scan.max(axis=1), sups * (1.0 + 1e-11))
+
+    @pytest.mark.parametrize(
+        "width, times, rel",
+        [
+            # the foot q - t w(p) rounds to about 1e-16 t of the datum's q-width, so the scan's best rounded
+            # value may beat the sup by that much: measured 3.3e-17 t at most
+            (W, [1e4, 1e6, 1e8], [1e-12, 1e-10, 1e-8]),
+            # here the 129-node average peaks 0.08 left of the 513-node one; refining 3 brackets in round 1
+            # left the sup 4.1e-4 short, one bracket in every round 1.8e-5
+            (10.0, [10 ** (9 / 8)], [1e-4]),
+        ],
+        ids=["catalog-width", "width-10"],
+    )
+    def test_relativistic_sup_is_not_beaten_by_a_dense_scan(self, width, times, rel):
+        # the mirror peaks sit at +-q, so a 2001-node scan of q in [0, t max w + q_hi], ranked at the search's
+        # 129 nodes, finds one, and four nested 201-node scans of the report quadrature close in on it: the
+        # first 16 scan spacings wide, each next a hundredth of that
+        pair, smap, times = Gaussian((0.0, 0.0), (width, width)), SCALAR_MAPS["relativistic"], np.array(times)
+        sups, _ = tr._pair_sup(pair, smap, times)
+        lo, hi = pair.support_bounds(1e-14)
+        q = np.linspace(0.0, 1.0, 2001) * (times[:, None] * smap.w(hi[1]) + hi[0])
+        scan = tr._pair_profile(pair, smap, times[:, None], q, 129)
+        rows = np.arange(times.size)
+        best = q[rows, scan.argmax(axis=1)]
+        for span in np.array([16.0, 0.16, 1.6e-3, 1.6e-5])[:, None] * (q[:, 1] - q[:, 0]):
+            nodes = best[:, None] + span[:, None] * np.linspace(-1.0, 1.0, 201)
+            scan = tr._pair_profile(pair, smap, times[:, None], nodes)
+            best = nodes[rows, scan.argmax(axis=1)]
+        np.testing.assert_array_less(scan.max(axis=1), sups * (1.0 + np.array(rel)))
 
 
 class TestRowBlocks:
