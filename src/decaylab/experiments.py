@@ -1,12 +1,12 @@
 """Experiment catalog, configuration parsing, and bit-stable report emission.
 
 Configs are flat INI text with sections per concern (experiment, grid,
-datum, times, tolerances, output); unknown keys and out-of-range values
-are rejected with their path. Reports are JSON trees plus flat
-tab-separated sample tables whose floats are written with ``repr``, so
-re-running a config reproduces the samples table byte-identically at any
-thread count (threads only spread independent samples; reductions happen
-in fixed time order).
+datum, times, tolerances, output), read as written (no ``%`` interpolation,
+no ``[DEFAULT]``); unknown names and out-of-range values are rejected with
+their path. Reports are JSON trees plus flat tab-separated sample tables
+whose floats are written with ``repr``, so re-running a config reproduces
+the samples table byte-identically at any thread count (threads only spread
+independent samples; reductions happen in fixed time order).
 
 Each catalog entry carries its defaults, its value rules and the ``times``
 keys of its decay fit. A runner returns a ``Report`` whose verdicts are all
@@ -146,7 +146,7 @@ def emit_config(config: ExperimentConfig) -> str:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate INI text against the named experiment's defaults."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as err:
@@ -200,18 +200,14 @@ def _check_boxes(config: ExperimentConfig) -> None:
     above half a sampled datum's ``feature_scale()`` does not resolve it, and
     the samples would report a sampling artefact as a violated estimate.
     Indicator data have no feature scale and are not checked for it."""
+    boxes = _boxes(config)
     grid = config.as_dict().get("grid", {})
-    if "k_min" in grid:
+    if "k_min" in grid:  # the partition is built on the box of the entry's first datum
         try:
-            _check_window(_grid(config), grid["k_min"], grid["k_max"])
+            _check_window(boxes[0][2], grid["k_min"], grid["k_max"])
         except ValueError as err:
             raise ConfigError(f"grid.half_width, grid.points, grid.k_min, grid.k_max: {err}") from None
-    try:
-        data = catalog()[config.experiment].sampled(config)
-    except ValueError as err:
-        raise ConfigError(f"datum: {err}") from None
-    for suffix, datum in data:
-        spec = _grid(config, suffix, datum.ndim)
+    for suffix, datum, spec in boxes:
         try:
             _check_support(datum, spec)
         except SupportOverflowError as err:
@@ -401,12 +397,31 @@ def _ratio_rows(rep: InequalityReport, *label) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# sampled data: each function lists (grid key suffix, datum) for every datum a
-# runner samples on a [grid] box; the runner and ``_check_boxes`` both read it
+# sampled data: each function lists (grid key suffix, datum) for every datum a runner samples on
+# a [grid] box; ``_boxes`` puts each on its box, which ``_check_boxes`` checks and ``_fields`` samples
 
 
-def _grid(cfg: ExperimentConfig, suffix: str = "", dim: int = 1) -> GridSpec:
-    return GridSpec.centered(cfg.get("grid", "half_width" + suffix), cfg.get("grid", "points" + suffix), dim=dim)
+def _boxes(cfg: ExperimentConfig) -> tuple:
+    """(grid key suffix, datum, grid) for each datum of the entry's ``sampled`` list, in its order."""
+    try:
+        data = catalog()[cfg.experiment].sampled(cfg)
+    except ValueError as err:
+        raise ConfigError(f"datum: {err}") from None
+    return tuple(
+        (s, datum, GridSpec.centered(cfg.get("grid", "half_width" + s), cfg.get("grid", "points" + s), dim=datum.ndim))
+        for s, datum in data
+    )
+
+
+def _fields(cfg: ExperimentConfig) -> tuple:
+    return tuple((datum, sample(datum, grid)) for _, datum, grid in _boxes(cfg))
+
+
+def _gaussian_amplitude(datum: Gaussian, t: float, x: float) -> float:
+    """|u(t, x)| = w s^(-1/4) exp(-(x - c)^2 w^2 / (2 s)), s = w^4 + 4 t^2, of a free Schrodinger Gaussian."""
+    (c,), (w,) = datum.center, datum.width
+    s = w**4 + 4.0 * t**2
+    return w * s**-0.25 * math.exp(-((x - c) ** 2) * w**2 / (2.0 * s))
 
 
 def _centered_gaussian(cfg: ExperimentConfig) -> tuple:
@@ -512,10 +527,9 @@ def _run_conservation(cfg: ExperimentConfig, threads: int):
 
 
 def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
-    ((_, datum),) = _centered_gaussian(cfg)
-    grid = _grid(cfg)
-    u0 = sample(datum, grid)
-    x0 = int(np.argmin(np.abs(grid.axis(0))))
+    ((datum, u0),) = _fields(cfg)
+    x = u0.grid.axis(0)
+    x0 = int(np.argmin(np.abs(x)))
     checkpoints, times = cfg.get("times", "checkpoints"), _fit_times(cfg)
     base = {s: hs_norm(u0, s) for s in (0.25, 0.5, 1.0)}
     mass0 = l2_norm(u0)
@@ -527,7 +541,7 @@ def _run_schrodinger_decay(cfg: ExperimentConfig, threads: int):
     checked, fitted = Series.evolve(u0, schrodinger(), (checkpoints, conserved), (times, lambda t, ut: linf_norm(ut)))
     rows, drifts = [], []
     for t, (value, mass, *sobolev) in checked.clean:
-        oracle = (1.0 + 4.0 * t * t) ** -0.25
+        oracle = _gaussian_amplitude(datum, t, x[x0])
         rows.append((t, value, oracle, abs(value / oracle - 1.0)))
         drifts.append(abs(mass / mass0 - 1.0))
         drifts.extend(abs(norm / ref - 1.0) for norm, ref in zip(sobolev, base.values()))
@@ -577,10 +591,8 @@ def _ks_dimension(u0, check_times, drift_times, drift_alphas, label, power=1):
 
 
 def _run_schrodinger_ks(cfg: ExperimentConfig, threads: int):
-    (_, g1), (_, g2) = _ks_gaussians(cfg)
-    u1 = sample(g1, _grid(cfg, "_1d"))
+    (_, u1), (_, factor) = _fields(cfg)
     rep1, drift1, notes1 = _ks_dimension(u1, _times(cfg), (1.0, 10.0, 100.0), ((0,), (1,), (2,)), "d1")
-    factor = sample(g2, _grid(cfg, "_2d"))
     rep2, drift2, notes2 = _ks_dimension(
         factor, cfg.get("times", "checkpoints_2d"), (1.0, 4.0, 16.0), ((1, 0), (1, 1), (0, 2)), "d2", power=2
     )
@@ -591,14 +603,12 @@ def _run_schrodinger_ks(cfg: ExperimentConfig, threads: int):
 
 
 def _shell_setup(cfg: ExperimentConfig):
-    ((_, datum),) = _shell_gaussian(cfg)
-    grid = _grid(cfg)
-    part = build_dyadic_partition(grid, cfg.get("grid", "k_min"), cfg.get("grid", "k_max"))
-    return part, sample(datum, grid)
+    ((datum, u0),) = _fields(cfg)
+    return datum, build_dyadic_partition(u0.grid, cfg.get("grid", "k_min"), cfg.get("grid", "k_max")), u0
 
 
 def _run_schrodinger_xnorm(cfg: ExperimentConfig, threads: int):
-    part, u0 = _shell_setup(cfg)
+    datum, part, u0 = _shell_setup(cfg)
     times, t_star = _times(cfg), cfg.get("times", "cross_check_t")
     read, report = check_dispersive_schrodinger(u0, part)
     # read(t, u) is sup |u(t)|: the check's, and the closed-form amplitude cross-check's at one more time
@@ -607,19 +617,15 @@ def _run_schrodinger_xnorm(cfg: ExperimentConfig, threads: int):
     if cross.excluded:
         raise ContaminationError(f"times.cross_check_t = {t_star:g}: {cross.excluded[0][1]}")
     ((_, sup),) = cross.clean
-    # |u(t, x)| = w s^(-1/4) exp(-(x - c)^2 w^2 / (2 s)) with s = w^4 + 4 t^2 peaks at the centre c, so the
-    # node max is taken at the node nearest c, up to half a cell from it: the oracle is read there too
-    w, c = cfg.get("datum", "width"), cfg.get("datum", "center")
+    # |u(t, x)| peaks at the centre c: the node max, and so the oracle, is read at the node nearest c
     x = u0.grid.axis(0)
-    node = x[int(np.argmin(np.abs(x - c)))]
-    s = w**4 + 4.0 * t_star**2
-    oracle = w * s**-0.25 * math.exp(-((node - c) ** 2) * w**2 / (2.0 * s))
+    oracle = _gaussian_amplitude(datum, t_star, x[int(np.argmin(np.abs(x - datum.center[0])))])
     check = _Check(f"amplitude-error-t={t_star:g}", abs(sup / oracle - 1.0), "<=", cfg.get("tolerances", "oracle"))
     return Report(("t", "lhs", "rhs", "ratio"), _ratio_rows(rep), inequalities=(rep,), checks=(check,))
 
 
 def _run_lp_decay(cfg: ExperimentConfig, threads: int):
-    part, u0 = _shell_setup(cfg)
+    _, part, u0 = _shell_setup(cfg)
     (read_half, report_half), (read_zero, report_zero) = check_lp_decay(u0, 0.5, part), check_lp_decay(u0, 0.0)
     times = _fit_times(cfg)
     half, zero = Series.evolve(u0, schrodinger(), (times, read_half), (times, read_zero))
@@ -633,7 +639,7 @@ def _run_lp_decay(cfg: ExperimentConfig, threads: int):
 
 
 def _run_local_mass(cfg: ExperimentConfig, threads: int):
-    part, u0 = _shell_setup(cfg)
+    _, part, u0 = _shell_setup(cfg)
     checks = [check_local_mass(u0, sigma, part) for sigma in cfg.get("datum", "sigmas")]
     times = _times(cfg)
     series = Series.evolve(u0, schrodinger(), *((times, read) for read, _ in checks))
@@ -643,12 +649,12 @@ def _run_local_mass(cfg: ExperimentConfig, threads: int):
 
 
 def _run_cube_translation(cfg: ExperimentConfig, threads: int):
-    grid = _grid(cfg)
-    part = build_dyadic_partition(grid, cfg.get("grid", "k_min"), cfg.get("grid", "k_max"))
+    cubes = _fields(cfg)
+    part = build_dyadic_partition(cubes[0][1].grid, cfg.get("grid", "k_min"), cfg.get("grid", "k_max"))
     rows = []
-    for c, (_, cube) in zip(cfg.get("datum", "centers"), _cubes(cfg)):
+    for cube, u0 in cubes:
         opt = translated_xnorm_inf(cube, 0.5, 1, part)
-        rows.append((c, opt, x_norm(sample(cube, grid), 0.5, 1, part), cube.mass(), opt / cube.mass()))
+        rows.append((*cube.center, opt, x_norm(u0, 0.5, 1, part), cube.mass(), opt / cube.mass()))
     ratios = [row[-1] for row in rows]
     c_far, opt, plain = max(rows, key=lambda row: abs(row[0]))[:3]  # the center farthest from the origin
     spread = max(ratios) / min(ratios)
@@ -660,13 +666,8 @@ def _run_cube_translation(cfg: ExperimentConfig, threads: int):
     return Report(cols, tuple(rows), checks=checks, notes=(f"shared constant C = {max(ratios):.6f}",))
 
 
-def _airy_field(cfg: ExperimentConfig):
-    ((_, datum),) = _centered_gaussian(cfg)
-    return sample(datum, _grid(cfg))
-
-
 def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
-    u0 = _airy_field(cfg)
+    ((_, u0),) = _fields(cfg)
     wanted = np.linspace(-cfg.get("datum", "probe_half_width"), cfg.get("datum", "probe_half_width"), 41)
     # The estimate holds at every x, so grid nodes are as valid a sample as any;
     # the check reads u(t) at nodes, the ones nearest the evenly spaced points.
@@ -689,7 +690,7 @@ def _run_airy_pointwise(cfg: ExperimentConfig, threads: int):
 
 
 def _run_airy_local_energy(cfg: ExperimentConfig, threads: int):
-    u0 = _airy_field(cfg)
+    ((_, u0),) = _fields(cfg)
     read, report = check_airy_local_energy(u0, cfg.get("datum", "eps"))
     (series,) = Series.evolve(u0, airy(), (_times(cfg), read))
     rep = report(series)
@@ -703,7 +704,7 @@ def _run_airy_local_energy(cfg: ExperimentConfig, threads: int):
 
 
 def _run_airy_decay(cfg: ExperimentConfig, threads: int):
-    u0 = _airy_field(cfg)
+    ((_, u0),) = _fields(cfg)
     (series,) = Series.evolve(u0, airy(), (_fit_times(cfg), lambda t, ut: linf_norm(ut)))
     rows = series.clean
     sup_fit = fit_decay([t for t, _ in rows], [v for _, v in rows], excluded=series.excluded)
@@ -713,8 +714,7 @@ def _run_airy_decay(cfg: ExperimentConfig, threads: int):
 
 def _run_monomial_2k(cfg: ExperimentConfig, threads: int):
     reports = []
-    for k, (suffix, datum) in enumerate(_monomial_gaussians(cfg), start=1):
-        u0 = sample(datum, _grid(cfg, suffix))
+    for k, (_, u0) in enumerate(_fields(cfg), start=1):
         read, report = check_monomial_estimate(u0, k)
         (series,) = Series.evolve(u0, even_order(k), (_times(cfg), read))
         reports.append(report(series))
@@ -730,7 +730,7 @@ _PACKETS_PER_CALL = 32
 
 def _run_commutation_suite(cfg: ExperimentConfig, threads: int):
     seed = cfg.get("experiment", "seed")
-    grid = _grid(cfg)
+    (_, _, grid), *_ = _boxes(cfg)  # the packets are drawn on the box of their stand-ins
     n_data = cfg.get("datum", "n_data")
     times = cfg.get("times", "checkpoints")
     tol = cfg.get("tolerances", "residual")
@@ -778,7 +778,7 @@ class CatalogEntry:
     description: str
     sections: dict  # the entry's own sections; ``defaults`` adds experiment and output
     runner: Callable
-    sampled: Callable = lambda cfg: ()  # (grid key suffix, datum) pairs; see _check_boxes
+    sampled: Callable = lambda cfg: ()  # (grid key suffix, datum) pairs; see _boxes
     # (section, key, test of (value, sections), requirement): the value rules beyond the
     # generic ones of ``_check_ranges``
     ranges: tuple = ()
@@ -857,7 +857,7 @@ _ENTRIES = _by_id(
     ),
     CatalogEntry(
         "schrodinger-decay",
-        "Schrodinger amplitude decay: |u(t,0)| = (1+4t^2)^(-1/4) for Gaussian data",
+        "Schrodinger amplitude decay: |u(t,0)| = w (w^4+4t^2)^(-1/4) for Gaussian data of width w",
         "closed-form amplitude oracle, unitarity, Sobolev conservation, sup-norm slope",
         {
             "grid": {"half_width": 800.0, "points": 8192},

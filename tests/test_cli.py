@@ -231,6 +231,26 @@ class TestExitCodes:
         assert err.count(f"config error: {keys}") == 2 and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # configparser's % interpolation raised a traceback (exit 1) on these
+            ("[experiment]\nid = schrodinger-decay\n[datum]\nwidth = 50%\n", "datum.width: cannot parse value '50%'"),
+            ("[experiment]\nid = schrodinger-decay\n[datum]\nwidth = %(x)s\n", "datum.width: cannot parse value"),
+            ("[experiment]\nid = vlasov%\n", "experiment.id 'vlasov%' is not in the catalog"),
+            # [DEFAULT] named no section, and its keys reached every section
+            ("[DEFAULT]\nwidth = 2.0\n[experiment]\nid = schrodinger-decay\n", "unknown section 'DEFAULT'"),
+            ("[DEFAULT]\nid = vlasov-decay\n[experiment]\n", "missing required key experiment.id"),
+        ],
+    )
+    def test_2_for_a_config_value_taken_as_written(self, tmp_path, capsys, text, message):
+        path = _write(tmp_path, text)
+        assert cli.main(["validate", "--config", path]) == 2
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert err.count(f"config error: {message}") == 2 and "Traceback" not in err
+        assert out == "" and not (tmp_path / "out").exists()
+
     def test_2_when_the_box_is_too_small_for_the_datum(self, tmp_path, capsys):
         # the 2-d datum reaches |x| = 8.8 at the 1e-10 mass tail; the box stops at 6
         text = "[experiment]\nid = schrodinger-ks\n[grid]\nhalf_width_2d = 6.0\npoints_2d = 64\n"
@@ -510,6 +530,22 @@ def test_every_verdict_of_a_default_report_recomputes_from_its_json(exp_id, monk
     assert verdicts and report["passed"] is all(verdicts) is True
 
 
+@pytest.mark.parametrize("exp_id", IDS)
+def test_a_run_samples_exactly_the_data_that_validate_checks(exp_id, monkeypatch):
+    # the (datum, grid) pairs the parse-time box checks read, against those the runner samples
+    monkeypatch.delenv(experiments.OUTPUT_DIR_ENV, raising=False)
+    checked, sampled = [], []
+    for name, calls in (("_check_support", checked), ("sample", sampled)):
+        wrapped = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name, lambda d, g, _w=wrapped, _c=calls: _c.append((d, g)) or _w(d, g))
+    config = parse_config(f"[experiment]\nid = {exp_id}\n")
+    assert experiments.run(config).passed
+    if exp_id == "commutation-suite":  # the stand-ins bound its random packets, which it draws instead
+        assert (len(checked), sampled) == (3, [])
+    else:
+        assert sampled == checked and bool(sampled) == ("grid" in config.as_dict())
+
+
 GRID_RTOL = 1e-4  # relative move of a max ratio, and absolute move of a slope, on doubling every points* key
 
 SPECTRAL_IDS = [exp_id for exp_id in IDS if "grid" in default_config(exp_id).as_dict()]
@@ -622,6 +658,14 @@ def test_schrodinger_decay_fits_its_clean_window_only(tmp_path):
         (fit,) = _report(tmp_path, "schrodinger-decay")["fits"]
         assert fit["excluded"]
         assert all(t > fit["window"][1] for t, _ in fit["excluded"])
+
+
+@pytest.mark.parametrize("width", [0.5, 1.25, 2.0])
+def test_schrodinger_decay_reads_its_oracle_at_the_datum_width(tmp_path, width):
+    # |u(t, 0)| = w (w^4 + 4t^2)^(-1/4); the oracle of width 1 read errors of 0.5, 0.25 and 1.0 here
+    assert _run(tmp_path, f"[experiment]\nid = schrodinger-decay\n[datum]\nwidth = {width}\n") == 0
+    check = next(c for c in _report(tmp_path, "schrodinger-decay")["checks"] if c["name"] == "max-oracle-error")
+    assert check["passed"] and check["value"] <= check["bound"] == 1e-8
 
 
 @pytest.mark.parametrize("t_star", [0.0, 0.5, 1.0])
