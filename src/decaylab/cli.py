@@ -65,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to an INI experiment config")
     p_run.add_argument("--out", default=None, help="report output directory")
     p_run.add_argument(
-        "--threads", type=_thread_count, default=1, help="worker threads for independent samples (at least 1)"
+        "--threads", type=_thread_count, default=1, help="worker threads (at least 1) that spread conservation's"
+        " five cases; every other entry runs its work in one batch at any thread count"
     )
 
     sub.add_parser("list", help="list the experiment catalog")

@@ -6,7 +6,8 @@ no ``[DEFAULT]``); unknown names and out-of-range values are rejected with
 their path. Reports are JSON trees plus flat tab-separated sample tables
 whose floats are written with ``repr``, so re-running a config reproduces
 the samples table byte-identically at any thread count (threads only spread
-independent samples; reductions happen in fixed time order).
+``conservation``'s five independent cases, and every other entry runs its
+work in one batch however many threads it is given).
 
 Each catalog entry carries its defaults, its value rules and the ``times``
 keys of its decay fit. A runner returns a ``Report`` whose verdicts are all
@@ -351,12 +352,6 @@ def _ordered_map(fn: Callable, items, threads: int = 1) -> list:
         return list(pool.map(fn, items))
 
 
-def _sups(pairs: list, times: list, threads: int) -> list:
-    """``tr.sup_velocity_average`` at each time: one batch of contiguous times per thread."""
-    chunks = [c for c in np.array_split(times, max(1, threads)) if c.size]
-    return [v for sups in _ordered_map(lambda c: tr.sup_velocity_average(pairs, c), chunks, threads) for v in sups]
-
-
 def geometric_times(t_min: float, t_max: float, ratio: float = ROOT2) -> list:
     if t_min <= 0 or t_max < t_min or ratio <= 1.0:
         raise ConfigError("times need 0 < t_min <= t_max and ratio > 1")
@@ -449,34 +444,30 @@ def _monomial_gaussians(cfg: ExperimentConfig) -> tuple:
 # runners
 
 
+def _sup_decay(cfg: ExperimentConfig, smaps: tuple, target: float, one_sided: bool = False, notes: tuple = ()):
+    """The ``sup-decay`` fit of the velocity-average sup of the (width, width) Gaussian pair on each axis
+    map, every fit time in one ``tr.sup_velocity_average`` call; one sided, it passes on slope <= target + tol."""
+    width, tol = cfg.get("datum", "width"), cfg.get("tolerances", "slope")
+    times = _fit_times(cfg)
+    values = tr.sup_velocity_average([(Gaussian((0.0, 0.0), (width, width)), smap) for smap in smaps], times)
+    slope = _Slope("sup-decay", fit_decay(times, values), target, tol, upper=target + tol if one_sided else None)
+    return Report(("t", "sup_velocity_average"), tuple(zip(times, values)), fits=(slope,), notes=notes)
+
+
 def _run_vlasov_decay(cfg: ExperimentConfig, threads: int):
     d = cfg.get("datum", "dimension")
-    width = cfg.get("datum", "width")
-    times = _fit_times(cfg)
-    pairs = [(Gaussian((0.0, 0.0), (width, width)), smap) for smap in tr.identity_map(d)]
-    values = _sups(pairs, times, threads)
-    rows = tuple((t, v) for t, v in zip(times, values))
-    fits = (_Slope("sup-decay", fit_decay(times, values), -float(d), cfg.get("tolerances", "slope")),)
-    return Report(("t", "sup_velocity_average"), rows, fits=fits)
+    return _sup_decay(cfg, tr.identity_map(d), -float(d))
 
 
 def _run_transport_degenerate(cfg: ExperimentConfig, threads: int):
     tag = cfg.get("datum", "map")
-    width = cfg.get("datum", "width")
-    times = _fit_times(cfg)
     one_sided = tag == "mixed"
-    smaps = tr.mixed_map() if one_sided else tr.relativistic_map()
-    values = _sups([(Gaussian((0.0, 0.0), (width, width)), smap) for smap in smaps], times, threads)
-    tol = cfg.get("tolerances", "slope")
-    slope = _Slope("sup-decay", fit_decay(times, values), -1.0, tol, upper=-1.0 + tol if one_sided else None)
-    rows = tuple((t, v) for t, v in zip(times, values))
     notes = (f"map={tag}", "one-sided bound" if one_sided else "two-sided fit")
-    return Report(("t", "sup_velocity_average"), rows, fits=(slope,), notes=notes)
+    return _sup_decay(cfg, tr.mixed_map() if one_sided else tr.relativistic_map(), -1.0, one_sided, notes)
 
 
 def _run_counterexample(cfg: ExperimentConfig, threads: int):
-    lams = cfg.get("datum", "lams")
-    profiles = _ordered_map(tr.counterexample_profile, lams, threads)
+    profiles = [tr.counterexample_profile(lam) for lam in cfg.get("datum", "lams")]
     growth = [p.nu_bar_at_origin * (1.0 + p.lam**2) ** 0.05 for p in profiles]  # nu * <lam>^0.1 must increase
     rows = tuple(
         (p.lam, p.nu_bar_at_origin, p.lower_bound, p.w11_norm_bound, p.l1_norm, g) for p, g in zip(profiles, growth)
@@ -694,9 +685,9 @@ def _run_airy_local_energy(cfg: ExperimentConfig, threads: int):
     read, report = check_airy_local_energy(u0, cfg.get("datum", "eps"))
     (series,) = Series.evolve(u0, airy(), (_times(cfg), read))
     rep = report(series)
-    t_min = cfg.get("times", "fit_t_min")
-    fitted = [(t, lhs / t) for t, lhs, _ in rep.samples if t >= t_min]
-    excluded = tuple(e for e in rep.excluded if e[0] >= t_min)
+    fit_times = set(_fit_times(cfg))
+    fitted = [(t, lhs / t) for t, lhs, _ in rep.samples if t in fit_times]
+    excluded = tuple(e for e in rep.excluded if e[0] in fit_times)
     fit = fit_decay([t for t, _ in fitted], [e for _, e in fitted], excluded=excluded)
     # reported against the rate -1 +- 0.1, gated one-sided on tolerances.energy_slope
     fits = (_Slope("weighted-energy-decay", fit, -1.0, 0.1, upper=cfg.get("tolerances", "energy_slope")),)
@@ -877,7 +868,7 @@ _ENTRIES = _by_id(
     CatalogEntry(
         "schrodinger-ks",
         "weighted sup bound: |t|^d ||u||_inf^2 controlled by boost-norm products",
-        "stability of the empirical constant plus conservation of boost norms",
+        "the Sobolev constant 2^-d in d = 1, 2 plus conservation of boost norms",
         {
             "grid": {
                 "half_width_1d": 2500.0,

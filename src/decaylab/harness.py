@@ -19,9 +19,11 @@ part for each, and gets one series per part, read at that part's times only.
 Every check records (t, lhs, rhs) rows and reports the largest ratio.
 Estimates with an explicit constant declare it as the bound: 1 for the Airy
 pointwise bound, its local-energy corollary and mass conservation, sqrt(2)
-for local mass at sigma = 0 (the overlap sandwich). The others only assert
-stability of the empirical constant, with the bound set to twice the
-smallest sampled ratio r with 0 < r < inf: a sample with lhs = 0, as at
+for local mass at sigma = 0 (the overlap sandwich), and the paper's 1-d
+Sobolev step |f|^2 <= ||f|| ||f'|| once per axis: 2^-d for the weighted sup
+bound in d dimensions, 1/2 for the even-order estimate at k = 1. The others
+only assert stability of the empirical constant, with the bound set to twice
+the smallest sampled ratio r with 0 < r < inf: a sample with lhs = 0, as at
 t = 0, says nothing about the constant. A sample with lhs > 0 = rhs has
 ratio inf and fails; 0 = 0 is no evidence, skipped.
 
@@ -247,10 +249,12 @@ def check_dispersive_schrodinger(u0: SampledField, partition: DyadicPartition) -
 
 
 def check_ks_schrodinger(d: int, power: int = 1) -> tuple:
-    """Weighted sup bound in d dimensions: |t|^d ||u||_inf^2 vs boost-norm products.
+    """Weighted sup bound in d dimensions: |t|^d ||u||_inf^2 vs boost-norm products, bound 2^-d.
 
     rhs(t) sums ||W^a u(t)|| ||W^b u(t)|| over multi-index pairs with
-    |a| + |b| = d, all norms evaluated honestly at time t. Returns (read,
+    |a| + |b| = d, all norms evaluated honestly at time t. With
+    W = conj(M) t d M, |M| = 1, the Sobolev step on each axis bounds the
+    lhs by 2^-d of the pairs with a + b = (1, ..., 1). Returns (read,
     report); read(t, u) is (sup |u| ** power, the boost-norm table of u(t) to
     order d). On a ``power``-fold tensor power u is the factor, whose sup to
     the power is the sup of the product.
@@ -265,7 +269,8 @@ def check_ks_schrodinger(d: int, power: int = 1) -> tuple:
         samples = [
             (t, abs(t) ** d * sup**2, sum(norms[a] * norms[b] for a, b in pairs)) for t, (sup, norms) in series.clean
         ]
-        return _report("schrodinger-weighted-sup", samples, detail=(("dim", d),), excluded=series.excluded)
+        detail = (("dim", d), ("bound_style", "sobolev"))
+        return _report("schrodinger-weighted-sup", samples, bound=0.5**d, detail=detail, excluded=series.excluded)
 
     return read, report
 
@@ -381,12 +386,14 @@ def check_monomial_estimate(u0: SampledField, k: int) -> tuple:
     """t |d^(2k-2) u(t, x)|^2 at the spatial max against conserved products.
 
     The series evolves i d_t u + d^(2k) u = 0 (``even_order(k)``); k = 1
-    reproduces the Schrodinger-type structure. Returns (read, report);
-    read(t, u) is (sup |v|, ||v||_2), v = d^(2k-2) u(t).
+    reproduces the Schrodinger-type structure and its Sobolev bound 1/2; k = 2
+    keeps the stability bound. Returns (read, report); read(t, u) is
+    (sup |v|, ||v||_2), v = d^(2k-2) u(t).
     """
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
     xnorm0 = l2_norm(SampledField(u0.grid, u0.grid.axis(0) * u0.as_complex()))
+    bound, detail = (0.5, (("bound_style", "sobolev"),)) if k == 1 else (None, ())
 
     def read(t, u):
         v = spectral_derivative(u, 2 * k - 2)
@@ -394,6 +401,6 @@ def check_monomial_estimate(u0: SampledField, k: int) -> tuple:
 
     def report(series: Series) -> InequalityReport:
         samples = [(t, t * sup**2, norm * xnorm0) for t, (sup, norm) in series.clean]
-        return _report(f"even-order-2k-pointwise-k{k}", samples, excluded=series.excluded)
+        return _report(f"even-order-2k-pointwise-k{k}", samples, bound=bound, detail=detail, excluded=series.excluded)
 
     return read, report

@@ -638,6 +638,18 @@ def test_run_prints_the_samples_each_fit_and_inequality_left_out(tmp_path, capsy
         assert lines[i].endswith(", 20480; largest wrap-around edge mass 5.01e-02")
 
 
+@pytest.mark.parametrize("text", ["[times]\nt_min = 0.05\n", "[datum]\nwidth_2d = 1.625\n"])
+def test_schrodinger_ks_passes_on_its_sobolev_constants_where_the_stability_bound_failed(tmp_path, text):
+    # the stability bound, twice the smallest sampled ratio, read 0.3989 against 0.0794 in dim 1 at
+    # t_min = 0.05 and 0.04891 against 0.0359 in dim 2 at width_2d = 1.625
+    assert _run(tmp_path, f"[experiment]\nid = schrodinger-ks\n{text}") == 0
+    reports = _report(tmp_path, "schrodinger-ks")["inequalities"]
+    assert [(q["bound"], dict(map(tuple, q["detail"]))["bound_style"]) for q in reports] == [
+        (0.5, "sobolev"),
+        (0.25, "sobolev"),
+    ]
+
+
 def test_schrodinger_ks_drift_does_not_need_the_checkpoints(tmp_path):
     # the drift times 1, 4, 16 are evolved even when checkpoints_2d omits them
     default, other = tmp_path / "default", tmp_path / "other"
@@ -689,8 +701,7 @@ def test_airy_decay_rows_are_the_clean_samples(tmp_path):
 @pytest.mark.parametrize(
     "exp_id, text, thread_counts",
     [
-        # one batch of contiguous times per thread: the 7 times 10 * 2^(k/2) <= 100 make one batch at
-        # 1 thread, 4 + 3 at 2 and 3 + 2 + 2 at 3
+        # the transport-sup entries run their work in one batch at any thread count
         ("vlasov-decay", "[experiment]\nid = vlasov-decay\n[times]\nt_max = 100.0\n", (1, 2, 3)),
         ("counterexample", "[experiment]\nid = counterexample\n", (1, 2)),
         ("transport-degenerate", "[experiment]\nid = transport-degenerate\n[times]\nt_max = 100.0\n", (1, 2, 3)),
@@ -741,10 +752,11 @@ def test_commutation_suite_makes_24_transforms_for_its_residuals(tmp_path, monke
     assert calls == (["fft", "fft"] + ["ifft", "ifft"] * 3) * 3
 
 
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
 @pytest.mark.parametrize("exp_id, calls", [("vlasov-decay", 7), ("transport-degenerate", 14)])
-def test_sup_search_scores_all_times_in_seven_profile_calls_per_pair(tmp_path, monkeypatch, exp_id, calls):
+def test_sup_search_scores_all_times_in_seven_profile_calls_per_pair(tmp_path, monkeypatch, exp_id, calls, threads):
     # per pair, the coarse scan (ranked, then its shortlist scored), the 4 refinement rounds and the report
-    # quadrature each score every time in one call
+    # quadrature each score every time in one call, at any thread count
     from decaylab import transport
 
     made, profile = [], transport._pair_profile
@@ -754,8 +766,17 @@ def test_sup_search_scores_all_times_in_seven_profile_calls_per_pair(tmp_path, m
         return profile(*args, **kwargs)
 
     monkeypatch.setattr(transport, "_pair_profile", counted)
-    assert _run(tmp_path, f"[experiment]\nid = {exp_id}\n") == 0
+    assert _run(tmp_path, f"[experiment]\nid = {exp_id}\n", "--threads", threads) == 0
     assert len(made) == calls
+
+
+@pytest.mark.parametrize("exp_id", ["vlasov-decay", "transport-degenerate", "counterexample"])
+def test_the_transport_sup_entries_start_no_thread_pool_at_two_threads(tmp_path, monkeypatch, exp_id):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", refuse)
+    assert _run(tmp_path, f"[experiment]\nid = {exp_id}\n", "--threads", "2") == 0
 
 
 def test_commutation_suite_report_does_not_depend_on_how_many_packets_one_call_scores(tmp_path, monkeypatch):

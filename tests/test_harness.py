@@ -162,13 +162,13 @@ class TestKsCheck:
         assert rhs == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-8)
         assert lhs == pytest.approx(t * (1 + 4 * t * t) ** -0.5, rel=1e-8)
 
-    def test_a_zero_ratio_at_t_zero_leaves_the_stability_bound_to_the_positive_ones(self):
-        # |t|^d sup^2 is 0 at t = 0: that ratio says nothing of the constant, so it sets no bound
-        grid = GridSpec.centered(800.0, 8192, dim=1)
-        rep = ks_check(complex_sample(Gaussian(0.0, 1.0), grid), [0.0, 1.0, 4.0, 16.0])
-        ratios = [lhs / rhs for _, lhs, rhs in rep.samples]
-        assert ratios[0] == 0.0 and min(ratios[1:]) > 0.0
-        assert rep.bound == 2.0 * min(ratios[1:]) and rep.passed
+    @pytest.mark.parametrize("d, points", [(1, 8192), (2, 512)])
+    def test_the_bound_is_the_sobolev_constant_2_to_the_minus_d(self, d, points):
+        # |f|^2 <= ||f|| ||f'|| once per axis: a datum-free bound, which the t = 0 sample does not move
+        grid = GridSpec.centered(120.0 if d == 2 else 800.0, points, dim=d)
+        rep = ks_check(complex_sample(Gaussian((0.0,) * d, (1.3,) * d), grid), [0.0, 1.0, 4.0])
+        assert rep.bound == 0.5**d and dict(rep.detail) == {"dim": d, "bound_style": "sobolev"}
+        assert rep.samples[0][1] == 0.0 and 0.0 < rep.max_ratio < rep.bound and rep.passed
 
     def test_product_structure_in_2d(self):
         # the 2-d ratio is predicted by the 1-d boost-norm structure
@@ -511,15 +511,26 @@ class TestAiryChecks:
 
 class TestMonomialCheck:
     def test_k1_matches_schrodinger_structure(self):
+        # and so its Sobolev bound 1/2, which the datum and the early time 0.05 do not move
         grid = GridSpec.centered(320.0, 4096, dim=1)
         u0 = complex_sample(Gaussian(0.0, 1.0), grid)
-        rep = monomial_check(1, u0, [1.0, 2.0, 4.0, 8.0])
-        assert rep.passed
+        rep = monomial_check(1, u0, [0.05, 1.0, 2.0, 4.0, 8.0])
+        assert rep.bound == 0.5 and dict(rep.detail) == {"bound_style": "sobolev"}
+        assert 0.0 < rep.max_ratio < rep.bound and rep.passed
 
     def test_k2_band_limited_bump(self):
         grid = GridSpec.centered(4300.0, 16384, dim=1)
         u0 = complex_sample(Gaussian(0.0, 2.0), grid)
         rep = monomial_check(2, u0, [1.0, 2.0, 4.0, 8.0, 16.0])
+        assert rep.passed
+
+    def test_a_zero_ratio_at_t_zero_leaves_the_stability_bound_to_the_positive_ones(self):
+        # t sup^2 is 0 at t = 0: that ratio says nothing of the constant, so it sets no bound
+        grid = GridSpec.centered(4300.0, 16384, dim=1)
+        rep = monomial_check(2, complex_sample(Gaussian(0.0, 2.0), grid), [0.0, 1.0, 4.0, 16.0])
+        ratios = [lhs / rhs for _, lhs, rhs in rep.samples]
+        assert ratios[0] == 0.0 and min(ratios[1:]) > 0.0
+        assert rep.bound == 2.0 * min(ratios[1:]) and dict(rep.detail) == {"bound_style": "stability"}
         assert rep.passed
 
     @pytest.mark.parametrize("k", [1, 2])
