@@ -9,12 +9,13 @@ closed-form value oracle, so transported solutions never need
 interpolation. ``BumpLambda`` alone also carries a gradient oracle, for the
 gradient norm of the concentration counterexample.
 
-An analytic datum is evaluated one way: ``value(*x)`` (and
-``BumpLambda.gradient(q, p)``) take one coordinate array per axis, and the
-arrays broadcast together, so a caller passes ``grid.meshgrid()``, or axes
-shaped to broadcast, and never stacks points. ``gradient`` returns one array
-per axis. Sums over axes run left to right, the order ``np.sum`` uses over a
-short last axis.
+``GridSpec.axis``, ``along`` and ``wavenumbers(i, half)`` are the one source
+of per-axis arrays. An analytic datum is evaluated one way: ``value(*x)``
+(and ``BumpLambda.gradient(q, p)``) take one coordinate array per axis, the
+arrays broadcasting together, so a caller passes ``grid.meshgrid()`` or
+``grid.along(i, grid.axis(i))`` and never stacks points. ``gradient`` returns
+one array per axis. Sums over axes run left to right, the order ``np.sum``
+uses over a short last axis.
 
 All objects are immutable after construction and every operation is a pure
 function; fields may be shared freely across threads.
@@ -58,7 +59,10 @@ def _as_tuple(value, dim: int, cast=float) -> tuple:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid: nodes origin + i*spacing, i = 0..points-1."""
+    """Uniform periodic grid: nodes origin + i*spacing, i = 0..points-1.
+
+    ``axis(i)``, ``along(i, v)`` (a 1-d v shaped to broadcast along axis i) and ``wavenumbers(i, half)`` (2 pi
+    fftfreq, laid out as ``rfft`` lays it out when ``half``) are the one source of per-axis arrays."""
 
     dim: int
     origin: tuple
@@ -100,8 +104,11 @@ class GridSpec:
     def meshgrid(self) -> tuple:
         return tuple(np.meshgrid(*self.axes(), indexing="ij"))
 
-    def wavenumbers(self, i: int) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.points[i], d=self.spacing[i])
+    def along(self, i: int, v: np.ndarray) -> np.ndarray:
+        return v.reshape([-1 if j == i else 1 for j in range(self.dim)])
+
+    def wavenumbers(self, i: int, half: bool = False) -> np.ndarray:
+        return 2.0 * np.pi * (np.fft.rfftfreq if half else np.fft.fftfreq)(self.points[i], d=self.spacing[i])
 
     def bounds(self) -> tuple:
         lo = np.array(self.origin)
@@ -208,15 +215,11 @@ def spectral_derivative(field: SampledField, order: int, axis: int = 0) -> Sampl
         return field
     if axis < 0 or axis >= field.grid.dim:
         raise ValueError("axis out of range")
-    n, real = field.grid.points[axis], field.kind == "real"
-    forward, frequencies = (np.fft.rfft, np.fft.rfftfreq) if real else (np.fft.fft, np.fft.fftfreq)
-    k = 2.0 * np.pi * frequencies(n, d=field.grid.spacing[axis])
-    spec = forward(field.values, axis=axis)
-    shape = [1] * field.grid.dim
-    shape[axis] = k.size
-    spec *= (1j * k.reshape(shape)) ** order
+    grid, real = field.grid, field.kind == "real"
+    spec = (np.fft.rfft if real else np.fft.fft)(field.values, axis=axis)
+    spec *= (1j * grid.along(axis, grid.wavenumbers(axis, half=real))) ** order
     if real:
-        return field.with_values(np.fft.irfft(spec, n=n, axis=axis))
+        return field.with_values(np.fft.irfft(spec, n=grid.points[axis], axis=axis))
     return field.with_values(np.fft.ifft(spec, axis=axis, out=spec))
 
 

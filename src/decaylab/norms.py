@@ -150,13 +150,8 @@ def hs_norm(f: SampledField, s: float) -> float:
 
     Normalized so that s = 0 reproduces the grid L2 norm exactly.
     """
-    fhat = np.fft.fftn(f.as_complex())
-    ksq = np.zeros(f.values.shape)
-    for ax in range(f.grid.dim):
-        k = f.grid.wavenumbers(ax)
-        shape = [1] * f.grid.dim
-        shape[ax] = k.size
-        ksq = ksq + k.reshape(shape) ** 2
+    fhat, grid = np.fft.fftn(f.as_complex()), f.grid
+    ksq = sum(grid.along(ax, grid.wavenumbers(ax)) ** 2 for ax in range(grid.dim))
     weight = (1.0 + ksq) ** s
     n_total = float(np.prod(f.grid.points))
     return math.sqrt(float(np.sum(weight * np.abs(fhat) ** 2)) * f.grid.cell_volume / n_total)

@@ -89,13 +89,6 @@ def derive_commuting_operator(disp: DispersionPolynomial) -> CommutingOperator:
     return CommutingOperator(m, a, b)
 
 
-def _coordinate(u: SampledField, axis: int) -> np.ndarray:
-    x = u.grid.axis(axis)
-    shape = [1] * u.grid.dim
-    shape[axis] = x.size
-    return x.reshape(shape)
-
-
 def apply_operator(op: CommutingOperator, u: SampledField, t: float) -> SampledField:
     """Linear action via spectral derivatives and coordinate multiplication.
 
@@ -106,7 +99,7 @@ def apply_operator(op: CommutingOperator, u: SampledField, t: float) -> SampledF
     v = u.with_values(u.as_complex())  # shares the values of a complex u
     # the sum is formed in place, so a boost of a large field keeps two fewer full-size temporaries alive
     vals = op.a * t * spectral_derivative(v, op.degree - 1, axis=op.axis).values
-    vals += op.b * _coordinate(u, op.axis) * v.values
+    vals += op.b * u.grid.along(op.axis, u.grid.axis(op.axis)) * v.values
     return SampledField(u.grid, vals)
 
 
@@ -153,7 +146,7 @@ def boost_norms(u: SampledField, t: float, order: int, power: int = 1) -> dict:
     h = np.empty(grid.points, complex)
     chirps = []
     for j in range(grid.dim):
-        x = _coordinate(u, j)
+        x = grid.along(j, grid.axis(j))
         chirp = h if x.shape == h.shape else np.empty(x.shape, complex)
         chirps.append(_phase(1.0 / (4.0 * t), np.square(x, out=chirp.real), chirp))
     np.multiply(u.as_complex(), chirps[0], out=h)
@@ -351,6 +344,8 @@ def random_wave_packets(grid, rng) -> SampledField:
     if grid.dim == 2:
         axes = [_packet_factors(x, centers[:, j], widths[:, j], waves[:, j]) for j, x in enumerate(grid.axes())]
         return SampledField(grid, (coefficients[:, None] * axes[0]).T @ axes[1])
+    # the window stays, though every node is shorter to write: each packet at every node read commutation-suite
+    # at 104 ms per run against the window's 82 (medians, 13 alternating processes, BLAS pinned, 2-vCPU Xeon)
     x, (c, w, k) = grid.axis(0), (centers[:, 0], widths[:, 0], waves[:, 0])
     lo, hi = (c - _PACKET_REACH * w).min(), (c + _PACKET_REACH * w).max()
     window = slice(np.searchsorted(x, lo), np.searchsorted(x, hi, "right"))

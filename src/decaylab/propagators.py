@@ -85,15 +85,10 @@ class Evolution:
             raise ValueError("propagation other than schrodinger() is one-dimensional only")
         self.real = disp.degree % 2 == 1 and u0.kind == "real"
         self._mirrored = disp.degree % 2 == 0
-        if self.real:
-            wavenumbers = (2.0 * np.pi * np.fft.rfftfreq(grid.points[0], d=grid.spacing[0]),)
-            self._hat = np.fft.rfft(u0.values)
-        else:
-            axes = (grid.wavenumbers(i) for i in range(grid.dim))
-            wavenumbers = np.meshgrid(*axes, indexing="ij", sparse=True)
-            self._hat = np.fft.fftn(u0.as_complex())
+        self._hat = np.fft.rfft(u0.values) if self.real else np.fft.fftn(u0.as_complex())
         # theta_j = Im sigma_j(xi_j) = Im(s) xi_j^m, without a complex array
-        self._angles = [disp.monomial_coefficient.imag * k**disp.degree for k in wavenumbers]
+        s, m = disp.monomial_coefficient.imag, disp.degree
+        self._angles = [s * grid.along(j, grid.wavenumbers(j, half=self.real)) ** m for j in range(grid.dim)]
 
     def spectrum(self, t: float, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The transform of u(t), laid out as ``rfft`` or ``fftn`` lays it out, in ``out`` if given.

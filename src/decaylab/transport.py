@@ -31,7 +31,6 @@ move a bit.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -137,14 +136,6 @@ _SHORTLIST = 8
 _BLOCK = 8192
 
 
-@functools.lru_cache(maxsize=None)
-def _unit_nodes(n: int) -> np.ndarray:
-    """linspace(0, 1, n), read-only, made once per node count."""
-    s = np.linspace(0.0, 1.0, n)
-    s.setflags(write=False)
-    return s
-
-
 def _pair_profile(
     datum: AnalyticField,
     smap: ScalarDispersion,
@@ -188,7 +179,7 @@ def _pair_profile(
     u2 = (qnodes - qlo) / t
     ulo = np.minimum(u1, u2)
     uhi = np.maximum(u1, u2)
-    s = _unit_nodes(nloc)
+    s = np.linspace(0.0, 1.0, nloc)
     # the p-nodes and feet of one row block, reused by every block of every piece
     block = max(1, _BLOCK // nloc)
     pnodes = np.empty((min(block, qnodes.size), nloc))

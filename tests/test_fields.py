@@ -36,6 +36,21 @@ class TestGridSpec:
         g = GridSpec.centered(2.0, 16, dim=2)
         assert g.axis(0)[0] == -2.0
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_along_gives_the_sparse_meshgrid_of_the_wavenumbers(self, dim):
+        g = GridSpec(dim, (-3.0, -1.0)[:dim], (6.0, 5.0)[:dim], (16, 10)[:dim])
+        sparse = np.meshgrid(*(g.wavenumbers(i) for i in range(dim)), indexing="ij", sparse=True)
+        for i in range(dim):
+            along = g.along(i, g.wavenumbers(i))
+            assert along.shape == sparse[i].shape
+            assert np.array_equal(along, sparse[i])
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_half_wavenumbers_are_the_rfft_layout(self, n):
+        g = GridSpec(1, 0.0, 3.0, n)
+        assert np.array_equal(g.wavenumbers(0, half=True), 2.0 * np.pi * np.fft.rfftfreq(n, d=3.0 / n))
+        assert np.array_equal(g.wavenumbers(0), 2.0 * np.pi * np.fft.fftfreq(n, d=3.0 / n))
+
 
 class TestSample:
     def test_gaussian_values_at_nodes(self):
@@ -123,6 +138,25 @@ class TestSpectralDerivative:
         f = SampledField(g, np.exp(1j * k0 * x))
         df = spectral_derivative(f, 1)
         np.testing.assert_allclose(df.values, 1j * k0 * f.values, rtol=1e-12, atol=1e-12)
+
+    def test_complex_eigenfunction_along_axis_1(self):
+        g = GridSpec.centered((2.0, math.pi), (16, 64), dim=2)
+        k0 = g.wavenumbers(1)[5]
+        x1 = g.meshgrid()[1]
+        f = SampledField(g, np.exp(1j * k0 * x1))
+        df = spectral_derivative(f, 1, axis=1)
+        np.testing.assert_allclose(df.values, 1j * k0 * f.values, rtol=1e-12, atol=1e-12)
+
+    def test_real_cosine_along_axis_1_goes_through_rfft(self, monkeypatch):
+        g = GridSpec.centered((2.0, math.pi), (16, 64), dim=2)
+        k0 = g.wavenumbers(1)[5]
+        x1 = g.meshgrid()[1]
+        f = SampledField(g, np.cos(k0 * x1))
+        forward, axes = np.fft.rfft, []
+        monkeypatch.setattr(np.fft, "rfft", lambda a, axis: axes.append(axis) or forward(a, axis=axis))
+        df = spectral_derivative(f, 1, axis=1)
+        assert axes == [1] and df.kind == "real"
+        np.testing.assert_allclose(df.values, -k0 * np.sin(k0 * x1), rtol=1e-12, atol=1e-12)
 
     def test_order_zero_is_identity(self):
         g = GridSpec.centered(8.0, 64, dim=1)

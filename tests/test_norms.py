@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 from decaylab.experiments import Report
-from decaylab.fields import CubeIndicator, Gaussian, GridSpec, SampledField, l2_norm, linf_norm, sample
+from decaylab.fields import (
+    CubeIndicator,
+    Gaussian,
+    GridSpec,
+    SampledField,
+    l2_norm,
+    linf_norm,
+    sample,
+    spectral_derivative,
+)
 from decaylab import harness as hz
 from decaylab import norms as nm
 
@@ -163,6 +172,11 @@ class TestClassicalNorms:
 
     def test_hs_zero_is_l2(self, shell_bump):
         assert nm.hs_norm(shell_bump, 0.0) == pytest.approx(l2_norm(shell_bump), rel=1e-12)
+
+    def test_hs_one_of_a_2d_field_is_parseval_over_both_axes(self):
+        f = sample(Gaussian((0.5, -0.3), (1.0, 0.7)), GridSpec.centered((10.0, 8.0), (128, 96), dim=2))
+        grads = [l2_norm(spectral_derivative(f, 1, axis=ax)) ** 2 for ax in (0, 1)]
+        assert nm.hs_norm(f, 1.0) ** 2 == pytest.approx(l2_norm(f) ** 2 + sum(grads), rel=1e-12)
 
     def test_hs_increases_with_s(self, shell_bump):
         assert nm.hs_norm(shell_bump, 1.0) > nm.hs_norm(shell_bump, 0.5)
