@@ -117,7 +117,7 @@ def _freeze_sections(raw: dict) -> tuple:
 
 def _format_value(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # numpy 2 writes np.float64(...) into the repr of its own floats
     if isinstance(value, tuple):
         return ", ".join(repr(float(v)) for v in value)
     return str(value)
@@ -713,10 +713,12 @@ def _run_monomial_2k(cfg: ExperimentConfig, threads: int):
     return Report(("series", "t", "lhs", "rhs", "ratio"), rows, inequalities=tuple(reports))
 
 
-# Packets scored by one ``commutation_residual`` call. It holds six (rows x points)
-# complex arrays, 384 KiB per 4096-point datum, so peak memory stays bounded at any
-# ``datum.n_data``; the default 20 and the two perturbed rows take one call.
-_PACKETS_PER_CALL = 32
+# Packets scored by one ``commutation_residual`` call. It holds six (rows x points) complex
+# arrays, 384 KiB per 4096-point datum, so peak memory stays bounded at any ``datum.n_data``. At 8,
+# a degree's first call holds 10 rows with the perturbed two: 3.9 MB of arrays (8.6 MB for 22 rows
+# at 32), each small enough to come from the heap, not a fresh mmap. A warm commutation-suite run
+# took 6,840 minor faults at 32 packets a call, 5,541 at 16, 204 at 8, and 68 at 4 in twice the calls.
+_PACKETS_PER_CALL = 8
 
 
 def _run_commutation_suite(cfg: ExperimentConfig, threads: int):

@@ -725,10 +725,11 @@ def test_samples_table_identical_at_one_and_two_threads(tmp_path, exp_id, text, 
     assert all(table == tables[0] for table in tables[1:])
 
 
-def test_commutation_suite_makes_24_transforms_for_its_residuals(tmp_path, monkeypatch):
-    # one call per degree over its 20 packets and the two perturbed rows: 2 forward transforms and
-    # 2 inverse ones at each of the 3 times, so 3 x 8 one-axis transforms (72 in three calls per degree)
-    calls, scoring = [], []
+def test_commutation_suite_makes_72_transforms_for_its_residuals(tmp_path, monkeypatch):
+    # three calls per degree over its 20 packets, 8 at a time, the first with the two perturbed rows:
+    # 10, 8 and 4 rows. Each call makes 2 forward transforms and 2 inverse ones at each of the 3 times,
+    # so 3 degrees x 3 calls x 8 one-axis transforms
+    calls, scoring, rows = [], [], []
     for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft"):
         transform = getattr(np.fft, name)
 
@@ -742,6 +743,7 @@ def test_commutation_suite_makes_24_transforms_for_its_residuals(tmp_path, monke
 
     def scored(*args):
         scoring.append(True)
+        rows.append(len(args[2]))
         try:
             return residual(*args)
         finally:
@@ -749,7 +751,9 @@ def test_commutation_suite_makes_24_transforms_for_its_residuals(tmp_path, monke
 
     monkeypatch.setattr(experiments, "commutation_residual", scored)
     assert _run(tmp_path, "[experiment]\nid = commutation-suite\n") == 0
-    assert calls == (["fft", "fft"] + ["ifft", "ifft"] * 3) * 3
+    assert rows == [10, 8, 4] * 3
+    assert calls == (["fft", "fft"] + ["ifft", "ifft"] * 3) * 9
+    assert len(calls) == 72
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
@@ -780,18 +784,21 @@ def test_the_transport_sup_entries_start_no_thread_pool_at_two_threads(tmp_path,
 
 
 def test_commutation_suite_report_does_not_depend_on_how_many_packets_one_call_scores(tmp_path, monkeypatch):
-    # 5 packets per degree in one call, then 2 at a time over three calls: the same rows, checks and notes
-    reports = []
-    for per_call in (32, 2):
-        monkeypatch.setattr(experiments, "_PACKETS_PER_CALL", per_call)
-        run_dir = tmp_path / str(per_call)
-        run_dir.mkdir()
-        assert _run(run_dir, "[experiment]\nid = commutation-suite\n[datum]\nn_data = 5\n") == 0
-        report = _report(run_dir, "commutation-suite")
-        table = (run_dir / "out" / "commutation-suite_samples.tsv").read_bytes()
-        reports.append((table, report["checks"], report["notes"]))
-    assert reports[0] == reports[1]
-    assert len(reports[0][1]) == 10  # worst residual and perturbed a/b per degree, and the 2-d commutator
+    # 5 packets per degree in one call, then 2 at a time over three calls; the default 20 in one call, then
+    # 8 at a time over three: the same rows, checks and notes, and byte-equal sample tables
+    for n_data, sizes in ((5, (32, 2)), (20, (32, 8))):
+        reports = []
+        for per_call in sizes:
+            monkeypatch.setattr(experiments, "_PACKETS_PER_CALL", per_call)
+            run_dir = tmp_path / f"{n_data}-{per_call}"
+            run_dir.mkdir()
+            assert _run(run_dir, f"[experiment]\nid = commutation-suite\n[datum]\nn_data = {n_data}\n") == 0
+            report = _report(run_dir, "commutation-suite")
+            table = (run_dir / "out" / "commutation-suite_samples.tsv").read_bytes()
+            reports.append((table, report["checks"], report["notes"]))
+        assert reports[0] == reports[1]
+        assert len(reports[0][0].splitlines()) == 1 + 3 * n_data * 3  # header, then 3 degrees x n_data x 3 times
+        assert len(reports[0][1]) == 10  # worst residual and perturbed a/b per degree, and the 2-d commutator
 
 
 # The src functions and lambdas that ``list`` and ``validate`` and ``run --threads 1`` of every default

@@ -1,11 +1,13 @@
 """Dyadic partition, X norms, classical norms, translation optimization."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from decaylab import experiments
 from decaylab.experiments import Report
 from decaylab.fields import (
     CubeIndicator,
@@ -36,27 +38,40 @@ def partition(grid):
     return nm.build_dyadic_partition(grid, -2, 4)
 
 
+def _stack(grid, part):
+    """The full-grid bumps phi_k = cutoff(|x|/2^k) - cutoff(|x|/2^(k-1)) of ``part``, one per k."""
+    r = np.sqrt(sum(x**2 for x in grid.meshgrid()))
+    cutoff = nm._radial_cutoff
+    return np.stack([cutoff(r / 2.0**k) - cutoff(r / 2.0 ** (k - 1)) for k in part.k_range])
+
+
+@pytest.fixture(scope="module")
+def bumps(grid, partition):
+    return _stack(grid, partition)
+
+
 @pytest.fixture(scope="module")
 def shell_bump(grid):
     return sample(Gaussian(2.0, 0.25), grid)
 
 
 class TestPartition:
-    def test_bump_count_and_unity(self, grid, partition):
-        assert partition.bumps.shape[0] == 7
+    def test_bump_count_and_unity(self, grid, partition, bumps):
+        assert bumps.shape[0] == 7
+        assert partition.rows.shape[0] == 7 + 1  # phi_k^2 per k, then (1 - sum_k phi_k)^2
         r = np.abs(grid.axis(0))
         shell = (r >= 2.0**-2) & (r <= 2.0**4)
-        assert np.max(np.abs(partition.bumps.sum(axis=0)[shell] - 1.0)) <= 1e-12
+        assert np.max(np.abs(bumps.sum(axis=0)[shell] - 1.0)) <= 1e-12
 
-    def test_annulus_support(self, grid, partition):
+    def test_annulus_support(self, grid, partition, bumps):
         r = np.abs(grid.axis(0))
-        for k, bump in zip(partition.k_range, partition.bumps):
+        for k, bump in zip(partition.k_range, bumps):
             outside = (r < 2.0 ** (k - 1) - 1e-9) | (r > 2.0 ** (k + 1) + 1e-9)
             assert np.max(np.abs(bump[outside])) == 0.0
             assert np.all(bump >= 0.0)
 
-    def test_at_most_two_overlap(self, partition):
-        overlap = (partition.bumps > 0).sum(axis=0)
+    def test_at_most_two_overlap(self, bumps):
+        overlap = (bumps > 0).sum(axis=0)
         assert overlap.max() <= 2
 
     def test_unresolvable_window_rejected(self, grid):
@@ -69,19 +84,30 @@ class TestPartition:
 
     def test_single_annulus(self, grid):
         part = nm.build_dyadic_partition(grid, 0, 0)
-        assert part.bumps.shape[0] == 1
+        assert _stack(grid, part).shape[0] == 1
+        assert part.rows.shape[0] == 2
+
+    def test_holds_no_full_grid_array_on_the_xnorm_grid(self):
+        # on schrodinger-xnorm's 131,072-node grid the partition keeps only its box's rows
+        _, part, u0 = experiments._shell_setup(experiments.default_config("schrodinger-xnorm"))
+        assert u0.values.size == 131072
+        arrays = [v for v in vars(part).values() if isinstance(v, np.ndarray)]
+        assert [f.name for f in dataclasses.fields(part)] == ["grid", "k_min", "k_max", "box", "rows"]
+        assert arrays and all(a.size < u0.values.size for a in arrays)
 
     @pytest.mark.parametrize("dim, k_min, k_max", [(1, -2, 4), (2, 0, 3)])
     def test_kernels_equal_their_per_bump_formulas(self, dim, k_min, k_max):
-        # the bumps from K + 1 cutoffs are the per-bump formula bit for bit; x_norm and
-        # off_shell_fraction, read from one |f|^2 and one matrix-vector product on the shell's
-        # box, are the per-bump formulas within KERNEL_REL (3e-16 measured, in 2-d)
+        # the box and rows built from K + 1 cutoffs are the per-bump formula's stack, cropped to the
+        # bounding box of its nonzeros and squared, bit for bit; x_norm and off_shell_fraction, read
+        # from one |f|^2 and one matrix-vector product on that box, are the per-bump formulas within
+        # KERNEL_REL (3e-16 measured, in 2-d)
         grid = GridSpec.centered(32.0, 4096 if dim == 1 else 256, dim=dim)
         part = nm.build_dyadic_partition(grid, k_min, k_max)
-        r = np.sqrt(sum(x**2 for x in grid.meshgrid()))
-        cutoff = nm._radial_cutoff
-        bumps = np.stack([cutoff(r / 2.0**k) - cutoff(r / 2.0 ** (k - 1)) for k in part.k_range])
-        assert np.array_equal(part.bumps, bumps)
+        bumps = _stack(grid, part)
+        box = tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(bumps.any(axis=0)))
+        cropped = bumps[(slice(None), *box)].reshape(len(bumps), -1)
+        assert part.box == box
+        assert np.array_equal(part.rows, np.vstack([cropped**2, (1.0 - cropped.sum(axis=0)) ** 2]))
         f = modulated_sample(Gaussian((3.0,) * dim, (0.5,) * dim), grid, (1.5,) * dim)
         centred = sample(Gaussian((0.0,) * dim, (0.5,) * dim), grid)  # most of its mass in the shell's hole
         assert f.kind == "complex"
@@ -95,13 +121,15 @@ class TestPartition:
 
     @pytest.mark.parametrize("where", [0.0, 48.0], ids=["in-the-hole", "off-the-box"])
     @pytest.mark.parametrize("share, truncated", [(1e-12, True), (1e-24, False)])
-    def test_a_small_off_shell_mass_keeps_its_window_truncated_verdict(self, grid, partition, where, share, truncated):
+    def test_a_small_off_shell_mass_keeps_its_window_truncated_verdict(
+        self, grid, partition, bumps, where, share, truncated
+    ):
         # ``share`` of the mass lies off the shell, in its hole or beyond the box the partition's
         # rows cover. A share taken as total - inside would keep only its digits above the
         # total's rounding, about 1e-16 of the mass: four of them at 1e-12 and none at 1e-24.
         shell, piece = sample(Gaussian(4.0, 0.25), grid), sample(Gaussian(where, 0.05), grid)
         f = shell.with_values(shell.values + math.sqrt(share) * l2_norm(shell) / l2_norm(piece) * piece.values)
-        clipped = l2_norm(f.with_values((1.0 - partition.bumps.sum(axis=0)) * f.values)) / l2_norm(f)
+        clipped = l2_norm(f.with_values((1.0 - bumps.sum(axis=0)) * f.values)) / l2_norm(f)
         assert partition.off_shell_fraction(f) == pytest.approx(clipped, rel=KERNEL_REL)
         read, report = hz.check_local_mass(f, 0.25, partition)
         assert dict(report(hz.Series(((1.0, read(1.0, f)),), ())).detail)["window_truncated"] is truncated
@@ -149,10 +177,10 @@ class TestXNorm:
         centered = sample(Gaussian(0.0, 0.5), grid)  # mass inside the shell hole
         assert partition.off_shell_fraction(centered) > 1e-10
 
-    def test_piece_bound_with_measure_constant(self, grid, partition, shell_bump):
+    def test_piece_bound_with_measure_constant(self, grid, partition, bumps, shell_bump):
         # || phi_k f || <= sqrt(3) 2^(k/2) ||f||_inf in one dimension
         sup = float(np.max(np.abs(shell_bump.values)))
-        for k, bump in zip(partition.k_range, partition.bumps):
+        for k, bump in zip(partition.k_range, bumps):
             piece = math.sqrt(
                 float(np.sum((bump * shell_bump.values) ** 2)) * grid.cell_volume
             )

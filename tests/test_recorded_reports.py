@@ -96,6 +96,13 @@ def test_every_catalog_entry_has_a_recording():
     assert sorted(p.name for p in REPORTS.iterdir()) == sorted(name + suffix for name in CONFIGS for suffix in FILES)
 
 
+def test_no_recorded_table_cell_holds_a_numpy_repr():
+    # a cell such as np.float64(0.5) is numpy 2's repr of its own float, not the number the table is to hold
+    for path in sorted(REPORTS.glob("*_samples.tsv")):
+        cells = [cell for line in path.read_text().splitlines() for cell in line.split("\t")]
+        assert not [cell for cell in cells if "np." in cell], path.name
+
+
 def test_recorded_reports_pass_the_benchmark_check(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # bench.py puts perfbench/ on the path
     spec = importlib.util.spec_from_file_location("bench", ROOT / "perfbench" / "bench.py")
